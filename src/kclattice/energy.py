@@ -21,9 +21,11 @@ whose pointwise representer is the gradient field
 
     g = -(a + b sum |grad u|^2) (lap u) + V u - (R_alpha * F(u)) f(u).
 
-``pairing`` evaluates the variation through the bilinear expansion and
-``energy_gradient`` through the representer; the two routes agree to
-roundoff and are cross-checked in the tests.
+``evaluate`` is the one evaluation core: a single convolution R * F(u)
+gives ||u||^2, A, B and D, J(su) in closed form along the ray, and the
+gradient at su (R * F(su) = s^p R * F(u)); ``energy``, ``energy_gradient``
+and the ``interaction_*`` functions are views of it.  ``pairing`` expands
+the variation bilinearly with its own convolution, as the referee.
 
 Admissibility of the power: p > 2 makes the interaction superquadratic
 along rays (the mechanism behind uniqueness of the projection scale), and
@@ -34,13 +36,14 @@ for any theta <= 2p; theta defaults to 2p and must exceed 4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .kernel import GreenKernel, convolve
-from .lattice import Field, LatticeBox, gradient_energy, gradient_inner, h_inner
+from .lattice import Field, LatticeBox, gradient_energy, gradient_inner, h_inner, laplacian
 
 CONSTANT = "constant"
 COERCIVE = "coercive"
@@ -236,31 +239,95 @@ def _check_kernel(spec: ProblemSpec, kernel: GreenKernel) -> None:
         )
 
 
+@dataclass(frozen=True)
+class FiberCoefficients:
+    """The four ray invariants of a field, plus the power they scale with."""
+
+    norm_h2: float
+    grad2: float
+    drive: float
+    interaction: float
+    exponent: float
+
+    def __post_init__(self):
+        for name in ("norm_h2", "grad2", "drive", "interaction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"fiber coefficient {name} is not finite")
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation(FiberCoefficients):
+    """The functional at u: its fiber coefficients plus ``conv`` = R * F(u)."""
+
+    spec: ProblemSpec
+    u: Field
+    conv: np.ndarray
+
+    def ray_energy(self, s: float = 1.0) -> float:
+        """J(su) = s^2/2 ||u||^2 + b s^4/4 A^2 - s^(2p) B/2, with no convolution."""
+        return (0.5 * s * s * self.norm_h2 + 0.25 * self.spec.b * s ** 4 * self.grad2 ** 2
+                - 0.5 * s ** (2.0 * self.exponent) * self.interaction)
+
+    def at_scale(self, s: float) -> "Evaluation":
+        """The evaluation at su, using R * F(su) = s^p R * F(u)."""
+        sp = s ** self.exponent
+        return Evaluation(s * s * self.norm_h2, s * s * self.grad2, sp * sp * self.drive,
+                          sp * sp * self.interaction, self.exponent, self.spec,
+                          Field(self.u.box, s * self.u.values), sp * self.conv)
+
+    def gradient(self) -> Field:
+        """Representer field g with <J'(u), phi> = sum g phi for every phi."""
+        spec, u = self.spec, self.u
+        g = (
+            -(spec.a + spec.b * self.grad2) * laplacian(u).values
+            + spec.potential_table * u.values
+            - self.conv * spec.nonlinearity.f(u.values)
+        )
+        return Field(u.box, g)
+
+
+def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
+    """Evaluate the functional at u with exactly one convolution.
+
+    D = sum (R * F(u)) f(u) u and B = sum (R * F(u)) F(u) are accumulated
+    through separate pointwise products; for the power nonlinearity
+    f(t) t = p F(t) forces D = p B, which is asserted as a consistency
+    check rather than assumed.
+    """
+    _check_kernel(spec, kernel)
+    nl = spec.nonlinearity
+    big_f = nl.F(u.values)
+    conv = convolve(kernel, Field(u.box, big_f)).values
+    drive = float(np.sum(conv * nl.f(u.values) * u.values))
+    interaction = float(np.sum(conv * big_f))
+    if abs(drive - nl.exponent * interaction) > 1.0e-10 * abs(drive):
+        raise RuntimeError(
+            "fiber drive and interaction violate the power identity D = pB: "
+            f"{drive!r} vs p*B = {nl.exponent * interaction!r}"
+        )
+    return Evaluation(spec.h_inner(u, u), gradient_energy(u), drive, interaction,
+                      nl.exponent, spec, u, conv)
+
+
 def energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
     """Total energy J(u)."""
-    _check_kernel(spec, kernel)
-    grad2 = gradient_energy(u)
-    quad = 0.5 * (spec.a * grad2 + float(np.sum(spec.potential_table * u.values ** 2)))
-    big_f = spec.nonlinearity.F(u.values)
-    conv = convolve(kernel, Field(u.box, big_f)).values
-    return quad + 0.25 * spec.b * grad2 ** 2 - 0.5 * float(np.sum(conv * big_f))
+    return evaluate(spec, kernel, u).ray_energy()
 
 
 def energy_gradient(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Field:
     """Representer field g with <J'(u), phi> = sum g phi for every phi."""
-    from .lattice import laplacian
+    return evaluate(spec, kernel, u).gradient()
 
-    _check_kernel(spec, kernel)
-    grad2 = gradient_energy(u)
-    big_f = spec.nonlinearity.F(u.values)
-    conv = convolve(kernel, Field(u.box, big_f)).values
-    lap = laplacian(u).values
-    g = (
-        -(spec.a + spec.b * grad2) * lap
-        + spec.potential_table * u.values
-        - conv * spec.nonlinearity.f(u.values)
-    )
-    return Field(u.box, g)
+
+def interaction_energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
+    """Nonlocal interaction I(u) = 1/2 sum (R * F(u)) F(u); scales like s^(2p)."""
+    return 0.5 * evaluate(spec, kernel, u).interaction
+
+
+def interaction_pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> float:
+    """First variation <I'(u), phi> = sum (R * F(u)) f(u) phi."""
+    conv = evaluate(spec, kernel, u).conv
+    return float(np.sum(conv * spec.nonlinearity.f(u.values) * phi.values))
 
 
 def pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> float:
@@ -273,19 +340,3 @@ def pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> flo
     conv = convolve(kernel, Field(u.box, big_f)).values
     drive = float(np.sum(conv * spec.nonlinearity.f(u.values) * phi.values))
     return linear + spec.b * grad2 * cross - drive
-
-
-def interaction_energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
-    """Nonlocal interaction I(u) = 1/2 sum (R * F(u)) F(u); scales like s^(2p)."""
-    _check_kernel(spec, kernel)
-    big_f = spec.nonlinearity.F(u.values)
-    conv = convolve(kernel, Field(u.box, big_f)).values
-    return 0.5 * float(np.sum(conv * big_f))
-
-
-def interaction_pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> float:
-    """First variation <I'(u), phi> = sum (R * F(u)) f(u) phi."""
-    _check_kernel(spec, kernel)
-    big_f = spec.nonlinearity.F(u.values)
-    conv = convolve(kernel, Field(u.box, big_f)).values
-    return float(np.sum(conv * spec.nonlinearity.f(u.values) * phi.values))

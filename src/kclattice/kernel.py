@@ -438,7 +438,8 @@ class _ConvolutionPlan:
         out = irfftn(spec, s=self.shape, workers=_fft_workers)
         if self.crop is None:
             return out
-        return out[self.crop, self.crop, self.crop]
+        # a copy, so that a held result does not keep the padded grid alive
+        return out[self.crop, self.crop, self.crop].copy()
 
 
 def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:

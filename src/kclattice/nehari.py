@@ -3,11 +3,12 @@
 For the power nonlinearity the ray energy through a fixed field u is the
 polynomial
 
-    J(su) = s^2/2 ||u||^2 + b s^4/4 A^2 - s^(2p) B,   A = sum |grad u|^2,
+    J(su) = s^2/2 ||u||^2 + b s^4/4 A^2 - s^(2p) B/2,
 
-so s d/ds J(su) factors as s^2 q(s) with
+with A = sum |grad u|^2 and B = sum (R * F(u)) F(u), so s d/ds J(su)
+factors as s^2 q(s) with
 
-    q(s) = ||u||^2 + b A^2 s^2 - D s^(2p-2),          D = 2p B = p * 2B/2.
+    q(s) = ||u||^2 + b A^2 s^2 - D s^(2p-2),          D = pB.
 
 Since 2p - 2 > 4 > 2 the quotient q is eventually negative and has a
 single sign change on (0, inf); its unique root s_u places s_u u on the
@@ -29,59 +30,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, cg, minres
 
-from .energy import PotentialSpec, ProblemSpec, energy, energy_gradient
+from .energy import Evaluation, FiberCoefficients, PotentialSpec, ProblemSpec, evaluate
 from .kernel import GreenKernel, convolve
-from .lattice import PERIODIC, Field, gradient_energy, gradient_inner, laplacian, translate
+from .lattice import Field, gradient_inner, laplacian
 
 GAUSSIAN_BUMP = "gaussian_bump"
 RANDOM_START = "random"
 FILE_START = "file"
 
 
-@dataclass(frozen=True)
-class FiberCoefficients:
-    """The four ray invariants of a field, plus the power they scale with."""
-
-    norm_h2: float
-    grad2: float
-    drive: float
-    interaction: float
-    exponent: float
-
-    def __post_init__(self):
-        for name in ("norm_h2", "grad2", "drive", "interaction"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"fiber coefficient {name} is not finite")
-
-
-def fiber_coefficients(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> FiberCoefficients:
-    """Compute (||u||^2, A, D, B) for the ray through u.
-
-    D = sum (R * F(u)) f(u) u and B = sum (R * F(u)) F(u) are accumulated
-    through separate pointwise products; for the power nonlinearity
-    f(t) t = p F(t) forces D = p B, which is asserted as a consistency
-    check rather than assumed.
-    """
-    norm_h2 = spec.h_inner(u, u)
-    if norm_h2 == 0.0:
+def fiber_coefficients(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
+    """Compute (||u||^2, A, D, B) for the ray through u; see ``energy.evaluate``."""
+    point = evaluate(spec, kernel, u)
+    if point.norm_h2 == 0.0:
         raise ValueError("fiber coefficients are undefined for the zero field")
-    grad2 = gradient_energy(u)
-    nl = spec.nonlinearity
-    big_f = nl.F(u.values)
-    conv = convolve(kernel, Field(u.box, big_f)).values
-    drive = float(np.sum(conv * nl.f(u.values) * u.values))
-    interaction = float(np.sum(conv * big_f))
-    if abs(drive - nl.exponent * interaction) > 1.0e-10 * abs(drive):
-        raise RuntimeError(
-            "fiber drive and interaction violate the power identity D = pB: "
-            f"{drive!r} vs p*B = {nl.exponent * interaction!r}"
-        )
-    return FiberCoefficients(norm_h2, grad2, drive, interaction, nl.exponent)
+    return point
 
 
 def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12) -> float:
@@ -184,10 +153,7 @@ def _h_representer(spec: ProblemSpec, g: Field, rtol: float = 1.0e-12,
     precond = LinearOperator((n, n), matvec=lambda x: x / diag.ravel(), dtype=float)
     if maxiter is None:
         maxiter = 40 * box.side
-    try:
-        sol, info = cg(op, g.values.ravel(), rtol=rtol, atol=0.0, maxiter=maxiter, M=precond)
-    except TypeError:  # older scipy spells the kwarg "tol"
-        sol, info = cg(op, g.values.ravel(), tol=rtol, atol=0.0, maxiter=maxiter, M=precond)
+    sol, info = cg(op, g.values.ravel(), rtol=rtol, atol=0.0, maxiter=maxiter, M=precond)
     if info != 0:
         raise RuntimeError(f"energy-norm representer solve did not converge (cg info={info})")
     return Field(box, sol.reshape(g.values.shape))
@@ -206,11 +172,9 @@ def reduced_gradient(spec: ProblemSpec, kernel: GreenKernel, w: Field,
     norm2 = spec.h_inner(w, w)
     if abs(norm2 - 1.0) > 1.0e-8:
         raise ValueError(f"reduced gradient needs a unit field, got ||w||^2 = {norm2!r}")
-    coeffs = fiber_coefficients(spec, kernel, w)
-    s = nehari_scale(coeffs, spec.b)
-    u = Field(w.box, s * w.values)
-    g = energy_gradient(spec, kernel, u)
-    rep = _h_representer(spec, g, rtol=rtol)
+    point = fiber_coefficients(spec, kernel, w)
+    s = nehari_scale(point, spec.b)
+    rep = _h_representer(spec, point.at_scale(s).gradient(), rtol=rtol)
     r = s * rep.values
     r = r - spec.h_inner(Field(w.box, r), w) * w.values
     return Field(w.box, r)
@@ -319,26 +283,27 @@ def _initial_field(spec: ProblemSpec, config: SolveConfig) -> Field:
     return f.copy()
 
 
-def _hessian_apply(spec: ProblemSpec, kernel: GreenKernel, u: Field, grad2: float,
-                   conv_big_f: np.ndarray, v: Field) -> np.ndarray:
-    """Second-derivative action J''(u)[v] as a lattice array.
+def _hessian_apply(kernel: GreenKernel, point: Evaluation, x: np.ndarray) -> np.ndarray:
+    """Second-derivative action J''(u)[v] at the evaluated point u, on flat arrays.
 
     Differentiating g(u) = -(a + bA)lap u + V u - (R*F(u)) f(u) gives a
     Kirchhoff rank-one term 2b Gamma(u,v) lap u alongside the local and
     convolution linearizations; the operator is symmetric but in general
     indefinite away from the constraint set, hence minres downstream.
     """
+    spec, u = point.spec, point.u
+    v = Field(u.box, x.reshape(u.values.shape))
     nl = spec.nonlinearity
     fu = nl.f(u.values)
     cross = gradient_inner(u, v)
     conv_fv = convolve(kernel, Field(u.box, fu * v.values)).values
     return (
-        -(spec.a + spec.b * grad2) * laplacian(v).values
+        -(spec.a + spec.b * point.grad2) * laplacian(v).values
         - 2.0 * spec.b * cross * laplacian(u).values
         + spec.potential_table * v.values
         - conv_fv * fu
-        - conv_big_f * nl.f_prime(u.values) * v.values
-    )
+        - point.conv * nl.f_prime(u.values) * v.values
+    ).ravel()
 
 
 def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Field,
@@ -363,14 +328,6 @@ def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Field,
     return top ** (-1.0 / (2.0 * spec.nonlinearity.exponent - 2.0))
 
 
-def _symmetric_solve(op, rhs, rtol, maxiter):
-    try:
-        sol, _ = minres(op, rhs, rtol=rtol, maxiter=maxiter)
-    except TypeError:  # older scipy spells the kwarg "tol"
-        sol, _ = minres(op, rhs, tol=rtol, maxiter=maxiter)
-    return sol
-
-
 def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                        config: SolveConfig = None) -> SolveReport:
     """Minimize the reduced functional on the unit sphere, then polish.
@@ -387,132 +344,120 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
 
     Failures are reported in the returned SolveReport (converged flag and
     message), not raised: a stalled line search or exhausted iteration
-    budget still produces a usable field and diagnostics.
+    budget still produces a usable field and diagnostics.  A RuntimeError
+    from the ray root or the D = pB check ends the iteration with its
+    message and converged=False, reporting the last evaluated point.
     """
     if config is None:
         config = SolveConfig()
     box = spec.box
     tol = config.gradient_tolerance
+    root_tol = config.nehari_root_tolerance
     diag = 6.0 * spec.a + spec.potential_table
 
-    u0 = _initial_field(spec, config)
-    w = sphere_inverse(u0, spec.a, spec.potential_table)
-    s = nehari_scale(fiber_coefficients(spec, kernel, w), spec.b,
-                     config.nehari_root_tolerance)
-    current = energy(spec, kernel, Field(box, s * w.values))
-
+    w = sphere_inverse(_initial_field(spec, config), spec.a, spec.potential_table)
     history = []
     message = "ok"
-    prev_w = prev_gp = None
-    step = None
-    iterations = 0
-
-    for it in range(config.max_iterations):
-        iterations = it
-        u = Field(box, s * w.values)
-        g = energy_gradient(spec, kernel, u)
+    failed = False
+    iterations = newton_iterations = 0
+    point = None  # the evaluation at the current iterate
+    try:
+        start = evaluate(spec, kernel, w)
+        s = nehari_scale(start, spec.b, root_tol)
+        current = start.ray_energy(s)
+        point = start.at_scale(s)
+        g = point.gradient()
         gnorm = float(np.sqrt(np.sum(g.values ** 2)))
-        if config.record_history:
-            history.append((current, gnorm, s))
-        if gnorm <= max(tol, config.switch_residual):
-            break
+        prev_w = prev_gp = None
+        step = None
 
-        gp = g.values / diag
-        direction = -gp
-        if prev_w is not None:
-            dw = w.values - prev_w
-            dg = gp - prev_gp
-            denom = float(np.sum(dw * dg))
-            step = float(np.sum(dw * dw)) / denom if denom > 0.0 else None
-        prev_w, prev_gp = w.values.copy(), gp.copy()
-        if step is None or not math.isfinite(step) or step <= 0.0:
-            step = 0.1 * math.sqrt(np.sum(w.values ** 2) / np.sum(direction ** 2))
-
-        slope = float(np.sum(g.values * direction))
-        accepted = False
-        for _ in range(config.max_backtracks):
-            trial = Field(box, w.values + step * direction)
-            s_trial = nehari_scale(fiber_coefficients(spec, kernel, trial), spec.b,
-                                   config.nehari_root_tolerance)
-            e_trial = energy(spec, kernel, Field(box, s_trial * trial.values))
-            if e_trial <= current + config.sufficient_decrease * step * s * slope:
-                accepted = True
+        for iterations in range(config.max_iterations):
+            if config.record_history:
+                history.append((current, gnorm, s))
+            if gnorm <= max(tol, config.switch_residual):
                 break
-            step *= config.backtrack_factor
-        if not accepted:
-            message = "descent line search stalled; switching to Newton polish"
-            break
-        norm_trial = math.sqrt(spec.h_inner(trial, trial))
-        w = Field(box, trial.values / norm_trial)
-        s = s_trial * norm_trial
-        current = e_trial
-    else:
-        message = "descent iteration budget exhausted"
 
-    # Newton polish on the Euler-Lagrange residual
-    u = Field(box, s * w.values)
-    g = energy_gradient(spec, kernel, u)
-    gnorm = float(np.sqrt(np.sum(g.values ** 2)))
-    newton_iterations = 0
-    shape = u.values.shape
-    for _ in range(config.newton_max_iterations):
-        if gnorm <= tol:
-            break
-        grad2 = gradient_energy(u)
-        conv_big_f = convolve(kernel, Field(box, spec.nonlinearity.F(u.values))).values
+            gp = g.values / diag
+            direction = -gp
+            if prev_w is not None:
+                dw = w.values - prev_w
+                dg = gp - prev_gp
+                denom = float(np.sum(dw * dg))
+                step = float(np.sum(dw * dw)) / denom if denom > 0.0 else None
+            prev_w, prev_gp = w.values.copy(), gp.copy()
+            if step is None or not math.isfinite(step) or step <= 0.0:
+                step = 0.1 * math.sqrt(np.sum(w.values ** 2) / np.sum(direction ** 2))
 
-        def matvec(x, _u=u, _g2=grad2, _cf=conv_big_f):
-            return _hessian_apply(spec, kernel, _u, _g2, _cf, Field(box, x.reshape(shape))).ravel()
-
-        op = LinearOperator((u.values.size,) * 2, matvec=matvec, dtype=float)
-        delta = _symmetric_solve(op, -g.values.ravel(), config.newton_inner_tolerance,
-                                 config.newton_inner_maxiter).reshape(shape)
-        length = 1.0
-        improved = False
-        for _ in range(30):
-            trial_u = Field(box, u.values + length * delta)
-            trial_g = energy_gradient(spec, kernel, trial_u)
-            trial_norm = float(np.sqrt(np.sum(trial_g.values ** 2)))
-            if trial_norm < gnorm:
-                improved = True
+            slope = float(np.sum(g.values * direction))
+            for _ in range(config.max_backtracks):
+                trial = evaluate(spec, kernel, Field(box, w.values + step * direction))
+                s_trial = nehari_scale(trial, spec.b, root_tol)
+                e_trial = trial.ray_energy(s_trial)
+                if e_trial <= current + config.sufficient_decrease * step * s * slope:
+                    break
+                step *= config.backtrack_factor
+            else:
+                message = "descent line search stalled; switching to Newton polish"
                 break
-            length *= 0.5
-        if not improved:
-            message = "Newton polish stalled before reaching the residual tolerance"
-            break
-        u, g, gnorm = trial_u, trial_g, trial_norm
-        newton_iterations += 1
-        if config.record_history:
-            coeffs = fiber_coefficients(spec, kernel, u)
-            history.append((energy(spec, kernel, u), gnorm,
-                            nehari_scale(coeffs, spec.b, config.nehari_root_tolerance)))
+            norm_trial = math.sqrt(trial.norm_h2)
+            w = Field(box, trial.u.values / norm_trial)
+            s = s_trial * norm_trial
+            current = e_trial
+            point = trial.at_scale(s_trial)
+            g = point.gradient()
+            gnorm = float(np.sqrt(np.sum(g.values ** 2)))
+        else:
+            message = "descent iteration budget exhausted"
 
-    if box.mode == PERIODIC:
-        peak = np.unravel_index(int(np.argmax(np.abs(u.values))), shape)
-        shift = tuple(-(int(i) - box.radius) for i in peak)
-        u = translate(u, shift)
+        # Newton polish on the Euler-Lagrange residual
+        for _ in range(config.newton_max_iterations):
+            if gnorm <= tol:
+                break
+            op = LinearOperator((g.values.size,) * 2, matvec=partial(_hessian_apply, kernel, point),
+                                dtype=float)
+            delta, _ = minres(op, -g.values.ravel(), rtol=config.newton_inner_tolerance,
+                              maxiter=config.newton_inner_maxiter)
+            delta = delta.reshape(g.values.shape)
+            length = 1.0
+            for _ in range(30):
+                trial = evaluate(spec, kernel, Field(box, point.u.values + length * delta))
+                trial_g = trial.gradient()
+                trial_norm = float(np.sqrt(np.sum(trial_g.values ** 2)))
+                if trial_norm < gnorm:
+                    break
+                length *= 0.5
+            else:
+                message = "Newton polish stalled before reaching the residual tolerance"
+                break
+            point, g, gnorm = trial, trial_g, trial_norm
+            newton_iterations += 1
+            if config.record_history:
+                history.append((point.ray_energy(), gnorm, nehari_scale(point, spec.b, root_tol)))
+        else:
+            message = "Newton iteration budget exhausted"
+    except RuntimeError as exc:
+        message, failed = str(exc), True
 
-    final_energy = energy(spec, kernel, u)
-    g = energy_gradient(spec, kernel, u)
-    residual = float(np.sqrt(np.sum(g.values ** 2)))
-    coeffs = fiber_coefficients(spec, kernel, u)
-    defect = abs(coeffs.norm_h2 + spec.b * coeffs.grad2 ** 2 - coeffs.drive) / coeffs.norm_h2
+    if point is None:  # the start itself could not be evaluated or scaled
+        nan = math.nan
+        return SolveReport(w, nan, nan, nan, nan, nan, 0, 0, False, message, *np.empty((3, 0)))
+    defect = abs(point.norm_h2 + spec.b * point.grad2 ** 2 - point.drive) / point.norm_h2
+    h_residual = eta = math.nan
     try:
         rep = _h_representer(spec, g)
         h_residual = float(math.sqrt(max(np.sum(rep.values * g.values), 0.0)))
+        eta = _eta_estimate(spec, kernel, point.u, config)
     except RuntimeError as exc:
-        h_residual = float("nan")
         message = f"{message}; {exc}"
-    eta = _eta_estimate(spec, kernel, u, config)
-    converged = residual <= tol
+    converged = gnorm <= tol and not failed
     if converged and message not in ("ok",):
         message = "ok after Newton polish"
 
     hist = np.asarray(history, dtype=float).reshape(-1, 3)
     return SolveReport(
-        solution=u,
-        energy=final_energy,
-        residual=residual,
+        solution=point.u,
+        energy=point.ray_energy(),
+        residual=gnorm,
         h_residual=h_residual,
         nehari_defect=defect,
         eta_estimate=eta,
@@ -537,8 +482,8 @@ def mountain_pass_level_check(spec: ProblemSpec, kernel: GreenKernel, u_samples)
     """
     best = math.inf
     for u in u_samples:
-        v = project_to_nehari(spec, kernel, u)
-        best = min(best, energy(spec, kernel, v))
+        point = fiber_coefficients(spec, kernel, u)
+        best = min(best, point.ray_energy(nehari_scale(point, spec.b)))
     if not math.isfinite(best):
         raise ValueError("level check needs at least one nonzero sample")
     return best

@@ -27,15 +27,15 @@ from .energy import (
     PERIODIC_POTENTIAL,
     ProblemSpec,
     energy,
+    evaluate,
     interaction_energy,
-    interaction_pairing,
 )
 from .kernel import GreenKernel, convolve, fit_decay_exponent, fractional_degree_refined
 from .lattice import Field, LatticeBox, lp_norm, translate
 from .nehari import (
     SolveConfig,
     SolveReport,
-    project_to_nehari,
+    mountain_pass_level_check,
     random_start_field,
     solve_ground_state,
     sphere_inverse,
@@ -270,9 +270,10 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
         g1 = interaction_energy(spec, kernel, u)
         quotient = np.empty(grid_points)
         for i, t in enumerate(grid):
-            tu = Field(spec.box, t * u.values)
-            g = interaction_energy(spec, kernel, tu)
-            gp = interaction_pairing(spec, kernel, tu, u)
+            point = evaluate(spec, kernel, Field(spec.box, t * u.values))
+            g = 0.5 * point.interaction
+            # <I'(tu), u> = sum (R * F(tu)) f(tu) u = D(tu) / t
+            gp = point.drive / t
             quotient[i] = 0.25 * t * gp - g
             dev = abs(g - t ** (2.0 * p) * g1) / (t ** (2.0 * p) * g1)
             worst_identity = max(worst_identity, dev)
@@ -327,12 +328,12 @@ def check_level_identity(spec: ProblemSpec, kernel: GreenKernel,
     min_ray_max = math.inf
     for k in range(samples):
         u = _unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal")
-        ray_max = energy(spec, kernel, project_to_nehari(spec, kernel, u))
+        ray_max = mountain_pass_level_check(spec, kernel, [u])
         min_ray_max = min(min_ray_max, ray_max)
         if ray_max < c - tol:
             passed = False
             witness = f"ray maximum {ray_max!r} below level {c!r} on sample {k}"
-    ground_ray = energy(spec, kernel, project_to_nehari(spec, kernel, solve_report.solution))
+    ground_ray = mountain_pass_level_check(spec, kernel, [solve_report.solution])
     if abs(ground_ray - c) > tol:
         passed = False
         witness = witness or f"ground ray maximum {ground_ray!r} misses level {c!r}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kclattice as kc
+from kclattice import kernel as kernel_module
 
 # one line per acceptance criterion, echoed after the run so the gate is
 # visible even though pytest captures test stdout
@@ -57,3 +58,17 @@ def reference_spec():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def convolution_count(monkeypatch):
+    """A one-element list counting convolution-plan applications from now on."""
+    count = [0]
+    apply = kernel_module._ConvolutionPlan.apply
+
+    def counted(plan, values):
+        count[0] += 1
+        return apply(plan, values)
+
+    monkeypatch.setattr(kernel_module._ConvolutionPlan, "apply", counted)
+    return count

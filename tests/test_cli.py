@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kclattice as kc
+import kclattice.nehari as nehari_module
 from kclattice.cli import main
 
 
@@ -108,6 +109,29 @@ def test_solve_exit3_still_writes_artifacts(tmp_path, cache_dir, capsys):
     report = (run / "report.txt").read_text()
     assert re.search(r"converged\s*=\s*False", report)
     assert "budget exhausted" in report
+
+
+def test_solve_ray_root_failure_exits_three_with_artifacts(tmp_path, cache_dir, capsys,
+                                                          monkeypatch):
+    calls = [0]
+
+    def failing_scale(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise RuntimeError("injected ray-root failure")
+        return kc.nehari_scale(*args, **kwargs)
+
+    monkeypatch.setattr(nehari_module, "nehari_scale", failing_scale)
+    cfg = write_config(tmp_path, base_config(cache_dir))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "solve"]) == 3
+    assert "NOT CONVERGED: injected ray-root failure" in capsys.readouterr().err
+    run = latest_run(out)
+    assert (run / "solution.field").exists()
+    assert (run / "history.csv").exists()
+    report = (run / "report.txt").read_text()
+    assert re.search(r"converged\s*=\s*False", report)
+    assert "message         = injected ray-root failure" in report
 
 
 def test_verify_passes_on_resolved_problem(tmp_path, cache_dir, capsys):

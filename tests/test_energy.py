@@ -5,6 +5,7 @@ import pytest
 
 import kclattice as kc
 from kclattice import Field, LatticeBox, PotentialSpec, PowerNonlinearity, ProblemSpec
+from kclattice.energy import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -320,3 +321,35 @@ def test_kirchhoff_term_enters_gradient(small_kernel, rng):
     aa = kc.gradient_energy(u)
     expect = -2.0 * aa * kc.laplacian(u).values
     assert np.allclose(g2.values - g0.values, expect, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation core
+
+
+def test_core_ray_energy_and_scaled_gradient_match_fresh_evaluations(small_spec, small_kernel,
+                                                                      rng):
+    u = random_field(small_spec.box, rng)
+    point = evaluate(small_spec, small_kernel, u)
+    for s in (0.1, 0.5, 1.0, 1.7, 4.0):
+        su = Field(small_spec.box, s * u.values)
+        fresh = kc.energy(small_spec, small_kernel, su)
+        assert point.ray_energy(s) == pytest.approx(fresh, rel=1e-12)
+        scaled = point.at_scale(s)
+        assert scaled.ray_energy() == pytest.approx(fresh, rel=1e-12)
+        g = kc.energy_gradient(small_spec, small_kernel, su).values
+        err = np.linalg.norm(scaled.gradient().values - g)
+        assert err <= 1e-12 * np.linalg.norm(g)
+
+
+def test_core_convolves_once_per_evaluation(small_spec, small_kernel, rng, convolution_count):
+    u = random_field(small_spec.box, rng)
+    point = evaluate(small_spec, small_kernel, u)
+    assert convolution_count[0] == 1
+    point.at_scale(2.0).gradient()
+    point.ray_energy(3.0)
+    assert convolution_count[0] == 1
+    for view in (kc.energy, kc.energy_gradient, kc.interaction_energy, kc.fiber_coefficients):
+        view(small_spec, small_kernel, u)
+    kc.interaction_pairing(small_spec, small_kernel, u, u)
+    assert convolution_count[0] == 6

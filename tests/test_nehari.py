@@ -1,9 +1,12 @@
 """Fiber algebra, manifold projection, reduced gradient, and the solver."""
 
+import random
+
 import numpy as np
 import pytest
 
 import kclattice as kc
+import kclattice.nehari as nehari_module
 from kclattice import (
     Field,
     LatticeBox,
@@ -323,6 +326,81 @@ def test_solver_budget_exhaustion_reported(spec5, kernel10):
     assert not rep.converged
     assert rep.message
     assert rep.residual > 1e-12
+
+
+def test_solver_periodic_solution_stays_on_the_potential_lattice(kernel_m16):
+    # box side 15 is a multiple of tau = 3; the minimum of V sits off the
+    # box center, so recentering the peak would move the solution by a
+    # shift that is not a period of V
+    rng = random.Random(1)
+    spec = ProblemSpec(
+        box=LatticeBox(7, kc.PERIODIC),
+        potential=PotentialSpec.periodic(3, [rng.uniform(1.0, 2.0) for _ in range(27)]),
+        nonlinearity=PowerNonlinearity(1.0, 3.0),
+        alpha=1.0,
+        b=0.0,
+    )
+    rep = kc.solve_ground_state(spec, kernel_m16)
+    assert rep.converged, rep.message
+    assert rep.residual <= 1e-9
+    assert rep.message == "ok"
+
+
+def test_solver_newton_budget_exhaustion_reported(kernel_m8):
+    spec = ProblemSpec(
+        box=LatticeBox(4),
+        potential=PotentialSpec.coercive(1.0, 1.0, 2.0),
+        nonlinearity=PowerNonlinearity(1.0, 3.0),
+        alpha=1.0,
+        b=1.0,
+    )
+    cfg = SolveConfig(newton_max_iterations=1, gradient_tolerance=1e-13)
+    rep = kc.solve_ground_state(spec, kernel_m8, cfg)
+    assert not rep.converged
+    assert rep.newton_iterations == 1
+    assert rep.message == "Newton iteration budget exhausted"
+
+
+def failing_on_call(k):
+    """A nehari_scale that raises RuntimeError on its k-th call."""
+    calls = [0]
+
+    def scale(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == k:
+            raise RuntimeError(f"injected ray-root failure on call {k}")
+        return kc.nehari_scale(*args, **kwargs)
+
+    return scale, calls
+
+
+@pytest.mark.parametrize("which", ["start", "descent", "newton"])
+def test_solver_reports_ray_root_failure(spec5, kernel10, monkeypatch, which):
+    scale, calls = failing_on_call(0)  # never fires: this solve only counts the calls
+    monkeypatch.setattr(nehari_module, "nehari_scale", scale)
+    kc.solve_ground_state(spec5, kernel10, SolveConfig(seed=7))
+    # the last call is the root of the final Newton history row
+    k = {"start": 1, "descent": 2, "newton": calls[0]}[which]
+    scale, _ = failing_on_call(k)
+    monkeypatch.setattr(nehari_module, "nehari_scale", scale)
+    rep = kc.solve_ground_state(spec5, kernel10, SolveConfig(seed=7))
+    assert not rep.converged
+    assert rep.message == f"injected ray-root failure on call {k}"
+    assert rep.solution.box == spec5.box
+    if which == "start":
+        assert np.isnan(rep.energy) and np.isnan(rep.residual)
+        assert len(rep.energy_history) == 0
+    else:
+        assert np.isfinite(rep.energy) and np.isfinite(rep.residual)
+        assert rep.energy_history.shape == rep.s_history.shape
+
+
+def test_reference_solve_convolution_budget(reference_spec, kernel_m16, convolution_count):
+    # one evaluation per line-search trial and per accepted point
+    rep = kc.solve_ground_state(reference_spec, kernel_m16)
+    assert (rep.iterations, rep.newton_iterations) == (110, 2)
+    assert rep.energy == pytest.approx(3212.704611141712, rel=1e-12)
+    assert convolution_count[0] <= 260
 
 
 def test_mountain_pass_level_check(spec5, kernel10, solved5, rng):

@@ -120,6 +120,12 @@ def test_fiber_monotonicity(spec4, kernel_m16):
     assert rep.samples == 8 * 30
 
 
+def test_fiber_monotonicity_convolves_once_per_grid_point(spec4, kernel_m16, convolution_count):
+    kc.check_fiber_monotonicity(spec4, kernel_m16, fields=1, grid_points=10)
+    # one per grid point, plus the reference g(1) of the field
+    assert convolution_count[0] == 10 + 1
+
+
 def test_level_identity(spec4, kernel_m16, solved4):
     rep = kc.check_level_identity(spec4, kernel_m16, solved4, samples=10)
     assert rep.passed
