@@ -13,6 +13,7 @@ verify-suite check failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -22,12 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .kernel import (
-    QuadratureError,
-    build_kernel,
-    fit_decay_exponent,
-    set_fft_workers,
-)
+from .kernel import QuadratureError, build_kernel, fit_decay_exponent
 from .lattice import (
     _FIELD_MAGIC,
     load_field_binary,
@@ -64,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="run configuration file")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="override the configured master seed")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads for the convolution transforms")
     parser.add_argument("--output", metavar="DIR",
                         help="override the configured output directory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,14 +85,16 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _make_run_dir(base: Path) -> Path:
+    """A new directory <stamp>, <stamp>-1, ... under base; mkdir itself arbitrates races."""
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-    candidate = base / stamp
-    counter = 1
-    while candidate.exists():
-        candidate = base / f"{stamp}-{counter}"
-        counter += 1
-    candidate.mkdir(parents=True)
-    return candidate
+    base.mkdir(parents=True, exist_ok=True)
+    for counter in itertools.count():
+        candidate = base / (f"{stamp}-{counter}" if counter else stamp)
+        try:
+            candidate.mkdir()
+        except FileExistsError:
+            continue
+        return candidate
 
 
 def _load_field_any(path: str):
@@ -313,17 +309,11 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.threads is not None:
-        try:
-            set_fft_workers(args.threads)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     base = Path(config.output_directory)
-    run_dir = _make_run_dir(base)
-    (run_dir / "config.snapshot").write_text(config.to_text(), encoding="ascii")
-    print(f"run directory: {run_dir}")
     try:
+        run_dir = _make_run_dir(base)
+        (run_dir / "config.snapshot").write_text(config.to_text(), encoding="ascii")
+        print(f"run directory: {run_dir}")
         return _COMMANDS[args.command](config, run_dir, base)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -143,23 +143,8 @@ class PotentialSpec:
         return (int(i), int(j), int(k))
 
 
-class Nonlinearity:
-    """Interface for the local nonlinearity: f, its primitive F, and theta."""
-
-    theta: float
-
-    def f(self, t):
-        raise NotImplementedError
-
-    def F(self, t):
-        raise NotImplementedError
-
-    def f_prime(self, t):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerNonlinearity(Nonlinearity):
+class PowerNonlinearity:
     """f(t) = coeff |t|^(p-2) t with primitive F(t) = coeff |t|^p / p."""
 
     coefficient: float

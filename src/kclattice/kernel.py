@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
+import tempfile
 import weakref
 from dataclasses import dataclass, field
 
@@ -53,6 +55,7 @@ HEAT_KERNEL = "heat_kernel"
 TORUS_QUADRATURE = "torus_quadrature"
 _METHOD_TAGS = {HEAT_KERNEL: 0, TORUS_QUADRATURE: 1}
 _KERNEL_MAGIC = b"LCKERN01"
+_KERNEL_HEADER = "<dIId"  # alpha, table radius, method tag, K_alpha
 
 # scipy's ive loses accuracy and eventually returns nan for arguments beyond
 # ~1e9; past this point the uniform asymptotic series is exact to roundoff.
@@ -289,39 +292,67 @@ class GreenKernel:
         return np.asarray(out, dtype=int)
 
     def save(self, path) -> None:
+        """Write the table atomically: readers see the old file or the whole new one."""
         tag = _METHOD_TAGS[self.meta.get("method", HEAT_KERNEL)]
-        with open(path, "wb") as fh:
-            fh.write(_KERNEL_MAGIC)
-            fh.write(np.float64(self.alpha).astype("<f8").tobytes())
-            fh.write(np.uint32(self.table_radius).astype("<u4").tobytes())
-            fh.write(np.uint32(tag).astype("<u4").tobytes())
-            fh.write(np.float64(self.k_alpha).astype("<f8").tobytes())
-            fh.write(self.table.reshape(-1).astype("<f8").tobytes())
+        header = struct.pack(_KERNEL_HEADER, self.alpha, self.table_radius, tag, self.k_alpha)
+        payload = _KERNEL_MAGIC + header + self.table.astype("<f8").tobytes()
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "GreenKernel":
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _KERNEL_MAGIC:
-                raise ValueError(f"{path}: bad magic {magic!r}, expected {_KERNEL_MAGIC!r}")
-            alpha = float(np.frombuffer(fh.read(8), dtype="<f8")[0])
-            radius = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-            tag = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-            k_alpha = float(np.frombuffer(fh.read(8), dtype="<f8")[0])
-            data = np.frombuffer(fh.read(), dtype="<f8")
+            raw = fh.read()
+        magic = raw[: len(_KERNEL_MAGIC)]
+        if magic != _KERNEL_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {_KERNEL_MAGIC!r}")
+        start = len(_KERNEL_MAGIC) + struct.calcsize(_KERNEL_HEADER)
+        if len(raw) < start:
+            raise ValueError(f"{path}: truncated header")
+        alpha, radius, tag, k_alpha = struct.unpack_from(_KERNEL_HEADER, raw, len(_KERNEL_MAGIC))
         side = 2 * radius + 1
-        if data.size != side ** 3:
-            raise ValueError(f"{path}: table size {data.size} does not match radius {radius}")
+        if len(raw) - start != 8 * side ** 3:
+            raise ValueError(f"{path}: table size {len(raw) - start} bytes does not match "
+                             f"radius {radius}")
         methods = {v: k for k, v in _METHOD_TAGS.items()}
         if tag not in methods:
             raise ValueError(f"{path}: unknown method tag {tag}")
-        table = data.copy().reshape(side, side, side)
+        table = np.frombuffer(raw, dtype="<f8", offset=start).astype(float).reshape((side,) * 3)
         return cls(alpha, k_alpha, radius, table, {"method": methods[tag]})
 
 
-def cache_key(alpha: float, table_radius: int, method: str, resolution) -> str:
-    text = f"v1|alpha={float(alpha)!r}|radius={int(table_radius)}|method={method}|res={resolution}"
+def cache_key(alpha: float, table_radius: int, method: str, resolution, tolerance=None) -> str:
+    text = (f"v2|alpha={float(alpha)!r}|radius={int(table_radius)}|method={method}"
+            f"|res={resolution}|tol={tolerance if tolerance is None else float(tolerance)!r}")
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _load_cached(path, alpha: float, table_radius: int, method: str):
+    """The table cached at ``path``, or None when it is missing or fails a check.
+
+    A table is trusted only if its header matches the request and every
+    entry is finite, positive and invariant under the octahedral group
+    (generated by the three axis flips and two transpositions).
+    """
+    try:
+        kernel = GreenKernel.load(path)
+    except (FileNotFoundError, ValueError):
+        return None
+    t = kernel.table
+    if (kernel.alpha, kernel.table_radius, kernel.meta["method"]) != (alpha, table_radius, method):
+        return None
+    if not (np.all(np.isfinite(t)) and np.all(t > 0.0)):
+        return None
+    images = (t[::-1], t[:, ::-1], t[:, :, ::-1], t.transpose(1, 0, 2), t.transpose(0, 2, 1))
+    if not all(np.array_equal(t, image) for image in images):
+        return None
+    return kernel
 
 
 def build_kernel(
@@ -337,8 +368,9 @@ def build_kernel(
     cube is filled by reflection, so the octahedral symmetry of the table is
     exact by construction.  Every entry must come out strictly positive or
     the build is rejected.  When ``cache_dir`` is given, the table is stored
-    under a name derived from (alpha, table_radius, method, resolution) and
-    later builds reload it bit for bit.
+    under a name derived from (alpha, table_radius, method, resolution,
+    tolerance) and later builds reload it bit for bit; a cached file that
+    fails the load checks is rebuilt and overwritten.
     """
     alpha = _check_alpha(alpha)
     if table_radius < 0:
@@ -347,10 +379,10 @@ def build_kernel(
     path = None
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        key = cache_key(alpha, table_radius, method, resolution)
+        key = cache_key(alpha, table_radius, method, resolution, tolerance)
         path = os.path.join(cache_dir, f"green_{key}.lck")
-        if os.path.exists(path):
-            kernel = GreenKernel.load(path)
+        kernel = _load_cached(path, alpha, table_radius, method)
+        if kernel is not None:
             kernel.meta["cached"] = True
             kernel.meta["cache_path"] = path
             return kernel
@@ -389,57 +421,48 @@ def build_kernel(
 # ---------------------------------------------------------------------------
 # convolution against a tabulated kernel
 #
-# Dirichlet boxes use zero-padded linear convolution: out(x) =
-# sum_{y in box} R(x-y) w(y), which needs table_radius >= 2 * box radius.
-# Periodic boxes use circular convolution at the box period with the
-# minimal-image kernel block (a modeling choice: displacement images beyond
-# the box are not folded in), which needs table_radius >= box radius.
+# Dirichlet boxes use linear convolution: out(x) = sum_{y in box} R(x-y) w(y),
+# which needs table_radius >= 2 * box radius.  Periodic boxes use circular
+# convolution at the box period with the minimal-image kernel block (a
+# modeling choice: displacement images beyond the box are not folded in),
+# which needs table_radius >= box radius.
 
 _plan_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-_fft_workers = 1
-
-
-def set_fft_workers(count: int) -> None:
-    """Thread count for the convolution transforms (default 1).
-
-    Multi-threaded transforms are still deterministic here (the split is
-    over transform lines, not reduction order), but 1 is the default so a
-    bare library call never oversubscribes a shared machine.
-    """
-    global _fft_workers
-    if count < 1:
-        raise ValueError(f"worker count must be at least 1, got {count}")
-    _fft_workers = int(count)
-
 
 class _ConvolutionPlan:
-    """Cached kernel spectra so repeated convolutions skip one FFT."""
+    """The box's kernel block |z_i| <= r, wrapped onto a circular grid and transformed once.
+
+    r is the box radius n for periodic boxes and 2n for Dirichlet ones.  A
+    periodic grid has the box's own side; a Dirichlet grid is at least
+    4n + 1 long, so no wrapped image of the block reaches the box, and the
+    circular result cropped to the box is the linear one.
+    """
 
     def __init__(self, kernel: GreenKernel, box):
-        side = box.side
-        m = kernel.table_radius
-        if box.mode == "periodic":
-            n = box.radius
-            block = kernel.table[m - n : m + n + 1, m - n : m + n + 1, m - n : m + n + 1]
-            wrapped = np.roll(block, (-n, -n, -n), axis=(0, 1, 2))
-            self.shape = (side,) * 3
-            self.spectrum = rfftn(wrapped, workers=_fft_workers)
-            self.crop = None
-        else:
-            full = side + 2 * m
-            size = next_fast_len(full)
-            self.shape = (size,) * 3
-            self.spectrum = rfftn(kernel.table, s=self.shape, workers=_fft_workers)
-            self.crop = slice(m, m + side)
+        n, m = box.radius, kernel.table_radius
+        periodic = box.mode == "periodic"
+        need = n if periodic else 2 * n
+        if m < need:
+            raise ValueError(
+                f"kernel table radius {m} cannot cover a {box.mode} "
+                f"box of radius {n} (needs >= {need})"
+            )
+        size = box.side if periodic else next_fast_len(4 * n + 1, real=True)
+        wrap = np.arange(-need, need + 1) % size
+        grid = np.zeros((size,) * 3)
+        grid[np.ix_(wrap, wrap, wrap)] = kernel.table[
+            m - need : m + need + 1, m - need : m + need + 1, m - need : m + need + 1
+        ]
+        self.shape = grid.shape
+        self.side = box.side
+        self.spectrum = rfftn(grid)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        spec = rfftn(values, s=self.shape, workers=_fft_workers) * self.spectrum
-        out = irfftn(spec, s=self.shape, workers=_fft_workers)
-        if self.crop is None:
-            return out
-        # a copy, so that a held result does not keep the padded grid alive
-        return out[self.crop, self.crop, self.crop].copy()
+        out = irfftn(rfftn(values, s=self.shape) * self.spectrum, s=self.shape)
+        side = self.side
+        # contiguous, so that a held result does not keep a larger grid alive
+        return np.ascontiguousarray(out[:side, :side, :side])
 
 
 def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:
@@ -449,15 +472,6 @@ def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:
         plan = _ConvolutionPlan(kernel, box)
         plans[box] = plan
     return plan
-
-
-def _require_coverage(kernel: GreenKernel, box) -> None:
-    need = box.radius if box.mode == "periodic" else 2 * box.radius
-    if kernel.table_radius < need:
-        raise ValueError(
-            f"kernel table radius {kernel.table_radius} cannot cover a {box.mode} "
-            f"box of radius {box.radius} (needs >= {need})"
-        )
 
 
 def _displacement_matrix(kernel: GreenKernel, box) -> np.ndarray:
@@ -485,9 +499,9 @@ def convolve(kernel: GreenKernel, w, method: str = "fft"):
     """
     from .lattice import Field
 
-    _require_coverage(kernel, w.box)
+    plan = _plan_for(kernel, w.box)  # checks that the table covers the box
     if method == "fft":
-        return Field(w.box, _plan_for(kernel, w.box).apply(w.values))
+        return Field(w.box, plan.apply(w.values))
     if method == "direct":
         out = _displacement_matrix(kernel, w.box) @ w.flat
         return Field.from_flat(w.box, out)

@@ -306,7 +306,7 @@ def _hessian_apply(kernel: GreenKernel, point: Evaluation, x: np.ndarray) -> np.
     ).ravel()
 
 
-def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Field,
+def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Evaluation,
                   config: SolveConfig) -> float:
     """Lower bound on the norm of any Nehari point, from sampled drives.
 
@@ -314,14 +314,15 @@ def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Field,
     ||u|| >= C^(-1/(2p-2)) whenever C bounds the drive over unit fields.
     C is estimated as the max sampled drive; including the ground-state
     direction in the samples makes eta <= ||ground|| an identity rather
-    than a hope.
+    than a hope.  The ground direction's drive is scaled from its
+    evaluation, with no further convolution.
     """
     center = spec.potential.minimum_site(spec.box)
-    samples = [ground, gaussian_bump_field(spec.box, center)]
+    samples = [gaussian_bump_field(spec.box, center)]
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xE7A)))
     for _ in range(config.eta_samples):
         samples.append(random_start_field(spec.box, rng, center))
-    top = 0.0
+    top = ground.at_scale(1.0 / math.sqrt(ground.norm_h2)).drive
     for v in samples:
         w = sphere_inverse(v, spec.a, spec.potential_table)
         top = max(top, fiber_coefficients(spec, kernel, w).drive)
@@ -446,7 +447,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     try:
         rep = _h_representer(spec, g)
         h_residual = float(math.sqrt(max(np.sum(rep.values * g.values), 0.0)))
-        eta = _eta_estimate(spec, kernel, point.u, config)
+        eta = _eta_estimate(spec, kernel, point, config)
     except RuntimeError as exc:
         message = f"{message}; {exc}"
     converged = gnorm <= tol and not failed

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kclattice as kc
+import kclattice.cli as cli_module
 import kclattice.nehari as nehari_module
 from kclattice.cli import main
 
@@ -245,11 +246,18 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_bad_threads_exit_one(tmp_path, capsys):
-    ok = tmp_path / "ok.cfg"
-    ok.write_text("[problem]\nradius = 2\n")
-    assert main(["--config", str(ok), "--threads", "0", "green"]) == 1
+def test_run_directory_race_is_lost_gracefully(tmp_path, cache_dir, monkeypatch, capsys):
+    # another run made this second's directory between the check and the mkdir
+    stamp = "20260101T000000Z"
+    out = tmp_path / "out"
+    (out / stamp).mkdir(parents=True)
+    monkeypatch.setattr(cli_module.time, "strftime", lambda fmt, t=None: stamp)
+    monkeypatch.setattr(cli_module.Path, "exists", lambda self: False)
+    cfg = write_config(tmp_path, base_config(cache_dir))
+    assert main(["--config", cfg, "--output", str(out), "green"]) == 0
     capsys.readouterr()
+    assert (out / f"{stamp}-1" / "octant.csv").is_file()
+    assert not any((out / stamp).iterdir())
 
 
 def test_quadrature_failure_exit_two(tmp_path, capsys):

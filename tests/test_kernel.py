@@ -1,11 +1,15 @@
 """Quadrature constants, kernel tables, convolution, and caching."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.special import ive
 
 import kclattice as kc
 from kclattice import Field, LatticeBox
+from kclattice import kernel as kernel_module
 from kclattice.kernel import _IVE_ASYMPTOTIC_SWITCH, _ive_safe
 
 # trapezoid ladder for the normalizing constant at alpha = 1; the refined
@@ -172,7 +176,67 @@ def test_cache_key_distinguishes_parameters():
     assert base != kc.cache_key(1.5, 8, kc.HEAT_KERNEL, 96)
     assert base != kc.cache_key(1.0, 9, kc.HEAT_KERNEL, 96)
     assert base != kc.cache_key(1.0, 8, kc.TORUS_QUADRATURE, 96)
+    assert base != kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96, 1e-2)
     assert base == kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96)
+    assert kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96, 1e-2) == kc.cache_key(
+        1.0, 8, kc.HEAT_KERNEL, 96, 0.01)
+
+
+def test_kernel_cache_distinguishes_tolerance(tmp_path):
+    def build(tolerance):
+        return kc.build_kernel(1.0, 2, kc.TORUS_QUADRATURE, tolerance, cache_dir=tmp_path)
+
+    loose = build(1e-2)
+    tight = build(1e-9)
+    assert not tight.meta["cached"]
+    assert tight.meta["cache_path"] != loose.meta["cache_path"]
+    assert build(1e-9).meta["cached"]
+
+
+def _corrupt_origin(raw, value):
+    # the origin entry is fixed by every symmetry, so only the value check sees it
+    offset = 32 + 8 * ((len(raw) - 32) // 8 // 2)
+    return raw[:offset] + np.float64(value).astype("<f8").tobytes() + raw[offset + 8:]
+
+
+def test_corrupt_cache_file_is_rebuilt(tmp_path):
+    first = kc.build_kernel(1.0, 3, cache_dir=tmp_path)
+    path = Path(first.meta["cache_path"])
+    good = path.read_bytes()
+    asymmetric = bytearray(good)
+    asymmetric[32:40] = np.float64(0.5).astype("<f8").tobytes()
+    other = kc.build_kernel(1.0, 2, cache_dir=tmp_path / "other").meta["cache_path"]
+    corruptions = {
+        "negative": _corrupt_origin(good, -1.0),
+        "zero": _corrupt_origin(good, 0.0),
+        "nan": _corrupt_origin(good, np.nan),
+        "inf": _corrupt_origin(good, np.inf),
+        "asymmetric": bytes(asymmetric),
+        "truncated table": good[:-8],
+        "truncated header": good[:20],
+        "other radius": Path(other).read_bytes(),
+    }
+    for name, bad in corruptions.items():
+        path.write_bytes(bad)
+        again = kc.build_kernel(1.0, 3, cache_dir=tmp_path)
+        assert not again.meta["cached"], name
+        assert np.array_equal(again.table, first.table), name
+        assert path.read_bytes() == good, name
+    assert kc.build_kernel(1.0, 3, cache_dir=tmp_path).meta["cached"]
+
+
+def test_kernel_save_is_atomic(tmp_path, kernel_m8, monkeypatch):
+    path = tmp_path / "k.tab"
+    path.write_bytes(b"old")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(kernel_module.os, "replace", fail)
+    with pytest.raises(OSError):
+        kernel_m8.save(path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["k.tab"]
 
 
 def test_convolve_fft_matches_direct(kernel_m8, rng):
@@ -183,6 +247,18 @@ def test_convolve_fft_matches_direct(kernel_m8, rng):
         direct = kc.convolve(kernel_m8, w, method="direct")
         scale = np.max(np.abs(direct.values))
         assert np.max(np.abs(fft.values - direct.values)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("mode", [kc.DIRICHLET, kc.PERIODIC])
+def test_convolution_depends_only_on_the_box(kernel_m8, kernel_m16, rng, mode):
+    box = LatticeBox(4, mode)
+    w = Field(box, rng.standard_normal((9, 9, 9)))
+    small = kc.convolve(kernel_m8, w).values
+    large = kc.convolve(kernel_m16, w).values
+    assert np.array_equal(small, large)
+    size = box.side if mode == kc.PERIODIC else next_fast_len(4 * box.radius + 1, real=True)
+    for kernel in (kernel_m8, kernel_m16):
+        assert kernel_module._plan_for(kernel, box).shape == (size,) * 3
 
 
 def test_convolve_delta_reproduces_table(kernel_m8):
@@ -222,10 +298,3 @@ def test_mismatched_alpha_is_rejected(kernel_m8, reference_spec):
     u = kc.Field.delta(reference_spec.box, (0, 0, 0), 1.0)
     with pytest.raises(ValueError):
         kc.energy(reference_spec, wrong, u)
-
-
-def test_set_fft_workers_validation():
-    with pytest.raises(ValueError):
-        kc.set_fft_workers(0)
-    kc.set_fft_workers(2)
-    kc.set_fft_workers(1)

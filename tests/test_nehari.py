@@ -269,6 +269,20 @@ def test_solver_eta_lower_bound(spec5, kernel10, solved5):
     assert rep.energy >= floor - 1e-12
 
 
+def test_eta_reuses_the_final_evaluation(spec5, kernel10, solved5, convolution_count):
+    cfg = SolveConfig(seed=7)
+    point = nehari_module.evaluate(spec5, kernel10, solved5.solution)
+    convolution_count[0] = 0
+    eta = nehari_module._eta_estimate(spec5, kernel10, point, cfg)
+    # one convolution per sampled field; the ground direction costs none
+    assert convolution_count[0] == cfg.eta_samples + 1
+    assert eta == pytest.approx(solved5.eta_estimate, rel=1e-12)
+    unit = kc.sphere_inverse(solved5.solution, spec5.a, spec5.potential_table)
+    p = spec5.nonlinearity.exponent
+    ground_bound = kc.fiber_coefficients(spec5, kernel10, unit).drive ** (-1.0 / (2.0 * p - 2.0))
+    assert eta <= ground_bound * (1.0 + 1e-12)
+
+
 def test_solver_small_kirchhoff_continuity(spec5, kernel10):
     # the b -> 0 limit is regular: levels move little for tiny b
     base = ProblemSpec(
