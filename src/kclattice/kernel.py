@@ -48,14 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import gammaln, ive
 
 HEAT_KERNEL = "heat_kernel"
 TORUS_QUADRATURE = "torus_quadrature"
 _METHOD_TAGS = {HEAT_KERNEL: 0, TORUS_QUADRATURE: 1}
-_KERNEL_MAGIC = b"LCKERN01"
+_KERNEL_MAGIC = b"LCKERN02"
 _KERNEL_HEADER = "<dIId"  # alpha, table radius, method tag, K_alpha
+_DIGEST_SIZE = hashlib.sha256().digest_size  # trails magic + header + table
 
 # scipy's ive loses accuracy and eventually returns nan for arguments beyond
 # ~1e9; past this point the uniform asymptotic series is exact to roundoff.
@@ -119,6 +118,8 @@ def _ive_safe(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k).  Seven terms give
     full double precision for x >= 1e7 and nu <= a few hundred.
     """
+    from scipy.special import ive  # only table builds need scipy
+
     small = x < _IVE_ASYMPTOTIC_SWITCH
     xs = np.where(small, x, 1.0)
     direct = ive(orders, xs)
@@ -135,6 +136,8 @@ def _ive_safe(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _heat_green_grid(alpha, triples, k_alpha, step, tail_tol):
     """Heat-kernel values for an (n, 3) array of |z| triples at a fixed step."""
+    from scipy.special import gammaln
+
     prefactor = k_alpha / float(np.exp(gammaln(alpha / 2.0)))
     # tail:  int_T^inf t^(a/2-1) (4t)^(-3/2) dt = T^((a-3)/2) / (4 (3-a)) * 2... bound
     upper = ((tail_tol / 10.0) * 4.0 * (3.0 - alpha) / prefactor) ** (2.0 / (alpha - 3.0))
@@ -299,7 +302,7 @@ class GreenKernel:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
+                fh.write(payload + hashlib.sha256(payload).digest())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -313,17 +316,20 @@ class GreenKernel:
         if magic != _KERNEL_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {_KERNEL_MAGIC!r}")
         start = len(_KERNEL_MAGIC) + struct.calcsize(_KERNEL_HEADER)
-        if len(raw) < start:
+        if len(raw) < start + _DIGEST_SIZE:
             raise ValueError(f"{path}: truncated header")
+        payload, digest = raw[:-_DIGEST_SIZE], raw[-_DIGEST_SIZE:]
+        if hashlib.sha256(payload).digest() != digest:
+            raise ValueError(f"{path}: checksum mismatch")
         alpha, radius, tag, k_alpha = struct.unpack_from(_KERNEL_HEADER, raw, len(_KERNEL_MAGIC))
         side = 2 * radius + 1
-        if len(raw) - start != 8 * side ** 3:
-            raise ValueError(f"{path}: table size {len(raw) - start} bytes does not match "
+        if len(payload) - start != 8 * side ** 3:
+            raise ValueError(f"{path}: table size {len(payload) - start} bytes does not match "
                              f"radius {radius}")
         methods = {v: k for k, v in _METHOD_TAGS.items()}
         if tag not in methods:
             raise ValueError(f"{path}: unknown method tag {tag}")
-        table = np.frombuffer(raw, dtype="<f8", offset=start).astype(float).reshape((side,) * 3)
+        table = np.frombuffer(payload, dtype="<f8", offset=start).astype(float).reshape((side,) * 3)
         return cls(alpha, k_alpha, radius, table, {"method": methods[tag]})
 
 
@@ -336,9 +342,10 @@ def cache_key(alpha: float, table_radius: int, method: str, resolution, toleranc
 def _load_cached(path, alpha: float, table_radius: int, method: str):
     """The table cached at ``path``, or None when it is missing or fails a check.
 
-    A table is trusted only if its header matches the request and every
-    entry is finite, positive and invariant under the octahedral group
-    (generated by the three axis flips and two transpositions).
+    A table is trusted only if its checksum holds (``GreenKernel.load``),
+    its header matches the request and every entry is finite, positive and
+    invariant under the octahedral group (generated by the three axis flips
+    and two transpositions).  A file in an older format is a miss.
     """
     try:
         kernel = GreenKernel.load(path)
@@ -430,6 +437,19 @@ def build_kernel(
 _plan_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth length 2^a 3^b 5^c >= n, a fast FFT length."""
+    length = n
+    while True:
+        rest = length
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return length
+        length += 1
+
+
 class _ConvolutionPlan:
     """The box's kernel block |z_i| <= r, wrapped onto a circular grid and transformed once.
 
@@ -448,7 +468,7 @@ class _ConvolutionPlan:
                 f"kernel table radius {m} cannot cover a {box.mode} "
                 f"box of radius {n} (needs >= {need})"
             )
-        size = box.side if periodic else next_fast_len(4 * n + 1, real=True)
+        size = box.side if periodic else _fast_len(4 * n + 1)
         wrap = np.arange(-need, need + 1) % size
         grid = np.zeros((size,) * 3)
         grid[np.ix_(wrap, wrap, wrap)] = kernel.table[
@@ -456,13 +476,25 @@ class _ConvolutionPlan:
         ]
         self.shape = grid.shape
         self.side = box.side
-        self.spectrum = rfftn(grid)
+        self.spectrum = np.fft.rfftn(grid)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out = irfftn(rfftn(values, s=self.shape) * self.spectrum, s=self.shape)
-        side = self.side
+        """Circular convolution with the block, cropped to the box.
+
+        One axis at a time, each transform runs only over the lines that
+        hold nonzero input (forward) or the box's output (inverse): the
+        input fills a side^3 corner of the grid and only that corner is kept.
+        """
+        size, side = self.shape[0], self.side
+        spec = np.fft.rfft(values, n=size, axis=2)
+        spec = np.fft.fft(spec, n=size, axis=1)
+        spec = np.fft.fft(spec, n=size, axis=0)
+        spec *= self.spectrum
+        spec = np.fft.ifft(spec, axis=0)[:side]
+        spec = np.fft.ifft(spec, axis=1)[:, :side]
+        out = np.fft.irfft(spec, n=size, axis=2)[:, :, :side]
         # contiguous, so that a held result does not keep a larger grid alive
-        return np.ascontiguousarray(out[:side, :side, :side])
+        return np.ascontiguousarray(out)
 
 
 def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:
@@ -474,28 +506,28 @@ def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:
     return plan
 
 
-def _displacement_matrix(kernel: GreenKernel, box) -> np.ndarray:
-    """Dense (sites, sites) matrix R(x - y), built in row chunks."""
+def _direct_convolve(kernel: GreenKernel, box, flat: np.ndarray) -> np.ndarray:
+    """sum_y R(x - y) w(y), one block of displacement-matrix rows at a time."""
     c = np.arange(-box.radius, box.radius + 1)
     g = np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1).reshape(-1, 3)
     m = kernel.table_radius
     side = box.side
-    out = np.empty((g.shape[0], g.shape[0]))
-    for start in range(0, g.shape[0], 512):
-        stop = min(start + 512, g.shape[0])
+    out = np.empty(g.shape[0])
+    for start in range(0, g.shape[0], 128):
+        stop = min(start + 128, g.shape[0])
         d = g[start:stop, None, :] - g[None, :, :]
         if box.mode == "periodic":
             d = (d + box.radius) % side - box.radius
-        out[start:stop] = kernel.table[d[..., 0] + m, d[..., 1] + m, d[..., 2] + m]
+        out[start:stop] = kernel.table[d[..., 0] + m, d[..., 1] + m, d[..., 2] + m] @ flat
     return out
 
 
 def convolve(kernel: GreenKernel, w, method: str = "fft"):
     """Convolution (R * w)(x) = sum_y R(x - y) w(y) over the box of ``w``.
 
-    ``fft`` is the production path; ``direct`` materializes the displacement
-    matrix and is the quadratic-cost reference the fft path is tested
-    against.
+    ``fft`` is the production path; ``direct`` sums over the displacement
+    matrix, a block of rows at a time, and is the quadratic-cost reference
+    the fft path is tested against.
     """
     from .lattice import Field
 
@@ -503,8 +535,7 @@ def convolve(kernel: GreenKernel, w, method: str = "fft"):
     if method == "fft":
         return Field(w.box, plan.apply(w.values))
     if method == "direct":
-        out = _displacement_matrix(kernel, w.box) @ w.flat
-        return Field.from_flat(w.box, out)
+        return Field.from_flat(w.box, _direct_convolve(kernel, w.box, w.flat))
     raise ValueError(f"unknown convolution method {method!r}")
 
 

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, cg, minres
 
 from .energy import Evaluation, FiberCoefficients, PotentialSpec, ProblemSpec, evaluate
 from .kernel import GreenKernel, convolve
@@ -53,13 +51,19 @@ def fiber_coefficients(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Eval
     return point
 
 
+# Newton stops once a step is below a few ulps of the root; bisection alone
+# would need about 60 halvings of the initial bracket
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_ITERATIONS = 200
+
+
 def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12) -> float:
     """The unique s > 0 placing s*u on the Nehari set.
 
     Roots q(s) = norm_h2 + b A^2 s^2 - D s^(2p-2).  q(0) > 0 and q has one
-    sign change, so a verified bracket plus brentq plus a Newton polish
+    sign change, so Newton's method safeguarded by a verified bracket
     pins the root to relative accuracy near machine precision.  The
-    returned s satisfies |q(s)| <= tolerance * norm_h2.
+    returned s satisfies |q(s)| <= tolerance times the largest term of q.
     """
     nh, aa, dd = coeffs.norm_h2, coeffs.grad2, coeffs.drive
     p = coeffs.exponent
@@ -89,17 +93,33 @@ def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12
         raise RuntimeError("failed to bracket the fiber root from below")
     if not (q(lo) >= 0.0 >= q(hi)):
         raise RuntimeError("fiber bracket lost its sign change")
-    s = float(brentq(q, lo, hi, xtol=5.0e-324, rtol=8.9e-16))
-    # brentq already sits at roundoff; Newton mops up the last bits
-    for _ in range(3):
-        slope = 2.0 * baa * s - ex * dd * s ** (ex - 1.0)
-        if slope == 0.0:
+    # safeguarded Newton: q' < 0 at the root, so steps converge quadratically
+    # near it; a step that leaves the shrinking bracket bisects instead
+    s = 0.5 * (lo + hi)
+    for _ in range(_ROOT_ITERATIONS):
+        qs = q(s)
+        if qs == 0.0:
             break
-        step = q(s) / slope
-        trial = s - step
-        if not (lo <= trial <= hi) or abs(q(trial)) >= abs(q(s)):
+        if qs > 0.0:
+            lo = s
+        else:
+            hi = s
+        slope = 2.0 * baa * s - ex * dd * s ** (ex - 1.0)
+        trial = s - qs / slope if slope < 0.0 else lo  # lo forces a bisection
+        if not lo < trial < hi:
+            trial = 0.5 * (lo + hi)
+        if abs(trial - s) <= _ROOT_RTOL * s:
             break
         s = trial
+    # Newton cannot resolve the last ulps through the roundoff in q: walk
+    # one float at a time toward the sign change while |q| falls
+    qs = q(s)
+    while qs != 0.0:
+        trial = math.nextafter(s, math.inf if qs > 0.0 else 0.0)
+        qt = q(trial)
+        if abs(qt) >= abs(qs):
+            break
+        s, qs = trial, qt
     # the residual floor is set by the largest term entering q, not by nh:
     # when the Kirchhoff term dominates (tiny drive), |q| at the root is a
     # cancellation of huge terms and can never reach tolerance*nh
@@ -136,27 +156,145 @@ def sphere_inverse(u: Field, a: float, potential) -> Field:
     return Field(u.box, u.values / math.sqrt(norm2))
 
 
+def _cg(matvec, b: np.ndarray, diag: np.ndarray, rtol: float, maxiter: int):
+    """Jacobi-preconditioned conjugate gradients from x = 0 on flat arrays.
+
+    A port of scipy.sparse.linalg.cg with atol = 0 and M = diag^-1: the same
+    iteration and stopping test ||r|| < rtol ||b||, and info = maxiter when
+    the budget runs out.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = rtol * bnrm2
+    x = np.zeros_like(b)
+    r = b.copy()
+    rho_prev = p = None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = r / diag
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            p *= rho_cur / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+    return x, maxiter
+
+
+def _minres(matvec, b: np.ndarray, rtol: float, maxiter: int):
+    """MINRES from x = 0 on flat arrays, for a symmetric, possibly indefinite operator.
+
+    A port of scipy.sparse.linalg.minres without preconditioner or shift:
+    the same Lanczos recurrences and stopping tests (istop), and info =
+    maxiter when the budget runs out.
+    """
+    eps = np.finfo(float).eps
+    r1 = b.copy()
+    y = r1
+    beta1 = np.dot(r1, y)
+    if beta1 == 0:
+        return np.zeros_like(b), 0
+    beta1 = math.sqrt(beta1)
+    x = np.zeros_like(b)
+    istop = itn = 0
+    oldb = dbar = epsln = 0.0
+    beta = phibar = rhs1 = beta1
+    rhs2 = tnorm2 = gmax = 0.0
+    gmin = np.finfo(float).max
+    cs, sn = -1.0, 0.0
+    w = np.zeros_like(b)
+    w2 = np.zeros_like(b)
+    r2 = r1
+    while itn < maxiter:
+        itn += 1
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.dot(v, y)
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        oldb = beta
+        beta = math.sqrt(np.dot(r2, y))  # y is r2: no preconditioner
+        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1  # b is an eigenvector; terminate below
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.sqrt(gbar ** 2 + dbar ** 2)
+        gamma = max(math.sqrt(gbar ** 2 + beta ** 2), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        denom = 1.0 / gamma
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) * denom
+        x = x + phi * w
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        z = rhs1 / gamma
+        rhs1 = rhs2 - delta * z
+        rhs2 = -epsln * z
+        # norm estimates and the stopping tests
+        anorm = math.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        epsx = anorm * ynorm * eps
+        rnorm = phibar
+        test1 = math.inf if ynorm == 0 or anorm == 0 else rnorm / (anorm * ynorm)
+        test2 = math.inf if anorm == 0 else root / anorm
+        acond = gmax / gmin
+        if istop == 0:
+            if 1 + test2 <= 1:
+                istop = 2
+            if 1 + test1 <= 1:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if acond >= 0.1 / eps:
+                istop = 4
+            if epsx >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if istop != 0:
+            break
+    return x, maxiter if istop == 6 else 0
+
+
 def _h_representer(spec: ProblemSpec, g: Field, rtol: float = 1.0e-12,
                    maxiter: int = None) -> Field:
     """Solve (-a lap + V) r = g, so that (r, z)_H = sum g z for all z."""
     box = g.box
+    shape = g.values.shape
     table = spec.potential_table
     a = spec.a
 
     def matvec(x):
-        v = Field(box, x.reshape(g.values.shape))
+        v = Field(box, x.reshape(shape))
         return (-a * laplacian(v).values + table * v.values).ravel()
 
-    n = g.values.size
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    diag = 6.0 * a + table
-    precond = LinearOperator((n, n), matvec=lambda x: x / diag.ravel(), dtype=float)
     if maxiter is None:
         maxiter = 40 * box.side
-    sol, info = cg(op, g.values.ravel(), rtol=rtol, atol=0.0, maxiter=maxiter, M=precond)
+    sol, info = _cg(matvec, g.values.ravel(), (6.0 * a + table).ravel(), rtol, maxiter)
     if info != 0:
         raise RuntimeError(f"energy-norm representer solve did not converge (cg info={info})")
-    return Field(box, sol.reshape(g.values.shape))
+    return Field(box, sol.reshape(shape))
 
 
 def reduced_gradient(spec: ProblemSpec, kernel: GreenKernel, w: Field,
@@ -414,10 +552,8 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         for _ in range(config.newton_max_iterations):
             if gnorm <= tol:
                 break
-            op = LinearOperator((g.values.size,) * 2, matvec=partial(_hessian_apply, kernel, point),
-                                dtype=float)
-            delta, _ = minres(op, -g.values.ravel(), rtol=config.newton_inner_tolerance,
-                              maxiter=config.newton_inner_maxiter)
+            delta, _ = _minres(partial(_hessian_apply, kernel, point), -g.values.ravel(),
+                               config.newton_inner_tolerance, config.newton_inner_maxiter)
             delta = delta.reshape(g.values.shape)
             length = 1.0
             for _ in range(30):

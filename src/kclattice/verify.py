@@ -20,7 +20,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .energy import (
     COERCIVE,
@@ -349,7 +348,14 @@ def check_level_identity(spec: ProblemSpec, kernel: GreenKernel,
 
 def _segment_max_deviation(spec: ProblemSpec, kernel: GreenKernel,
                            ground: Field, c: float) -> float:
-    """Relative gap between c and max J on the segment through the ground ray."""
+    """Relative gap between c and max J on the segment through the ground ray.
+
+    scipy's bounded scalar search is the referee here, independent of the
+    closed-form ray algebra the solver uses; it is imported only when the
+    check runs.
+    """
+    from scipy.optimize import minimize_scalar
+
     direction = ground.values
     scale = 2.0
     for _ in range(61):

@@ -1,6 +1,11 @@
 """End-to-end command-line runs against temporary run directories."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +274,27 @@ def test_quadrature_failure_exit_two(tmp_path, capsys):
     assert main(["--config", str(cfg), "--output", out, "green"]) == 2
     err = capsys.readouterr().err
     assert "quadrature failure" in err
+
+
+def test_warm_solve_imports_no_scipy(tmp_path):
+    # scipy is only needed to build a table or to run the verify suite; a
+    # fresh process solving the reference problem on a cached table must
+    # not pay its import
+    cache = tmp_path / "cache"
+    kc.build_kernel(1.0, 16, cache_dir=cache)
+    cfg = write_config(tmp_path, f"[kernel]\ncache_dir = {cache}\n")
+    script = (
+        "import json, sys\n"
+        "from kclattice.cli import main\n"
+        f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, 'solve'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = str(Path(kc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    code, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert scipy_modules == []

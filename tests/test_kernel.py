@@ -1,5 +1,6 @@
 """Quadrature constants, kernel tables, convolution, and caching."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -193,34 +194,60 @@ def test_kernel_cache_distinguishes_tolerance(tmp_path):
     assert build(1e-9).meta["cached"]
 
 
-def _corrupt_origin(raw, value):
-    # the origin entry is fixed by every symmetry, so only the value check sees it
-    offset = 32 + 8 * ((len(raw) - 32) // 8 // 2)
-    return raw[:offset] + np.float64(value).astype("<f8").tobytes() + raw[offset + 8:]
+# cache file layout: 8-byte magic, 24-byte header (alpha, radius, method
+# tag, K_alpha), the table, then a 32-byte sha256 digest of all before it
+_HEADER_END = 32
+_K_ALPHA_AT = 24
+_DIGEST = 32
+
+
+def _origin_offset(raw):
+    # the origin entry is fixed by every symmetry, so only the value check
+    # and the digest see it
+    entries = (len(raw) - _HEADER_END - _DIGEST) // 8
+    return _HEADER_END + 8 * (entries // 2)
+
+
+def _resealed(raw, offset, value):
+    """raw with one table entry replaced and a valid digest: only the value checks see it."""
+    payload = raw[:offset] + np.float64(value).astype("<f8").tobytes() + raw[offset + 8:-_DIGEST]
+    return payload + hashlib.sha256(payload).digest()
+
+
+def _xor_byte(raw, offset):
+    flipped = bytearray(raw)
+    flipped[offset] ^= 0x01
+    return bytes(flipped)
 
 
 def test_corrupt_cache_file_is_rebuilt(tmp_path):
     first = kc.build_kernel(1.0, 3, cache_dir=tmp_path)
     path = Path(first.meta["cache_path"])
     good = path.read_bytes()
-    asymmetric = bytearray(good)
-    asymmetric[32:40] = np.float64(0.5).astype("<f8").tobytes()
+    origin = _origin_offset(good)
     other = kc.build_kernel(1.0, 2, cache_dir=tmp_path / "other").meta["cache_path"]
     corruptions = {
-        "negative": _corrupt_origin(good, -1.0),
-        "zero": _corrupt_origin(good, 0.0),
-        "nan": _corrupt_origin(good, np.nan),
-        "inf": _corrupt_origin(good, np.inf),
-        "asymmetric": bytes(asymmetric),
+        "negative": _resealed(good, origin, -1.0),
+        "zero": _resealed(good, origin, 0.0),
+        "nan": _resealed(good, origin, np.nan),
+        "inf": _resealed(good, origin, np.inf),
+        "asymmetric": _resealed(good, _HEADER_END, 0.5),
         "truncated table": good[:-8],
         "truncated header": good[:20],
         "other radius": Path(other).read_bytes(),
+        # still finite, positive and symmetric: only the digest catches it
+        "origin low byte": _xor_byte(good, origin),
+        # the previous format: magic LCKERN01, no digest
+        "old format": b"LCKERN01" + good[8:-_DIGEST],
     }
+    for byte in range(8):
+        corruptions[f"K_alpha byte {byte}"] = _xor_byte(good, _K_ALPHA_AT + byte)
     for name, bad in corruptions.items():
         path.write_bytes(bad)
         again = kc.build_kernel(1.0, 3, cache_dir=tmp_path)
         assert not again.meta["cached"], name
         assert np.array_equal(again.table, first.table), name
+        assert again.k_alpha == first.k_alpha, name
         assert path.read_bytes() == good, name
     assert kc.build_kernel(1.0, 3, cache_dir=tmp_path).meta["cached"]
 
@@ -247,6 +274,23 @@ def test_convolve_fft_matches_direct(kernel_m8, rng):
         direct = kc.convolve(kernel_m8, w, method="direct")
         scale = np.max(np.abs(direct.values))
         assert np.max(np.abs(fft.values - direct.values)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("mode, radius", [(kc.DIRICHLET, 10), (kc.PERIODIC, 7)])
+def test_convolve_fft_matches_direct_on_larger_boxes(kernel_m20, rng, mode, radius):
+    box = LatticeBox(radius, mode)
+    w = Field(box, rng.standard_normal((box.side,) * 3))
+    fft = kc.convolve(kernel_m20, w).values
+    direct = kc.convolve(kernel_m20, w, method="direct").values
+    assert np.max(np.abs(fft - direct)) < 1e-12 * np.max(np.abs(direct))
+    # a held result must not pin the larger transform grid
+    assert fft.flags.c_contiguous
+    assert fft.base is None or fft.base.nbytes == fft.nbytes
+
+
+def test_fast_len_matches_scipy():
+    assert [kernel_module._fast_len(n) for n in range(1, 2049)] == [
+        next_fast_len(n, real=True) for n in range(1, 2049)]
 
 
 @pytest.mark.parametrize("mode", [kc.DIRICHLET, kc.PERIODIC])

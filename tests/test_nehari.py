@@ -125,6 +125,92 @@ def test_nehari_scale_closed_form_other_exponent(rng):
         assert abs(q) <= 1e-10 * max(nh, 2.0 * aa**2 * sb**2)
 
 
+def _brentq_scale(nh, aa, dd, p, b, tolerance=1.0e-12):
+    """Referee for nehari_scale: the same bracket and gate around scipy's brentq plus a
+    Newton polish."""
+    from scipy.optimize import brentq
+
+    baa, ex = b * aa * aa, 2.0 * p - 2.0
+
+    def q(s):
+        return nh + baa * s * s - dd * s ** ex
+
+    hi = 1.0
+    while q(hi) > 0.0:
+        hi *= 2.0
+    lo = 0.5 * hi
+    while q(lo) < 0.0:
+        lo *= 0.5
+    s = float(brentq(q, lo, hi, xtol=5.0e-324, rtol=8.9e-16))
+    for _ in range(3):
+        slope = 2.0 * baa * s - ex * dd * s ** (ex - 1.0)
+        if slope == 0.0:
+            break
+        trial = s - q(s) / slope
+        if not (lo <= trial <= hi) or abs(q(trial)) >= abs(q(s)):
+            break
+        s = trial
+    if abs(q(s)) > tolerance * max(nh, baa * s * s, dd * s ** ex):
+        raise RuntimeError("fiber root residual exceeds tolerance")
+    return s
+
+
+# log10 ranges of A, D and b; in the Kirchhoff-dominated regime the drive is
+# tiny and the residual floor is set by b A^2 s^2, not by ||u||^2
+_REGIMES = {
+    "generic": ((-2, 2), (-3, 3), (-3, 1)),
+    "drive-dominated": ((-3, 0), (2, 8), (-4, 0)),
+    "kirchhoff-dominated": ((0, 3), (-14, -6), (0, 3)),
+}
+
+
+def _coefficient_sets(rng, regime, count):
+    for _ in range(count):
+        aa, dd, b = (10.0 ** rng.uniform(*bounds) for bounds in _REGIMES[regime])
+        yield 10.0 ** rng.uniform(-3, 3), aa, dd, rng.uniform(2.05, 6.0), b
+    # the root overflows a double: both raise from the bracket search
+    yield 1.0, 1.0, 1.0e-300, 2.05, 1.0
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_nehari_scale_matches_brentq(regime):
+    rng = np.random.default_rng(4242)
+    raised = 0
+    for nh, aa, dd, p, b in _coefficient_sets(rng, regime, 1000):
+        coeffs = kc.FiberCoefficients(nh, aa, dd, dd / p, p)
+        try:
+            want = _brentq_scale(nh, aa, dd, p, b)
+        except (RuntimeError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                kc.nehari_scale(coeffs, b)
+            raised += 1
+            continue
+        got = kc.nehari_scale(coeffs, b)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), (nh, aa, dd, p, b)
+    assert raised >= 1
+
+
+@pytest.mark.parametrize("maxiter", [5, 500])
+def test_cg_and_minres_match_scipy(maxiter):
+    from scipy.sparse.linalg import LinearOperator, cg, minres
+
+    rng = np.random.default_rng(77)
+    basis, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    spd = basis @ np.diag(np.logspace(0, 4, 60)) @ basis.T
+    indefinite = basis @ np.diag(np.linspace(-3.0, 5.0, 60) + 0.05) @ basis.T
+    b = rng.standard_normal(60)
+    diag = np.diag(spd).copy()
+    precond = LinearOperator(spd.shape, matvec=lambda x: x / diag, dtype=float)
+    want, want_info = cg(spd, b, rtol=1e-10, atol=0.0, maxiter=maxiter, M=precond)
+    got, info = nehari_module._cg(lambda x: spd @ x, b, diag, 1e-10, maxiter)
+    assert info == want_info == (maxiter if maxiter == 5 else 0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    want, want_info = minres(indefinite, b, rtol=1e-10, maxiter=maxiter)
+    got, info = nehari_module._minres(lambda x: indefinite @ x, b, 1e-10, maxiter)
+    assert info == want_info == (maxiter if maxiter == 5 else 0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_unit_scale_fixed_point(spec5, kernel10, rng):
     # scale u so that its own drive equals its norm; then s = 1 at b = 0
     u = random_field(spec5.box, rng)
