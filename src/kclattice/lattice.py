@@ -141,25 +141,28 @@ class Field:
 # discrete operators
 
 
+def _laplacian_values(v: np.ndarray, mode: str) -> np.ndarray:
+    """The graph Laplacian on a raw (side, side, side) array; see ``laplacian``."""
+    out = -6.0 * v
+    if mode == PERIODIC:
+        for ax in range(3):
+            out = out + np.roll(v, 1, axis=ax) + np.roll(v, -1, axis=ax)
+        return out
+    out[1:, :, :] += v[:-1, :, :]
+    out[:-1, :, :] += v[1:, :, :]
+    out[:, 1:, :] += v[:, :-1, :]
+    out[:, :-1, :] += v[:, 1:, :]
+    out[:, :, 1:] += v[:, :, :-1]
+    out[:, :, :-1] += v[:, :, 1:]
+    return out
+
+
 def laplacian(u: Field) -> Field:
     """Graph Laplacian (lap u)(x) = sum over neighbours of (u(y) - u(x)).
 
     Dirichlet mode reads missing neighbours as zero; periodic mode wraps.
     """
-    v = u.values
-    out = -6.0 * v
-    if u.box.mode == PERIODIC:
-        for ax in range(3):
-            out = out + np.roll(v, 1, axis=ax) + np.roll(v, -1, axis=ax)
-    else:
-        out = out.copy()
-        out[1:, :, :] += v[:-1, :, :]
-        out[:-1, :, :] += v[1:, :, :]
-        out[:, 1:, :] += v[:, :-1, :]
-        out[:, :-1, :] += v[:, 1:, :]
-        out[:, :, 1:] += v[:, :, :-1]
-        out[:, :, :-1] += v[:, :, 1:]
-    return Field(u.box, out)
+    return Field(u.box, _laplacian_values(u.values, u.box.mode))
 
 
 def _edge_sum(u: np.ndarray, v: np.ndarray, mode: str) -> float:

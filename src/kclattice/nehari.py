@@ -19,11 +19,14 @@ reduces the ground-state problem to minimizing
 
 and the envelope identity d Psi(w)[h] = s_w <J'(s_w w), h> (the s
 derivative vanishes on the Nehari set) makes the reduced gradient a
-scalar multiple of the full gradient.  ``solve_ground_state`` runs
-preconditioned descent on the sphere until the residual is small, then
-polishes the Euler-Lagrange residual with a few Newton steps; the Newton
-phase is what reaches residuals near roundoff, where energy differences
-are no longer resolvable but the residual still is.
+scalar multiple of the full gradient.  ``solve_ground_state`` descends
+on the sphere along the gradient's representer in the Kirchhoff-weighted
+energy norm (a Sobolev gradient in Neuberger's sense): the direction d
+solves (-(a + bA) lap + V) d = g, the linear part of the gradient with
+A frozen at the current point, by a few conjugate-gradient steps.  Once the residual is small it polishes the Euler-Lagrange
+residual with a few Newton steps; the Newton phase is what reaches
+residuals near roundoff, where energy differences are no longer
+resolvable but the residual still is.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .energy import Evaluation, FiberCoefficients, PotentialSpec, ProblemSpec, evaluate
 from .kernel import GreenKernel, convolve
-from .lattice import Field, gradient_inner, laplacian
+from .lattice import Field, _laplacian_values, gradient_inner, laplacian
 
 GAUSSIAN_BUMP = "gaussian_bump"
 RANDOM_START = "random"
@@ -55,6 +58,9 @@ def fiber_coefficients(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Eval
 # would need about 60 halvings of the initial bracket
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_ITERATIONS = 200
+# relative residual of the inner CG solve that gives each descent direction;
+# a rough representer already captures the Kirchhoff-weighted metric
+_DESCENT_RTOL = 0.1
 
 
 def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12) -> float:
@@ -79,8 +85,11 @@ def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12
 
     hi = 1.0
     for _ in range(600):
-        if q(hi) <= 0.0:
-            break
+        try:
+            if q(hi) <= 0.0:
+                break
+        except OverflowError:  # D s^(2p-2) left the double range before q turned negative
+            raise RuntimeError("failed to bracket the fiber root from above") from None
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the fiber root from above")
@@ -278,20 +287,24 @@ def _minres(matvec, b: np.ndarray, rtol: float, maxiter: int):
 
 
 def _h_representer(spec: ProblemSpec, g: Field, rtol: float = 1.0e-12,
-                   maxiter: int = None) -> Field:
-    """Solve (-a lap + V) r = g, so that (r, z)_H = sum g z for all z."""
+                   maxiter: int = None, weight: float = None) -> Field:
+    """Solve (-c lap + V) r = g, so that c (grad r, grad z) + sum V r z = sum g z.
+
+    The weight c defaults to a, which makes r the representer of g in the
+    energy inner product (r, z)_H; the descent passes c = a + bA.
+    """
     box = g.box
     shape = g.values.shape
-    table = spec.potential_table
-    a = spec.a
+    mode = box.mode
+    table = spec.potential_table.ravel()
+    c = spec.a if weight is None else weight
 
     def matvec(x):
-        v = Field(box, x.reshape(shape))
-        return (-a * laplacian(v).values + table * v.values).ravel()
+        return -c * _laplacian_values(x.reshape(shape), mode).ravel() + table * x
 
     if maxiter is None:
         maxiter = 40 * box.side
-    sol, info = _cg(matvec, g.values.ravel(), (6.0 * a + table).ravel(), rtol, maxiter)
+    sol, info = _cg(matvec, g.values.ravel(), 6.0 * c + table, rtol, maxiter)
     if info != 0:
         raise RuntimeError(f"energy-norm representer solve did not converge (cg info={info})")
     return Field(box, sol.reshape(shape))
@@ -471,11 +484,14 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                        config: SolveConfig = None) -> SolveReport:
     """Minimize the reduced functional on the unit sphere, then polish.
 
-    Phase one: preconditioned descent in the unit-sphere chart.  The
-    iterate is a unit field w; the step direction is the Jacobi-scaled
-    gradient of J at the projected point s_w w, the step length starts
-    from a Barzilai-Borwein estimate and backtracks until the projected
-    energy actually decreases (Armijo).  Phase two: once the residual is
+    Phase one: Sobolev-gradient descent in the unit-sphere chart.  The
+    iterate is a unit field w; the step direction is -d, where d solves
+    (-(a + bA) lap + V) d = g for the gradient g of J at the projected
+    point s_w w (A its squared gradient) by conjugate gradients from
+    zero to relative residual _DESCENT_RTOL.  CG from zero on this SPD
+    system gives g.d > 0 at any tolerance, so -d always descends.  The
+    step length starts from a Barzilai-Borwein estimate and backtracks
+    until the projected energy actually decreases (Armijo).  Phase two: once the residual is
     small the energy landscape is flat to roundoff, so the loop switches
     to Newton steps on the Euler-Lagrange residual itself, with minres on
     the exact second-derivative action and a merit rule that accepts only
@@ -484,15 +500,15 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     Failures are reported in the returned SolveReport (converged flag and
     message), not raised: a stalled line search or exhausted iteration
     budget still produces a usable field and diagnostics.  A RuntimeError
-    from the ray root or the D = pB check ends the iteration with its
-    message and converged=False, reporting the last evaluated point.
+    from the ray root, the D = pB check or an exhausted CG budget for the
+    descent direction ends the iteration with its message and
+    converged=False, reporting the last evaluated point.
     """
     if config is None:
         config = SolveConfig()
     box = spec.box
     tol = config.gradient_tolerance
     root_tol = config.nehari_root_tolerance
-    diag = 6.0 * spec.a + spec.potential_table
 
     w = sphere_inverse(_initial_field(spec, config), spec.a, spec.potential_table)
     history = []
@@ -516,7 +532,8 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             if gnorm <= max(tol, config.switch_residual):
                 break
 
-            gp = g.values / diag
+            weight = spec.a + spec.b * point.grad2
+            gp = _h_representer(spec, g, _DESCENT_RTOL, weight=weight).values
             direction = -gp
             if prev_w is not None:
                 dw = w.values - prev_w

@@ -168,7 +168,8 @@ def _coefficient_sets(rng, regime, count):
     for _ in range(count):
         aa, dd, b = (10.0 ** rng.uniform(*bounds) for bounds in _REGIMES[regime])
         yield 10.0 ** rng.uniform(-3, 3), aa, dd, rng.uniform(2.05, 6.0), b
-    # the root overflows a double: both raise from the bracket search
+    # the root overflows a double: the referee raises OverflowError, and
+    # nehari_scale the documented RuntimeError, from the bracket search
     yield 1.0, 1.0, 1.0e-300, 2.05, 1.0
 
 
@@ -180,14 +181,22 @@ def test_nehari_scale_matches_brentq(regime):
         coeffs = kc.FiberCoefficients(nh, aa, dd, dd / p, p)
         try:
             want = _brentq_scale(nh, aa, dd, p, b)
-        except (RuntimeError, OverflowError) as exc:
-            with pytest.raises(type(exc)):
+        except (RuntimeError, OverflowError):
+            with pytest.raises(RuntimeError):
                 kc.nehari_scale(coeffs, b)
             raised += 1
             continue
         got = kc.nehari_scale(coeffs, b)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0), (nh, aa, dd, p, b)
     assert raised >= 1
+
+
+def test_nehari_scale_overflow_is_a_runtime_error():
+    # the root lies near s = 1e3000: D s^(2p-2) leaves the double range
+    # while the bracket is still searched from above
+    coeffs = kc.FiberCoefficients(1.0, 1.0, 1.0e-300, 1.0e-300 / 2.05, 2.05)
+    with pytest.raises(RuntimeError, match="from above"):
+        kc.nehari_scale(coeffs, 1.0)
 
 
 @pytest.mark.parametrize("maxiter", [5, 500])
@@ -498,9 +507,115 @@ def test_solver_reports_ray_root_failure(spec5, kernel10, monkeypatch, which):
 def test_reference_solve_convolution_budget(reference_spec, kernel_m16, convolution_count):
     # one evaluation per line-search trial and per accepted point
     rep = kc.solve_ground_state(reference_spec, kernel_m16)
-    assert (rep.iterations, rep.newton_iterations) == (110, 2)
+    assert (rep.iterations, rep.newton_iterations) == (16, 3)
     assert rep.energy == pytest.approx(3212.704611141712, rel=1e-12)
-    assert convolution_count[0] <= 260
+    assert convolution_count[0] <= 130
+
+
+# ---------------------------------------------------------------------------
+# the descent direction: the gradient's representer in the Kirchhoff-weighted
+# energy norm c (grad d, grad z) + sum V d z, with c = a + bA
+
+
+def _periodic_tau3_potential():
+    rng = random.Random(1)
+    return PotentialSpec.periodic(3, [rng.uniform(1.0, 2.0) for _ in range(27)])
+
+
+def _descent_boxes(spec5):
+    periodic = ProblemSpec(
+        box=LatticeBox(4, kc.PERIODIC),
+        potential=_periodic_tau3_potential(),
+        nonlinearity=PowerNonlinearity(1.0, 3.0),
+        alpha=1.0,
+        b=1.0,
+    )
+    return spec5, periodic
+
+
+def _weighted_pairing(spec, c, r, z):
+    table = spec.potential_table
+    return c * kc.gradient_inner(r, z) + float(np.sum(table * r.values * z.values))
+
+
+@pytest.mark.parametrize("weight", [None, 0.4, 7.5])
+def test_weighted_representer_solves_the_weighted_problem(spec5, rng, weight):
+    # no weight keeps the energy-norm representer: c = a
+    for spec in _descent_boxes(spec5):
+        g = random_field(spec.box, rng)
+        r = nehari_module._h_representer(spec, g, 1e-12, weight=weight)
+        c = spec.a if weight is None else weight
+        for _ in range(4):
+            z = random_field(spec.box, rng)
+            want = float(np.sum(g.values * z.values))
+            scale = np.linalg.norm(g.values) * np.linalg.norm(z.values)
+            assert abs(_weighted_pairing(spec, c, r, z) - want) <= 1e-9 * scale, spec.box
+
+
+def test_rough_descent_direction_is_a_descent_direction(spec5, kernel10, rng):
+    # CG from zero on an SPD system returns d with g.d > 0 at any tolerance
+    for spec in _descent_boxes(spec5):
+        kern = kernel10 if spec.box.mode == kc.DIRICHLET else kc.build_kernel(1.0, 4)
+        for _ in range(3):
+            w = kc.sphere_inverse(random_field(spec.box, rng), spec.a, spec.potential_table)
+            start = nehari_module.evaluate(spec, kern, w)
+            point = start.at_scale(kc.nehari_scale(start, spec.b))
+            g = point.gradient()
+            weight = spec.a + spec.b * point.grad2
+            d = nehari_module._h_representer(spec, g, nehari_module._DESCENT_RTOL, weight=weight)
+            assert float(np.sum(g.values * d.values)) > 0.0
+
+
+def test_descent_cg_budget_exhaustion_is_reported(spec5, kernel10, monkeypatch):
+    cg = nehari_module._cg
+
+    def exhausted(matvec, b, diag, rtol, maxiter):
+        x, info = cg(matvec, b, diag, rtol, maxiter)
+        return x, maxiter if rtol == nehari_module._DESCENT_RTOL else info
+
+    monkeypatch.setattr(nehari_module, "_cg", exhausted)
+    rep = kc.solve_ground_state(spec5, kernel10, SolveConfig(seed=7))
+    assert not rep.converged
+    assert rep.message.startswith("energy-norm representer solve did not converge")
+    assert rep.iterations == 0 and np.isfinite(rep.energy)
+
+
+def _level_spec(radius=6, b=1.0, alpha=1.0, p=3.0, mode=kc.DIRICHLET, potential=None):
+    return ProblemSpec(
+        box=LatticeBox(radius, mode),
+        potential=potential or PotentialSpec.coercive(1.0, 1.0, 2.0),
+        nonlinearity=PowerNonlinearity(1.0, p),
+        alpha=alpha,
+        a=1.0,
+        b=b,
+    )
+
+
+# ground-state levels of the Jacobi-scaled descent that preceded the
+# energy-norm direction; the minimizer must not move with the path to it
+_RECORDED_LEVELS = {
+    "r4": (lambda: _level_spec(4), 8, None, 3379.857413815028),
+    "r10": (lambda: _level_spec(10), 20, None, 3211.5419795582393),
+    "b0": (lambda: _level_spec(b=0.0), 12, None, 8.387450840307544),
+    "b10": (lambda: _level_spec(b=10.0), 12, None, 2635944.695067171),
+    "alpha0.5": (lambda: _level_spec(alpha=0.5), 12, None, 3885.746661304678),
+    "alpha2.5": (lambda: _level_spec(alpha=2.5), 12, None, 323.16155347081985),
+    "p2.5": (lambda: _level_spec(p=2.5), 12, None, 243596.67304763163),
+    "random": (lambda: _level_spec(), 12, SolveConfig(seed=5, initial_guess=kc.RANDOM_START),
+               3229.9404106067605),
+    "periodic-r7": (lambda: _level_spec(7, b=0.0, mode=kc.PERIODIC,
+                                        potential=_periodic_tau3_potential()),
+                    16, None, 8.14101427628749),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECORDED_LEVELS))
+def test_ground_levels_match_recorded_values(case):
+    make_spec, table_radius, config, level = _RECORDED_LEVELS[case]
+    spec = make_spec()
+    rep = kc.solve_ground_state(spec, kc.build_kernel(spec.alpha, table_radius), config)
+    assert rep.converged, rep.message
+    assert rep.energy == pytest.approx(level, rel=1e-12, abs=0.0)
 
 
 def test_mountain_pass_level_check(spec5, kernel10, solved5, rng):

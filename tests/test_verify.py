@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kclattice as kc
+import kclattice.verify as verify_module
 from kclattice import (
     LatticeBox,
     PotentialSpec,
@@ -219,6 +220,24 @@ def test_run_suite_all_pass(spec4, kernel_m20, solved4):
         "box-convergence",
         "symmetry-translation",
     ]
+
+
+def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_m20,
+                                                         monkeypatch):
+    reports = []
+
+    def counted(*args, **kwargs):
+        reports.append(kc.solve_ground_state(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(verify_module, "solve_ground_state", counted)
+    suite = kc.run_suite(reference_spec, kernel_m20, trials=4, mp_trials=4, fiber_fields=1,
+                         level_samples=2, radii=(4, 6, 8, 10))
+    # the shared radius-8 solve comes first; box convergence adds 4, 6 and 10
+    assert len(reports) == 4
+    box = next(r for r in suite if r.name == "box-convergence")
+    assert box.details["level_radius_8"] == reports[0].energy
+    assert [r.solution.box.radius for r in reports] == [8, 4, 6, 10]
 
 
 def test_suite_csv_and_summary_format(spec4, kernel_m16, solved4):
