@@ -97,14 +97,6 @@ def _make_run_dir(base: Path) -> Path:
         return candidate
 
 
-def _load_field_any(path: str):
-    with open(path, "rb") as handle:
-        head = handle.read(len(_FIELD_MAGIC))
-    if head == _FIELD_MAGIC:
-        return load_field_binary(path)
-    return load_field_text(path)
-
-
 def _write_solution(field, path: Path, fmt: str) -> None:
     if fmt == "binary":
         save_field_binary(field, path)
@@ -134,7 +126,9 @@ def _report_kernel(kernel, out) -> None:
 
 
 def cmd_green(config: RunConfig, run_dir: Path, base: Path) -> int:
-    kernel = _kernel_for(config, config.solve_table_radius(), base)
+    # green tabulates the radius it is given, whether or not it covers the box
+    radius = config.solve_table_radius() if config.table_radius is None else config.table_radius
+    kernel = _kernel_for(config, radius, base)
     lines = []
 
     class _Tee:
@@ -153,11 +147,27 @@ def cmd_green(config: RunConfig, run_dir: Path, base: Path) -> int:
     return EXIT_OK
 
 
+def _load_initial_field(config: RunConfig, box):
+    """The configured start field, text or binary; a bad file is a ConfigError naming it."""
+    path, solver = config.initial_file, config.sections["solver"]
+    try:
+        with open(path, "rb") as handle:
+            binary = handle.read(len(_FIELD_MAGIC)) == _FIELD_MAGIC
+        initial = load_field_binary(path) if binary else load_field_text(path)
+    except (OSError, ValueError) as exc:
+        raise solver.error("initial_file", f"cannot read {path}: {exc}") from None
+    if initial.box != box:
+        raise solver.error("initial_file", f"{path} holds a field on a radius-"
+                           f"{initial.box.radius} {initial.box.mode} box, not on the "
+                           f"problem's radius-{box.radius} {box.mode} box")
+    return initial
+
+
 def _solve_once(config: RunConfig, kernel):
     spec = config.problem_spec()
     initial = None
     if config.initial_guess == "file":
-        initial = _load_field_any(config.initial_file)
+        initial = _load_initial_field(config, spec.box)
     solve_config = config.solve_config(initial_field=initial)
     return spec, solve_ground_state(spec, kernel, solve_config)
 
@@ -315,15 +325,12 @@ def main(argv=None) -> int:
         (run_dir / "config.snapshot").write_text(config.to_text(), encoding="ascii")
         print(f"run directory: {run_dir}")
         return _COMMANDS[args.command](config, run_dir, base)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

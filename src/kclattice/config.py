@@ -14,7 +14,7 @@ falls back to a default is the worst failure mode a batch run can have.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .energy import PotentialSpec, PowerNonlinearity, ProblemSpec
 from .kernel import HEAT_KERNEL, TORUS_QUADRATURE
@@ -241,6 +241,7 @@ class RunConfig:
     verify_radii: tuple
     sweep_parameter: str
     sweep_values: tuple
+    sections: dict = field(compare=False, repr=False)  # anchors later errors at file:line
 
     @classmethod
     def from_text(cls, text: str, path: str = "<config>") -> "RunConfig":
@@ -295,6 +296,7 @@ class RunConfig:
             verify_radii=ver.int_list("radii"),
             sweep_parameter=sweep.optional_string("parameter"),
             sweep_values=sweep.float_list("values"),
+            sections=secs,
         )
         config._validate(secs)
         return config
@@ -336,15 +338,19 @@ class RunConfig:
             self._solver_knobs(GAUSSIAN_BUMP if self.initial_guess == FILE_START
                                else self.initial_guess, None)
         except ValueError as exc:
-            raise ConfigError(sol.path, sol.header_line, f"[solver] {exc}") from None
-        for key, value in (("trials", self.verify_trials),
-                           ("mp_trials", self.verify_mp_trials),
-                           ("fiber_fields", self.verify_fiber_fields),
-                           ("level_samples", self.verify_level_samples)):
-            if value < 1:
+            # the solver's messages start with the offending knob's name
+            key = str(exc).split()[0]
+            line = sol.entries[key][1] if key in sol.entries else sol.header_line
+            raise ConfigError(sol.path, line, f"[solver] {exc}") from None
+        for key in ("trials", "mp_trials", "fiber_fields", "level_samples"):
+            if getattr(self, f"verify_{key}") < 1:
                 raise secs["verify"].error(key, "must be at least 1")
         if len(self.verify_radii) < 2 or list(self.verify_radii) != sorted(self.verify_radii):
             raise secs["verify"].error("radii", "need at least two increasing radii")
+        try:
+            LatticeBox(self.verify_radii[0], self.mode)  # the radii increase
+        except ValueError as exc:
+            raise secs["verify"].error("radii", str(exc)) from None
         if self.sweep_parameter is not None:
             if self.sweep_parameter not in ("b", "p", "alpha", "radius"):
                 raise secs["sweep"].error(
@@ -399,17 +405,20 @@ class RunConfig:
         )
 
     def solve_table_radius(self) -> int:
-        """Kernel radius needed by a plain solve on the configured box."""
-        if self.table_radius is not None:
-            return self.table_radius
-        return 2 * self.radius if self.mode == DIRICHLET else self.radius
+        """Kernel radius for a solve on the box; a smaller set table_radius is a ConfigError."""
+        return self._table_radius(self.radius)
 
     def verify_table_radius(self) -> int:
-        """Kernel radius covering the verify suite's largest box."""
-        if self.table_radius is not None:
-            return self.table_radius
-        top = max((self.radius,) + tuple(self.verify_radii) + (8,))
-        return 2 * top if self.mode == DIRICHLET else top
+        """Kernel radius covering the verify suite's largest box, checked the same way."""
+        return self._table_radius(max((self.radius,) + tuple(self.verify_radii) + (8,)))
+
+    def _table_radius(self, top: int) -> int:
+        needed = 2 * top if self.mode == DIRICHLET else top
+        if self.table_radius is not None and self.table_radius < needed:
+            raise self.sections["kernel"].error("table_radius", (
+                f"{self.table_radius} cannot cover a {self.mode} box of radius {top} "
+                f"(needs >= {needed})"))
+        return needed if self.table_radius is None else self.table_radius
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)

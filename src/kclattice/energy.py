@@ -24,7 +24,7 @@ whose pointwise representer is the gradient field
 ``evaluate`` is the one evaluation core: a single convolution R * F(u)
 gives ||u||^2, A, B and D, J(su) in closed form along the ray, and the
 gradient at su (R * F(su) = s^p R * F(u)); ``energy``, ``energy_gradient``
-and the ``interaction_*`` functions are views of it.  ``pairing`` expands
+and ``interaction_energy`` are views of it.  ``pairing`` expands
 the variation bilinearly with its own convolution, as the referee.
 
 Admissibility of the power: p > 2 makes the interaction superquadratic
@@ -307,12 +307,6 @@ def energy_gradient(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Field:
 def interaction_energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
     """Nonlocal interaction I(u) = 1/2 sum (R * F(u)) F(u); scales like s^(2p)."""
     return 0.5 * evaluate(spec, kernel, u).interaction
-
-
-def interaction_pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> float:
-    """First variation <I'(u), phi> = sum (R * F(u)) f(u) phi."""
-    conv = evaluate(spec, kernel, u).conv
-    return float(np.sum(conv * spec.nonlinearity.f(u.values) * phi.values))
 
 
 def pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> float:

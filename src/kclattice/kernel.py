@@ -258,11 +258,6 @@ def green_values(alpha, zs, method=HEAT_KERNEL, k_alpha=None, tolerance=None):
     raise ValueError(f"unknown quadrature method {method!r}")
 
 
-def green_value(alpha, z, method=HEAT_KERNEL, k_alpha=None, tolerance=None) -> float:
-    """Kernel value R_alpha(z) at a single integer displacement."""
-    return float(green_values(alpha, [tuple(z)], method, k_alpha, tolerance)[0])
-
-
 # ---------------------------------------------------------------------------
 # tabulated kernels
 

@@ -22,11 +22,11 @@ derivative vanishes on the Nehari set) makes the reduced gradient a
 scalar multiple of the full gradient.  ``solve_ground_state`` descends
 on the sphere along the gradient's representer in the Kirchhoff-weighted
 energy norm (a Sobolev gradient in Neuberger's sense): the direction d
-solves (-(a + bA) lap + V) d = g, the linear part of the gradient with
-A frozen at the current point, by a few conjugate-gradient steps.  Once the residual is small it polishes the Euler-Lagrange
-residual with a few Newton steps; the Newton phase is what reaches
-residuals near roundoff, where energy differences are no longer
-resolvable but the residual still is.
+solves (-(a + bA) lap + V) d = g, the linear part of the gradient with A
+frozen at the current point, by a few conjugate-gradient steps.  Once the
+residual is small, a few Newton steps polish the Euler-Lagrange residual
+down to roundoff, where energy differences no longer resolve but the
+residual still does.
 """
 
 from __future__ import annotations
@@ -37,21 +37,13 @@ from functools import partial
 
 import numpy as np
 
-from .energy import Evaluation, FiberCoefficients, PotentialSpec, ProblemSpec, evaluate
+from .energy import Evaluation, FiberCoefficients, ProblemSpec, evaluate
 from .kernel import GreenKernel, convolve
-from .lattice import Field, _laplacian_values, gradient_inner, laplacian
+from .lattice import Field, _laplacian_values, gradient_inner, h_inner, laplacian
 
 GAUSSIAN_BUMP = "gaussian_bump"
 RANDOM_START = "random"
 FILE_START = "file"
-
-
-def fiber_coefficients(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
-    """Compute (||u||^2, A, D, B) for the ray through u; see ``energy.evaluate``."""
-    point = evaluate(spec, kernel, u)
-    if point.norm_h2 == 0.0:
-        raise ValueError("fiber coefficients are undefined for the zero field")
-    return point
 
 
 # Newton stops once a step is below a few ulps of the root; bisection alone
@@ -61,6 +53,9 @@ _ROOT_ITERATIONS = 200
 # relative residual of the inner CG solve that gives each descent direction;
 # a rough representer already captures the Kirchhoff-weighted metric
 _DESCENT_RTOL = 0.1
+# relative residual and iteration budget of each Newton step's minres solve
+_NEWTON_RTOL = 1.0e-4
+_NEWTON_MAXITER = 400
 
 
 def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12) -> float:
@@ -140,26 +135,9 @@ def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12
     return s
 
 
-def project_to_nehari(spec: ProblemSpec, kernel: GreenKernel, u: Field,
-                      tolerance: float = 1.0e-12) -> Field:
-    """Scale u onto the Nehari set: returns s_u * u."""
-    coeffs = fiber_coefficients(spec, kernel, u)
-    s = nehari_scale(coeffs, spec.b, tolerance)
-    return Field(u.box, s * u.values)
-
-
-def _potential_table(potential, box) -> np.ndarray:
-    if isinstance(potential, PotentialSpec):
-        return potential.table_on(box)
-    return np.asarray(potential, dtype=float)
-
-
-def sphere_inverse(u: Field, a: float, potential) -> Field:
+def sphere_inverse(u: Field, a: float, potential_table: np.ndarray) -> Field:
     """Map a nonzero field to the unit sphere of the energy norm: u / ||u||."""
-    from .lattice import h_inner
-
-    table = _potential_table(potential, u.box)
-    norm2 = h_inner(u, u, a, table)
+    norm2 = h_inner(u, u, a, potential_table)
     if norm2 == 0.0:
         raise ValueError("cannot normalize the zero field")
     return Field(u.box, u.values / math.sqrt(norm2))
@@ -287,7 +265,7 @@ def _minres(matvec, b: np.ndarray, rtol: float, maxiter: int):
 
 
 def _h_representer(spec: ProblemSpec, g: Field, rtol: float = 1.0e-12,
-                   maxiter: int = None, weight: float = None) -> Field:
+                   weight: float = None) -> Field:
     """Solve (-c lap + V) r = g, so that c (grad r, grad z) + sum V r z = sum g z.
 
     The weight c defaults to a, which makes r the representer of g in the
@@ -302,33 +280,10 @@ def _h_representer(spec: ProblemSpec, g: Field, rtol: float = 1.0e-12,
     def matvec(x):
         return -c * _laplacian_values(x.reshape(shape), mode).ravel() + table * x
 
-    if maxiter is None:
-        maxiter = 40 * box.side
-    sol, info = _cg(matvec, g.values.ravel(), 6.0 * c + table, rtol, maxiter)
+    sol, info = _cg(matvec, g.values.ravel(), 6.0 * c + table, rtol, 40 * box.side)
     if info != 0:
         raise RuntimeError(f"energy-norm representer solve did not converge (cg info={info})")
     return Field(box, sol.reshape(shape))
-
-
-def reduced_gradient(spec: ProblemSpec, kernel: GreenKernel, w: Field,
-                     rtol: float = 1.0e-12) -> Field:
-    """Tangential energy-norm gradient of the reduced functional at unit w.
-
-    By the envelope identity the derivative of Psi(w) = J(s_w w) along a
-    tangent direction z is s_w <J'(s_w w), z>; the returned field r is the
-    energy-norm representer of that functional projected orthogonally to
-    w, so (r, z)_H recovers the derivative for every tangent z and
-    (r, w)_H = 0.
-    """
-    norm2 = spec.h_inner(w, w)
-    if abs(norm2 - 1.0) > 1.0e-8:
-        raise ValueError(f"reduced gradient needs a unit field, got ||w||^2 = {norm2!r}")
-    point = fiber_coefficients(spec, kernel, w)
-    s = nehari_scale(point, spec.b)
-    rep = _h_representer(spec, point.at_scale(s).gradient(), rtol=rtol)
-    r = s * rep.values
-    r = r - spec.h_inner(Field(w.box, r), w) * w.values
-    return Field(w.box, r)
 
 
 @dataclass(frozen=True)
@@ -343,26 +298,23 @@ class SolveConfig:
     max_backtracks: int = 60
     switch_residual: float = 1.0e-3
     newton_max_iterations: int = 30
-    newton_inner_tolerance: float = 1.0e-4
-    newton_inner_maxiter: int = 400
     seed: int = 0
     initial_guess: str = GAUSSIAN_BUMP
     initial_field: Field = None
     bump_width: float = None
-    eta_samples: int = 32
-    record_history: bool = True
 
     def __post_init__(self):
-        for name in ("max_iterations", "max_backtracks", "newton_max_iterations",
-                     "newton_inner_maxiter"):
+        for name in ("max_iterations", "max_backtracks", "newton_max_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.eta_samples < 0:
-            raise ValueError("eta_samples must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("gradient_tolerance", "nehari_root_tolerance", "sufficient_decrease",
-                     "switch_residual", "newton_inner_tolerance"):
-            if getattr(self, name) <= 0.0:
+                     "switch_residual"):
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
+        if self.bump_width is not None and not self.bump_width > 0.0:
+            raise ValueError(f"bump_width must be positive, got {self.bump_width}")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack factor must lie in (0, 1)")
         if self.initial_guess not in (GAUSSIAN_BUMP, RANDOM_START, FILE_START):
@@ -457,26 +409,19 @@ def _hessian_apply(kernel: GreenKernel, point: Evaluation, x: np.ndarray) -> np.
     ).ravel()
 
 
-def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Evaluation,
-                  config: SolveConfig) -> float:
-    """Lower bound on the norm of any Nehari point, from sampled drives.
+def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Evaluation) -> float:
+    """Lower bound on the norm of any Nehari point, from two sampled drives.
 
     For u on the Nehari set, ||u||^2 <= D(u) = ||u||^(2p) D(u/||u||), so
     ||u|| >= C^(-1/(2p-2)) whenever C bounds the drive over unit fields.
-    C is estimated as the max sampled drive; including the ground-state
-    direction in the samples makes eta <= ||ground|| an identity rather
-    than a hope.  The ground direction's drive is scaled from its
-    evaluation, with no further convolution.
+    C is estimated as the larger drive of two unit directions: the ground
+    state's, scaled from its final evaluation with no further convolution,
+    which makes eta <= ||ground|| an identity rather than a hope; and the
+    default Gaussian bump's, at one convolution.
     """
-    center = spec.potential.minimum_site(spec.box)
-    samples = [gaussian_bump_field(spec.box, center)]
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xE7A)))
-    for _ in range(config.eta_samples):
-        samples.append(random_start_field(spec.box, rng, center))
-    top = ground.at_scale(1.0 / math.sqrt(ground.norm_h2)).drive
-    for v in samples:
-        w = sphere_inverse(v, spec.a, spec.potential_table)
-        top = max(top, fiber_coefficients(spec, kernel, w).drive)
+    bump = gaussian_bump_field(spec.box, spec.potential.minimum_site(spec.box))
+    unit_bump = evaluate(spec, kernel, sphere_inverse(bump, spec.a, spec.potential_table))
+    top = max(ground.at_scale(1.0 / math.sqrt(ground.norm_h2)).drive, unit_bump.drive)
     return top ** (-1.0 / (2.0 * spec.nonlinearity.exponent - 2.0))
 
 
@@ -527,8 +472,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         step = None
 
         for iterations in range(config.max_iterations):
-            if config.record_history:
-                history.append((current, gnorm, s))
+            history.append((current, gnorm, s))
             if gnorm <= max(tol, config.switch_residual):
                 break
 
@@ -570,7 +514,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             if gnorm <= tol:
                 break
             delta, _ = _minres(partial(_hessian_apply, kernel, point), -g.values.ravel(),
-                               config.newton_inner_tolerance, config.newton_inner_maxiter)
+                               _NEWTON_RTOL, _NEWTON_MAXITER)
             delta = delta.reshape(g.values.shape)
             length = 1.0
             for _ in range(30):
@@ -585,8 +529,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                 break
             point, g, gnorm = trial, trial_g, trial_norm
             newton_iterations += 1
-            if config.record_history:
-                history.append((point.ray_energy(), gnorm, nehari_scale(point, spec.b, root_tol)))
+            history.append((point.ray_energy(), gnorm, nehari_scale(point, spec.b, root_tol)))
         else:
             message = "Newton iteration budget exhausted"
     except RuntimeError as exc:
@@ -600,7 +543,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     try:
         rep = _h_representer(spec, g)
         h_residual = float(math.sqrt(max(np.sum(rep.values * g.values), 0.0)))
-        eta = _eta_estimate(spec, kernel, point, config)
+        eta = _eta_estimate(spec, kernel, point)
     except RuntimeError as exc:
         message = f"{message}; {exc}"
     converged = gnorm <= tol and not failed
@@ -632,12 +575,12 @@ def mountain_pass_level_check(spec: ProblemSpec, kernel: GreenKernel, u_samples)
     ground-state level, and the minimum over a family of samples that
     includes the ground state recovers the level exactly; this is the
     cheap cross-check that the sphere-descent answer is also the
-    mountain-pass value.
+    mountain-pass value.  ``nehari_scale`` rejects a zero sample.
     """
     best = math.inf
     for u in u_samples:
-        point = fiber_coefficients(spec, kernel, u)
+        point = evaluate(spec, kernel, u)
         best = min(best, point.ray_energy(nehari_scale(point, spec.b)))
     if not math.isfinite(best):
-        raise ValueError("level check needs at least one nonzero sample")
+        raise ValueError("level check needs at least one sample")
     return best

@@ -70,7 +70,8 @@ class PropertyReport:
 
     def summary_lines(self):
         yield f"[{'PASS' if self.passed else 'FAIL'}] {self.name} ({self.anchor})"
-        yield f"    samples={self.samples} measured={self.measured:.6e} tolerance={self.tolerance:.6e}"
+        yield (f"    samples={self.samples} measured={self.measured:.6e} "
+               f"tolerance={self.tolerance:.6e}")
         for key in sorted(self.details):
             yield f"    {key} = {self.details[key]:.6e}"
         if self.witness:

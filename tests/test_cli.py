@@ -244,6 +244,63 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["--config", str(ok), "--output", out, "sweep"]) == 1
 
 
+# (command, extra config text, the offending line, the error it must name);
+# each is rejected before any kernel is built
+_BAD_INPUTS = {
+    "bump-width": ("solve", "[solver]\nbump_width = 0\n", "bump_width = 0",
+                   "[solver] bump_width must be positive"),
+    "negative-seed": ("verify", "[solver]\nseed = -1\n", "seed = -1",
+                      "[solver] seed must be nonnegative"),
+    "verify-radius": ("verify", "[verify]\nradii = -1 3\n", "radii = -1 3",
+                      "[verify] radii: box radius must be a nonnegative integer"),
+    "table-radius": ("solve", None, "table_radius = 2",
+                     "[kernel] table_radius: 2 cannot cover a dirichlet box of radius 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_config_inputs_exit_one_at_their_line(tmp_path, cache_dir, capsys, monkeypatch,
+                                                  case):
+    command, extra, bad_line, message = _BAD_INPUTS[case]
+    if extra is None:
+        text = base_config(cache_dir).replace("[kernel]\n", f"[kernel]\n{bad_line}\n")
+    else:
+        text = base_config(cache_dir, extra)
+
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("no kernel should be built for a rejected config")
+
+    monkeypatch.setattr(cli_module, "build_kernel", unbuildable)
+    cfg = write_config(tmp_path, text)
+    assert main(["--config", cfg, "--output", str(tmp_path / "out"), command]) == 1
+    err = capsys.readouterr().err
+    line = text.splitlines().index(bad_line) + 1
+    assert f"run.cfg:{line}: {message}" in err
+
+
+@pytest.mark.parametrize("case", ["other-box", "unparsable"])
+def test_bad_initial_file_exits_one_naming_it(tmp_path, cache_dir, capsys, case):
+    start = tmp_path / "start.field"
+    if case == "other-box":
+        kc.save_field_text(kc.Field.zeros(kc.LatticeBox(2)), start)
+        message = f"{start} holds a field on a radius-2 dirichlet box"
+    else:
+        start.write_text("# lattice-field v1 radius=3 mode=dirichlet\nabc\n")
+        message = f"cannot read {start}: could not convert string 'abc'"
+    extra = f"[solver]\ninitial_guess = file\ninitial_file = {start}\n"
+    cfg = write_config(tmp_path, base_config(cache_dir, extra))
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--output", out, "solve"]) == 1
+    assert f"[solver] initial_file: {message}" in capsys.readouterr().err
+    # in a sweep the same file fails its point, not the run
+    cfg = write_config(tmp_path, base_config(cache_dir, extra + "\n[sweep]\nparameter = b\n"
+                                             "values = 0.0\n"))
+    assert main(["--config", cfg, "--output", out, "sweep"]) == 3
+    sweep_out = capsys.readouterr().out
+    assert "# observation: point b=0.0 failed: " in sweep_out
+    assert f"[solver] initial_file: {message}" in sweep_out
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["--config"]) == 1

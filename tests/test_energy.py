@@ -284,7 +284,7 @@ def test_pairing_matches_central_difference(small_spec, small_kernel, rng):
 def test_pairing_with_u_closes_the_fiber_identity(small_spec, small_kernel, rng):
     # <J'(u), u> = ||u||^2 + b A^2 - D
     u = random_field(small_spec.box, rng)
-    coeffs = kc.fiber_coefficients(small_spec, small_kernel, u)
+    coeffs = kc.evaluate(small_spec, small_kernel, u)
     lhs = kc.pairing(small_spec, small_kernel, u, u)
     rhs = coeffs.norm_h2 + small_spec.b * coeffs.grad2**2 - coeffs.drive
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -300,7 +300,10 @@ def test_interaction_pairing_is_directional_derivative(small_spec, small_kernel,
         kc.interaction_energy(small_spec, small_kernel, up)
         - kc.interaction_energy(small_spec, small_kernel, dn)
     ) / (2.0 * h)
-    assert kc.interaction_pairing(small_spec, small_kernel, u, phi) == pytest.approx(fd, rel=1e-6)
+    # <I'(u), phi> = sum (R * F(u)) f(u) phi, from the core's convolution
+    conv = kc.evaluate(small_spec, small_kernel, u).conv
+    derivative = float(np.sum(conv * small_spec.nonlinearity.f(u.values) * phi.values))
+    assert derivative == pytest.approx(fd, rel=1e-6)
 
 
 def test_kirchhoff_term_enters_gradient(small_kernel, rng):
@@ -349,7 +352,6 @@ def test_core_convolves_once_per_evaluation(small_spec, small_kernel, rng, convo
     point.at_scale(2.0).gradient()
     point.ray_energy(3.0)
     assert convolution_count[0] == 1
-    for view in (kc.energy, kc.energy_gradient, kc.interaction_energy, kc.fiber_coefficients):
+    for view in (kc.energy, kc.energy_gradient, kc.interaction_energy):
         view(small_spec, small_kernel, u)
-    kc.interaction_pairing(small_spec, small_kernel, u, u)
-    assert convolution_count[0] == 6
+    assert convolution_count[0] == 4

@@ -62,7 +62,7 @@ def test_heat_kernel_frozen_values():
     assert vals[0] == pytest.approx(R1_ORIGIN, rel=1e-12)
     assert vals[1] == pytest.approx(R1_AXIS, rel=1e-12)
     assert vals[2] == pytest.approx(R1_DIAGONAL, rel=1e-12)
-    assert kc.green_value(1.0, (0, 1, 1)) == pytest.approx(R1_DIAGONAL, rel=1e-12)
+    assert kc.green_values(1.0, [(0, 1, 1)])[0] == pytest.approx(R1_DIAGONAL, rel=1e-12)
 
 
 def test_heat_kernel_monotone_along_axis():
