@@ -244,26 +244,16 @@ def cmd_verify(config: RunConfig, run_dir: Path, base: Path) -> int:
     return EXIT_OK
 
 
-_SWEEPABLE = {
-    "b": lambda cfg, v: replace(cfg, b=v),
-    "p": lambda cfg, v: replace(cfg, exponent=v),
-    "alpha": lambda cfg, v: replace(cfg, alpha=v),
-    "radius": lambda cfg, v: replace(cfg, radius=int(v)),
-}
-
-
 def cmd_sweep(config: RunConfig, run_dir: Path, base: Path) -> int:
     param = config.sweep_parameter
     if param is None:
-        raise ConfigError("<config>", 0, "[sweep] parameter must be set for the sweep command")
-    if param == "radius" and any(v != int(v) for v in config.sweep_values):
-        raise ConfigError("<config>", 0, "[sweep] radius values must be integers")
+        raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
     rows = []
     observations = []
     energies = []
     all_converged = True
     for value in config.sweep_values:
-        point = _SWEEPABLE[param](config, value)
+        point = config.sweep_point(value)
         try:
             kernel = _kernel_for(point, point.solve_table_radius(), base)
             spec, report = _solve_once(point, kernel)

@@ -69,27 +69,33 @@ class PotentialSpec:
     table: tuple = ()
 
     def __post_init__(self):
-        if self.v0 <= 0.0:
-            raise ValueError(f"potential floor must be positive, got {self.v0}")
+        # each message names its parameter first, so a config error can anchor at its key
+        if not math.isfinite(self.v0) or self.v0 <= 0.0:
+            raise ValueError(f"v0 (the potential floor) must be positive and finite, got {self.v0}")
         if self.kind == CONSTANT:
             return
         if self.kind == COERCIVE:
-            if self.rate <= 0.0 or self.power <= 0.0:
-                raise ValueError("coercive potential needs rate > 0 and power > 0")
+            for name in ("rate", "power"):
+                value = getattr(self, name)
+                if not math.isfinite(value) or value <= 0.0:
+                    raise ValueError(f"{name} of a coercive potential must be positive and "
+                                     f"finite, got {value}")
             if len(self.center) != 3:
-                raise ValueError("potential center must have three coordinates")
+                raise ValueError("center of the potential must have three coordinates")
             return
         if self.kind == PERIODIC_POTENTIAL:
             if self.tau < 1:
-                raise ValueError(f"period must be a positive integer, got {self.tau}")
+                raise ValueError(f"tau (the period) must be a positive integer, got {self.tau}")
             if len(self.table) != self.tau ** 3:
                 raise ValueError(
-                    f"periodic table needs tau^3 = {self.tau ** 3} values, got {len(self.table)}"
+                    f"table needs tau^3 = {self.tau ** 3} values, got {len(self.table)}"
                 )
+            if not all(math.isfinite(t) for t in self.table):
+                raise ValueError("table values of a periodic potential must be finite")
             if min(self.table) < self.v0:
-                raise ValueError("periodic table values must not drop below the floor v0")
+                raise ValueError("table values must not drop below the floor v0")
             return
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+        raise ValueError(f"kind {self.kind!r} is not a known potential kind")
 
     @classmethod
     def constant(cls, v0: float) -> "PotentialSpec":
@@ -152,10 +158,12 @@ class PowerNonlinearity:
     theta: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.coefficient <= 0.0:
-            raise ValueError(f"nonlinearity coefficient must be positive, got {self.coefficient}")
-        if self.exponent <= 2.0:
-            raise ValueError(f"power exponent must exceed 2, got {self.exponent}")
+        if not math.isfinite(self.coefficient) or self.coefficient <= 0.0:
+            raise ValueError(f"coefficient of the nonlinearity must be positive and finite, "
+                             f"got {self.coefficient}")
+        if not math.isfinite(self.exponent) or self.exponent <= 2.0:
+            raise ValueError(f"exponent (the power p) must be finite and exceed 2, "
+                             f"got {self.exponent}")
         if self.theta is None:
             object.__setattr__(self, "theta", 2.0 * self.exponent)
         if not 4.0 < self.theta <= 2.0 * self.exponent:
@@ -188,16 +196,17 @@ class ProblemSpec:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError(f"diffusion weight a must be positive, got {self.a}")
-        if self.b < 0.0:
-            raise ValueError(f"Kirchhoff weight b must be nonnegative, got {self.b}")
+        if not math.isfinite(self.a) or self.a <= 0.0:
+            raise ValueError(f"a (the diffusion weight) must be positive and finite, got {self.a}")
+        if not math.isfinite(self.b) or self.b < 0.0:
+            raise ValueError(f"b (the Kirchhoff weight) must be nonnegative and finite, "
+                             f"got {self.b}")
         if not 0.0 < self.alpha < 3.0:
-            raise ValueError(f"fractional order alpha must lie in (0, 3), got {self.alpha}")
+            raise ValueError(f"alpha (the fractional order) must lie in (0, 3), got {self.alpha}")
         p = self.nonlinearity.exponent
         if p <= (3.0 + self.alpha) / 3.0:
             raise ValueError(
-                f"power exponent {p} too small for alpha={self.alpha}: "
+                f"exponent {p} too small for alpha={self.alpha}: "
                 f"needs p > (3+alpha)/3 = {(3.0 + self.alpha) / 3.0:.4f}"
             )
 

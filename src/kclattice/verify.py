@@ -47,6 +47,9 @@ SUITE_HEADER = (
     "below are the whole claim)\n"
 )
 
+# check_hls compares Dirichlet boxes of these radii in every boundary mode
+HLS_RADII = (4, 6, 8)
+
 
 @dataclass
 class PropertyReport:
@@ -179,7 +182,7 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
 
 
 def check_hls(kernel: GreenKernel, trials: int = 200, seed: int = 42,
-              radii=(4, 6, 8), spread_tolerance: float = 0.05) -> PropertyReport:
+              radii=HLS_RADII, spread_tolerance: float = 0.05) -> PropertyReport:
     """Stability of the convolution-form l^p bound across box sizes.
 
     With r = s = 6/(3+alpha) the bilinear form sum u (R * v) is bounded

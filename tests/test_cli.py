@@ -177,6 +177,38 @@ def test_verify_fails_honestly_on_unresolved_radii(tmp_path, cache_dir, capsys):
     assert "CHECK FAILURES PRESENT" in (run / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("extra, anchor, message", [
+    pytest.param("[sweep]\nparameter = radius\nvalues = 2 2.5\n", "values = 2 2.5",
+                 "[sweep] values: radius values must be integers", id="fractional-radius"),
+    pytest.param("[sweep]\nvalues = 0.5\n", "[sweep]",
+                 "[sweep] parameter: must be set for the sweep command", id="no-parameter"),
+])
+def test_sweep_config_errors_exit_one_at_their_line(tmp_path, cache_dir, capsys, extra, anchor,
+                                                    message):
+    text = base_config(cache_dir, extra)
+    cfg = write_config(tmp_path, text)
+    assert main(["--config", cfg, "--output", str(tmp_path / "out"), "sweep"]) == 1
+    line = text.splitlines().index(anchor) + 1
+    assert f"run.cfg:{line}: {message}" in capsys.readouterr().err
+
+
+def test_periodic_verify_covers_the_hls_boxes(tmp_path, cache_dir, capsys):
+    # check_hls convolves on Dirichlet boxes up to radius 8 whatever the mode,
+    # so a periodic run's kernel table must reach 16
+    cfg = write_config(
+        tmp_path,
+        "[problem]\nradius = 2\nmode = periodic\n\n[potential]\nkind = constant\n\n"
+        f"[kernel]\ncache_dir = {cache_dir}\n\n[verify]\ntrials = 20\nmp_trials = 10\n"
+        "fiber_fields = 3\nlevel_samples = 3\nradii = 2 3\n",
+    )
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "verify"]) in (0, 4)
+    capsys.readouterr()
+    suite = (latest_run(out) / "suite.csv").read_text().splitlines()
+    assert suite[0] == "name,anchor,samples,pass,measured,tolerance"
+    assert len(suite) == 8
+
+
 def test_sweep_single_point_matches_solve(tmp_path, cache_dir, capsys):
     sweep_cfg = write_config(
         tmp_path, base_config(cache_dir, "[sweep]\nparameter = b\nvalues = 0.0\n")
@@ -276,6 +308,20 @@ def test_bad_config_inputs_exit_one_at_their_line(tmp_path, cache_dir, capsys, m
     err = capsys.readouterr().err
     line = text.splitlines().index(bad_line) + 1
     assert f"run.cfg:{line}: {message}" in err
+
+
+@pytest.mark.parametrize("section, entry", [
+    ("problem", "a = inf"),
+    ("problem", "b = nan"),
+    ("potential", "rate = nan"),
+    ("nonlinearity", "exponent = nan"),
+])
+def test_non_finite_values_exit_one_at_their_line(tmp_path, capsys, section, entry):
+    cfg = write_config(tmp_path, f"# never reaches a solve\n[{section}]\n{entry}\n")
+    assert main(["--config", cfg, "--output", str(tmp_path / "out"), "solve"]) == 1
+    key, value = entry.split(" = ")
+    message = f"run.cfg:3: [{section}] {key}: expected a finite number, got {value!r}"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["other-box", "unparsable"])

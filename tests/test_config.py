@@ -140,6 +140,20 @@ def test_semantic_error_anchors_to_offending_key():
     assert str(err.value).startswith("bad.cfg:2:")
 
 
+@pytest.mark.parametrize("text, line", [
+    pytest.param("[problem]\na = 1.0\nradius = -2\n", 3, id="radius-after-a"),
+    pytest.param("[problem]\na = 1.0\nalpha = 5.0\n", 3, id="alpha-after-a"),
+    pytest.param("[nonlinearity]\nexponent = nan\n", 2, id="nan-exponent"),
+    # a model error naming an unset key anchors at that key's section header
+    pytest.param("[problem]\nradius = 2\n\n[potential]\nkind = periodic\ntable = 1.0\n", 4,
+                 id="unset-tau"),
+])
+def test_error_anchors_at_the_key_it_names(text, line):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_text(text, path="bad.cfg")
+    assert str(err.value).startswith(f"bad.cfg:{line}:")
+
+
 def test_periodic_potential_semantic_errors():
     # table length must be tau^3
     with pytest.raises(ConfigError):
@@ -208,6 +222,10 @@ def test_table_radius_defaults():
     # verify needs to cover its own radii ladder too
     cfg = RunConfig.from_text("[problem]\nradius = 4\n\n[verify]\nradii = 4 6 8 10\n")
     assert cfg.verify_table_radius() == 20
+    # check_hls convolves on Dirichlet boxes up to radius 8 in every mode
+    periodic = RunConfig.from_text("[problem]\nradius = 2\nmode = periodic\n\n"
+                                   "[verify]\nradii = 2 3\n")
+    assert periodic.verify_table_radius() == 16
 
 
 def test_constant_and_coercive_potentials():

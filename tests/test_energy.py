@@ -1,5 +1,7 @@
 """Potentials, nonlinearities, and the energy functional with its variations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,32 @@ def test_problem_spec_validation():
         ProblemSpec(box, pot, nl, alpha=1.0, a=0.0)
     with pytest.raises(ValueError):
         ProblemSpec(box, pot, nl, alpha=1.0, b=-1.0)
+
+
+def _spec_with(**weights):
+    return ProblemSpec(LatticeBox(2), PotentialSpec.constant(1.0), PowerNonlinearity(1.0, 3.0),
+                       alpha=1.0, **weights)
+
+
+# parameter -> a constructor taking that parameter's value
+_PARAMETER_BUILDS = {
+    "a": lambda x: _spec_with(a=x),
+    "b": lambda x: _spec_with(b=x),
+    "v0": lambda x: PotentialSpec.constant(x),
+    "rate": lambda x: PotentialSpec.coercive(1.0, x, 2.0),
+    "power": lambda x: PotentialSpec.coercive(1.0, 1.0, x),
+    "table": lambda x: PotentialSpec.periodic(2, [1.0] * 7 + [x]),
+    "coefficient": lambda x: PowerNonlinearity(x, 3.0),
+    "exponent": lambda x: PowerNonlinearity(1.0, x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_PARAMETER_BUILDS))
+def test_constructors_reject_non_finite_parameters_by_name(name, value):
+    # the message names the parameter first: configs anchor the error at that key
+    with pytest.raises(ValueError, match=f"^{name} "):
+        _PARAMETER_BUILDS[name](value)
 
 
 def test_with_box_keeps_parameters(small_spec):

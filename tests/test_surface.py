@@ -1,8 +1,10 @@
-"""The public surface: a new export or solver knob needs a deliberate edit here."""
+"""The public surface: a new export, solver knob or config key needs a deliberate edit here."""
 
 import dataclasses
+from pathlib import Path
 
 import kclattice as kc
+from kclattice import config as config_module
 
 PUBLIC = [
     "COERCIVE", "CONSTANT", "ConfigError", "DIRICHLET", "FILE_START", "FiberCoefficients",
@@ -27,6 +29,24 @@ SOLVE_CONFIG_FIELDS = (
     "initial_guess", "initial_field", "bump_width",
 )
 
+INI_KEYS = {
+    "problem": ("a", "b", "alpha", "radius", "mode"),
+    "potential": ("kind", "v0", "rate", "power", "center", "tau", "table"),
+    "nonlinearity": ("coefficient", "exponent", "theta"),
+    "solver": ("seed", "max_iterations", "gradient_tolerance", "nehari_root_tolerance",
+               "sufficient_decrease", "backtrack_factor", "max_backtracks", "switch_residual",
+               "newton_max_iterations", "initial_guess", "initial_file", "bump_width"),
+    "kernel": ("table_radius", "method", "tolerance", "cache_dir"),
+    "output": ("directory", "solution_format"),
+    "verify": ("trials", "mp_trials", "fiber_fields", "level_samples", "radii"),
+    "sweep": ("parameter", "values"),
+}
+
+
+def declared_keys():
+    """[(section, key)] in the order the RunConfig fields declare them."""
+    return [(section, key) for section, keys in config_module._SECTIONS.items() for key in keys]
+
 
 def test_all_is_the_pinned_public_surface():
     assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 64
@@ -41,3 +61,29 @@ def test_every_exported_name_resolves():
 
 def test_solve_config_has_the_pinned_knobs():
     assert tuple(f.name for f in dataclasses.fields(kc.SolveConfig)) == SOLVE_CONFIG_FIELDS
+
+
+def test_config_has_the_pinned_sections_and_keys():
+    assert declared_keys() == [(section, key) for section, keys in INI_KEYS.items()
+                               for key in keys]
+
+
+def test_every_solver_knob_is_a_solver_key():
+    solver = config_module._SECTIONS["solver"]
+    for name in SOLVE_CONFIG_FIELDS:
+        if name != "initial_field":
+            assert solver.get(name) == name, name
+
+
+def test_readme_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    text = "\n".join(line.split("#")[0].strip() for line in block.splitlines())
+    assert kc.RunConfig.from_text(text, "README.md") == kc.RunConfig.defaults()
+    listed, section = [], None
+    for line in filter(None, text.splitlines()):
+        if line.startswith("["):
+            section = line.strip("[]")
+        else:
+            listed.append((section, line.split("=")[0].strip()))
+    assert listed == declared_keys()
