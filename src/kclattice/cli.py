@@ -13,6 +13,7 @@ verify-suite check failures.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import math
 import sys
@@ -129,20 +130,15 @@ def cmd_green(config: RunConfig, run_dir: Path, base: Path) -> int:
     # green tabulates the radius it is given, whether or not it covers the box
     radius = config.solve_table_radius() if config.table_radius is None else config.table_radius
     kernel = _kernel_for(config, radius, base)
-    lines = []
-
-    class _Tee:
-        def write(self, text):
-            sys.stdout.write(text)
-            lines.append(text)
-
-    _report_kernel(kernel, _Tee())
+    report = io.StringIO()
+    _report_kernel(kernel, report)
+    sys.stdout.write(report.getvalue())
     octant = run_dir / "octant.csv"
     with open(octant, "w", encoding="ascii") as handle:
         handle.write("z1,z2,z3,R_alpha\n")
         for z1, z2, z3 in kernel.octant_triples():
             handle.write(f"{z1},{z2},{z3},{kernel.value((z1, z2, z3)):.17g}\n")
-    (run_dir / "report.txt").write_text("".join(lines), encoding="ascii")
+    (run_dir / "report.txt").write_text(report.getvalue(), encoding="ascii")
     print(f"octant table: {octant}")
     return EXIT_OK
 
@@ -246,8 +242,6 @@ def cmd_verify(config: RunConfig, run_dir: Path, base: Path) -> int:
 
 def cmd_sweep(config: RunConfig, run_dir: Path, base: Path) -> int:
     param = config.sweep_parameter
-    if param is None:
-        raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
     rows = []
     observations = []
     energies = []
@@ -289,6 +283,16 @@ def cmd_sweep(config: RunConfig, run_dir: Path, base: Path) -> int:
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
+def _check_command(command: str, config: RunConfig) -> None:
+    """A subcommand's config-only checks, run before its run directory is made."""
+    if command == "solve":
+        config.solve_table_radius()
+    elif command == "verify":
+        config.verify_table_radius()
+    elif command == "sweep" and config.sweep_parameter is None:
+        raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
+
+
 _COMMANDS = {
     "green": cmd_green,
     "solve": cmd_solve,
@@ -311,6 +315,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     base = Path(config.output_directory)
     try:
+        _check_command(args.command, config)  # a rejected run leaves no directory behind
         run_dir = _make_run_dir(base)
         (run_dir / "config.snapshot").write_text(config.to_text(), encoding="ascii")
         print(f"run directory: {run_dir}")

@@ -43,7 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import GreenKernel, convolve
-from .lattice import Field, LatticeBox, gradient_energy, gradient_inner, h_inner, laplacian
+from .lattice import (Field, LatticeBox, _edge_sum, _laplacian_values, gradient_energy,
+                      gradient_inner, h_inner)
 
 CONSTANT = "constant"
 COERCIVE = "coercive"
@@ -70,6 +71,8 @@ class PotentialSpec:
 
     def __post_init__(self):
         # each message names its parameter first, so a config error can anchor at its key
+        if not all(math.isfinite(t) for t in self.table):  # before v0, its floor in periodic()
+            raise ValueError("table values of a periodic potential must be finite")
         if not math.isfinite(self.v0) or self.v0 <= 0.0:
             raise ValueError(f"v0 (the potential floor) must be positive and finite, got {self.v0}")
         if self.kind == CONSTANT:
@@ -90,8 +93,6 @@ class PotentialSpec:
                 raise ValueError(
                     f"table needs tau^3 = {self.tau ** 3} values, got {len(self.table)}"
                 )
-            if not all(math.isfinite(t) for t in self.table):
-                raise ValueError("table values of a periodic potential must be finite")
             if min(self.table) < self.v0:
                 raise ValueError("table values must not drop below the floor v0")
             return
@@ -269,15 +270,14 @@ class Evaluation(FiberCoefficients):
                           sp * sp * self.interaction, self.exponent, self.spec,
                           Field(self.u.box, s * self.u.values), sp * self.conv)
 
-    def gradient(self) -> Field:
-        """Representer field g with <J'(u), phi> = sum g phi for every phi."""
-        spec, u = self.spec, self.u
-        g = (
-            -(spec.a + spec.b * self.grad2) * laplacian(u).values
-            + spec.potential_table * u.values
-            - self.conv * spec.nonlinearity.f(u.values)
+    def gradient(self) -> np.ndarray:
+        """Representer g with <J'(u), phi> = sum g phi for every phi, as a box-shaped array."""
+        spec, u = self.spec, self.u.values
+        return (
+            -(spec.a + spec.b * self.grad2) * _laplacian_values(u, self.u.box.mode)
+            + spec.potential_table * u
+            - self.conv * spec.nonlinearity.f(u)
         )
-        return Field(u.box, g)
 
 
 def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
@@ -299,8 +299,9 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
             "fiber drive and interaction violate the power identity D = pB: "
             f"{drive!r} vs p*B = {nl.exponent * interaction!r}"
         )
-    return Evaluation(spec.h_inner(u, u), gradient_energy(u), drive, interaction,
-                      nl.exponent, spec, u, conv)
+    grad2 = _edge_sum(u.values, u.values, u.box.mode)  # and ||u||^2 = a A + sum V u u
+    norm_h2 = spec.a * grad2 + float(np.sum(spec.potential_table * u.values * u.values))
+    return Evaluation(norm_h2, grad2, drive, interaction, nl.exponent, spec, u, conv)
 
 
 def energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
@@ -310,7 +311,7 @@ def energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
 
 def energy_gradient(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Field:
     """Representer field g with <J'(u), phi> = sum g phi for every phi."""
-    return evaluate(spec, kernel, u).gradient()
+    return Field(u.box, evaluate(spec, kernel, u).gradient())
 
 
 def interaction_energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:

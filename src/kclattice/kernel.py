@@ -262,6 +262,11 @@ def green_values(alpha, zs, method=HEAT_KERNEL, k_alpha=None, tolerance=None):
 # tabulated kernels
 
 
+def _octant_triples(m: int) -> np.ndarray:
+    triples = [(i, j, k) for k in range(m + 1) for j in range(k + 1) for i in range(j + 1)]
+    return np.asarray(triples, dtype=int)
+
+
 @dataclass(eq=False)
 class GreenKernel:
     """Tabulated R_alpha on the displacement cube |z_i| <= table_radius."""
@@ -280,14 +285,7 @@ class GreenKernel:
 
     def octant_triples(self) -> np.ndarray:
         """Representatives 0 <= z1 <= z2 <= z3 <= m of the symmetry orbits."""
-        m = self.table_radius
-        out = [
-            (i, j, k)
-            for k in range(m + 1)
-            for j in range(k + 1)
-            for i in range(j + 1)
-        ]
-        return np.asarray(out, dtype=int)
+        return _octant_triples(self.table_radius)
 
     def save(self, path) -> None:
         """Write the table atomically: readers see the old file or the whole new one."""
@@ -392,10 +390,7 @@ def build_kernel(
     k_alpha = fractional_degree_refined(alpha)
     m = table_radius
     side = 2 * m + 1
-    triples = [
-        (i, j, k) for k in range(m + 1) for j in range(k + 1) for i in range(j + 1)
-    ]
-    octant = np.asarray(triples, dtype=int)
+    octant = _octant_triples(m)
     values = green_values(alpha, octant, method, k_alpha, tolerance)
 
     lookup = np.empty((m + 1,) * 3)

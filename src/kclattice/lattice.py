@@ -221,8 +221,6 @@ def h_inner(u: Field, v: Field, a: float, potential) -> float:
     Positive ``a`` and positive potential make this an inner product; that
     is the caller's contract and is not re-checked here.
     """
-    if u.box != v.box:
-        raise ValueError("fields live on different boxes")
     pot = np.asarray(potential, dtype=float)
     return a * gradient_inner(u, v) + float(np.sum(pot * u.values * v.values))
 

@@ -27,19 +27,22 @@ frozen at the current point, by a few conjugate-gradient steps.  Once the
 residual is small, a few Newton steps polish the Euler-Lagrange residual
 down to roundoff, where energy differences no longer resolve but the
 residual still does.
+
+The solver core runs on box-shaped arrays; a ``Field`` is validated only
+where data enters it (the start field, ``evaluate``, ``convolve``) or
+leaves it (``SolveReport.solution``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .energy import Evaluation, FiberCoefficients, ProblemSpec, evaluate
 from .kernel import GreenKernel, convolve
-from .lattice import Field, _laplacian_values, gradient_inner, h_inner, laplacian
+from .lattice import Field, _edge_sum, _laplacian_values, h_inner
 
 GAUSSIAN_BUMP = "gaussian_bump"
 RANDOM_START = "random"
@@ -264,26 +267,24 @@ def _minres(matvec, b: np.ndarray, rtol: float, maxiter: int):
     return x, maxiter if istop == 6 else 0
 
 
-def _h_representer(spec: ProblemSpec, g: Field, rtol: float = 1.0e-12,
-                   weight: float = None) -> Field:
+def _h_representer(spec: ProblemSpec, g: np.ndarray, rtol: float = 1.0e-12,
+                   weight: float = None) -> np.ndarray:
     """Solve (-c lap + V) r = g, so that c (grad r, grad z) + sum V r z = sum g z.
 
     The weight c defaults to a, which makes r the representer of g in the
     energy inner product (r, z)_H; the descent passes c = a + bA.
     """
-    box = g.box
-    shape = g.values.shape
-    mode = box.mode
+    box = spec.box
     table = spec.potential_table.ravel()
     c = spec.a if weight is None else weight
 
     def matvec(x):
-        return -c * _laplacian_values(x.reshape(shape), mode).ravel() + table * x
+        return -c * _laplacian_values(x.reshape(g.shape), box.mode).ravel() + table * x
 
-    sol, info = _cg(matvec, g.values.ravel(), 6.0 * c + table, rtol, 40 * box.side)
+    sol, info = _cg(matvec, g.ravel(), 6.0 * c + table, rtol, 40 * box.side)
     if info != 0:
         raise RuntimeError(f"energy-norm representer solve did not converge (cg info={info})")
-    return Field(box, sol.reshape(shape))
+    return sol.reshape(g.shape)
 
 
 @dataclass(frozen=True)
@@ -365,12 +366,11 @@ def random_start_field(box, rng, center=(0, 0, 0), width: float = None) -> Field
     """
     if width is None:
         width = max(box.radius / 3.0, 1.0)
-    noise = rng.random((box.side,) * 3)
-    v = Field(box, noise)
+    v = rng.random((box.side,) * 3)
     for _ in range(3):
-        v = Field(box, v.values + 0.125 * laplacian(v).values)
+        v = v + 0.125 * _laplacian_values(v, box.mode)
     d2 = box.squared_distance_grid(center)
-    return Field(box, v.values * np.exp(-d2 / (2.0 * width * width)))
+    return Field(box, v * np.exp(-d2 / (2.0 * width * width)))
 
 
 def _initial_field(spec: ProblemSpec, config: SolveConfig) -> Field:
@@ -386,27 +386,30 @@ def _initial_field(spec: ProblemSpec, config: SolveConfig) -> Field:
     return f.copy()
 
 
-def _hessian_apply(kernel: GreenKernel, point: Evaluation, x: np.ndarray) -> np.ndarray:
-    """Second-derivative action J''(u)[v] at the evaluated point u, on flat arrays.
+def _hessian(kernel: GreenKernel, point: Evaluation):
+    """The second-derivative action x -> J''(u)[x] at the evaluated point u, on flat arrays.
 
     Differentiating g(u) = -(a + bA)lap u + V u - (R*F(u)) f(u) gives a
     Kirchhoff rank-one term 2b Gamma(u,v) lap u alongside the local and
     convolution linearizations; the operator is symmetric but in general
     indefinite away from the constraint set, hence minres downstream.
+    f(u), lap u and (R*F(u)) f'(u) depend on u alone, so they are computed
+    once per Newton step, here; each action then makes one convolution.
     """
-    spec, u = point.spec, point.u
-    v = Field(u.box, x.reshape(u.values.shape))
-    nl = spec.nonlinearity
-    fu = nl.f(u.values)
-    cross = gradient_inner(u, v)
-    conv_fv = convolve(kernel, Field(u.box, fu * v.values)).values
-    return (
-        -(spec.a + spec.b * point.grad2) * laplacian(v).values
-        - 2.0 * spec.b * cross * laplacian(u).values
-        + spec.potential_table * v.values
-        - conv_fv * fu
-        - point.conv * nl.f_prime(u.values) * v.values
-    ).ravel()
+    spec, box, u = point.spec, point.u.box, point.u.values
+    fu = spec.nonlinearity.f(u)
+    lap_u = _laplacian_values(u, box.mode)
+    conv_fp = point.conv * spec.nonlinearity.f_prime(u)
+    weight = -(spec.a + spec.b * point.grad2)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        v = x.reshape(u.shape)
+        cross = _edge_sum(u, v, box.mode)
+        conv_fv = convolve(kernel, Field(box, fu * v)).values
+        return (weight * _laplacian_values(v, box.mode) - 2.0 * spec.b * cross * lap_u
+                + spec.potential_table * v - conv_fv * fu - conv_fp * v).ravel()
+
+    return apply
 
 
 def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Evaluation) -> float:
@@ -455,19 +458,20 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     tol = config.gradient_tolerance
     root_tol = config.nehari_root_tolerance
 
-    w = sphere_inverse(_initial_field(spec, config), spec.a, spec.potential_table)
+    w0 = sphere_inverse(_initial_field(spec, config), spec.a, spec.potential_table)
+    w = w0.values  # the iterate on the unit sphere
     history = []
     message = "ok"
     failed = False
     iterations = newton_iterations = 0
     point = None  # the evaluation at the current iterate
     try:
-        start = evaluate(spec, kernel, w)
+        start = evaluate(spec, kernel, w0)
         s = nehari_scale(start, spec.b, root_tol)
         current = start.ray_energy(s)
         point = start.at_scale(s)
         g = point.gradient()
-        gnorm = float(np.sqrt(np.sum(g.values ** 2)))
+        gnorm = float(np.sqrt(np.sum(g ** 2)))
         prev_w = prev_gp = None
         step = None
 
@@ -477,20 +481,20 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                 break
 
             weight = spec.a + spec.b * point.grad2
-            gp = _h_representer(spec, g, _DESCENT_RTOL, weight=weight).values
+            gp = _h_representer(spec, g, _DESCENT_RTOL, weight=weight)
             direction = -gp
             if prev_w is not None:
-                dw = w.values - prev_w
+                dw = w - prev_w
                 dg = gp - prev_gp
                 denom = float(np.sum(dw * dg))
                 step = float(np.sum(dw * dw)) / denom if denom > 0.0 else None
-            prev_w, prev_gp = w.values.copy(), gp.copy()
+            prev_w, prev_gp = w, gp  # never written in place, so no copies
             if step is None or not math.isfinite(step) or step <= 0.0:
-                step = 0.1 * math.sqrt(np.sum(w.values ** 2) / np.sum(direction ** 2))
+                step = 0.1 * math.sqrt(np.sum(w ** 2) / np.sum(direction ** 2))
 
-            slope = float(np.sum(g.values * direction))
+            slope = float(np.sum(g * direction))
             for _ in range(config.max_backtracks):
-                trial = evaluate(spec, kernel, Field(box, w.values + step * direction))
+                trial = evaluate(spec, kernel, Field(box, w + step * direction))
                 s_trial = nehari_scale(trial, spec.b, root_tol)
                 e_trial = trial.ray_energy(s_trial)
                 if e_trial <= current + config.sufficient_decrease * step * s * slope:
@@ -500,12 +504,12 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                 message = "descent line search stalled; switching to Newton polish"
                 break
             norm_trial = math.sqrt(trial.norm_h2)
-            w = Field(box, trial.u.values / norm_trial)
+            w = trial.u.values / norm_trial
             s = s_trial * norm_trial
             current = e_trial
             point = trial.at_scale(s_trial)
             g = point.gradient()
-            gnorm = float(np.sqrt(np.sum(g.values ** 2)))
+            gnorm = float(np.sqrt(np.sum(g ** 2)))
         else:
             message = "descent iteration budget exhausted"
 
@@ -513,14 +517,14 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         for _ in range(config.newton_max_iterations):
             if gnorm <= tol:
                 break
-            delta, _ = _minres(partial(_hessian_apply, kernel, point), -g.values.ravel(),
-                               _NEWTON_RTOL, _NEWTON_MAXITER)
-            delta = delta.reshape(g.values.shape)
+            delta, _ = _minres(_hessian(kernel, point), -g.ravel(), _NEWTON_RTOL,
+                               _NEWTON_MAXITER)
+            delta = delta.reshape(g.shape)
             length = 1.0
             for _ in range(30):
                 trial = evaluate(spec, kernel, Field(box, point.u.values + length * delta))
                 trial_g = trial.gradient()
-                trial_norm = float(np.sqrt(np.sum(trial_g.values ** 2)))
+                trial_norm = float(np.sqrt(np.sum(trial_g ** 2)))
                 if trial_norm < gnorm:
                     break
                 length *= 0.5
@@ -537,12 +541,12 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
 
     if point is None:  # the start itself could not be evaluated or scaled
         nan = math.nan
-        return SolveReport(w, nan, nan, nan, nan, nan, 0, 0, False, message, *np.empty((3, 0)))
+        return SolveReport(w0, nan, nan, nan, nan, nan, 0, 0, False, message, *np.empty((3, 0)))
     defect = abs(point.norm_h2 + spec.b * point.grad2 ** 2 - point.drive) / point.norm_h2
     h_residual = eta = math.nan
     try:
         rep = _h_representer(spec, g)
-        h_residual = float(math.sqrt(max(np.sum(rep.values * g.values), 0.0)))
+        h_residual = float(math.sqrt(max(np.sum(rep * g), 0.0)))
         eta = _eta_estimate(spec, kernel, point)
     except RuntimeError as exc:
         message = f"{message}; {exc}"

@@ -5,6 +5,7 @@ import pytest
 
 import kclattice as kc
 from kclattice import kernel as kernel_module
+from kclattice import lattice as lattice_module
 
 # one line per acceptance criterion, echoed after the run so the gate is
 # visible even though pytest captures test stdout
@@ -71,4 +72,18 @@ def convolution_count(monkeypatch):
         return apply(plan, values)
 
     monkeypatch.setattr(kernel_module._ConvolutionPlan, "apply", counted)
+    return count
+
+
+@pytest.fixture()
+def field_count(monkeypatch):
+    """A one-element list counting validated Field constructions from now on."""
+    count = [0]
+    check = lattice_module.Field.__post_init__
+
+    def counted(field):
+        count[0] += 1
+        check(field)
+
+    monkeypatch.setattr(lattice_module.Field, "__post_init__", counted)
     return count

@@ -192,6 +192,21 @@ def test_sweep_config_errors_exit_one_at_their_line(tmp_path, cache_dir, capsys,
     assert f"run.cfg:{line}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    pytest.param("sweep", "[sweep]\nvalues = 1 2\n",
+                 "run.cfg:1: [sweep] parameter: must be set", id="sweep-without-parameter"),
+    pytest.param("solve", "[kernel]\ntable_radius = 4\n",
+                 "run.cfg:2: [kernel] table_radius: 4 cannot cover", id="solve-table-radius"),
+    pytest.param("verify", "[kernel]\ntable_radius = 4\n",
+                 "run.cfg:2: [kernel] table_radius: 4 cannot cover", id="verify-table-radius"),
+])
+def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, text, message):
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, text), "--output", str(out), command]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_periodic_verify_covers_the_hls_boxes(tmp_path, cache_dir, capsys):
     # check_hls convolves on Dirichlet boxes up to radius 8 whatever the mode,
     # so a periodic run's kernel table must reach 16

@@ -278,7 +278,7 @@ def test_envelope_identity_gives_the_reduced_derivative(spec5, kernel10, rng):
     z = Field(w.box, z.values / spec5.h_norm(z))
     point = kc.evaluate(spec5, kernel10, w)
     s = kc.nehari_scale(point, spec5.b)
-    derivative = s * float(np.sum(point.at_scale(s).gradient().values * z.values))
+    derivative = s * float(np.sum(point.at_scale(s).gradient() * z.values))
 
     def reduced(v):
         ray = kc.evaluate(spec5, kernel10, v)
@@ -290,7 +290,7 @@ def test_envelope_identity_gives_the_reduced_derivative(spec5, kernel10, rng):
     fd = (reduced(up) - reduced(dn)) / (2.0 * h)
     assert derivative == pytest.approx(fd, rel=1e-5)
     # Psi is constant along rays, so the radial derivative vanishes
-    radial = s * float(np.sum(point.at_scale(s).gradient().values * w.values))
+    radial = s * float(np.sum(point.at_scale(s).gradient() * w.values))
     assert abs(radial) <= 1e-10 * abs(derivative)
 
 
@@ -502,6 +502,22 @@ def test_reference_solve_convolution_budget(reference_spec, kernel_m16, convolut
     assert convolution_count[0] <= 90
 
 
+def test_reference_solve_validates_fields_only_at_the_core_boundary(
+        reference_spec, kernel_m16, convolution_count, field_count):
+    # two per convolution (convolve's argument and its result) and one per
+    # evaluation or rescale; the iterates, gradients and steps stay arrays
+    rep = kc.solve_ground_state(reference_spec, kernel_m16)
+    assert convolution_count[0] == 83
+    assert field_count[0] <= 220
+    # building the Newton operator wraps nothing; an action wraps only around convolve
+    point = kc.evaluate(reference_spec, kernel_m16, rep.solution)
+    field_count[0] = convolution_count[0] = 0
+    hessian = nehari_module._hessian(kernel_m16, point)
+    assert field_count[0] == 0
+    hessian(np.ones(reference_spec.box.site_count))
+    assert (convolution_count[0], field_count[0]) == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # the descent direction: the gradient's representer in the Kirchhoff-weighted
 # energy norm c (grad d, grad z) + sum V d z, with c = a + bA
@@ -533,7 +549,7 @@ def test_weighted_representer_solves_the_weighted_problem(spec5, rng, weight):
     # no weight keeps the energy-norm representer: c = a
     for spec in _descent_boxes(spec5):
         g = random_field(spec.box, rng)
-        r = nehari_module._h_representer(spec, g, 1e-12, weight=weight)
+        r = Field(spec.box, nehari_module._h_representer(spec, g.values, 1e-12, weight=weight))
         c = spec.a if weight is None else weight
         for _ in range(4):
             z = random_field(spec.box, rng)
@@ -553,7 +569,7 @@ def test_rough_descent_direction_is_a_descent_direction(spec5, kernel10, rng):
             g = point.gradient()
             weight = spec.a + spec.b * point.grad2
             d = nehari_module._h_representer(spec, g, nehari_module._DESCENT_RTOL, weight=weight)
-            assert float(np.sum(g.values * d.values)) > 0.0
+            assert float(np.sum(g * d)) > 0.0
 
 
 def test_descent_cg_budget_exhaustion_is_reported(spec5, kernel10, monkeypatch):
@@ -568,6 +584,35 @@ def test_descent_cg_budget_exhaustion_is_reported(spec5, kernel10, monkeypatch):
     assert not rep.converged
     assert rep.message.startswith("energy-norm representer solve did not converge")
     assert rep.iterations == 0 and np.isfinite(rep.energy)
+
+
+# ---------------------------------------------------------------------------
+# the Newton operator: the second-derivative action x -> J''(u)[x] on flat arrays
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0])
+@pytest.mark.parametrize("mode", [kc.DIRICHLET, kc.PERIODIC])
+def test_newton_operator_is_the_symmetric_derivative_of_the_gradient(kernel_m8, mode, b):
+    # b = 1 brings in the rank-one Kirchhoff term 2b Gamma(u, v) lap u
+    if mode == kc.DIRICHLET:
+        box, potential = LatticeBox(4), PotentialSpec.coercive(1.0, 1.0, 2.0)
+    else:
+        box, potential = LatticeBox(3, kc.PERIODIC), _periodic_tau3_potential()
+    spec = ProblemSpec(box, potential, PowerNonlinearity(1.0, 3.0), alpha=1.0, b=b)
+    rng = np.random.default_rng(31)
+    shape = (spec.box.side,) * 3
+    # a positive point keeps f'' = 2 sign(u) continuous along the difference stencil
+    u = Field(spec.box, 0.2 + 0.5 * rng.random(shape))
+    hessian = nehari_module._hessian(kernel_m8, kc.evaluate(spec, kernel_m8, u))
+    x, y = rng.standard_normal((2, spec.box.site_count))
+    xhy, yhx = float(np.dot(x, hessian(y))), float(np.dot(y, hessian(x)))
+    assert abs(xhy - yhx) <= 1e-12 * abs(xhy)
+    h = 1.0e-5
+    v = x.reshape(shape)
+    up = kc.energy_gradient(spec, kernel_m8, Field(spec.box, u.values + h * v)).values
+    dn = kc.energy_gradient(spec, kernel_m8, Field(spec.box, u.values - h * v)).values
+    hx = hessian(x)
+    assert np.linalg.norm((up - dn).ravel() / (2.0 * h) - hx) <= 1e-6 * np.linalg.norm(hx)
 
 
 def _level_spec(radius=6, b=1.0, alpha=1.0, p=3.0, mode=kc.DIRICHLET, potential=None):

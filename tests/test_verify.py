@@ -105,6 +105,13 @@ def test_hls_stability(kernel_m16):
         assert rep.details[f"sup_radius_{r}"] > 0.0
 
 
+def test_hls_convolves_each_trial_once(kernel_m16, convolution_count):
+    # one delta anchor and 200 trials per radius; the homogeneity probe reuses R * v
+    rep = kc.check_hls(kernel_m16)
+    assert convolution_count[0] == 3 * (1 + 200)
+    assert rep.passed and rep.measured == 0.029808101682814565
+
+
 def test_hls_determinism(kernel_m16):
     a = kc.check_hls(kernel_m16, trials=30, seed=9)
     b = kc.check_hls(kernel_m16, trials=30, seed=9)
