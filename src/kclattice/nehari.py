@@ -24,9 +24,9 @@ on the sphere along the gradient's representer in the Kirchhoff-weighted
 energy norm (a Sobolev gradient in Neuberger's sense): the direction d
 solves (-(a + bA) lap + V) d = g, the linear part of the gradient with A
 frozen at the current point, by a few conjugate-gradient steps.  Once the
-residual is small, a few Newton steps polish the Euler-Lagrange residual
-down to roundoff, where energy differences no longer resolve but the
-residual still does.
+residual is small, Newton steps polish the Euler-Lagrange residual down to
+roundoff, where energy differences no longer resolve but the residual
+still does; their minres solves are preconditioned by that same operator.
 
 The solver core runs on box-shaped arrays; a ``Field`` is validated only
 where data enters it (the start field, ``evaluate``, ``convolve``) or
@@ -59,6 +59,8 @@ _DESCENT_RTOL = 0.1
 # relative residual and iteration budget of each Newton step's minres solve
 _NEWTON_RTOL = 1.0e-4
 _NEWTON_MAXITER = 400
+# relative residual of the inner CG solve that applies minres's preconditioner
+_PRECONDITIONER_RTOL = 1.0e-6
 
 
 def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12) -> float:
@@ -178,17 +180,21 @@ def _cg(matvec, b: np.ndarray, diag: np.ndarray, rtol: float, maxiter: int):
     return x, maxiter
 
 
-def _minres(matvec, b: np.ndarray, rtol: float, maxiter: int):
-    """MINRES from x = 0 on flat arrays, for a symmetric, possibly indefinite operator.
+def _minres(matvec, b: np.ndarray, psolve, rtol: float, maxiter: int):
+    """Preconditioned MINRES from x = 0 on flat arrays, for symmetric indefinite operators.
 
-    A port of scipy.sparse.linalg.minres without preconditioner or shift:
-    the same Lanczos recurrences and stopping tests (istop), and info =
-    maxiter when the budget runs out.
+    A port of scipy.sparse.linalg.minres with M = psolve and no shift: the
+    same Lanczos recurrences in the M^-1 inner product, the same stopping
+    tests (istop), and info = maxiter when the budget runs out.  psolve
+    must be symmetric positive definite; r.M^-1 r < 0 raises RuntimeError
+    (scipy raises ValueError).
     """
     eps = np.finfo(float).eps
     r1 = b.copy()
-    y = r1
+    y = psolve(r1)
     beta1 = np.dot(r1, y)
+    if beta1 < 0:
+        raise RuntimeError(f"minres preconditioner is indefinite (r.M^-1 r = {beta1:.3e})")
     if beta1 == 0:
         return np.zeros_like(b), 0
     beta1 = math.sqrt(beta1)
@@ -212,8 +218,12 @@ def _minres(matvec, b: np.ndarray, rtol: float, maxiter: int):
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
+        y = psolve(r2)
         oldb = beta
-        beta = math.sqrt(np.dot(r2, y))  # y is r2: no preconditioner
+        beta = np.dot(r2, y)
+        if beta < 0:
+            raise RuntimeError(f"minres preconditioner is indefinite (r.M^-1 r = {beta:.3e})")
+        beta = math.sqrt(beta)
         tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
         if itn == 1 and beta / beta1 <= 10 * eps:
             istop = -1  # b is an eigenvector; terminate below
@@ -272,14 +282,16 @@ def _h_representer(spec: ProblemSpec, g: np.ndarray, rtol: float = 1.0e-12,
     """Solve (-c lap + V) r = g, so that c (grad r, grad z) + sum V r z = sum g z.
 
     The weight c defaults to a, which makes r the representer of g in the
-    energy inner product (r, z)_H; the descent passes c = a + bA.
+    energy inner product (r, z)_H; the descent and the Newton preconditioner
+    pass c = a + bA.  g is box-shaped or flat, and r takes its shape.
     """
     box = spec.box
+    table_shape = spec.potential_table.shape
     table = spec.potential_table.ravel()
     c = spec.a if weight is None else weight
 
     def matvec(x):
-        return -c * _laplacian_values(x.reshape(g.shape), box.mode).ravel() + table * x
+        return -c * _laplacian_values(x.reshape(table_shape), box.mode).ravel() + table * x
 
     sol, info = _cg(matvec, g.ravel(), 6.0 * c + table, rtol, 40 * box.side)
     if info != 0:
@@ -392,9 +404,10 @@ def _hessian(kernel: GreenKernel, point: Evaluation):
     Differentiating g(u) = -(a + bA)lap u + V u - (R*F(u)) f(u) gives a
     Kirchhoff rank-one term 2b Gamma(u,v) lap u alongside the local and
     convolution linearizations; the operator is symmetric but in general
-    indefinite away from the constraint set, hence minres downstream.
-    f(u), lap u and (R*F(u)) f'(u) depend on u alone, so they are computed
-    once per Newton step, here; each action then makes one convolution.
+    indefinite away from the constraint set, hence minres downstream, whose
+    preconditioner inverts the principal part -(a + bA) lap + V.  f(u),
+    lap u and (R*F(u)) f'(u) depend on u alone, so they are computed once
+    per Newton step, here; each action then makes one convolution.
     """
     spec, box, u = point.spec, point.u.box, point.u.values
     fu = spec.nonlinearity.f(u)
@@ -439,18 +452,18 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     zero to relative residual _DESCENT_RTOL.  CG from zero on this SPD
     system gives g.d > 0 at any tolerance, so -d always descends.  The
     step length starts from a Barzilai-Borwein estimate and backtracks
-    until the projected energy actually decreases (Armijo).  Phase two: once the residual is
-    small the energy landscape is flat to roundoff, so the loop switches
-    to Newton steps on the Euler-Lagrange residual itself, with minres on
-    the exact second-derivative action and a merit rule that accepts only
-    residual decrease.
+    until the projected energy actually decreases (Armijo).  Phase two:
+    once the residual is small the energy is flat to roundoff, so Newton
+    steps polish the Euler-Lagrange residual itself, by minres on the exact
+    second-derivative action preconditioned with P^-1, P = -(a + bA) lap + V
+    (CG to _PRECONDITIONER_RTOL), and a merit rule of residual decrease.
 
     Failures are reported in the returned SolveReport (converged flag and
     message), not raised: a stalled line search or exhausted iteration
     budget still produces a usable field and diagnostics.  A RuntimeError
-    from the ray root, the D = pB check or an exhausted CG budget for the
-    descent direction ends the iteration with its message and
-    converged=False, reporting the last evaluated point.
+    from the ray root, the D = pB check, an exhausted CG budget or an
+    indefinite minres preconditioner ends the iteration with its message
+    and converged=False, reporting the last evaluated point.
     """
     if config is None:
         config = SolveConfig()
@@ -517,8 +530,10 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         for _ in range(config.newton_max_iterations):
             if gnorm <= tol:
                 break
-            delta, _ = _minres(_hessian(kernel, point), -g.ravel(), _NEWTON_RTOL,
-                               _NEWTON_MAXITER)
+            weight = spec.a + spec.b * point.grad2
+            delta, _ = _minres(_hessian(kernel, point), -g.ravel(),
+                               lambda r: _h_representer(spec, r, _PRECONDITIONER_RTOL, weight),
+                               _NEWTON_RTOL, _NEWTON_MAXITER)
             delta = delta.reshape(g.shape)
             length = 1.0
             for _ in range(30):
