@@ -33,7 +33,7 @@ from .lattice import (
     save_field_text,
 )
 from .nehari import solve_ground_state
-from .verify import run_suite, suite_csv, suite_passed, suite_summary
+from .verify import require_origin_center, run_suite, suite_csv, suite_passed, suite_summary
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -289,6 +289,10 @@ def _check_command(command: str, config: RunConfig) -> None:
         config.solve_table_radius()
     elif command == "verify":
         config.verify_table_radius()
+        try:
+            require_origin_center(config.potential_spec())
+        except ValueError as exc:
+            raise config.sections["potential"].error("center", str(exc)) from None
     elif command == "sweep" and config.sweep_parameter is None:
         raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
 

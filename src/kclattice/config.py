@@ -156,16 +156,10 @@ class RunConfig:
     seed: int = _key("solver", "seed", "42", _INT)
     max_iterations: int = _key("solver", "max_iterations", "2000", _INT)
     gradient_tolerance: float = _key("solver", "gradient_tolerance", "1e-9", _FLOAT)
-    nehari_root_tolerance: float = _key("solver", "nehari_root_tolerance", "1e-12", _FLOAT)
-    sufficient_decrease: float = _key("solver", "sufficient_decrease", "1e-4", _FLOAT)
-    backtrack_factor: float = _key("solver", "backtrack_factor", "0.5", _FLOAT)
-    max_backtracks: int = _key("solver", "max_backtracks", "60", _INT)
-    switch_residual: float = _key("solver", "switch_residual", "1e-3", _FLOAT)
     newton_max_iterations: int = _key("solver", "newton_max_iterations", "30", _INT)
     initial_guess: str = _key("solver", "initial_guess", GAUSSIAN_BUMP, _TEXT,
                               (GAUSSIAN_BUMP, RANDOM_START, FILE_START))
     initial_file: str = _key("solver", "initial_file", "", _TEXT)
-    bump_width: float = _key("solver", "bump_width", "", _FLOAT)
     table_radius: int = _key("kernel", "table_radius", "", _INT)
     method: str = _key("kernel", "method", HEAT_KERNEL, _TEXT, (HEAT_KERNEL, TORUS_QUADRATURE))
     kernel_tolerance: float = _key("kernel", "tolerance", "", _FLOAT)
@@ -208,11 +202,9 @@ class RunConfig:
         self._anchored(self.problem_spec, "problem", "potential", "nonlinearity")
         if self.initial_guess == FILE_START and self.initial_file is None:
             raise secs["solver"].error("initial_file", "required when initial_guess = file")
-        # file starts are validated with a stand-in guess; the field
-        # itself is loaded later by whoever runs the solve
-        self._anchored(lambda: self._solver_knobs(
-            GAUSSIAN_BUMP if self.initial_guess == FILE_START else self.initial_guess, None),
-            "solver")
+        # a stand-in guess: the parser checked the guess, and a file start's
+        # field is loaded later by whoever runs the solve
+        self._anchored(lambda: replace(self, initial_guess=GAUSSIAN_BUMP).solve_config(), "solver")
         ver = secs["verify"]
         for key in ("trials", "mp_trials", "fiber_fields", "level_samples"):
             if getattr(self, f"verify_{key}") < 1:
@@ -261,19 +253,14 @@ class RunConfig:
         return ProblemSpec(self.box(), self.potential_spec(), self.nonlinearity(),
                            self.alpha, self.a, self.b)
 
-    def solve_config(self, initial_field=None, seed=None) -> SolveConfig:
+    def solve_config(self, initial_field=None) -> SolveConfig:
         guess = self.initial_guess
         if initial_field is not None:
             guess = FILE_START
         elif guess == FILE_START:
             raise ValueError("initial_guess = file needs the field loaded and passed in")
-        return self._solver_knobs(guess, initial_field, seed)
-
-    def _solver_knobs(self, guess, initial_field, seed=None) -> SolveConfig:
         knobs = {name: getattr(self, name) for name in _SOLVER_KNOBS}
         knobs.update(initial_guess=guess, initial_field=initial_field)
-        if seed is not None:
-            knobs["seed"] = seed
         return SolveConfig(**knobs)
 
     def sweep_point(self, value: float) -> "RunConfig":

@@ -140,7 +140,10 @@ def _heat_green_grid(alpha, triples, k_alpha, step, tail_tol):
 
     prefactor = k_alpha / float(np.exp(gammaln(alpha / 2.0)))
     # tail:  int_T^inf t^(a/2-1) (4t)^(-3/2) dt = T^((a-3)/2) / (4 (3-a)) * 2... bound
-    upper = ((tail_tol / 10.0) * 4.0 * (3.0 - alpha) / prefactor) ** (2.0 / (alpha - 3.0))
+    try:  # as alpha -> 3 the tail decays so slowly that the cutoff leaves the double range
+        upper = ((tail_tol / 10.0) * 4.0 * (3.0 - alpha) / prefactor) ** (2.0 / (alpha - 3.0))
+    except OverflowError:
+        raise QuadratureError(f"heat-kernel tail cutoff overflows (alpha={alpha})") from None
     upper = max(upper, 50.0)
     # head:  int_0^eps t^(a/2-1) dt = eps^(a/2) 2/alpha
     lower = ((tail_tol / 10.0) / prefactor * alpha / 2.0) ** (2.0 / alpha)

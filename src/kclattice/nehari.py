@@ -23,10 +23,11 @@ scalar multiple of the full gradient.  ``solve_ground_state`` descends
 on the sphere along the gradient's representer in the Kirchhoff-weighted
 energy norm (a Sobolev gradient in Neuberger's sense): the direction d
 solves (-(a + bA) lap + V) d = g, the linear part of the gradient with A
-frozen at the current point, by a few conjugate-gradient steps.  Once the
-residual is small, Newton steps polish the Euler-Lagrange residual down to
-roundoff, where energy differences no longer resolve but the residual
-still does; their minres solves are preconditioned by that same operator.
+frozen at the current point, by a few conjugate-gradient steps.  Below a
+residual of _SWITCH_RESIDUAL, Newton steps polish the Euler-Lagrange
+residual to roundoff, where energy differences no longer resolve but the
+residual still does; their minres solves are preconditioned by that same
+operator.  Such numerics (_ARMIJO, _BACKTRACK, ...) are module constants.
 
 The solver core runs on box-shaped arrays; a ``Field`` is validated only
 where data enters it (the start field, ``evaluate``, ``convolve``) or
@@ -61,22 +62,32 @@ _NEWTON_RTOL = 1.0e-4
 _NEWTON_MAXITER = 400
 # relative residual of the inner CG solve that applies minres's preconditioner
 _PRECONDITIONER_RTOL = 1.0e-6
+# bound on the ray root's residual |q(s)|, relative to the largest term of q
+_ROOT_TOLERANCE = 1.0e-12
+# Armijo constant, backtrack factor and backtrack budget of the descent
+_ARMIJO = 1.0e-4
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 60
+# the residual at which the descent hands over to the Newton polish
+_SWITCH_RESIDUAL = 1.0e-3
 
 
-def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12) -> float:
+def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
     """The unique s > 0 placing s*u on the Nehari set.
 
     Roots q(s) = norm_h2 + b A^2 s^2 - D s^(2p-2).  q(0) > 0 and q has one
     sign change, so Newton's method safeguarded by a verified bracket
-    pins the root to relative accuracy near machine precision.  The
-    returned s satisfies |q(s)| <= tolerance times the largest term of q.
+    pins the root to relative accuracy near machine precision, to |q(s)|
+    <= _ROOT_TOLERANCE times q's largest term.  A zero field is a
+    ValueError; a drive that underflowed to zero on a nonzero field is a
+    RuntimeError.
     """
     nh, aa, dd = coeffs.norm_h2, coeffs.grad2, coeffs.drive
     p = coeffs.exponent
-    if dd <= 0.0:
-        raise ValueError(f"ray drive must be positive, got {dd}")
     if nh <= 0.0:
         raise ValueError(f"squared norm must be positive, got {nh}")
+    if dd <= 0.0:
+        raise RuntimeError(f"ray drive of a nonzero field must be positive, got {dd}")
     baa = b * aa * aa
     ex = 2.0 * p - 2.0
 
@@ -133,10 +144,9 @@ def nehari_scale(coeffs: FiberCoefficients, b: float, tolerance: float = 1.0e-12
     # when the Kirchhoff term dominates (tiny drive), |q| at the root is a
     # cancellation of huge terms and can never reach tolerance*nh
     scale = max(nh, baa * s * s, dd * s ** ex)
-    if abs(q(s)) > tolerance * scale:
-        raise RuntimeError(
-            f"fiber root residual {abs(q(s)) / scale:.3e} exceeds tolerance {tolerance:.3e}"
-        )
+    if abs(q(s)) > _ROOT_TOLERANCE * scale:
+        raise RuntimeError(f"fiber root residual {abs(q(s)) / scale:.3e} exceeds "
+                           f"tolerance {_ROOT_TOLERANCE:.3e}")
     return s
 
 
@@ -301,35 +311,23 @@ def _h_representer(spec: ProblemSpec, g: np.ndarray, rtol: float = 1.0e-12,
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Knobs for the two-phase ground-state solver."""
+    """The solve's accuracy contract, work budgets and start field."""
 
     max_iterations: int = 2000
     gradient_tolerance: float = 1.0e-9
-    nehari_root_tolerance: float = 1.0e-12
-    sufficient_decrease: float = 1.0e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
-    switch_residual: float = 1.0e-3
     newton_max_iterations: int = 30
     seed: int = 0
     initial_guess: str = GAUSSIAN_BUMP
     initial_field: Field = None
-    bump_width: float = None
 
     def __post_init__(self):
-        for name in ("max_iterations", "max_backtracks", "newton_max_iterations"):
+        for name in ("max_iterations", "newton_max_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for name in ("gradient_tolerance", "nehari_root_tolerance", "sufficient_decrease",
-                     "switch_residual"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise ValueError(f"{name} must be positive")
-        if self.bump_width is not None and not self.bump_width > 0.0:
-            raise ValueError(f"bump_width must be positive, got {self.bump_width}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
+        if not self.gradient_tolerance > 0.0:  # NaN fails too
+            raise ValueError("gradient_tolerance must be positive")
         if self.initial_guess not in (GAUSSIAN_BUMP, RANDOM_START, FILE_START):
             raise ValueError(f"unknown initial guess kind {self.initial_guess!r}")
         if self.initial_guess == FILE_START and self.initial_field is None:
@@ -388,10 +386,10 @@ def random_start_field(box, rng, center=(0, 0, 0), width: float = None) -> Field
 def _initial_field(spec: ProblemSpec, config: SolveConfig) -> Field:
     center = spec.potential.minimum_site(spec.box)
     if config.initial_guess == GAUSSIAN_BUMP:
-        return gaussian_bump_field(spec.box, center, config.bump_width)
+        return gaussian_bump_field(spec.box, center)
     if config.initial_guess == RANDOM_START:
         rng = np.random.default_rng(config.seed)
-        return random_start_field(spec.box, rng, center, config.bump_width)
+        return random_start_field(spec.box, rng, center)
     f = config.initial_field
     if f.box != spec.box:
         raise ValueError("initial field lives on a different box than the problem")
@@ -451,12 +449,13 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     point s_w w (A its squared gradient) by conjugate gradients from
     zero to relative residual _DESCENT_RTOL.  CG from zero on this SPD
     system gives g.d > 0 at any tolerance, so -d always descends.  The
-    step length starts from a Barzilai-Borwein estimate and backtracks
-    until the projected energy actually decreases (Armijo).  Phase two:
-    once the residual is small the energy is flat to roundoff, so Newton
-    steps polish the Euler-Lagrange residual itself, by minres on the exact
-    second-derivative action preconditioned with P^-1, P = -(a + bA) lap + V
-    (CG to _PRECONDITIONER_RTOL), and a merit rule of residual decrease.
+    step length starts from a Barzilai-Borwein estimate and backtracks by
+    _BACKTRACK, at most _MAX_BACKTRACKS times, to Armijo decrease (_ARMIJO).
+    Phase two: below a residual of _SWITCH_RESIDUAL the energy is flat to
+    roundoff, so Newton steps polish the Euler-Lagrange residual itself, by
+    minres on the exact second-derivative action preconditioned with P^-1,
+    P = -(a + bA) lap + V (CG to _PRECONDITIONER_RTOL), and a merit rule of
+    residual decrease.
 
     Failures are reported in the returned SolveReport (converged flag and
     message), not raised: a stalled line search or exhausted iteration
@@ -469,7 +468,6 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         config = SolveConfig()
     box = spec.box
     tol = config.gradient_tolerance
-    root_tol = config.nehari_root_tolerance
 
     w0 = sphere_inverse(_initial_field(spec, config), spec.a, spec.potential_table)
     w = w0.values  # the iterate on the unit sphere
@@ -480,7 +478,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     point = None  # the evaluation at the current iterate
     try:
         start = evaluate(spec, kernel, w0)
-        s = nehari_scale(start, spec.b, root_tol)
+        s = nehari_scale(start, spec.b)
         current = start.ray_energy(s)
         point = start.at_scale(s)
         g = point.gradient()
@@ -490,7 +488,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
 
         for iterations in range(config.max_iterations):
             history.append((current, gnorm, s))
-            if gnorm <= max(tol, config.switch_residual):
+            if gnorm <= max(tol, _SWITCH_RESIDUAL):
                 break
 
             weight = spec.a + spec.b * point.grad2
@@ -506,13 +504,13 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                 step = 0.1 * math.sqrt(np.sum(w ** 2) / np.sum(direction ** 2))
 
             slope = float(np.sum(g * direction))
-            for _ in range(config.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 trial = evaluate(spec, kernel, Field(box, w + step * direction))
-                s_trial = nehari_scale(trial, spec.b, root_tol)
+                s_trial = nehari_scale(trial, spec.b)
                 e_trial = trial.ray_energy(s_trial)
-                if e_trial <= current + config.sufficient_decrease * step * s * slope:
+                if e_trial <= current + _ARMIJO * step * s * slope:
                     break
-                step *= config.backtrack_factor
+                step *= _BACKTRACK
             else:
                 message = "descent line search stalled; switching to Newton polish"
                 break
@@ -548,7 +546,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                 break
             point, g, gnorm = trial, trial_g, trial_norm
             newton_iterations += 1
-            history.append((point.ray_energy(), gnorm, nehari_scale(point, spec.b, root_tol)))
+            history.append((point.ray_energy(), gnorm, nehari_scale(point, spec.b)))
         else:
             message = "Newton iteration budget exhausted"
     except RuntimeError as exc:

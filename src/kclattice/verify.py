@@ -431,6 +431,13 @@ def _octahedral_symmetrize(values: np.ndarray) -> np.ndarray:
     return acc / 48.0
 
 
+def require_origin_center(potential) -> None:
+    """The octahedral diagnostic averages about the origin; an off-center coercive V fails it."""
+    if potential.kind == COERCIVE and tuple(potential.center) != (0, 0, 0):
+        raise ValueError("the octahedral symmetry check needs the coercive potential "
+                         f"centered at the origin, got {tuple(potential.center)}")
+
+
 def check_symmetry_and_translation(spec: ProblemSpec, kernel: GreenKernel,
                                    solve_report: SolveReport) -> PropertyReport:
     """Invariance diagnostics matched to the potential's symmetry.
@@ -465,8 +472,7 @@ def check_symmetry_and_translation(spec: ProblemSpec, kernel: GreenKernel,
             passed = False
             witness = f"translation by one period moved the energy by {worst:.3e}"
     else:
-        if tuple(spec.potential.center) != (0, 0, 0) and spec.potential.kind == COERCIVE:
-            raise ValueError("octahedral diagnostic needs the potential centered at the origin")
+        require_origin_center(spec.potential)
         sym = _octahedral_symmetrize(u.values)
         num = float(np.sqrt(np.sum((u.values - sym) ** 2)))
         den = float(np.sqrt(np.sum(u.values ** 2)))

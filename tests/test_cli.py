@@ -140,6 +140,18 @@ def test_solve_ray_root_failure_exits_three_with_artifacts(tmp_path, cache_dir, 
     assert "message         = injected ray-root failure" in report
 
 
+def test_solve_drive_underflow_exits_three_with_artifacts(tmp_path, cache_dir, capsys):
+    # c = 1e-300 makes the start's drive underflow to 0, so its ray has no root in doubles
+    cfg = write_config(tmp_path, base_config(cache_dir, "[nonlinearity]\ncoefficient = 1e-300\n"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "solve"]) == 3
+    assert "NOT CONVERGED: ray drive of a nonzero field" in capsys.readouterr().err
+    run = latest_run(out)
+    assert (run / "solution.field").exists()
+    assert (run / "history.csv").exists()
+    assert re.search(r"converged\s*=\s*False", (run / "report.txt").read_text())
+
+
 def test_verify_passes_on_resolved_problem(tmp_path, cache_dir, capsys):
     cfg = write_config(
         tmp_path,
@@ -199,6 +211,9 @@ def test_sweep_config_errors_exit_one_at_their_line(tmp_path, cache_dir, capsys,
                  "run.cfg:2: [kernel] table_radius: 4 cannot cover", id="solve-table-radius"),
     pytest.param("verify", "[kernel]\ntable_radius = 4\n",
                  "run.cfg:2: [kernel] table_radius: 4 cannot cover", id="verify-table-radius"),
+    pytest.param("verify", "[potential]\ncenter = 1 0 0\n",
+                 "run.cfg:2: [potential] center: the octahedral symmetry check needs",
+                 id="verify-off-center"),
 ])
 def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, text, message):
     out = tmp_path / "out"
@@ -259,6 +274,20 @@ def test_sweep_monotonicity_observation(tmp_path, cache_dir, capsys):
     assert energies == sorted(energies)
 
 
+def test_sweep_records_a_quadrature_failure_and_keeps_the_other_rows(tmp_path, cache_dir,
+                                                                    capsys):
+    # the heat-kernel route cannot reach alpha = 2.95; the alpha = 1 point still solves
+    cfg = write_config(
+        tmp_path, base_config(cache_dir, "[sweep]\nparameter = alpha\nvalues = 1.0 2.95\n"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "sweep"]) == 3
+    capsys.readouterr()
+    lines = (latest_run(out) / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("alpha,1,") and "nan" not in lines[1]
+    assert lines[2] == "alpha,2.9500000000000002,nan,nan,nan,0"
+    assert lines[3].startswith("# observation: point alpha=2.95 failed: heat-kernel tail cutoff")
+
+
 def test_seed_flag_lands_in_snapshot(tmp_path, cache_dir, capsys):
     cfg = write_config(tmp_path, base_config(cache_dir))
     out = tmp_path / "out"
@@ -294,8 +323,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
 # (command, extra config text, the offending line, the error it must name);
 # each is rejected before any kernel is built
 _BAD_INPUTS = {
+    # a key the solver no longer takes: the start bump's width is fixed
     "bump-width": ("solve", "[solver]\nbump_width = 0\n", "bump_width = 0",
-                   "[solver] bump_width must be positive"),
+                   "unknown key 'bump_width' in section [solver]"),
     "negative-seed": ("verify", "[solver]\nseed = -1\n", "seed = -1",
                       "[solver] seed must be nonnegative"),
     "verify-radius": ("verify", "[verify]\nradii = -1 3\n", "radii = -1 3",

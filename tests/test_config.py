@@ -207,7 +207,6 @@ def test_solve_config_accessor_and_seed_override():
     sc = cfg.solve_config()
     assert sc.seed == 7
     assert sc.max_iterations == 500
-    assert cfg.solve_config(seed=99).seed == 99
     assert cfg.with_seed(99).seed == 99
     assert cfg.with_seed(99).radius == cfg.radius
 

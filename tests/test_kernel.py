@@ -80,9 +80,14 @@ def test_torus_route_agrees_with_heat_kernel():
         assert np.max(np.abs(torus / heat - 1.0)) < 1e-6
 
 
-def test_torus_route_reports_unreachable_tolerance():
+@pytest.mark.parametrize("method, alpha, tolerance", [
+    pytest.param(kc.TORUS_QUADRATURE, 1.0, 1e-14, id="torus-tight-tolerance"),
+    # near alpha = 3 the heat-kernel tail cutoff overflows a double
+    pytest.param(kc.HEAT_KERNEL, 2.95, None, id="heat-kernel-alpha-2.95"),
+])
+def test_torus_route_reports_unreachable_tolerance(method, alpha, tolerance):
     with pytest.raises(kc.QuadratureError):
-        kc.green_values(1.0, [(0, 0, 0)], method=kc.TORUS_QUADRATURE, tolerance=1e-14)
+        kc.green_values(alpha, [(0, 0, 0)], method=method, tolerance=tolerance)
 
 
 def test_ive_safe_matches_scipy_below_and_above_switch():

@@ -24,18 +24,16 @@ PUBLIC = [
 ]
 
 SOLVE_CONFIG_FIELDS = (
-    "max_iterations", "gradient_tolerance", "nehari_root_tolerance", "sufficient_decrease",
-    "backtrack_factor", "max_backtracks", "switch_residual", "newton_max_iterations", "seed",
-    "initial_guess", "initial_field", "bump_width",
+    "max_iterations", "gradient_tolerance", "newton_max_iterations", "seed", "initial_guess",
+    "initial_field",
 )
 
 INI_KEYS = {
     "problem": ("a", "b", "alpha", "radius", "mode"),
     "potential": ("kind", "v0", "rate", "power", "center", "tau", "table"),
     "nonlinearity": ("coefficient", "exponent", "theta"),
-    "solver": ("seed", "max_iterations", "gradient_tolerance", "nehari_root_tolerance",
-               "sufficient_decrease", "backtrack_factor", "max_backtracks", "switch_residual",
-               "newton_max_iterations", "initial_guess", "initial_file", "bump_width"),
+    "solver": ("seed", "max_iterations", "gradient_tolerance", "newton_max_iterations",
+               "initial_guess", "initial_file"),
     "kernel": ("table_radius", "method", "tolerance", "cache_dir"),
     "output": ("directory", "solution_format"),
     "verify": ("trials", "mp_trials", "fiber_fields", "level_samples", "radii"),
