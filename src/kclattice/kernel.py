@@ -40,6 +40,7 @@ test suite:
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -89,15 +90,30 @@ def fractional_degree(alpha: float, resolution: int = 64) -> float:
     resolution^-(3+alpha) otherwise (the symbol power has an |k|^alpha cusp
     at the origin).  ``fractional_degree_refined`` removes the leading
     error term when more accuracy is needed.
+
+    m is even in each k_j, so the grid sum runs over the reflection octant
+    k in [0, N/2]^3 only, one k1 slab at a time: an index counts once when
+    k_j = 0 or 2 k_j = N (its own mirror image) and twice otherwise.  This
+    needs O(N^2) memory instead of the full N^3 grid.
     """
     alpha = _check_alpha(alpha)
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
-    mu = _symbol_grid(resolution)
-    mu[0, 0, 0] = 1.0  # value replaced below; m^p at the origin is 0 for p > 0
-    out = mu ** (alpha / 2.0)
-    out[0, 0, 0] = 0.0
-    return float(out.mean())
+    half = resolution // 2
+    c = np.cos(2.0 * np.pi * np.arange(half + 1) / resolution)
+    weight = np.full(half + 1, 2.0)
+    weight[0] = 1.0
+    if 2 * half == resolution:
+        weight[half] = 1.0
+    plane = np.outer(weight, weight)
+    slabs = np.empty(half + 1)
+    for i in range(half + 1):
+        power = (6.0 - 2.0 * (c[i] + c[:, None] + c[None, :])) ** (alpha / 2.0)
+        if i == 0:
+            power[0, 0] = 0.0  # m^p at the origin is 0 for p > 0
+        slabs[i] = np.sum(plane * power)
+    return float(np.sum(weight * slabs)) / resolution ** 3
+
 
 def fractional_degree_refined(alpha: float, resolution: int = 96) -> float:
     """Richardson pair (resolution, 2*resolution) with the known error order."""
@@ -140,14 +156,19 @@ def _heat_green_grid(alpha, triples, k_alpha, step, tail_tol):
 
     prefactor = k_alpha / float(np.exp(gammaln(alpha / 2.0)))
     # tail:  int_T^inf t^(a/2-1) (4t)^(-3/2) dt = T^((a-3)/2) / (4 (3-a)) * 2... bound
-    try:  # as alpha -> 3 the tail decays so slowly that the cutoff leaves the double range
-        upper = ((tail_tol / 10.0) * 4.0 * (3.0 - alpha) / prefactor) ** (2.0 / (alpha - 3.0))
-    except OverflowError:
-        raise QuadratureError(f"heat-kernel tail cutoff overflows (alpha={alpha})") from None
+    # as alpha -> 3 the tail decays so slowly that the cutoff leaves the double
+    # range; numpy's power gives inf for a float or a numpy scalar alike
+    with np.errstate(over="ignore"):
+        upper = float(np.float64((tail_tol / 10.0) * 4.0 * (3.0 - alpha) / prefactor)
+                      ** (2.0 / (alpha - 3.0)))
+    if not math.isfinite(upper):
+        raise QuadratureError(f"heat-kernel tail cutoff overflows (alpha={alpha})")
     upper = max(upper, 50.0)
     # head:  int_0^eps t^(a/2-1) dt = eps^(a/2) 2/alpha
     lower = ((tail_tol / 10.0) / prefactor * alpha / 2.0) ** (2.0 / alpha)
     lower = min(lower, 1.0e-4)
+    if not lower > 0.0:  # small alpha: the head cutoff underflows a double
+        raise QuadratureError(f"heat-kernel head cutoff underflows (alpha={alpha})")
     s = np.arange(np.log(lower), np.log(upper) + step, step)
     t = np.exp(s)
     zmax = int(triples.max()) if triples.size else 0
@@ -330,7 +351,7 @@ class GreenKernel:
 
 
 def cache_key(alpha: float, table_radius: int, method: str, resolution, tolerance=None) -> str:
-    text = (f"v2|alpha={float(alpha)!r}|radius={int(table_radius)}|method={method}"
+    text = (f"v3|alpha={float(alpha)!r}|radius={int(table_radius)}|method={method}"
             f"|res={resolution}|tol={tolerance if tolerance is None else float(tolerance)!r}")
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

@@ -355,12 +355,9 @@ def _segment_max_deviation(spec: ProblemSpec, kernel: GreenKernel,
                            ground: Field, c: float) -> float:
     """Relative gap between c and max J on the segment through the ground ray.
 
-    scipy's bounded scalar search is the referee here, independent of the
-    closed-form ray algebra the solver uses; it is imported only when the
-    check runs.
+    Brent's bounded scalar search (``_bounded_minimum``) is the referee
+    here, independent of the closed-form ray algebra the solver uses.
     """
-    from scipy.optimize import minimize_scalar
-
     direction = ground.values
     scale = 2.0
     for _ in range(61):
@@ -370,12 +367,84 @@ def _segment_max_deviation(spec: ProblemSpec, kernel: GreenKernel,
         scale *= 2.0
     else:
         return math.inf
-    result = minimize_scalar(
+    lowest = _bounded_minimum(
         lambda t: -energy(spec, kernel, Field(ground.box, t * scale * direction)),
-        bounds=(0.0, 1.0), method="bounded",
-        options={"xatol": 1.0e-12, "maxiter": 500},
+        0.0, 1.0, xatol=1.0e-12, maxfun=500,
     )
-    return abs(-result.fun - c) / abs(c)
+    return abs(-lowest - c) / abs(c)
+
+
+def _bounded_minimum(func, lo: float, hi: float, xatol: float, maxfun: int) -> float:
+    """Minimum value of a scalar function on [lo, hi] by Brent's bounded method.
+
+    A port of scipy.optimize.minimize_scalar(method="bounded"): golden
+    sections with parabolic steps (Brent 1973, ch. 5), the same stopping
+    test |x - mid| <= 2 tol - (b - a) / 2 with tol = sqrt(eps) |x| +
+    xatol / 3, and the same budget of ``maxfun`` evaluations.  It returns
+    that result's ``fun``; a NaN value is returned as is.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (max(abs(rat), tol1) if rat >= 0.0 else -max(abs(rat), tol1))
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return fx
 
 
 def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
@@ -497,8 +566,9 @@ def run_suite(spec: ProblemSpec, kernel: GreenKernel, seed: int = 42,
     The ground-state solve is shared between the checks that need one.
     Callers wanting exact periodic-translation invariance should pass a
     periodic-mode spec whose box side is a multiple of the potential
-    period.
+    period.  An off-center coercive potential is rejected before any work.
     """
+    require_origin_center(spec.potential)
     if solve_config is None:
         solve_config = SolveConfig(seed=seed)
     if solve_report is None:

@@ -424,17 +424,21 @@ def test_quadrature_failure_exit_two(tmp_path, capsys):
     assert "quadrature failure" in err
 
 
-def test_warm_solve_imports_no_scipy(tmp_path):
-    # scipy is only needed to build a table or to run the verify suite; a
-    # fresh process solving the reference problem on a cached table must
-    # not pay its import
-    cache = tmp_path / "cache"
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A kernel cache holding the alpha = 1, radius-16 table."""
+    cache = tmp_path_factory.mktemp("warm_cache")
     kc.build_kernel(1.0, 16, cache_dir=cache)
-    cfg = write_config(tmp_path, f"[kernel]\ncache_dir = {cache}\n")
+    return cache
+
+
+def _scipy_modules_after(tmp_path, config_text, command):
+    """Run ``command`` in a fresh interpreter; its exit code and the scipy modules it loaded."""
+    cfg = write_config(tmp_path, config_text)
     script = (
         "import json, sys\n"
         "from kclattice.cli import main\n"
-        f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, 'solve'])\n"
+        f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, {command!r}])\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
     src = str(Path(kc.__file__).resolve().parents[1])
@@ -443,6 +447,27 @@ def test_warm_solve_imports_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=600)
     assert result.returncode == 0, result.stderr
-    code, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_warm_solve_imports_no_scipy(tmp_path, warm_cache):
+    # scipy is only needed to build a table; a fresh process solving the
+    # reference problem on a cached table must not pay its import
+    code, scipy_modules = _scipy_modules_after(
+        tmp_path, f"[kernel]\ncache_dir = {warm_cache}\n", "solve")
+    assert code == 0
+    assert scipy_modules == []
+
+
+def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
+    # the whole property suite, the segment referee included, runs on numpy
+    config = (
+        "[problem]\nradius = 4\n\n"
+        "[potential]\nkind = coercive\nv0 = 1.0\nrate = 3.0\npower = 2.0\n\n"
+        f"[kernel]\ncache_dir = {warm_cache}\n\n"
+        "[verify]\ntrials = 4\nmp_trials = 4\nfiber_fields = 1\nlevel_samples = 2\n"
+        "radii = 6 8\n"
+    )
+    code, scipy_modules = _scipy_modules_after(tmp_path, config, "verify")
     assert code == 0
     assert scipy_modules == []

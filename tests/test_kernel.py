@@ -50,6 +50,22 @@ def test_fractional_degree_exact_points():
     assert abs(kc.fractional_degree_refined(1.0e-12) - 1.0) < 1e-11
 
 
+def _full_grid_degree(alpha, resolution):
+    """The trapezoid mean of m^(alpha/2) over the whole N^3 grid."""
+    c = np.cos(2.0 * np.pi * np.arange(resolution) / resolution)
+    mu = 6.0 - 2.0 * (c[:, None, None] + c[None, :, None] + c[None, None, :])
+    mu[0, 0, 0] = 0.0
+    return float(np.mean(mu ** (alpha / 2.0)))
+
+
+@pytest.mark.parametrize("resolution", [16, 17, 31, 64])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.5])
+def test_fractional_degree_reflection_sum_matches_the_full_grid(alpha, resolution):
+    value = kc.fractional_degree(alpha, resolution)
+    assert type(value) is float
+    assert value == pytest.approx(_full_grid_degree(alpha, resolution), rel=1e-14, abs=0.0)
+
+
 def test_fractional_degree_rejects_bad_alpha():
     for alpha in (0.0, -1.0, 3.0, 3.5):
         with pytest.raises(ValueError):
@@ -84,10 +100,19 @@ def test_torus_route_agrees_with_heat_kernel():
     pytest.param(kc.TORUS_QUADRATURE, 1.0, 1e-14, id="torus-tight-tolerance"),
     # near alpha = 3 the heat-kernel tail cutoff overflows a double
     pytest.param(kc.HEAT_KERNEL, 2.95, None, id="heat-kernel-alpha-2.95"),
+    # near alpha = 0 the head cutoff underflows a double
+    pytest.param(kc.HEAT_KERNEL, 0.05, None, id="heat-kernel-alpha-0.05"),
 ])
 def test_torus_route_reports_unreachable_tolerance(method, alpha, tolerance):
     with pytest.raises(kc.QuadratureError):
         kc.green_values(alpha, [(0, 0, 0)], method=method, tolerance=tolerance)
+
+
+def test_heat_kernel_cutoff_overflow_with_a_numpy_scalar_normalization():
+    # a numpy-scalar power overflows to inf instead of raising OverflowError
+    k_alpha = np.float64(kc.fractional_degree_refined(2.95))
+    with pytest.raises(kc.QuadratureError, match="tail cutoff overflows"):
+        kc.green_values(2.95, [(0, 0, 0)], k_alpha=k_alpha)
 
 
 def test_ive_safe_matches_scipy_below_and_above_switch():
@@ -186,6 +211,14 @@ def test_cache_key_distinguishes_parameters():
     assert base == kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96)
     assert kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96, 1e-2) == kc.cache_key(
         1.0, 8, kc.HEAT_KERNEL, 96, 0.01)
+
+
+def test_cache_key_moved_past_the_full_grid_normalization():
+    # tables cached before K_alpha became a reflection-reduced sum (format
+    # tag v2) may differ from a fresh build in the last bit, so they must miss
+    text = f"v2|alpha={1.0!r}|radius=8|method={kc.HEAT_KERNEL}|res=s16|tol=None"
+    old = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert kc.cache_key(1.0, 8, kc.HEAT_KERNEL, "s16") != old
 
 
 def test_kernel_cache_distinguishes_tolerance(tmp_path):

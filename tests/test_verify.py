@@ -1,6 +1,8 @@
 """Property checks: each one must pass on a well-posed problem and fail
 loudly when its hypothesis is broken."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,24 @@ def test_symmetry_check_rejects_off_center_potential(kernel_m16, solved4):
         kc.check_symmetry_and_translation(off, kernel_m16, solved4)
 
 
+def test_run_suite_rejects_off_center_potential_before_any_work(kernel_m16, monkeypatch,
+                                                                convolution_count):
+    solves = []
+    monkeypatch.setattr(verify_module, "solve_ground_state",
+                        lambda *args, **kwargs: solves.append(args))
+    off = ProblemSpec(
+        box=LatticeBox(4),
+        potential=PotentialSpec.coercive(1.0, 1.0, 2.0, center=(1, 0, 0)),
+        nonlinearity=PowerNonlinearity(1.0, 3.0),
+        alpha=1.0,
+    )
+    with pytest.raises(ValueError, match="centered at the origin"):
+        kc.run_suite(off, kernel_m16, trials=2, mp_trials=2, fiber_fields=1,
+                     level_samples=1, radii=(2, 4))
+    assert solves == []
+    assert convolution_count[0] == 0
+
+
 def test_run_suite_all_pass(spec4, kernel_m20, solved4):
     reports = kc.run_suite(
         spec4,
@@ -265,3 +285,25 @@ def test_suite_csv_and_summary_format(spec4, kernel_m16, solved4):
     assert "kernel-integrity" in summary
     assert "[PASS]" in summary
     assert "all checks passed" in summary
+
+
+_REFEREE_FUNCTIONS = {
+    "interior-maximum": lambda t: -(t * (1.0 - t)) * math.exp(t),
+    "endpoint-maximum": lambda t: -(t ** 3) - 0.5 * t,
+    "endpoint-minimum-left": lambda t: (t + 0.25) ** 2,
+    "flat": lambda t: 2.5,
+    "oscillating": lambda t: math.sin(7.0 * t) + 0.3 * t * t,
+    "kink": lambda t: abs(t - 0.3141592653589793),
+}
+
+
+@pytest.mark.parametrize("maxfun", [5, 500])
+@pytest.mark.parametrize("name", sorted(_REFEREE_FUNCTIONS))
+def test_bounded_minimum_matches_scipy(name, maxfun):
+    from scipy.optimize import minimize_scalar
+
+    func = _REFEREE_FUNCTIONS[name]
+    want = minimize_scalar(func, bounds=(0.0, 1.0), method="bounded",
+                           options={"xatol": 1e-12, "maxiter": maxfun})
+    got = verify_module._bounded_minimum(func, 0.0, 1.0, xatol=1e-12, maxfun=maxfun)
+    assert got == want.fun
