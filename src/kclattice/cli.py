@@ -159,12 +159,17 @@ def _load_initial_field(config: RunConfig, box):
     return initial
 
 
-def _solve_once(config: RunConfig, kernel):
+def _configured_solve(config: RunConfig):
+    """The problem and its solve config, with a file start loaded for the problem's box."""
     spec = config.problem_spec()
     initial = None
     if config.initial_guess == "file":
         initial = _load_initial_field(config, spec.box)
-    solve_config = config.solve_config(initial_field=initial)
+    return spec, config.solve_config(initial_field=initial)
+
+
+def _solve_once(config: RunConfig, kernel):
+    spec, solve_config = _configured_solve(config)
     return spec, solve_ground_state(spec, kernel, solve_config)
 
 
@@ -217,7 +222,7 @@ def cmd_solve(config: RunConfig, run_dir: Path, base: Path) -> int:
 
 def cmd_verify(config: RunConfig, run_dir: Path, base: Path) -> int:
     kernel = _kernel_for(config, config.verify_table_radius(), base)
-    spec = config.problem_spec()
+    spec, solve_config = _configured_solve(config)
     reports = run_suite(
         spec,
         kernel,
@@ -227,7 +232,7 @@ def cmd_verify(config: RunConfig, run_dir: Path, base: Path) -> int:
         fiber_fields=config.verify_fiber_fields,
         level_samples=config.verify_level_samples,
         radii=config.verify_radii,
-        solve_config=config.solve_config(),
+        solve_config=solve_config,
     )
     summary = suite_summary(reports)
     (run_dir / "suite.csv").write_text(suite_csv(reports), encoding="ascii")
@@ -293,6 +298,7 @@ def _check_command(command: str, config: RunConfig) -> None:
             require_origin_center(config.potential_spec())
         except ValueError as exc:
             raise config.sections["potential"].error("center", str(exc)) from None
+        _configured_solve(config)  # an unreadable or wrong-box initial_file fails here
     elif command == "sweep" and config.sweep_parameter is None:
         raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
 

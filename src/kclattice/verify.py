@@ -16,21 +16,23 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .energy import (
     COERCIVE,
     PERIODIC_POTENTIAL,
+    Evaluation,
     ProblemSpec,
     energy,
     evaluate,
-    interaction_energy,
 )
 from .kernel import GreenKernel, convolve, fit_decay_exponent, fractional_degree_refined
 from .lattice import Field, LatticeBox, lp_norm, translate
 from .nehari import (
+    FILE_START,
+    GAUSSIAN_BUMP,
     SolveConfig,
     SolveReport,
     mountain_pass_level_check,
@@ -139,20 +141,21 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
     Scans sphere radii 2^0, 2^-1, ... until the sampled minimum of J on
     the radius-rho sphere is positive; then grows a ray until the energy
     turns negative.  Superquadratic interaction guarantees both ends.
+    Each direction is evaluated once; J along its ray is the closed form
+    ``Evaluation.ray_energy``, so the check makes exactly ``trials``
+    convolutions however deep either scan goes.
     """
     name = "mountain-pass-geometry"
     rng = _check_rng(seed, name)
-    directions = [
-        _unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal")
+    points = [
+        evaluate(spec, kernel, _unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal"))
         for k in range(trials)
     ]
     rho = None
     sigma = -math.inf
     for k in range(61):
         candidate = 2.0 ** (-k)
-        floor = min(
-            energy(spec, kernel, Field(spec.box, candidate * w.values)) for w in directions
-        )
+        floor = min(point.ray_energy(candidate) for point in points)
         if floor > 0.0:
             rho, sigma = candidate, floor
             break
@@ -161,12 +164,11 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
         witness = f"no positive sphere floor down to rho=2^-60 over {trials} directions"
         return PropertyReport(name, "positive-sphere-floor-and-negative-far-point",
                               trials, False, sigma, 0.0, {}, witness)
-    e_dir = directions[0]
     e_scale = None
     e_energy = math.inf
     for k in range(61):
         t = 2.0 ** k
-        e_energy = energy(spec, kernel, Field(spec.box, t * e_dir.values))
+        e_energy = points[0].ray_energy(t)
         if e_energy < 0.0:
             e_scale = t
             break
@@ -247,6 +249,21 @@ def _hls_ratio(u: Field, v: Field, conv_v: np.ndarray, exponent: float) -> float
     return form / (lp_norm(u, exponent) * lp_norm(v, exponent))
 
 
+def _fiber_curve(base: Evaluation, grid: np.ndarray):
+    """g(t) = I(tu), g'(t) and the quotient t g'(t)/4 - g(t) on a grid, from one evaluation.
+
+    Each point is ``base.at_scale(t)``: R * F(tu) = t^p R * F(u), so the
+    curve costs no convolution.
+    """
+    g = np.empty(len(grid))
+    gp = np.empty(len(grid))
+    for i, t in enumerate(grid):
+        point = base.at_scale(t)
+        g[i] = 0.5 * point.interaction
+        gp[i] = point.drive / t  # <I'(tu), u> = sum (R * F(tu)) f(tu) u = D(tu) / t
+    return g, gp, 0.25 * grid * gp - g
+
+
 def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
                              fields: int = 20, grid_points: int = 50,
                              seed: int = 42) -> PropertyReport:
@@ -256,6 +273,12 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
     positive and strictly increasing in t; g(t) >= t^theta g(1) for
     t >= 1 (equality when theta = 2p, strict when theta < 2p); and for
     the power nonlinearity the exact homogeneity g(t) = t^(2p) g(1).
+
+    The grid curve is derived, not sampled: each field is evaluated once
+    at t = 1 and g, g' and the quotient at every grid point are read from
+    ``Evaluation.at_scale``, which rests on the homogeneity itself.  That
+    identity is probed by real convolutions of tu at the two grid ends,
+    so each field costs three convolutions whatever ``grid_points`` is.
     """
     name = "fiber-monotonicity"
     rng = _check_rng(seed, name)
@@ -271,22 +294,20 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
     strict_theta = 4.5 if 4.5 < 2.0 * p else 0.5 * (4.0 + 2.0 * p)
     for k in range(fields):
         u = _unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal")
-        g1 = interaction_energy(spec, kernel, u)
-        quotient = np.empty(grid_points)
-        for i, t in enumerate(grid):
-            point = evaluate(spec, kernel, Field(spec.box, t * u.values))
-            g = 0.5 * point.interaction
-            # <I'(tu), u> = sum (R * F(tu)) f(tu) u = D(tu) / t
-            gp = point.drive / t
-            quotient[i] = 0.25 * t * gp - g
-            dev = abs(g - t ** (2.0 * p) * g1) / (t ** (2.0 * p) * g1)
-            worst_identity = max(worst_identity, dev)
+        base = evaluate(spec, kernel, u)
+        g1 = 0.5 * base.interaction
+        for t in (grid[0], grid[-1]):
+            probe = 0.5 * evaluate(spec, kernel, Field(spec.box, t * u.values)).interaction
+            predicted = t ** (2.0 * p) * g1
+            worst_identity = max(worst_identity, abs(probe - predicted) / predicted)
+        g, _, quotient = _fiber_curve(base, grid)
+        for t, g_t in zip(grid, g):
             if t >= 1.0:
-                if g < t ** theta * g1 * (1.0 - 1.0e-10):
+                if g_t < t ** theta * g1 * (1.0 - 1.0e-10):
                     passed = False
                     witness = f"g(t) < t^theta g(1) at t={t:.4f}, field {k}"
                 if t > 1.0:
-                    min_strict_gap = min(min_strict_gap, g - t ** strict_theta * g1)
+                    min_strict_gap = min(min_strict_gap, g_t - t ** strict_theta * g1)
         min_quotient = min(min_quotient, float(quotient.min()))
         increments = np.diff(quotient)
         min_increase = min(min_increase, float(increments.min()))
@@ -447,6 +468,15 @@ def _bounded_minimum(func, lo: float, hi: float, xatol: float, maxfun: int) -> f
     return fx
 
 
+def _embedded(u: Field, box: LatticeBox) -> Field:
+    """u on a box at least as large, at the same lattice coordinates, zero elsewhere."""
+    shift = box.radius - u.box.radius
+    values = np.zeros((box.side,) * 3)
+    inner = slice(shift, shift + u.box.side)
+    values[inner, inner, inner] = u.values
+    return Field(box, values)
+
+
 def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
                           radii=(4, 6, 8, 10), seed: int = 42,
                           gap_tolerance: float = 1.0e-3,
@@ -459,6 +489,12 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
     below the tolerance.  Requires a kernel covering twice the largest
     radius.  A given ``solve_report`` is the solve of ``spec`` itself and
     stands in for the radius equal to the spec's box radius.
+
+    The solves continue across radii: each radius after the first starts
+    from the previous radius's solution, zero-embedded at the same lattice
+    coordinates.  The first radius takes ``solve_config``'s start, except
+    that a file start is used only on the box its field lives on and the
+    Gaussian bump replaces it elsewhere.
     """
     name = "box-convergence"
     if list(radii) != sorted(radii) or len(radii) < 2:
@@ -468,12 +504,22 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
     levels = []
     witness = ""
     passed = True
+    previous = None
     for radius in radii:
+        box = LatticeBox(radius, spec.box.mode)
         if solve_report is not None and radius == spec.box.radius:
             report = solve_report
         else:
-            sub = spec.with_box(LatticeBox(radius, spec.box.mode))
-            report = solve_ground_state(sub, kernel, solve_config)
+            if previous is not None:
+                start = replace(solve_config, initial_guess=FILE_START,
+                                initial_field=_embedded(previous, box))
+            elif (solve_config.initial_guess == FILE_START
+                  and solve_config.initial_field.box != box):
+                start = replace(solve_config, initial_guess=GAUSSIAN_BUMP, initial_field=None)
+            else:
+                start = solve_config
+            report = solve_ground_state(spec.with_box(box), kernel, start)
+        previous = report.solution
         if not report.converged:
             passed = False
             witness = f"solve did not converge at radius {radius}: {report.message}"
@@ -521,13 +567,13 @@ def check_symmetry_and_translation(spec: ProblemSpec, kernel: GreenKernel,
     """
     name = "symmetry-translation"
     u = solve_report.solution
-    base = energy(spec, kernel, u)
     passed = solve_report.converged
     witness = "" if passed else "solve report not converged"
     details = {}
     samples = 0
     if spec.potential.kind == PERIODIC_POTENTIAL:
         tau = spec.potential.tau
+        base = energy(spec, kernel, u)
         tol = 1.0e-10 * max(1.0, abs(base))
         worst = 0.0
         for axis in range(3):

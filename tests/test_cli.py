@@ -392,6 +392,29 @@ def test_bad_initial_file_exits_one_naming_it(tmp_path, cache_dir, capsys, case)
     assert f"[solver] initial_file: {message}" in sweep_out
 
 
+def test_verify_with_a_file_start(tmp_path, cache_dir, capsys):
+    start = tmp_path / "start.field"
+    kc.save_field_text(kc.gaussian_bump_field(kc.LatticeBox(3), width=1.5), start)
+    text = base_config(cache_dir, f"[solver]\ninitial_guess = file\ninitial_file = {start}\n\n"
+                       "[verify]\ntrials = 30\nmp_trials = 15\nfiber_fields = 4\n"
+                       "level_samples = 4\nradii = 2 3 4 5\n")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "verify"]) == 0
+    suite = (latest_run(out) / "suite.csv").read_text().splitlines()
+    assert len(suite) == 8
+    assert all(row.split(",")[3] == "pass" for row in suite[1:])
+    # a file on another box is a config error at its key, before any run directory
+    kc.save_field_text(kc.Field.zeros(kc.LatticeBox(2)), start)
+    other = tmp_path / "other"
+    capsys.readouterr()
+    assert main(["--config", cfg, "--output", str(other), "verify"]) == 1
+    line = text.splitlines().index(f"initial_file = {start}") + 1
+    assert (f"run.cfg:{line}: [solver] initial_file: {start} holds a field on a radius-2"
+            in capsys.readouterr().err)
+    assert not other.exists()
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["--config"]) == 1

@@ -95,6 +95,26 @@ def test_mountain_pass_radius_shrinks_with_stronger_nonlinearity(spec4, kernel_m
     assert strong_rep.details["rho"] <= weak_rep.details["rho"]
 
 
+@pytest.mark.parametrize("coefficient", [1.0, 10.0, 1.0e4])
+def test_mountain_pass_geometry_convolves_once_per_direction(spec4, kernel_m16,
+                                                             convolution_count, coefficient):
+    spec = ProblemSpec(spec4.box, spec4.potential, PowerNonlinearity(coefficient, 3.0),
+                       spec4.alpha, spec4.a, spec4.b)
+    rep = kc.check_mountain_pass_geometry(spec, kernel_m16, trials=12)
+    assert rep.passed
+    assert convolution_count[0] == 12
+    rho = rep.details["rho"]
+    if coefficient == 1.0e4:
+        assert rho == 0.125  # the sphere scan went three halvings below rho = 1
+    # referee: the closed-form sphere floor against convolving every rho w
+    rng = verify_module._check_rng(42, "mountain-pass-geometry")
+    directions = [verify_module._unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal")
+                  for k in range(12)]
+    floor = min(kc.energy(spec, kernel_m16, kc.Field(spec.box, rho * w.values))
+                for w in directions)
+    assert rep.details["sigma"] == pytest.approx(floor, rel=1e-12, abs=0.0)
+
+
 def test_hls_stability(kernel_m16):
     rep = kc.check_hls(kernel_m16, trials=60)
     assert rep.passed
@@ -130,10 +150,26 @@ def test_fiber_monotonicity(spec4, kernel_m16):
     assert rep.samples == 8 * 30
 
 
-def test_fiber_monotonicity_convolves_once_per_grid_point(spec4, kernel_m16, convolution_count):
-    kc.check_fiber_monotonicity(spec4, kernel_m16, fields=1, grid_points=10)
-    # one per grid point, plus the reference g(1) of the field
-    assert convolution_count[0] == 10 + 1
+def test_fiber_monotonicity_convolves_three_times_per_field(spec4, kernel_m16, convolution_count):
+    # g(1), then the homogeneity probes at the two grid ends; the curve is derived
+    for fields, grid_points in ((1, 10), (2, 50)):
+        convolution_count[0] = 0
+        kc.check_fiber_monotonicity(spec4, kernel_m16, fields=fields, grid_points=grid_points)
+        assert convolution_count[0] == 3 * fields
+
+
+@pytest.mark.parametrize("kind", ["positive", "normal"])
+def test_derived_fiber_curve_matches_per_point_evaluations(spec4, kernel_m16, kind):
+    u = verify_module._unit_direction(spec4, np.random.default_rng(7), kind)
+    grid = np.linspace(0.06, 3.0, 50)
+    g, gp, quotient = verify_module._fiber_curve(kc.evaluate(spec4, kernel_m16, u), grid)
+    for i, t in enumerate(grid):
+        point = kc.evaluate(spec4, kernel_m16, kc.Field(spec4.box, t * u.values))
+        want_g = 0.5 * point.interaction
+        want_gp = point.drive / t
+        assert g[i] == pytest.approx(want_g, rel=1e-12, abs=0.0)
+        assert gp[i] == pytest.approx(want_gp, rel=1e-12, abs=0.0)
+        assert quotient[i] == pytest.approx(0.25 * t * want_gp - want_g, rel=1e-12, abs=0.0)
 
 
 def test_level_identity(spec4, kernel_m16, solved4):
@@ -168,23 +204,62 @@ def test_box_convergence_honest_failure(spec4, kernel_m16):
     assert rep.witness
 
 
-def test_symmetry_check_octahedral(spec4, kernel_m16, solved4):
-    rep = kc.check_symmetry_and_translation(spec4, kernel_m16, solved4)
-    assert rep.passed
-    assert rep.details["octahedral_residual"] <= 1e-4
+def _cold_start_levels(spec, kernel, radii):
+    """One independent solve per radius, each from the default start."""
+    return [kc.solve_ground_state(spec.with_box(LatticeBox(r, spec.box.mode)), kernel,
+                                  SolveConfig(seed=42)).energy for r in radii]
 
 
-def test_symmetry_check_periodic_translation():
-    # period 3 divides the side 9 of the radius-4 box, so translation by
-    # the period is an exact symmetry of the discrete problem
+def _periodic_spec():
     table = [5.0 + (i + j + k) for i in range(3) for j in range(3) for k in range(3)]
-    spec = ProblemSpec(
+    return ProblemSpec(
         box=LatticeBox(4, kc.PERIODIC),
         potential=PotentialSpec.periodic(3, table),
         nonlinearity=PowerNonlinearity(1.0, 3.0),
         alpha=1.0,
         b=0.5,
     )
+
+
+@pytest.mark.parametrize("case", ["reference", "periodic"])
+def test_box_convergence_continuation_keeps_the_cold_start_levels(reference_spec, kernel_m20,
+                                                                  case):
+    spec, radii = (reference_spec, (4, 6, 8, 10)) if case == "reference" else (
+        _periodic_spec(), (2, 3, 4, 5))
+    rep = kc.check_box_convergence(spec, kernel_m20, radii=radii)
+    cold = _cold_start_levels(spec, kernel_m20, radii)
+    for r, level in zip(radii, cold):
+        assert rep.details[f"level_radius_{r}"] == pytest.approx(level, rel=1e-12, abs=0.0)
+
+
+def test_box_convergence_takes_a_file_start_only_on_its_own_box(spec4, kernel_m16, solved4,
+                                                                monkeypatch):
+    starts = []
+
+    def recorded(spec, kernel, config):
+        starts.append((spec.box.radius, config.initial_guess, config.initial_field))
+        return kc.solve_ground_state(spec, kernel, config)
+
+    monkeypatch.setattr(verify_module, "solve_ground_state", recorded)
+    config = SolveConfig(initial_guess=kc.FILE_START, initial_field=solved4.solution)
+    kc.check_box_convergence(spec4, kernel_m16, radii=(3, 4, 5), solve_config=config)
+    assert [(r, guess) for r, guess, _ in starts] == [
+        (3, kc.GAUSSIAN_BUMP), (4, kc.FILE_START), (5, kc.FILE_START)]
+    assert starts[1][2].box == spec4.box  # the chain's start on the file's own box
+    assert starts[0][2] is None
+
+
+def test_symmetry_check_octahedral(spec4, kernel_m16, solved4, convolution_count):
+    rep = kc.check_symmetry_and_translation(spec4, kernel_m16, solved4)
+    assert rep.passed
+    assert rep.details["octahedral_residual"] <= 1e-4
+    assert convolution_count[0] == 0
+
+
+def test_symmetry_check_periodic_translation():
+    # period 3 divides the side 9 of the radius-4 box, so translation by
+    # the period is an exact symmetry of the discrete problem
+    spec = _periodic_spec()
     kern = kc.build_kernel(1.0, 4)
     rep_solve = kc.solve_ground_state(spec, kern, SolveConfig(seed=1))
     assert rep_solve.converged
@@ -252,9 +327,11 @@ def test_run_suite_all_pass(spec4, kernel_m20, solved4):
 def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_m20,
                                                          monkeypatch):
     reports = []
+    configs = []
 
-    def counted(*args, **kwargs):
-        reports.append(kc.solve_ground_state(*args, **kwargs))
+    def counted(spec, kernel, config):
+        configs.append(config)
+        reports.append(kc.solve_ground_state(spec, kernel, config))
         return reports[-1]
 
     monkeypatch.setattr(verify_module, "solve_ground_state", counted)
@@ -265,6 +342,26 @@ def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_
     box = next(r for r in suite if r.name == "box-convergence")
     assert box.details["level_radius_8"] == reports[0].energy
     assert [r.solution.box.radius for r in reports] == [8, 4, 6, 10]
+    # continuation: radius 10 starts from the shared radius-8 solution, zero-embedded
+    start = configs[3].initial_field
+    assert configs[3].initial_guess == kc.FILE_START
+    assert start.box == kc.LatticeBox(10)
+    inner = reports[0].solution.values
+    assert np.array_equal(start.values[2:-2, 2:-2, 2:-2], inner)
+    assert np.count_nonzero(start.values) == np.count_nonzero(inner)
+    assert configs[2].initial_field.box == kc.LatticeBox(6)
+    assert configs[1].initial_guess == kc.GAUSSIAN_BUMP
+
+
+def test_run_suite_convolution_budget(spec4, kernel_m16, convolution_count):
+    reports = kc.run_suite(spec4, kernel_m16, trials=4, mp_trials=6, fiber_fields=2,
+                           level_samples=2, radii=(2, 3, 4))
+    # at b = 1 the level still moves by 8% between radii 3 and 4
+    assert [r.name for r in reports if not r.passed] == ["box-convergence"]
+    # hls 3 * (1 + 4), mountain pass 6, fiber 3 * 2, kernel integrity and the
+    # octahedral symmetry check none; the rest is the solves and level-identity.
+    # Any growth in the suite's work shows here.
+    assert convolution_count[0] == 138
 
 
 def test_suite_csv_and_summary_format(spec4, kernel_m16, solved4):
