@@ -107,13 +107,7 @@ def _write_solution(field, path: Path, fmt: str) -> None:
 
 def _kernel_for(config: RunConfig, table_radius: int, base: Path):
     cache_dir = config.cache_dir if config.cache_dir is not None else str(base / "kernel_cache")
-    return build_kernel(
-        config.alpha,
-        table_radius,
-        method=config.method,
-        tolerance=config.kernel_tolerance,
-        cache_dir=cache_dir,
-    )
+    return build_kernel(config.alpha, table_radius, cache_dir=cache_dir)
 
 
 def _report_kernel(kernel, out) -> None:
@@ -292,6 +286,7 @@ def _check_command(command: str, config: RunConfig) -> None:
     """A subcommand's config-only checks, run before its run directory is made."""
     if command == "solve":
         config.solve_table_radius()
+        _configured_solve(config)  # an unreadable or wrong-box initial_file fails here
     elif command == "verify":
         config.verify_table_radius()
         try:

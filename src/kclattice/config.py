@@ -35,7 +35,6 @@ from .energy import (
     PowerNonlinearity,
     ProblemSpec,
 )
-from .kernel import HEAT_KERNEL, TORUS_QUADRATURE
 from .lattice import DIRICHLET, PERIODIC, LatticeBox
 from .nehari import FILE_START, GAUSSIAN_BUMP, RANDOM_START, SolveConfig
 from .verify import HLS_RADII
@@ -161,8 +160,6 @@ class RunConfig:
                               (GAUSSIAN_BUMP, RANDOM_START, FILE_START))
     initial_file: str = _key("solver", "initial_file", "", _TEXT)
     table_radius: int = _key("kernel", "table_radius", "", _INT)
-    method: str = _key("kernel", "method", HEAT_KERNEL, _TEXT, (HEAT_KERNEL, TORUS_QUADRATURE))
-    kernel_tolerance: float = _key("kernel", "tolerance", "", _FLOAT)
     cache_dir: str = _key("kernel", "cache_dir", "", _TEXT)
     output_directory: str = _key("output", "directory", "run", _TEXT)
     solution_format: str = _key("output", "solution_format", "text", _TEXT, ("text", "binary"))

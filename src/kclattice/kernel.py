@@ -14,7 +14,7 @@ K_0 = 1 and K_2 = 6 exactly; R_alpha(z) decays like |z|^(alpha-3) at large
 distance for 0 < alpha < 3.
 
 Two independent evaluation routes are provided and cross-checked in the
-test suite:
+test suite; only the first builds kernel tables:
 
 ``heat_kernel`` (production path)
     Laplace representation m^(-alpha/2) = Gamma(alpha/2)^-1 int t^(alpha/2-1)
@@ -26,7 +26,7 @@ test suite:
     prod_j e^(-2t) I_{z_j}(2t) <= (1+4t)^(-3/2) so the discarded tail is
     below 1e-12, and the step is halved until the value stops moving.
 
-``torus_quadrature`` (cross-check path)
+``torus_quadrature`` (referee, ``green_values`` only)
     Punctured product trapezoid sums on N^3 grids (the k = 0 cell is
     excluded and re-added analytically via the local model m ~ |k|^2),
     evaluated for all z at once by an inverse FFT.  The puncture leaves a
@@ -34,7 +34,9 @@ test suite:
     so values from several resolutions are Richardson-extrapolated with
     those known exponents; the spread between extrapolation orders gives a
     (conservative) error estimate, and estimates above the requested
-    tolerance raise QuadratureError.
+    tolerance raise QuadratureError.  Its grids must be at least four times
+    the largest |z_i|, so it reaches only the small displacements it
+    cross-checks, not the tables a solve needs.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ from numpy.polynomial.legendre import leggauss
 
 HEAT_KERNEL = "heat_kernel"
 TORUS_QUADRATURE = "torus_quadrature"
-_METHOD_TAGS = {HEAT_KERNEL: 0, TORUS_QUADRATURE: 1}
-_KERNEL_MAGIC = b"LCKERN02"
-_KERNEL_HEADER = "<dIId"  # alpha, table radius, method tag, K_alpha
+_KERNEL_MAGIC = b"LCKERN03"
+_KERNEL_HEADER = "<dId"  # alpha, table radius, K_alpha
 _DIGEST_SIZE = hashlib.sha256().digest_size  # trails magic + header + table
 
 # scipy's ive loses accuracy and eventually returns nan for arguments beyond
@@ -313,8 +314,7 @@ class GreenKernel:
 
     def save(self, path) -> None:
         """Write the table atomically: readers see the old file or the whole new one."""
-        tag = _METHOD_TAGS[self.meta.get("method", HEAT_KERNEL)]
-        header = struct.pack(_KERNEL_HEADER, self.alpha, self.table_radius, tag, self.k_alpha)
+        header = struct.pack(_KERNEL_HEADER, self.alpha, self.table_radius, self.k_alpha)
         payload = _KERNEL_MAGIC + header + self.table.astype("<f8").tobytes()
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         try:
@@ -338,25 +338,21 @@ class GreenKernel:
         payload, digest = raw[:-_DIGEST_SIZE], raw[-_DIGEST_SIZE:]
         if hashlib.sha256(payload).digest() != digest:
             raise ValueError(f"{path}: checksum mismatch")
-        alpha, radius, tag, k_alpha = struct.unpack_from(_KERNEL_HEADER, raw, len(_KERNEL_MAGIC))
+        alpha, radius, k_alpha = struct.unpack_from(_KERNEL_HEADER, raw, len(_KERNEL_MAGIC))
         side = 2 * radius + 1
         if len(payload) - start != 8 * side ** 3:
             raise ValueError(f"{path}: table size {len(payload) - start} bytes does not match "
                              f"radius {radius}")
-        methods = {v: k for k, v in _METHOD_TAGS.items()}
-        if tag not in methods:
-            raise ValueError(f"{path}: unknown method tag {tag}")
         table = np.frombuffer(payload, dtype="<f8", offset=start).astype(float).reshape((side,) * 3)
-        return cls(alpha, k_alpha, radius, table, {"method": methods[tag]})
+        return cls(alpha, k_alpha, radius, table)
 
 
-def cache_key(alpha: float, table_radius: int, method: str, resolution, tolerance=None) -> str:
-    text = (f"v3|alpha={float(alpha)!r}|radius={int(table_radius)}|method={method}"
-            f"|res={resolution}|tol={tolerance if tolerance is None else float(tolerance)!r}")
+def cache_key(alpha: float, table_radius: int) -> str:
+    text = f"v4|alpha={float(alpha)!r}|radius={int(table_radius)}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _load_cached(path, alpha: float, table_radius: int, method: str):
+def _load_cached(path, alpha: float, table_radius: int):
     """The table cached at ``path``, or None when it is missing or fails a check.
 
     A table is trusted only if its checksum holds (``GreenKernel.load``),
@@ -369,7 +365,7 @@ def _load_cached(path, alpha: float, table_radius: int, method: str):
     except (FileNotFoundError, ValueError):
         return None
     t = kernel.table
-    if (kernel.alpha, kernel.table_radius, kernel.meta["method"]) != (alpha, table_radius, method):
+    if (kernel.alpha, kernel.table_radius) != (alpha, table_radius):
         return None
     if not (np.all(np.isfinite(t)) and np.all(t > 0.0)):
         return None
@@ -379,33 +375,25 @@ def _load_cached(path, alpha: float, table_radius: int, method: str):
     return kernel
 
 
-def build_kernel(
-    alpha: float,
-    table_radius: int,
-    method: str = HEAT_KERNEL,
-    tolerance=None,
-    cache_dir=None,
-) -> GreenKernel:
-    """Tabulate R_alpha over |z_i| <= table_radius.
+def build_kernel(alpha: float, table_radius: int, *, cache_dir=None) -> GreenKernel:
+    """Tabulate R_alpha over |z_i| <= table_radius by the heat-kernel route.
 
     Only the fundamental octant 0 <= z1 <= z2 <= z3 is quadratured; the full
     cube is filled by reflection, so the octahedral symmetry of the table is
     exact by construction.  Every entry must come out strictly positive or
     the build is rejected.  When ``cache_dir`` is given, the table is stored
-    under a name derived from (alpha, table_radius, method, resolution,
-    tolerance) and later builds reload it bit for bit; a cached file that
-    fails the load checks is rebuilt and overwritten.
+    under a name derived from (alpha, table_radius) and later builds reload
+    it bit for bit; a cached file that fails the load checks is rebuilt and
+    overwritten.
     """
     alpha = _check_alpha(alpha)
     if table_radius < 0:
         raise ValueError("table_radius must be nonnegative")
-    resolution = "s16" if method == HEAT_KERNEL else "r4"  # quadrature family id
     path = None
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        key = cache_key(alpha, table_radius, method, resolution, tolerance)
-        path = os.path.join(cache_dir, f"green_{key}.lck")
-        kernel = _load_cached(path, alpha, table_radius, method)
+        path = os.path.join(cache_dir, f"green_{cache_key(alpha, table_radius)}.lck")
+        kernel = _load_cached(path, alpha, table_radius)
         if kernel is not None:
             kernel.meta["cached"] = True
             kernel.meta["cache_path"] = path
@@ -415,7 +403,7 @@ def build_kernel(
     m = table_radius
     side = 2 * m + 1
     octant = _octant_triples(m)
-    values = green_values(alpha, octant, method, k_alpha, tolerance)
+    values = _heat_green_many(alpha, octant, k_alpha)
 
     lookup = np.empty((m + 1,) * 3)
     lookup[octant[:, 0], octant[:, 1], octant[:, 2]] = values
@@ -426,13 +414,7 @@ def build_kernel(
 
     if not np.all(table > 0.0):
         raise QuadratureError(f"kernel table for alpha={alpha} is not strictly positive")
-    kernel = GreenKernel(
-        alpha,
-        float(k_alpha),
-        m,
-        table,
-        {"method": method, "resolution": resolution, "cached": False},
-    )
+    kernel = GreenKernel(alpha, float(k_alpha), m, table, {"cached": False})
     if path is not None:
         kernel.save(path)
         kernel.meta["cache_path"] = path

@@ -380,13 +380,14 @@ def test_bad_initial_file_exits_one_naming_it(tmp_path, cache_dir, capsys, case)
         message = f"cannot read {start}: could not convert string 'abc'"
     extra = f"[solver]\ninitial_guess = file\ninitial_file = {start}\n"
     cfg = write_config(tmp_path, base_config(cache_dir, extra))
-    out = str(tmp_path / "out")
-    assert main(["--config", cfg, "--output", out, "solve"]) == 1
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "solve"]) == 1
     assert f"[solver] initial_file: {message}" in capsys.readouterr().err
+    assert not out.exists()
     # in a sweep the same file fails its point, not the run
     cfg = write_config(tmp_path, base_config(cache_dir, extra + "\n[sweep]\nparameter = b\n"
                                              "values = 0.0\n"))
-    assert main(["--config", cfg, "--output", out, "sweep"]) == 3
+    assert main(["--config", cfg, "--output", str(out), "sweep"]) == 3
     sweep_out = capsys.readouterr().out
     assert "# observation: point b=0.0 failed: " in sweep_out
     assert f"[solver] initial_file: {message}" in sweep_out
@@ -437,14 +438,13 @@ def test_run_directory_race_is_lost_gracefully(tmp_path, cache_dir, monkeypatch,
 
 
 def test_quadrature_failure_exit_two(tmp_path, capsys):
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text(
-        "[problem]\nradius = 2\n\n[kernel]\nmethod = torus_quadrature\ntolerance = 1e-14\n"
-    )
+    # near alpha = 3 the heat-kernel tail cutoff overflows a double
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("[problem]\nradius = 2\nalpha = 2.95\n")
     out = str(tmp_path / "out")
     assert main(["--config", str(cfg), "--output", out, "green"]) == 2
     err = capsys.readouterr().err
-    assert "quadrature failure" in err
+    assert "quadrature failure: heat-kernel tail cutoff overflows" in err
 
 
 @pytest.fixture(scope="module")

@@ -84,11 +84,19 @@ def test_unknown_section_is_anchored():
     assert "extras" in str(err.value)
 
 
-def test_unknown_key_is_anchored():
+@pytest.mark.parametrize("text, line, key", [
+    pytest.param("[problem]\nradiu = 4\n", 2, "radiu", id="typo"),
+    # removed keys: a table depends only on (alpha, table_radius)
+    pytest.param("[kernel]\ntable_radius = 16\nmethod = heat_kernel\n", 3, "method",
+                 id="removed-method"),
+    pytest.param("[problem]\nradius = 4\n\n[kernel]\ntolerance = 1e-12\n", 5, "tolerance",
+                 id="removed-tolerance"),
+])
+def test_unknown_key_is_anchored(text, line, key):
     with pytest.raises(ConfigError) as err:
-        RunConfig.from_text("[problem]\nradiu = 4\n", path="my.cfg")
-    assert str(err.value).startswith("my.cfg:2:")
-    assert "radiu" in str(err.value)
+        RunConfig.from_text(text, path="my.cfg")
+    assert str(err.value).startswith(f"my.cfg:{line}:")
+    assert f"unknown key {key!r} in section" in str(err.value)
 
 
 def test_duplicate_section_rejected():

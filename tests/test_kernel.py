@@ -1,6 +1,7 @@
 """Quadrature constants, kernel tables, convolution, and caching."""
 
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +178,6 @@ def test_kernel_save_load_round_trip(tmp_path, kernel_m8):
     assert again.k_alpha == kernel_m8.k_alpha
     assert again.table_radius == kernel_m8.table_radius
     assert np.array_equal(again.table, kernel_m8.table)
-    assert again.meta["method"] == kc.HEAT_KERNEL
 
 
 def test_kernel_load_rejects_garbage(tmp_path):
@@ -203,40 +203,28 @@ def test_kernel_cache_round_trip(tmp_path):
 
 
 def test_cache_key_distinguishes_parameters():
-    base = kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96)
-    assert base != kc.cache_key(1.5, 8, kc.HEAT_KERNEL, 96)
-    assert base != kc.cache_key(1.0, 9, kc.HEAT_KERNEL, 96)
-    assert base != kc.cache_key(1.0, 8, kc.TORUS_QUADRATURE, 96)
-    assert base != kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96, 1e-2)
-    assert base == kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96)
-    assert kc.cache_key(1.0, 8, kc.HEAT_KERNEL, 96, 1e-2) == kc.cache_key(
-        1.0, 8, kc.HEAT_KERNEL, 96, 0.01)
+    base = kc.cache_key(1.0, 8)
+    assert base != kc.cache_key(1.5, 8)
+    assert base != kc.cache_key(1.0, 9)
+    assert base == kc.cache_key(1.0, 8)
 
 
 def test_cache_key_moved_past_the_full_grid_normalization():
-    # tables cached before K_alpha became a reflection-reduced sum (format
-    # tag v2) may differ from a fresh build in the last bit, so they must miss
-    text = f"v2|alpha={1.0!r}|radius=8|method={kc.HEAT_KERNEL}|res=s16|tol=None"
-    old = hashlib.sha256(text.encode()).hexdigest()[:16]
-    assert kc.cache_key(1.0, 8, kc.HEAT_KERNEL, "s16") != old
+    # tables cached before K_alpha became a reflection-reduced sum (v2) may
+    # differ from a fresh build in the last bit, and v3 tables were cached in
+    # the LCKERN02 layout with its method tag, so neither key may come back
+    for version in ("v2", "v3"):
+        text = f"{version}|alpha={1.0!r}|radius=8|method={kc.HEAT_KERNEL}|res=s16|tol=None"
+        old = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert kc.cache_key(1.0, 8) != old, version
 
 
-def test_kernel_cache_distinguishes_tolerance(tmp_path):
-    def build(tolerance):
-        return kc.build_kernel(1.0, 2, kc.TORUS_QUADRATURE, tolerance, cache_dir=tmp_path)
-
-    loose = build(1e-2)
-    tight = build(1e-9)
-    assert not tight.meta["cached"]
-    assert tight.meta["cache_path"] != loose.meta["cache_path"]
-    assert build(1e-9).meta["cached"]
-
-
-# cache file layout: 8-byte magic, 24-byte header (alpha, radius, method
-# tag, K_alpha), the table, then a 32-byte sha256 digest of all before it
-_HEADER_END = 32
-_K_ALPHA_AT = 24
-_DIGEST = 32
+# cache file layout: magic, header (alpha, radius, K_alpha), the table, then
+# a sha256 digest of all before it
+_MAGIC_END = len(kernel_module._KERNEL_MAGIC)
+_HEADER_END = _MAGIC_END + struct.calcsize(kernel_module._KERNEL_HEADER)
+_K_ALPHA_AT = _HEADER_END - 8
+_DIGEST = hashlib.sha256().digest_size
 
 
 def _origin_offset(raw):
@@ -246,10 +234,14 @@ def _origin_offset(raw):
     return _HEADER_END + 8 * (entries // 2)
 
 
+def _sealed(payload):
+    return payload + hashlib.sha256(payload).digest()
+
+
 def _resealed(raw, offset, value):
     """raw with one table entry replaced and a valid digest: only the value checks see it."""
-    payload = raw[:offset] + np.float64(value).astype("<f8").tobytes() + raw[offset + 8:-_DIGEST]
-    return payload + hashlib.sha256(payload).digest()
+    return _sealed(raw[:offset] + np.float64(value).astype("<f8").tobytes()
+                   + raw[offset + 8:-_DIGEST])
 
 
 def _xor_byte(raw, offset):
@@ -275,8 +267,12 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
         "other radius": Path(other).read_bytes(),
         # still finite, positive and symmetric: only the digest catches it
         "origin low byte": _xor_byte(good, origin),
-        # the previous format: magic LCKERN01, no digest
-        "old format": b"LCKERN01" + good[8:-_DIGEST],
+        # an earlier format: magic LCKERN01, no digest
+        "old format": b"LCKERN01" + good[_MAGIC_END:-_DIGEST],
+        # the previous format, sealed and otherwise sound: a u32 method tag
+        # (0, heat kernel) between the radius and K_alpha
+        "LCKERN02": _sealed(b"LCKERN02" + good[_MAGIC_END:_K_ALPHA_AT] + struct.pack("<I", 0)
+                            + good[_K_ALPHA_AT:-_DIGEST]),
     }
     for byte in range(8):
         corruptions[f"K_alpha byte {byte}"] = _xor_byte(good, _K_ALPHA_AT + byte)

@@ -1,6 +1,7 @@
 """The public surface: a new export, solver knob or config key needs a deliberate edit here."""
 
 import dataclasses
+import inspect
 from pathlib import Path
 
 import kclattice as kc
@@ -34,10 +35,17 @@ INI_KEYS = {
     "nonlinearity": ("coefficient", "exponent", "theta"),
     "solver": ("seed", "max_iterations", "gradient_tolerance", "newton_max_iterations",
                "initial_guess", "initial_file"),
-    "kernel": ("table_radius", "method", "tolerance", "cache_dir"),
+    "kernel": ("table_radius", "cache_dir"),
     "output": ("directory", "solution_format"),
     "verify": ("trials", "mp_trials", "fiber_fields", "level_samples", "radii"),
     "sweep": ("parameter", "values"),
+}
+
+
+# a kernel table is a function of (alpha, table_radius) alone
+KERNEL_PARAMETERS = {
+    "build_kernel": ("alpha", "table_radius", "cache_dir"),
+    "cache_key": ("alpha", "table_radius"),
 }
 
 
@@ -59,6 +67,11 @@ def test_every_exported_name_resolves():
 
 def test_solve_config_has_the_pinned_knobs():
     assert tuple(f.name for f in dataclasses.fields(kc.SolveConfig)) == SOLVE_CONFIG_FIELDS
+
+
+def test_kernel_entry_points_have_the_pinned_parameters():
+    for name, parameters in KERNEL_PARAMETERS.items():
+        assert tuple(inspect.signature(getattr(kc, name)).parameters) == parameters, name
 
 
 def test_config_has_the_pinned_sections_and_keys():
