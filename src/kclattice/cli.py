@@ -120,7 +120,7 @@ def _report_kernel(kernel, out) -> None:
               f"(alpha - 3 = {kernel.alpha - 3.0:.4f})", file=out)
 
 
-def cmd_green(config: RunConfig, run_dir: Path, base: Path) -> int:
+def cmd_green(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int:
     # green tabulates the radius it is given, whether or not it covers the box
     radius = config.solve_table_radius() if config.table_radius is None else config.table_radius
     kernel = _kernel_for(config, radius, base)
@@ -162,11 +162,6 @@ def _configured_solve(config: RunConfig):
     return spec, config.solve_config(initial_field=initial)
 
 
-def _solve_once(config: RunConfig, kernel):
-    spec, solve_config = _configured_solve(config)
-    return spec, solve_ground_state(spec, kernel, solve_config)
-
-
 def _solve_report_text(config: RunConfig, report) -> str:
     u = report.solution
     lines = [
@@ -198,9 +193,10 @@ def _write_history(report, path: Path) -> None:
             handle.write(f"{i},{e:.17g},{r:.17g},{s:.17g}\n")
 
 
-def cmd_solve(config: RunConfig, run_dir: Path, base: Path) -> int:
+def cmd_solve(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     kernel = _kernel_for(config, config.solve_table_radius(), base)
-    spec, report = _solve_once(config, kernel)
+    spec, solve_config = problem
+    report = solve_ground_state(spec, kernel, solve_config)
     _write_solution(report.solution, run_dir / "solution.field", config.solution_format)
     (run_dir / "report.txt").write_text(_solve_report_text(config, report), encoding="ascii")
     _write_history(report, run_dir / "history.csv")
@@ -214,9 +210,9 @@ def cmd_solve(config: RunConfig, run_dir: Path, base: Path) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, run_dir: Path, base: Path) -> int:
+def cmd_verify(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     kernel = _kernel_for(config, config.verify_table_radius(), base)
-    spec, solve_config = _configured_solve(config)
+    spec, solve_config = problem
     reports = run_suite(
         spec,
         kernel,
@@ -239,7 +235,7 @@ def cmd_verify(config: RunConfig, run_dir: Path, base: Path) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, run_dir: Path, base: Path) -> int:
+def cmd_sweep(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int:
     param = config.sweep_parameter
     rows = []
     observations = []
@@ -249,7 +245,8 @@ def cmd_sweep(config: RunConfig, run_dir: Path, base: Path) -> int:
         point = config.sweep_point(value)
         try:
             kernel = _kernel_for(point, point.solve_table_radius(), base)
-            spec, report = _solve_once(point, kernel)
+            spec, solve_config = _configured_solve(point)
+            report = solve_ground_state(spec, kernel, solve_config)
         except (ValueError, QuadratureError) as exc:
             all_converged = False
             observations.append(f"# observation: point {param}={value!r} failed: {exc}")
@@ -282,20 +279,25 @@ def cmd_sweep(config: RunConfig, run_dir: Path, base: Path) -> int:
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
-def _check_command(command: str, config: RunConfig) -> None:
-    """A subcommand's config-only checks, run before its run directory is made."""
+def _check_command(command: str, config: RunConfig):
+    """A subcommand's config-only checks, run before its run directory is made.
+
+    Returns the problem a ``solve`` or ``verify`` runs, (spec, solve config)
+    with any initial_file read once, here; None for the other commands.
+    """
     if command == "solve":
         config.solve_table_radius()
-        _configured_solve(config)  # an unreadable or wrong-box initial_file fails here
     elif command == "verify":
         config.verify_table_radius()
         try:
             require_origin_center(config.potential_spec())
         except ValueError as exc:
             raise config.sections["potential"].error("center", str(exc)) from None
-        _configured_solve(config)  # an unreadable or wrong-box initial_file fails here
     elif command == "sweep" and config.sweep_parameter is None:
         raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
+    if command in ("solve", "verify"):
+        return _configured_solve(config)  # an unreadable or wrong-box initial_file fails here
+    return None
 
 
 _COMMANDS = {
@@ -320,11 +322,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     base = Path(config.output_directory)
     try:
-        _check_command(args.command, config)  # a rejected run leaves no directory behind
+        problem = _check_command(args.command, config)  # a rejected run leaves no directory
         run_dir = _make_run_dir(base)
         (run_dir / "config.snapshot").write_text(config.to_text(), encoding="ascii")
         print(f"run directory: {run_dir}")
-        return _COMMANDS[args.command](config, run_dir, base)
+        return _COMMANDS[args.command](config, run_dir, base, problem)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,11 +10,10 @@ twenty-line parser below keeps them.
 
 Each key is declared once, as a `RunConfig` field whose `_key(...)`
 names its section, key, default text, kind and choices.  The key
-whitelist, parsing, `to_text`, the `SolveConfig` knobs and the error
-anchors are all read off those declarations, so a new key is one new
-field.  Model errors name their parameter first (``"b (the Kirchhoff
-weight) must be ..."``) and anchor at that key's line, or at its
-section header when the key is unset.
+whitelist, parsing, `to_text` and the error anchors are all read off
+those declarations.  Model errors name their parameter first (``"b
+(the Kirchhoff weight) must be ..."``) and anchor at that key's line,
+or at its section header when the key is unset.
 
 Unknown sections and keys are errors, not warnings: a typo that silently
 falls back to a default is the worst failure mode a batch run can have.
@@ -153,9 +152,7 @@ class RunConfig:
     exponent: float = _key("nonlinearity", "exponent", "3.0", _FLOAT)
     theta: float = _key("nonlinearity", "theta", "", _FLOAT)
     seed: int = _key("solver", "seed", "42", _INT)
-    max_iterations: int = _key("solver", "max_iterations", "2000", _INT)
     gradient_tolerance: float = _key("solver", "gradient_tolerance", "1e-9", _FLOAT)
-    newton_max_iterations: int = _key("solver", "newton_max_iterations", "30", _INT)
     initial_guess: str = _key("solver", "initial_guess", GAUSSIAN_BUMP, _TEXT,
                               (GAUSSIAN_BUMP, RANDOM_START, FILE_START))
     initial_file: str = _key("solver", "initial_file", "", _TEXT)
@@ -256,9 +253,8 @@ class RunConfig:
             guess = FILE_START
         elif guess == FILE_START:
             raise ValueError("initial_guess = file needs the field loaded and passed in")
-        knobs = {name: getattr(self, name) for name in _SOLVER_KNOBS}
-        knobs.update(initial_guess=guess, initial_field=initial_field)
-        return SolveConfig(**knobs)
+        return SolveConfig(gradient_tolerance=self.gradient_tolerance, seed=self.seed,
+                           initial_guess=guess, initial_field=initial_field)
 
     def sweep_point(self, value: float) -> "RunConfig":
         """This run with the sweep parameter set to one of the sweep values."""
@@ -305,9 +301,6 @@ class RunConfig:
 _KEYS = {f.name: f.metadata["ini"] for f in fields(RunConfig) if "ini" in f.metadata}
 _SECTIONS = {section: {d.key: name for name, d in _KEYS.items() if d.section == section}
              for section in dict.fromkeys(d.section for d in _KEYS.values())}
-# the [solver] keys a SolveConfig takes as they are
-_SOLVER_KNOBS = tuple(name for name in _SECTIONS["solver"].values()
-                      if name in {f.name for f in fields(SolveConfig)})
 
 
 def _parse_sections(text: str, path: str) -> dict:

@@ -107,10 +107,10 @@ class PotentialSpec:
         return cls(COERCIVE, v0, rate=rate, power=power, center=tuple(center))
 
     @classmethod
-    def periodic(cls, tau: int, table, v0=None) -> "PotentialSpec":
+    def periodic(cls, tau: int, table) -> "PotentialSpec":
+        """The tau-periodic tiling of ``table``; its floor v0 is the smallest entry."""
         table = tuple(float(t) for t in np.asarray(table, dtype=float).reshape(-1))
-        floor = min(table) if v0 is None else float(v0)
-        return cls(PERIODIC_POTENTIAL, floor, tau=int(tau), table=table)
+        return cls(PERIODIC_POTENTIAL, min(table), tau=int(tau), table=table)
 
     def value(self, x) -> float:
         """Evaluate V at a single site."""
@@ -236,7 +236,11 @@ def _check_kernel(spec: ProblemSpec, kernel: GreenKernel) -> None:
 
 @dataclass(frozen=True)
 class FiberCoefficients:
-    """The four ray invariants of a field, plus the power they scale with."""
+    """The four ray invariants of a field, plus the power they scale with.
+
+    A coefficient that is not finite is a RuntimeError: it comes from an
+    evaluation that overflowed, which the solver reports as non-convergence.
+    """
 
     norm_h2: float
     grad2: float
@@ -247,7 +251,7 @@ class FiberCoefficients:
     def __post_init__(self):
         for name in ("norm_h2", "grad2", "drive", "interaction"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"fiber coefficient {name} is not finite")
+                raise RuntimeError(f"fiber coefficient {name} is not finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,6 +58,8 @@ _KERNEL_MAGIC = b"LCKERN03"
 _KERNEL_HEADER = "<dId"  # alpha, table radius, K_alpha
 _DIGEST_SIZE = hashlib.sha256().digest_size  # trails magic + header + table
 
+_REFINED_RESOLUTION = 96  # the coarser grid of fractional_degree_refined's pair
+
 # scipy's ive loses accuracy and eventually returns nan for arguments beyond
 # ~1e9; past this point the uniform asymptotic series is exact to roundoff.
 _IVE_ASYMPTOTIC_SWITCH = 1.0e7
@@ -116,10 +118,10 @@ def fractional_degree(alpha: float, resolution: int = 64) -> float:
     return float(np.sum(weight * slabs)) / resolution ** 3
 
 
-def fractional_degree_refined(alpha: float, resolution: int = 96) -> float:
-    """Richardson pair (resolution, 2*resolution) with the known error order."""
-    coarse = fractional_degree(alpha, resolution)
-    fine = fractional_degree(alpha, 2 * resolution)
+def fractional_degree_refined(alpha: float) -> float:
+    """Richardson pair (_REFINED_RESOLUTION, twice that) with the known error order."""
+    coarse = fractional_degree(alpha, _REFINED_RESOLUTION)
+    fine = fractional_degree(alpha, 2 * _REFINED_RESOLUTION)
     return fine + (fine - coarse) / (2.0 ** (3.0 + alpha) - 1.0)
 
 
@@ -352,25 +354,49 @@ def cache_key(alpha: float, table_radius: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _table_defect(table: np.ndarray, tolerance: float = 0.0):
+    """The invariance test of a kernel table: (worst deviation, a bad displacement or None).
+
+    Entry z deviates by max |t(gz) - t(z)| / t(z) over the octahedral group's
+    generators g (three axis flips, two transpositions), or by inf unless
+    t(z) is finite and positive.  A corrupted entry off the origin disagrees
+    with two or more of its images, each of them with one: the displacement
+    returned, the first with the most disagreements, is the corrupted one.
+    """
+    valid = np.isfinite(table) & (table > 0.0)
+    images = (table[::-1], table[:, ::-1], table[:, :, ::-1],
+              table.transpose(1, 0, 2), table.transpose(0, 2, 1))
+    unequal = [image for image in images if not np.array_equal(image, table)]
+    if not unequal and valid.all():  # an intact table costs five array comparisons
+        return 0.0, None
+    deviation = np.where(valid, 0.0, math.inf)
+    disagreements = np.where(valid, 0, len(images))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for image in unequal:
+            relative = np.abs(image - table) / table
+            np.fmax(deviation, relative, out=deviation)
+            disagreements += relative > tolerance
+    worst = float(deviation.max())
+    if worst <= tolerance:
+        return worst, None
+    m = table.shape[0] // 2
+    return worst, tuple(int(i) - m for i in np.unravel_index(np.argmax(disagreements), table.shape))
+
+
 def _load_cached(path, alpha: float, table_radius: int):
     """The table cached at ``path``, or None when it is missing or fails a check.
 
     A table is trusted only if its checksum holds (``GreenKernel.load``),
-    its header matches the request and every entry is finite, positive and
-    invariant under the octahedral group (generated by the three axis flips
-    and two transpositions).  A file in an older format is a miss.
+    its header matches the request and it passes the invariance test
+    ``_table_defect`` exactly.  A file in an older format is a miss.
     """
     try:
         kernel = GreenKernel.load(path)
     except (FileNotFoundError, ValueError):
         return None
-    t = kernel.table
     if (kernel.alpha, kernel.table_radius) != (alpha, table_radius):
         return None
-    if not (np.all(np.isfinite(t)) and np.all(t > 0.0)):
-        return None
-    images = (t[::-1], t[:, ::-1], t[:, :, ::-1], t.transpose(1, 0, 2), t.transpose(0, 2, 1))
-    if not all(np.array_equal(t, image) for image in images):
+    if _table_defect(kernel.table)[1] is not None:
         return None
     return kernel
 

@@ -68,6 +68,9 @@ _ROOT_TOLERANCE = 1.0e-12
 _ARMIJO = 1.0e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
+# step budgets of the descent and of the Newton polish
+_MAX_ITERATIONS = 2000
+_NEWTON_MAX_ITERATIONS = 30
 # the residual at which the descent hands over to the Newton polish
 _SWITCH_RESIDUAL = 1.0e-3
 
@@ -108,6 +111,7 @@ def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
     for _ in range(600):
         if q(lo) >= 0.0:
             break
+        hi = lo  # q(lo) < 0: keep the bracket a factor of 2 wide
         lo *= 0.5
     else:
         raise RuntimeError("failed to bracket the fiber root from below")
@@ -132,9 +136,12 @@ def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
             break
         s = trial
     # Newton cannot resolve the last ulps through the roundoff in q: walk
-    # one float at a time toward the sign change while |q| falls
+    # one float at a time toward the sign change while |q| falls, for at
+    # most _ROOT_ITERATIONS floats; the residual test below has the last word
     qs = q(s)
-    while qs != 0.0:
+    for _ in range(_ROOT_ITERATIONS):
+        if qs == 0.0:
+            break
         trial = math.nextafter(s, math.inf if qs > 0.0 else 0.0)
         qt = q(trial)
         if abs(qt) >= abs(qs):
@@ -311,19 +318,14 @@ def _h_representer(spec: ProblemSpec, g: np.ndarray, rtol: float = 1.0e-12,
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """The solve's accuracy contract, work budgets and start field."""
+    """The solve's accuracy contract and start field."""
 
-    max_iterations: int = 2000
     gradient_tolerance: float = 1.0e-9
-    newton_max_iterations: int = 30
     seed: int = 0
     initial_guess: str = GAUSSIAN_BUMP
     initial_field: Field = None
 
     def __post_init__(self):
-        for name in ("max_iterations", "newton_max_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.gradient_tolerance > 0.0:  # NaN fails too
@@ -358,24 +360,22 @@ class SolveReport:
             yield i, self.energy_history[i], self.residual_history[i], self.s_history[i]
 
 
-def gaussian_bump_field(box, center=(0, 0, 0), width: float = None) -> Field:
-    """A normalized-by-nothing Gaussian bump; the default solver start."""
-    if width is None:
-        width = max(box.radius / 4.0, 1.0)
+def gaussian_bump_field(box, center=(0, 0, 0)) -> Field:
+    """A normalized-by-nothing Gaussian bump of width max(n/4, 1); the default solver start."""
+    width = max(box.radius / 4.0, 1.0)
     d2 = box.squared_distance_grid(center)
     return Field(box, np.exp(-d2 / (2.0 * width * width)))
 
 
-def random_start_field(box, rng, center=(0, 0, 0), width: float = None) -> Field:
-    """Smoothed positive noise under a Gaussian envelope.
+def random_start_field(box, rng, center=(0, 0, 0)) -> Field:
+    """Smoothed positive noise under a Gaussian envelope of width max(n/3, 1).
 
     Raw noise starts the descent outside the ground-state basin often
     enough to matter; three Jacobi smoothing sweeps push the high lattice
     frequencies down and make the basin of the positive ground state the
     practically certain destination.
     """
-    if width is None:
-        width = max(box.radius / 3.0, 1.0)
+    width = max(box.radius / 3.0, 1.0)
     v = rng.random((box.side,) * 3)
     for _ in range(3):
         v = v + 0.125 * _laplacian_values(v, box.mode)
@@ -429,13 +429,14 @@ def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Evaluation) ->
     For u on the Nehari set, ||u||^2 <= D(u) = ||u||^(2p) D(u/||u||), so
     ||u|| >= C^(-1/(2p-2)) whenever C bounds the drive over unit fields.
     C is estimated as the larger drive of two unit directions: the ground
-    state's, scaled from its final evaluation with no further convolution,
-    which makes eta <= ||ground|| an identity rather than a hope; and the
-    default Gaussian bump's, at one convolution.
+    state's, D(su) = s^(2p) D(u) at s = 1/||u|| from its final evaluation
+    with no further convolution, which makes eta <= ||ground|| an identity
+    rather than a hope; and the default Gaussian bump's, at one convolution.
     """
     bump = gaussian_bump_field(spec.box, spec.potential.minimum_site(spec.box))
     unit_bump = evaluate(spec, kernel, sphere_inverse(bump, spec.a, spec.potential_table))
-    top = max(ground.at_scale(1.0 / math.sqrt(ground.norm_h2)).drive, unit_bump.drive)
+    sp = (1.0 / math.sqrt(ground.norm_h2)) ** ground.exponent
+    top = max(sp * sp * ground.drive, unit_bump.drive)
     return top ** (-1.0 / (2.0 * spec.nonlinearity.exponent - 2.0))
 
 
@@ -486,7 +487,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         prev_w = prev_gp = None
         step = None
 
-        for iterations in range(config.max_iterations):
+        for iterations in range(_MAX_ITERATIONS):
             history.append((current, gnorm, s))
             if gnorm <= max(tol, _SWITCH_RESIDUAL):
                 break
@@ -525,7 +526,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             message = "descent iteration budget exhausted"
 
         # Newton polish on the Euler-Lagrange residual
-        for _ in range(config.newton_max_iterations):
+        for _ in range(_NEWTON_MAX_ITERATIONS):
             if gnorm <= tol:
                 break
             weight = spec.a + spec.b * point.grad2

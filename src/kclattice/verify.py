@@ -1,11 +1,11 @@
 """Executable property checks for the variational structure.
 
-Each check samples random fields, measures an inequality or identity the
-theory predicts, and returns a PropertyReport.  The checks are evidence,
-not proof: the underlying statements quantify over all fields and all ray
-parameters, and a finite sample can only fail to falsify them.  Every
-report carries its sample count and tolerance so the evidence is
-auditable, and the suite header says this out loud.
+Each check but kernel-integrity, which tests every table entry, samples
+random fields, measures an inequality or identity the theory predicts, and
+returns a PropertyReport.  These are evidence, not proof: the statements
+quantify over all fields and ray parameters, and a finite sample can only
+fail to falsify them.  Every report carries its sample count and tolerance
+so the evidence is auditable, and the suite header says this out loud.
 
 All randomness is derived from a master seed, one independent stream per
 check (keyed by the check name), so a full-suite run is reproducible and
@@ -28,7 +28,8 @@ from .energy import (
     energy,
     evaluate,
 )
-from .kernel import GreenKernel, convolve, fit_decay_exponent, fractional_degree_refined
+from .kernel import GreenKernel, _table_defect, convolve, fit_decay_exponent
+from .kernel import fractional_degree_refined
 from .lattice import Field, LatticeBox, lp_norm, translate
 from .nehari import (
     FILE_START,
@@ -50,6 +51,10 @@ SUITE_HEADER = (
 
 # check_hls compares Dirichlet boxes of these radii in every boundary mode
 HLS_RADII = (4, 6, 8)
+_HLS_SPREAD = 0.05  # largest relative spread of check_hls's sups across radii
+_SYMMETRY_TOLERANCE = 1.0e-12  # relative, per table entry, in check_kernel_integrity
+_FIBER_GRID = np.linspace(0.06, 3.0, 50)  # the t at which check_fiber_monotonicity reads g(t)
+_BOX_GAP = 1.0e-3  # largest final relative level gap check_box_convergence passes
 
 
 @dataclass
@@ -95,43 +100,25 @@ def _unit_direction(spec: ProblemSpec, rng, kind: str) -> Field:
     return sphere_inverse(raw, spec.a, spec.potential_table)
 
 
-def check_kernel_integrity(kernel: GreenKernel, seed: int = 42,
-                           samples: int = 200) -> PropertyReport:
+def check_kernel_integrity(kernel: GreenKernel) -> PropertyReport:
     """Positivity, full cubic symmetry, and normalization of the table.
 
-    The builder enforces these, so this check earns its keep on loaded or
-    hand-edited tables: a single corrupted entry breaks either positivity
-    or the 48-fold symmetry.
+    Every entry goes through the cache loader's invariance test, here to
+    _SYMMETRY_TOLERANCE instead of exactly: one corrupted entry off the
+    origin fails the check, and the witness names it.  K_alpha is
+    recomputed and compared.
     """
-    name = "kernel-integrity"
-    rng = _check_rng(seed, name)
     table = kernel.table
-    m = kernel.table_radius
-    positive = bool(np.all(table > 0.0))
-    worst = 0.0
-    witness = ""
-    idx = rng.integers(-m, m + 1, size=(samples, 3))
-    for z in idx:
-        base = kernel.value(tuple(int(v) for v in z))
-        perm = rng.permutation(3)
-        signs = rng.choice([-1, 1], size=3)
-        image = tuple(int(s * z[perm[k]]) for k, s in enumerate(signs))
-        dev = abs(kernel.value(image) - base) / abs(base)
-        if dev > worst:
-            worst = dev
-            if dev > 1.0e-12:
-                witness = f"z={tuple(int(v) for v in z)} image={image}"
+    worst, bad = _table_defect(table, _SYMMETRY_TOLERANCE)
     k_dev = abs(fractional_degree_refined(kernel.alpha) - kernel.k_alpha) / kernel.k_alpha
     details = {"max_symmetry_deviation": worst, "k_alpha_deviation": k_dev,
                "min_table_value": float(table.min())}
-    if m >= 8:
+    if kernel.table_radius >= 8:
         details["fitted_decay_exponent"] = fit_decay_exponent(kernel)
-    passed = positive and worst <= 1.0e-12 and k_dev <= 1.0e-8
-    if not positive and not witness:
-        bad = np.argwhere(table <= 0.0)[0] - m
-        witness = f"nonpositive entry at z={tuple(int(v) for v in bad)}"
-    return PropertyReport(name, "kernel-positivity-and-cubic-symmetry", samples,
-                          passed, worst, 1.0e-12, details, witness)
+    passed = bad is None and k_dev <= 1.0e-8
+    witness = "" if bad is None else f"entry at z={bad} breaks positivity or cubic symmetry"
+    return PropertyReport("kernel-integrity", "kernel-positivity-and-cubic-symmetry",
+                          table.size, passed, worst, _SYMMETRY_TOLERANCE, details, witness)
 
 
 def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
@@ -182,14 +169,13 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
                           trials, passed, sigma, 0.0, details, witness)
 
 
-def check_hls(kernel: GreenKernel, trials: int = 200, seed: int = 42,
-              radii=HLS_RADII, spread_tolerance: float = 0.05) -> PropertyReport:
+def check_hls(kernel: GreenKernel, trials: int = 200, seed: int = 42) -> PropertyReport:
     """Stability of the convolution-form l^p bound across box sizes.
 
     With r = s = 6/(3+alpha) the bilinear form sum u (R * v) is bounded
     by a constant times ||u||_r ||v||_s uniformly in the box.  The check
-    measures the empirical sup of the ratio on each box radius and passes
-    iff the sups agree across radii within the spread tolerance; a
+    measures the empirical sup of the ratio on each radius of HLS_RADII
+    and passes iff the sups agree within _HLS_SPREAD relative; a
     growing sup would signal a box-size-dependent constant, i.e. failure
     of the uniform bound.
     """
@@ -199,7 +185,7 @@ def check_hls(kernel: GreenKernel, trials: int = 200, seed: int = 42,
     exponent = 6.0 / (3.0 + alpha)
     sups = {}
     delta_anchor = None
-    for radius in radii:
+    for radius in HLS_RADII:
         box = LatticeBox(radius)
         shape = (box.side,) * 3
         # the delta pair gives exactly the kernel's origin value on every
@@ -233,13 +219,13 @@ def check_hls(kernel: GreenKernel, trials: int = 200, seed: int = 42,
         sups[radius] = best
     values = list(sups.values())
     spread = (max(values) - min(values)) / max(values)
-    passed = spread <= spread_tolerance
-    details = {f"sup_radius_{r}": sups[r] for r in radii}
+    passed = spread <= _HLS_SPREAD
+    details = {f"sup_radius_{r}": sups[r] for r in HLS_RADII}
     details["delta_pair_ratio"] = delta_anchor
     details["empirical_constant"] = max(max(values), delta_anchor)
-    witness = "" if passed else f"sup spread {spread:.3e} across radii {tuple(radii)}"
+    witness = "" if passed else f"sup spread {spread:.3e} across radii {HLS_RADII}"
     return PropertyReport(name, "convolution-form-lp-bound-stability",
-                          trials * len(radii), passed, spread, spread_tolerance,
+                          trials * len(HLS_RADII), passed, spread, _HLS_SPREAD,
                           details, witness)
 
 
@@ -265,8 +251,7 @@ def _fiber_curve(base: Evaluation, grid: np.ndarray):
 
 
 def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
-                             fields: int = 20, grid_points: int = 50,
-                             seed: int = 42) -> PropertyReport:
+                             fields: int = 20, seed: int = 42) -> PropertyReport:
     """Ray behavior of the interaction energy g(t) = I(tu).
 
     Three predictions: the quotient combination t g'(t)/4 - g(t) is
@@ -274,17 +259,17 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
     t >= 1 (equality when theta = 2p, strict when theta < 2p); and for
     the power nonlinearity the exact homogeneity g(t) = t^(2p) g(1).
 
-    The grid curve is derived, not sampled: each field is evaluated once
-    at t = 1 and g, g' and the quotient at every grid point are read from
-    ``Evaluation.at_scale``, which rests on the homogeneity itself.  That
-    identity is probed by real convolutions of tu at the two grid ends,
-    so each field costs three convolutions whatever ``grid_points`` is.
+    The grid curve (the 50 points of _FIBER_GRID) is derived, not sampled:
+    each field is evaluated once at t = 1 and g, g' and the quotient at
+    every grid point are read from ``Evaluation.at_scale``, which rests on
+    the homogeneity itself.  That identity is probed by real convolutions
+    of tu at the two grid ends, so each field costs three convolutions.
     """
     name = "fiber-monotonicity"
     rng = _check_rng(seed, name)
     p = spec.nonlinearity.exponent
     theta = spec.nonlinearity.theta
-    grid = np.linspace(0.06, 3.0, grid_points)
+    grid = _FIBER_GRID
     worst_identity = 0.0
     min_quotient = math.inf
     min_increase = math.inf
@@ -328,7 +313,7 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
                "min_quotient_increment": min_increase,
                "min_strict_theta_gap": min_strict_gap}
     return PropertyReport(name, "ray-interaction-quotient-increasing",
-                          fields * grid_points, passed, worst_identity, 1.0e-10,
+                          fields * len(grid), passed, worst_identity, 1.0e-10,
                           details, witness)
 
 
@@ -479,14 +464,13 @@ def _embedded(u: Field, box: LatticeBox) -> Field:
 
 def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
                           radii=(4, 6, 8, 10), seed: int = 42,
-                          gap_tolerance: float = 1.0e-3,
                           solve_config: SolveConfig = None,
                           solve_report: SolveReport = None) -> PropertyReport:
     """Cauchy behavior of the ground level as the truncation box grows.
 
     The underlying problem lives on the whole lattice; this measures how
     fast the finite-box level settles.  Pass iff the last relative gap is
-    below the tolerance.  Requires a kernel covering twice the largest
+    at most _BOX_GAP.  Requires a kernel covering twice the largest
     radius.  A given ``solve_report`` is the solve of ``spec`` itself and
     stands in for the radius equal to the spec's box radius.
 
@@ -526,13 +510,13 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
         levels.append(report.energy)
     gaps = [abs(levels[i + 1] - levels[i]) / abs(levels[i + 1]) for i in range(len(levels) - 1)]
     final_gap = gaps[-1]
-    if final_gap > gap_tolerance:
+    if final_gap > _BOX_GAP:
         passed = False
         witness = witness or f"final relative gap {final_gap:.3e} at radii {radii[-2]}->{radii[-1]}"
     details = {f"level_radius_{r}": levels[i] for i, r in enumerate(radii)}
     details.update({f"gap_{radii[i]}_{radii[i + 1]}": gaps[i] for i in range(len(gaps))})
     return PropertyReport(name, "truncation-energy-cauchy", len(radii), passed,
-                          final_gap, gap_tolerance, details, witness)
+                          final_gap, _BOX_GAP, details, witness)
 
 
 def _octahedral_symmetrize(values: np.ndarray) -> np.ndarray:
@@ -620,7 +604,7 @@ def run_suite(spec: ProblemSpec, kernel: GreenKernel, seed: int = 42,
     if solve_report is None:
         solve_report = solve_ground_state(spec, kernel, solve_config)
     reports = [
-        check_kernel_integrity(kernel, seed=seed),
+        check_kernel_integrity(kernel),
         check_mountain_pass_geometry(spec, kernel, trials=mp_trials, seed=seed),
         check_hls(kernel, trials=trials, seed=seed),
         check_fiber_monotonicity(spec, kernel, fields=fiber_fields, seed=seed),

@@ -151,7 +151,7 @@ def test_criterion_06_nehari_scale_oracles():
 
 
 def test_criterion_07_fiber_lemma_suite(reference_spec, kernel_m16):
-    rep = kc.check_fiber_monotonicity(reference_spec, kernel_m16, fields=20, grid_points=50)
+    rep = kc.check_fiber_monotonicity(reference_spec, kernel_m16, fields=20)
     identity = rep.details["max_homogeneity_deviation"]
     ok = rep.passed and identity <= 1e-10
     announce(

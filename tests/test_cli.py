@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temporary run directories."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -98,15 +99,10 @@ def test_solve_artifacts_and_determinism(tmp_path, cache_dir, capsys):
     assert float(final[2]) <= 1e-9
 
 
-def test_solve_exit3_still_writes_artifacts(tmp_path, cache_dir, capsys):
-    cfg = write_config(
-        tmp_path,
-        base_config(
-            cache_dir,
-            "[solver]\nmax_iterations = 2\nnewton_max_iterations = 1\n"
-            "gradient_tolerance = 1e-13\n",
-        ),
-    )
+def test_solve_exit3_still_writes_artifacts(tmp_path, cache_dir, capsys, monkeypatch):
+    monkeypatch.setattr(nehari_module, "_MAX_ITERATIONS", 2)
+    monkeypatch.setattr(nehari_module, "_NEWTON_MAX_ITERATIONS", 1)
+    cfg = write_config(tmp_path, base_config(cache_dir, "[solver]\ngradient_tolerance = 1e-13\n"))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--output", str(out), "solve"]) == 3
     capsys.readouterr()
@@ -115,6 +111,29 @@ def test_solve_exit3_still_writes_artifacts(tmp_path, cache_dir, capsys):
     report = (run / "report.txt").read_text()
     assert re.search(r"converged\s*=\s*False", report)
     assert "budget exhausted" in report
+
+
+@pytest.mark.parametrize("coefficient", ["1e100", "1e150", "1e200"])
+def test_solve_with_an_overflowing_coefficient_exits_through_a_documented_path(
+        tmp_path, cache_dir, capsys, monkeypatch, coefficient):
+    # at 1e100 the ray root lies near 1e-49 and took an unbounded ulp walk;
+    # at 1e200 the start's drive overflows a double
+    calls = [0]
+    nextafter = math.nextafter
+
+    def bounded(x, y):
+        calls[0] += 1
+        if calls[0] > 10 ** 5:
+            raise AssertionError("the ulp walk did not stop")
+        return nextafter(x, y)
+
+    monkeypatch.setattr(math, "nextafter", bounded)
+    cfg = write_config(tmp_path, f"[problem]\nradius = 4\n\n[nonlinearity]\ncoefficient = "
+                                 f"{coefficient}\n\n[kernel]\ncache_dir = {cache_dir}\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "solve"]) in (0, 3)
+    capsys.readouterr()
+    assert (latest_run(out) / "report.txt").is_file()
 
 
 def test_solve_ray_root_failure_exits_three_with_artifacts(tmp_path, cache_dir, capsys,
@@ -326,6 +345,9 @@ _BAD_INPUTS = {
     # a key the solver no longer takes: the start bump's width is fixed
     "bump-width": ("solve", "[solver]\nbump_width = 0\n", "bump_width = 0",
                    "unknown key 'bump_width' in section [solver]"),
+    # the solver's step budgets are fixed too
+    "max-iterations": ("solve", "[solver]\nmax_iterations = 500\n", "max_iterations = 500",
+                       "unknown key 'max_iterations' in section [solver]"),
     "negative-seed": ("verify", "[solver]\nseed = -1\n", "seed = -1",
                       "[solver] seed must be nonnegative"),
     "verify-radius": ("verify", "[verify]\nradii = -1 3\n", "radii = -1 3",
@@ -395,7 +417,8 @@ def test_bad_initial_file_exits_one_naming_it(tmp_path, cache_dir, capsys, case)
 
 def test_verify_with_a_file_start(tmp_path, cache_dir, capsys):
     start = tmp_path / "start.field"
-    kc.save_field_text(kc.gaussian_bump_field(kc.LatticeBox(3), width=1.5), start)
+    box = kc.LatticeBox(3)  # a bump of width 1.5, wider than the default start's
+    kc.save_field_text(kc.Field(box, np.exp(-box.squared_distance_grid((0, 0, 0)) / 4.5)), start)
     text = base_config(cache_dir, f"[solver]\ninitial_guess = file\ninitial_file = {start}\n\n"
                        "[verify]\ntrials = 30\nmp_trials = 15\nfiber_fields = 4\n"
                        "level_samples = 4\nradii = 2 3 4 5\n")
@@ -414,6 +437,26 @@ def test_verify_with_a_file_start(tmp_path, cache_dir, capsys):
     assert (f"run.cfg:{line}: [solver] initial_file: {start} holds a field on a radius-2"
             in capsys.readouterr().err)
     assert not other.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_initial_file_is_read_once_per_run(tmp_path, cache_dir, capsys, monkeypatch, command):
+    start = tmp_path / "start.field"
+    kc.save_field_text(kc.gaussian_bump_field(kc.LatticeBox(3)), start)
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return kc.load_field_text(path)
+
+    monkeypatch.setattr(cli_module, "load_field_text", counted)
+    text = base_config(cache_dir, f"[solver]\ninitial_guess = file\ninitial_file = {start}\n\n"
+                       "[verify]\ntrials = 4\nmp_trials = 4\nfiber_fields = 1\n"
+                       "level_samples = 2\nradii = 2 3\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["--config", cfg, "--output", str(tmp_path / "out"), command]) in (0, 4)
+    capsys.readouterr()
+    assert reads == [str(start)]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -26,7 +26,7 @@ theta = 5.5
 
 [solver]
 seed = 7
-max_iterations = 500
+gradient_tolerance = 1e-10
 
 [kernel]
 table_radius = 6
@@ -214,7 +214,7 @@ def test_solve_config_accessor_and_seed_override():
     cfg = RunConfig.from_text(GOOD)
     sc = cfg.solve_config()
     assert sc.seed == 7
-    assert sc.max_iterations == 500
+    assert sc.gradient_tolerance == 1e-10
     assert cfg.with_seed(99).seed == 99
     assert cfg.with_seed(99).radius == cfg.radius
 

@@ -99,7 +99,7 @@ def test_potential_validation():
         PotentialSpec.periodic(0, [])
     with pytest.raises(ValueError):
         # stated floor above an actual table entry
-        PotentialSpec.periodic(1, [0.5], v0=1.0)
+        PotentialSpec(kc.PERIODIC_POTENTIAL, 1.0, tau=1, table=(0.5,))
 
 
 # ---------------------------------------------------------------------------

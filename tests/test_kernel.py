@@ -286,6 +286,34 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
     assert kc.build_kernel(1.0, 3, cache_dir=tmp_path).meta["cached"]
 
 
+def test_loader_and_kernel_integrity_share_one_invariance_test(tmp_path, monkeypatch):
+    import kclattice.verify as verify_module
+
+    assert verify_module._table_defect is kernel_module._table_defect
+    calls = []
+    real = kernel_module._table_defect
+
+    def counted(table, tolerance=0.0):
+        calls.append(tolerance)
+        return real(table, tolerance)
+
+    kc.build_kernel(1.0, 3, cache_dir=tmp_path)
+    monkeypatch.setattr(kernel_module, "_table_defect", counted)
+    assert kc.build_kernel(1.0, 3, cache_dir=tmp_path).meta["cached"]
+    assert calls == [0.0]  # the loader asks for exact invariance
+
+
+def test_invariance_test_is_exact_at_zero_tolerance(kernel_m8):
+    table = kernel_m8.table.copy()
+    assert kernel_module._table_defect(table) == (0.0, None)
+    table[9, 8, 8] = np.nextafter(table[9, 8, 8], np.inf)  # one ulp off at z = (1, 0, 0)
+    worst, bad = kernel_module._table_defect(table)
+    assert 0.0 < worst < 1e-15 and bad == (1, 0, 0)
+    assert kernel_module._table_defect(table, 1e-12) == (worst, None)
+    table[8, 8, 8] = np.nan
+    assert kernel_module._table_defect(table, 1e-12) == (np.inf, (0, 0, 0))
+
+
 def test_kernel_save_is_atomic(tmp_path, kernel_m8, monkeypatch):
     path = tmp_path / "k.tab"
     path.write_bytes(b"old")

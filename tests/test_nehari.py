@@ -1,5 +1,6 @@
 """Fiber algebra, the ray root, the envelope identity, and the solver."""
 
+import math
 import random
 
 import numpy as np
@@ -204,6 +205,27 @@ def test_nehari_scale_overflow_is_a_runtime_error(drive, message):
         kc.nehari_scale(coeffs, 1.0)
 
 
+def test_nehari_scale_root_far_below_one_is_found_fast(monkeypatch):
+    # q(1) < 0 with the root near 1e-74: the bracket must shrink from both
+    # ends, and the final ulp walk is bounded, so it never calls nextafter
+    # more than a few hundred times
+    calls = [0]
+    nextafter = math.nextafter
+
+    def bounded(x, y):
+        calls[0] += 1
+        if calls[0] > 1000:
+            raise AssertionError("the ulp walk did not stop")
+        return nextafter(x, y)
+
+    monkeypatch.setattr(math, "nextafter", bounded)
+    coeffs = kc.FiberCoefficients(1.0, 0.3472228694310446, 7.236047018724706e295,
+                                  2.4120156729082345e295, 3.0)
+    s = kc.nehari_scale(coeffs, 1.0)
+    assert s == pytest.approx(1.0842380767471474e-74, rel=1e-14)
+    assert calls[0] <= nehari_module._ROOT_ITERATIONS
+
+
 def _krylov_problem():
     rng = np.random.default_rng(77)
     basis, _ = np.linalg.qr(rng.standard_normal((60, 60)))
@@ -373,7 +395,7 @@ def test_solver_seed_independence(spec5, kernel10, solved5):
 
 
 def test_solver_deterministic_per_seed(spec5, kernel10):
-    cfg = SolveConfig(seed=11, initial_guess=kc.RANDOM_START, max_iterations=400)
+    cfg = SolveConfig(seed=11, initial_guess=kc.RANDOM_START)
     a = kc.solve_ground_state(spec5, kernel10, cfg)
     b = kc.solve_ground_state(spec5, kernel10, cfg)
     assert a.energy == b.energy
@@ -426,11 +448,7 @@ def test_solver_small_kirchhoff_continuity(spec5, kernel10):
 
 
 def test_solver_initial_field_start(spec5, kernel10, solved5):
-    cfg = SolveConfig(
-        initial_guess=kc.FILE_START,
-        initial_field=solved5.solution,
-        max_iterations=50,
-    )
+    cfg = SolveConfig(initial_guess=kc.FILE_START, initial_field=solved5.solution)
     rep = kc.solve_ground_state(spec5, kernel10, cfg)
     assert rep.converged
     assert rep.iterations <= 3
@@ -452,8 +470,10 @@ def test_solver_periodic_canonicalizes_peak():
     assert peak == (4, 4, 4)
 
 
-def test_solver_budget_exhaustion_reported(spec5, kernel10):
-    cfg = SolveConfig(max_iterations=2, newton_max_iterations=1, gradient_tolerance=1e-12)
+def test_solver_budget_exhaustion_reported(spec5, kernel10, monkeypatch):
+    monkeypatch.setattr(nehari_module, "_MAX_ITERATIONS", 2)
+    monkeypatch.setattr(nehari_module, "_NEWTON_MAX_ITERATIONS", 1)
+    cfg = SolveConfig(gradient_tolerance=1e-12)
     rep = kc.solve_ground_state(spec5, kernel10, cfg)
     assert not rep.converged
     assert rep.message
@@ -495,7 +515,7 @@ def test_solver_converges_on_the_periodic_kirchhoff_problem(kernel_m16):
     assert rep.energy == pytest.approx(828.1216689338041, rel=1e-9, abs=0.0)
 
 
-def test_solver_newton_budget_exhaustion_reported(kernel_m8):
+def test_solver_newton_budget_exhaustion_reported(kernel_m8, monkeypatch):
     spec = ProblemSpec(
         box=LatticeBox(4),
         potential=PotentialSpec.coercive(1.0, 1.0, 2.0),
@@ -503,7 +523,8 @@ def test_solver_newton_budget_exhaustion_reported(kernel_m8):
         alpha=1.0,
         b=1.0,
     )
-    cfg = SolveConfig(newton_max_iterations=1, gradient_tolerance=1e-13)
+    monkeypatch.setattr(nehari_module, "_NEWTON_MAX_ITERATIONS", 1)
+    cfg = SolveConfig(gradient_tolerance=1e-13)
     rep = kc.solve_ground_state(spec, kernel_m8, cfg)
     assert not rep.converged
     assert rep.newton_iterations == 1
@@ -721,8 +742,6 @@ def test_mountain_pass_level_check(spec5, kernel10, solved5, rng):
 
 def test_solve_config_validation():
     with pytest.raises(ValueError):
-        SolveConfig(max_iterations=0)
-    with pytest.raises(ValueError):
         SolveConfig(initial_guess="nope")
     with pytest.raises(ValueError):
         SolveConfig(initial_guess=kc.FILE_START)
@@ -735,7 +754,7 @@ def test_solve_config_validation():
 
 
 def test_start_field_builders(spec5, rng):
-    bump = kc.gaussian_bump_field(spec5.box, (1, 0, 0), width=2.0)
+    bump = kc.gaussian_bump_field(spec5.box, (1, 0, 0))
     assert bump.values.max() == bump.values[6, 5, 5]
     noise = kc.random_start_field(spec5.box, rng, (0, 0, 0))
     assert float(np.abs(noise.values).sum()) > 0.0

@@ -24,17 +24,13 @@ PUBLIC = [
     "suite_summary", "translate",
 ]
 
-SOLVE_CONFIG_FIELDS = (
-    "max_iterations", "gradient_tolerance", "newton_max_iterations", "seed", "initial_guess",
-    "initial_field",
-)
+SOLVE_CONFIG_FIELDS = ("gradient_tolerance", "seed", "initial_guess", "initial_field")
 
 INI_KEYS = {
     "problem": ("a", "b", "alpha", "radius", "mode"),
     "potential": ("kind", "v0", "rate", "power", "center", "tau", "table"),
     "nonlinearity": ("coefficient", "exponent", "theta"),
-    "solver": ("seed", "max_iterations", "gradient_tolerance", "newton_max_iterations",
-               "initial_guess", "initial_file"),
+    "solver": ("seed", "gradient_tolerance", "initial_guess", "initial_file"),
     "kernel": ("table_radius", "cache_dir"),
     "output": ("directory", "solution_format"),
     "verify": ("trials", "mp_trials", "fiber_fields", "level_samples", "radii"),
@@ -46,6 +42,24 @@ INI_KEYS = {
 KERNEL_PARAMETERS = {
     "build_kernel": ("alpha", "table_radius", "cache_dir"),
     "cache_key": ("alpha", "table_radius"),
+}
+
+
+# the property suite's sample counts are settable; its tolerances and grids,
+# the start fields' widths and the K_alpha resolution are not
+FIXED_PARAMETERS = {
+    "check_kernel_integrity": ("kernel",),
+    "check_mountain_pass_geometry": ("spec", "kernel", "trials", "seed"),
+    "check_hls": ("kernel", "trials", "seed"),
+    "check_fiber_monotonicity": ("spec", "kernel", "fields", "seed"),
+    "check_level_identity": ("spec", "kernel", "solve_report", "samples", "seed"),
+    "check_box_convergence": ("spec", "kernel", "radii", "seed", "solve_config", "solve_report"),
+    "check_symmetry_and_translation": ("spec", "kernel", "solve_report"),
+    "run_suite": ("spec", "kernel", "seed", "trials", "mp_trials", "fiber_fields",
+                  "level_samples", "radii", "solve_config", "solve_report"),
+    "gaussian_bump_field": ("box", "center"),
+    "random_start_field": ("box", "rng", "center"),
+    "fractional_degree_refined": ("alpha",),
 }
 
 
@@ -72,6 +86,13 @@ def test_solve_config_has_the_pinned_knobs():
 def test_kernel_entry_points_have_the_pinned_parameters():
     for name, parameters in KERNEL_PARAMETERS.items():
         assert tuple(inspect.signature(getattr(kc, name)).parameters) == parameters, name
+
+
+def test_fixed_numerics_have_no_parameter():
+    for name, parameters in FIXED_PARAMETERS.items():
+        assert tuple(inspect.signature(getattr(kc, name)).parameters) == parameters, name
+    # a periodic potential's floor is its smallest entry
+    assert tuple(inspect.signature(kc.PotentialSpec.periodic).parameters) == ("tau", "table")
 
 
 def test_config_has_the_pinned_sections_and_keys():
