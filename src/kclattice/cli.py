@@ -25,13 +25,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .kernel import QuadratureError, build_kernel, fit_decay_exponent
-from .lattice import (
-    _FIELD_MAGIC,
-    load_field_binary,
-    load_field_text,
-    save_field_binary,
-    save_field_text,
-)
+from .lattice import load_field_text, save_field_text
 from .nehari import solve_ground_state
 from .verify import require_origin_center, run_suite, suite_csv, suite_passed, suite_summary
 
@@ -98,13 +92,6 @@ def _make_run_dir(base: Path) -> Path:
         return candidate
 
 
-def _write_solution(field, path: Path, fmt: str) -> None:
-    if fmt == "binary":
-        save_field_binary(field, path)
-    else:
-        save_field_text(field, path)
-
-
 def _kernel_for(config: RunConfig, table_radius: int, base: Path):
     cache_dir = config.cache_dir if config.cache_dir is not None else str(base / "kernel_cache")
     return build_kernel(config.alpha, table_radius, cache_dir=cache_dir)
@@ -138,12 +125,10 @@ def cmd_green(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int
 
 
 def _load_initial_field(config: RunConfig, box):
-    """The configured start field, text or binary; a bad file is a ConfigError naming it."""
+    """The configured start field; a bad file is a ConfigError naming it."""
     path, solver = config.initial_file, config.sections["solver"]
     try:
-        with open(path, "rb") as handle:
-            binary = handle.read(len(_FIELD_MAGIC)) == _FIELD_MAGIC
-        initial = load_field_binary(path) if binary else load_field_text(path)
+        initial = load_field_text(path)
     except (OSError, ValueError) as exc:
         raise solver.error("initial_file", f"cannot read {path}: {exc}") from None
     if initial.box != box:
@@ -197,7 +182,7 @@ def cmd_solve(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     kernel = _kernel_for(config, config.solve_table_radius(), base)
     spec, solve_config = problem
     report = solve_ground_state(spec, kernel, solve_config)
-    _write_solution(report.solution, run_dir / "solution.field", config.solution_format)
+    save_field_text(report.solution, run_dir / "solution.field")
     (run_dir / "report.txt").write_text(_solve_report_text(config, report), encoding="ascii")
     _write_history(report, run_dir / "history.csv")
     print(f"energy = {report.energy!r}")

@@ -159,7 +159,6 @@ class RunConfig:
     table_radius: int = _key("kernel", "table_radius", "", _INT)
     cache_dir: str = _key("kernel", "cache_dir", "", _TEXT)
     output_directory: str = _key("output", "directory", "run", _TEXT)
-    solution_format: str = _key("output", "solution_format", "text", _TEXT, ("text", "binary"))
     verify_trials: int = _key("verify", "trials", "200", _INT)
     verify_mp_trials: int = _key("verify", "mp_trials", "100", _INT)
     verify_fiber_fields: int = _key("verify", "fiber_fields", "20", _INT)

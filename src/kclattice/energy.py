@@ -23,9 +23,9 @@ whose pointwise representer is the gradient field
 
 ``evaluate`` is the one evaluation core: a single convolution R * F(u)
 gives ||u||^2, A, B and D, J(su) in closed form along the ray, and the
-gradient at su (R * F(su) = s^p R * F(u)); ``energy``, ``energy_gradient``
-and ``interaction_energy`` are views of it.  ``pairing`` expands
-the variation bilinearly with its own convolution, as the referee.
+gradient at su (R * F(su) = s^p R * F(u)); ``energy`` is a view of it.
+``pairing`` expands the variation bilinearly with its own convolution, as
+the referee.
 
 Admissibility of the power: p > 2 makes the interaction superquadratic
 along rays (the mechanism behind uniqueness of the projection scale), and
@@ -43,8 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import GreenKernel, convolve
-from .lattice import (Field, LatticeBox, _edge_sum, _laplacian_values, gradient_energy,
-                      gradient_inner, h_inner)
+from .lattice import Field, LatticeBox, _edge_sum, _laplacian_values, gradient_inner, h_inner
 
 CONSTANT = "constant"
 COERCIVE = "coercive"
@@ -270,8 +269,8 @@ class Evaluation(FiberCoefficients):
     def at_scale(self, s: float) -> "Evaluation":
         """The evaluation at su, using R * F(su) = s^p R * F(u)."""
         sp = s ** self.exponent
-        return Evaluation(s * s * self.norm_h2, s * s * self.grad2, sp * sp * self.drive,
-                          sp * sp * self.interaction, self.exponent, self.spec,
+        return Evaluation(s * s * self.norm_h2, s * s * self.grad2, sp * (sp * self.drive),
+                          sp * (sp * self.interaction), self.exponent, self.spec,
                           Field(self.u.box, s * self.u.values), sp * self.conv)
 
     def gradient(self) -> np.ndarray:
@@ -296,8 +295,9 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
     nl = spec.nonlinearity
     big_f = nl.F(u.values)
     conv = convolve(kernel, Field(u.box, big_f)).values
-    drive = float(np.sum(conv * nl.f(u.values) * u.values))
-    interaction = float(np.sum(conv * big_f))
+    with np.errstate(over="ignore", invalid="ignore"):  # FiberCoefficients rejects inf and nan
+        drive = float(np.sum(conv * nl.f(u.values) * u.values))
+        interaction = float(np.sum(conv * big_f))
     if abs(drive - nl.exponent * interaction) > 1.0e-10 * abs(drive):
         raise RuntimeError(
             "fiber drive and interaction violate the power identity D = pB: "
@@ -313,20 +313,10 @@ def energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
     return evaluate(spec, kernel, u).ray_energy()
 
 
-def energy_gradient(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Field:
-    """Representer field g with <J'(u), phi> = sum g phi for every phi."""
-    return Field(u.box, evaluate(spec, kernel, u).gradient())
-
-
-def interaction_energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
-    """Nonlocal interaction I(u) = 1/2 sum (R * F(u)) F(u); scales like s^(2p)."""
-    return 0.5 * evaluate(spec, kernel, u).interaction
-
-
 def pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> float:
     """First variation <J'(u), phi> through the bilinear-form expansion."""
     _check_kernel(spec, kernel)
-    grad2 = gradient_energy(u)
+    grad2 = gradient_inner(u, u)
     cross = gradient_inner(u, phi)
     linear = spec.h_inner(u, phi)
     big_f = spec.nonlinearity.F(u.values)

@@ -76,11 +76,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def laplace_symbol(k1, k2, k3):
-    """Fourier symbol of the negative graph Laplacian, 6 - 2 sum cos k_j."""
-    return 6.0 - 2.0 * (np.cos(k1) + np.cos(k2) + np.cos(k3))
-
-
 def _symbol_grid(resolution: int) -> np.ndarray:
     c = np.cos(2.0 * np.pi * np.arange(resolution) / resolution)
     return 6.0 - 2.0 * (c[:, None, None] + c[None, :, None] + c[None, None, :])

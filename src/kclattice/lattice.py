@@ -37,7 +37,6 @@ import numpy as np
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 
-_FIELD_MAGIC = b"LCFIELD1"
 _TEXT_HEADER = re.compile(
     r"^# lattice-field v1 radius=(\d+) mode=(dirichlet|periodic)$"
 )
@@ -69,13 +68,6 @@ class LatticeBox:
 
     def contains(self, x) -> bool:
         return all(abs(int(c)) <= self.radius for c in x)
-
-    def linear_index(self, x) -> int:
-        """Row-major rank of a site: ((x1+n)*side + (x2+n))*side + (x3+n)."""
-        if not self.contains(x):
-            raise ValueError(f"site {tuple(x)} outside box of radius {self.radius}")
-        n, s = self.radius, self.side
-        return ((int(x[0]) + n) * s + (int(x[1]) + n)) * s + (int(x[2]) + n)
 
     def coordinate_grids(self):
         """Three (side, side, side) integer arrays with the site coordinates."""
@@ -189,18 +181,13 @@ def _edge_sum(u: np.ndarray, v: np.ndarray, mode: str) -> float:
 
 
 def gradient_inner(u: Field, v: Field) -> float:
-    """Total gradient pairing sum_x grad u . grad v = -sum_x v (lap u)."""
+    """Total gradient pairing sum_x grad u . grad v = -sum_x v (lap u).
+
+    gradient_inner(u, u) is the total squared gradient, the Dirichlet form.
+    """
     if u.box != v.box:
         raise ValueError("fields live on different boxes")
     return _edge_sum(u.values, v.values, u.box.mode)
-
-
-def gradient_energy(u: Field) -> float:
-    """Total squared gradient, sum over undirected edges of (u(y)-u(x))^2.
-
-    Bounded by 12 * sum u^2 since every site meets exactly six edges.
-    """
-    return _edge_sum(u.values, u.values, u.box.mode)
 
 
 def lp_norm(u: Field, p: float) -> float:
@@ -223,10 +210,6 @@ def h_inner(u: Field, v: Field, a: float, potential) -> float:
     """
     pot = np.asarray(potential, dtype=float)
     return a * gradient_inner(u, v) + float(np.sum(pot * u.values * v.values))
-
-
-def h_norm(u: Field, a: float, potential) -> float:
-    return float(np.sqrt(h_inner(u, u, a, potential)))
 
 
 def translate(u: Field, shift) -> Field:
@@ -260,9 +243,7 @@ def translate(u: Field, shift) -> Field:
 # Text format: a single header line
 #     # lattice-field v1 radius=<n> mode=<dirichlet|periodic>
 # followed by one value per line with 17 significant digits, in row-major
-# site order.  Binary format: magic "LCFIELD1", little-endian uint32 radius,
-# one mode byte (0 = dirichlet, 1 = periodic), then (2n+1)^3 little-endian
-# float64 values in the same order.
+# site order.
 
 
 def save_field_text(u: Field, path) -> None:
@@ -285,30 +266,3 @@ def load_field_text(path) -> Field:
             f"{path}: expected {box.site_count} values for radius {box.radius}, got {data.size}"
         )
     return Field.from_flat(box, data)
-
-
-def save_field_binary(u: Field, path) -> None:
-    mode_byte = 0 if u.box.mode == DIRICHLET else 1
-    with open(path, "wb") as fh:
-        fh.write(_FIELD_MAGIC)
-        fh.write(np.uint32(u.box.radius).astype("<u4").tobytes())
-        fh.write(bytes([mode_byte]))
-        fh.write(u.flat.astype("<f8").tobytes())
-
-
-def load_field_binary(path) -> Field:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _FIELD_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {_FIELD_MAGIC!r}")
-        radius = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        mode_byte = fh.read(1)[0]
-        if mode_byte not in (0, 1):
-            raise ValueError(f"{path}: bad mode byte {mode_byte}")
-        box = LatticeBox(radius, DIRICHLET if mode_byte == 0 else PERIODIC)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != box.site_count:
-        raise ValueError(
-            f"{path}: expected {box.site_count} values for radius {radius}, got {data.size}"
-        )
-    return Field.from_flat(box, data.copy())

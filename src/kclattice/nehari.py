@@ -436,7 +436,7 @@ def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Evaluation) ->
     bump = gaussian_bump_field(spec.box, spec.potential.minimum_site(spec.box))
     unit_bump = evaluate(spec, kernel, sphere_inverse(bump, spec.a, spec.potential_table))
     sp = (1.0 / math.sqrt(ground.norm_h2)) ** ground.exponent
-    top = max(sp * sp * ground.drive, unit_bump.drive)
+    top = max(sp * (sp * ground.drive), unit_bump.drive)
     return top ** (-1.0 / (2.0 * spec.nonlinearity.exponent - 2.0))
 
 

@@ -28,7 +28,7 @@ from .energy import (
     energy,
     evaluate,
 )
-from .kernel import GreenKernel, _table_defect, convolve, fit_decay_exponent
+from .kernel import GreenKernel, QuadratureError, _table_defect, convolve, fit_decay_exponent
 from .kernel import fractional_degree_refined
 from .lattice import Field, LatticeBox, lp_norm, translate
 from .nehari import (
@@ -597,23 +597,40 @@ def run_suite(spec: ProblemSpec, kernel: GreenKernel, seed: int = 42,
     Callers wanting exact periodic-translation invariance should pass a
     periodic-mode spec whose box side is a multiple of the potential
     period.  An off-center coercive potential is rejected before any work.
+    A check that raises a RuntimeError is reported as failed, with the error
+    as its witness; a QuadratureError propagates.
     """
     require_origin_center(spec.potential)
     if solve_config is None:
         solve_config = SolveConfig(seed=seed)
     if solve_report is None:
         solve_report = solve_ground_state(spec, kernel, solve_config)
-    reports = [
-        check_kernel_integrity(kernel),
-        check_mountain_pass_geometry(spec, kernel, trials=mp_trials, seed=seed),
-        check_hls(kernel, trials=trials, seed=seed),
-        check_fiber_monotonicity(spec, kernel, fields=fiber_fields, seed=seed),
-        check_level_identity(spec, kernel, solve_report, samples=level_samples, seed=seed),
-        check_box_convergence(spec, kernel, radii=radii, seed=seed,
-                              solve_config=solve_config, solve_report=solve_report),
-        check_symmetry_and_translation(spec, kernel, solve_report),
-    ]
-    return reports
+    checks = {
+        "kernel-integrity": lambda: check_kernel_integrity(kernel),
+        "mountain-pass-geometry": lambda: check_mountain_pass_geometry(
+            spec, kernel, trials=mp_trials, seed=seed),
+        "hls-ratio": lambda: check_hls(kernel, trials=trials, seed=seed),
+        "fiber-monotonicity": lambda: check_fiber_monotonicity(
+            spec, kernel, fields=fiber_fields, seed=seed),
+        "level-identity": lambda: check_level_identity(
+            spec, kernel, solve_report, samples=level_samples, seed=seed),
+        "box-convergence": lambda: check_box_convergence(
+            spec, kernel, radii=radii, seed=seed, solve_config=solve_config,
+            solve_report=solve_report),
+        "symmetry-translation": lambda: check_symmetry_and_translation(spec, kernel, solve_report),
+    }
+    return [_run_check(name, check) for name, check in checks.items()]
+
+
+def _run_check(name: str, check) -> PropertyReport:
+    """check(), or a failed report whose witness is the RuntimeError it raised."""
+    try:
+        return check()
+    except QuadratureError:
+        raise
+    except RuntimeError as exc:
+        return PropertyReport(name, "raised", 0, False, math.nan, math.nan,
+                              witness=f"RuntimeError: {exc}")
 
 
 def suite_passed(reports) -> bool:

@@ -165,7 +165,7 @@ def test_criterion_07_fiber_lemma_suite(reference_spec, kernel_m16):
 def test_criterion_08_ground_state_solve(reference_spec, kernel_m16, ground):
     report, elapsed, repeats = ground
     u = report.solution
-    el_res = float(np.max(np.abs(kc.energy_gradient(reference_spec, kernel_m16, u).values)))
+    el_res = float(np.max(np.abs(kc.evaluate(reference_spec, kernel_m16, u).gradient())))
     el_bound = 1e-6 * float(np.max(np.abs(u.values)))
     seed_dev = max(abs(r.energy / report.energy - 1.0) for r in repeats)
     ok = (

@@ -14,6 +14,7 @@ import pytest
 import kclattice as kc
 import kclattice.cli as cli_module
 import kclattice.nehari as nehari_module
+import kclattice.verify as verify_module
 from kclattice.cli import main
 
 
@@ -133,7 +134,41 @@ def test_solve_with_an_overflowing_coefficient_exits_through_a_documented_path(
     out = tmp_path / "out"
     assert main(["--config", cfg, "--output", str(out), "solve"]) in (0, 3)
     capsys.readouterr()
-    assert (latest_run(out) / "report.txt").is_file()
+    report = (latest_run(out) / "report.txt").read_text()
+    if re.search(r"converged\s*=\s*True", report):
+        # at 1e150 the ray coefficients once underflowed to a zero drive
+        values = dict(re.findall(r"^(nehari_defect|eta_estimate)\s*=\s*(\S+)$", report, re.M))
+        assert float(values["nehari_defect"]) <= 1e-8
+        assert 0.0 < float(values["eta_estimate"]) < math.inf
+
+
+VERIFY_1E200 = ("[problem]\nradius = 4\n\n[nonlinearity]\ncoefficient = 1e200\n\n"
+                "[verify]\ntrials = 5\nmp_trials = 4\nfiber_fields = 2\nlevel_samples = 2\n"
+                "radii = 2 4\n\n[kernel]\ncache_dir = {}\n")
+
+
+def test_verify_reports_a_raising_check_as_failed(tmp_path, cache_dir, capsys):
+    # at 1e200 a unit direction's drive overflows and evaluate raises
+    cfg = write_config(tmp_path, VERIFY_1E200.format(cache_dir))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "verify"]) == 4
+    assert "mountain-pass-geometry" in capsys.readouterr().err
+    run = latest_run(out)
+    rows = (run / "suite.csv").read_text().splitlines()
+    assert len(rows) == 8
+    assert "mountain-pass-geometry,raised,0,fail,nan,nan" in rows
+    assert "witness: RuntimeError: fiber coefficient drive is not finite" in (
+        run / "report.txt").read_text()
+
+
+def test_verify_lets_a_quadrature_failure_exit_two(tmp_path, cache_dir, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise kc.QuadratureError("injected")
+
+    monkeypatch.setattr(verify_module, "check_hls", failing)
+    cfg = write_config(tmp_path, VERIFY_1E200.format(cache_dir).replace("1e200", "1.0"))
+    assert main(["--config", cfg, "--output", str(tmp_path / "out"), "verify"]) == 2
+    assert "quadrature failure: injected" in capsys.readouterr().err
 
 
 def test_solve_ray_root_failure_exits_three_with_artifacts(tmp_path, cache_dir, capsys,
@@ -233,6 +268,9 @@ def test_sweep_config_errors_exit_one_at_their_line(tmp_path, cache_dir, capsys,
     pytest.param("verify", "[potential]\ncenter = 1 0 0\n",
                  "run.cfg:2: [potential] center: the octahedral symmetry check needs",
                  id="verify-off-center"),
+    pytest.param("solve", "[output]\nsolution_format = binary\n",
+                 "run.cfg:2: unknown key 'solution_format' in section [output]",
+                 id="solve-removed-solution-format"),
 ])
 def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, text, message):
     out = tmp_path / "out"

@@ -33,7 +33,6 @@ table_radius = 6
 
 [output]
 directory = out
-solution_format = binary
 
 [verify]
 radii = 3 4 5
@@ -91,6 +90,9 @@ def test_unknown_section_is_anchored():
                  id="removed-method"),
     pytest.param("[problem]\nradius = 4\n\n[kernel]\ntolerance = 1e-12\n", 5, "tolerance",
                  id="removed-tolerance"),
+    # removed key: the text format is the only field format
+    pytest.param("[output]\ndirectory = out\nsolution_format = binary\n", 3, "solution_format",
+                 id="removed-solution-format"),
 ])
 def test_unknown_key_is_anchored(text, line, key):
     with pytest.raises(ConfigError) as err:

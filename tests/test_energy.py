@@ -269,8 +269,8 @@ def test_energy_along_ray_is_polynomial(small_spec, small_kernel, rng):
     # J(su) = s^2/2 ||u||^2 + s^4 b/4 A^2 - s^(2p)/2 * 2*I(u)
     u = random_field(small_spec.box, rng)
     nh = small_spec.h_norm(u) ** 2
-    aa = kc.gradient_energy(u)
-    ii = kc.interaction_energy(small_spec, small_kernel, u)
+    aa = kc.gradient_inner(u, u)
+    ii = 0.5 * evaluate(small_spec, small_kernel, u).interaction
     p = small_spec.nonlinearity.exponent
     for s in (0.5, 1.0, 2.0):
         su = Field(small_spec.box, s * u.values)
@@ -280,8 +280,9 @@ def test_energy_along_ray_is_polynomial(small_spec, small_kernel, rng):
 
 def test_interaction_homogeneity(small_spec, small_kernel, rng):
     u = random_field(small_spec.box, rng)
-    base = kc.interaction_energy(small_spec, small_kernel, u)
-    double = kc.interaction_energy(small_spec, small_kernel, Field(small_spec.box, 2.0 * u.values))
+    base = 0.5 * evaluate(small_spec, small_kernel, u).interaction
+    doubled = Field(small_spec.box, 2.0 * u.values)
+    double = 0.5 * evaluate(small_spec, small_kernel, doubled).interaction
     p = small_spec.nonlinearity.exponent
     assert double == pytest.approx(2.0 ** (2 * p) * base, rel=1e-12)
     assert base > 0.0
@@ -289,11 +290,11 @@ def test_interaction_homogeneity(small_spec, small_kernel, rng):
 
 def test_pairing_matches_gradient_representer(small_spec, small_kernel, rng):
     u = random_field(small_spec.box, rng)
-    rep = kc.energy_gradient(small_spec, small_kernel, u)
+    rep = evaluate(small_spec, small_kernel, u).gradient()
     for _ in range(5):
         phi = random_field(small_spec.box, rng, scale=1.0)
         direct = kc.pairing(small_spec, small_kernel, u, phi)
-        via_rep = float(np.sum(rep.values * phi.values))
+        via_rep = float(np.sum(rep * phi.values))
         assert direct == pytest.approx(via_rep, rel=1e-12, abs=1e-13)
 
 
@@ -325,9 +326,9 @@ def test_interaction_pairing_is_directional_derivative(small_spec, small_kernel,
     h = 1e-5
     up = Field(small_spec.box, u.values + h * phi.values)
     dn = Field(small_spec.box, u.values - h * phi.values)
-    fd = (
-        kc.interaction_energy(small_spec, small_kernel, up)
-        - kc.interaction_energy(small_spec, small_kernel, dn)
+    fd = 0.5 * (
+        evaluate(small_spec, small_kernel, up).interaction
+        - evaluate(small_spec, small_kernel, dn).interaction
     ) / (2.0 * h)
     # <I'(u), phi> = sum (R * F(u)) f(u) phi, from the core's convolution
     conv = kc.evaluate(small_spec, small_kernel, u).conv
@@ -348,11 +349,11 @@ def test_kirchhoff_term_enters_gradient(small_kernel, rng):
         box=base.box, potential=base.potential, nonlinearity=base.nonlinearity, alpha=1.0, b=2.0
     )
     u = random_field(base.box, rng)
-    g0 = kc.energy_gradient(base, small_kernel, u)
-    g2 = kc.energy_gradient(kirch, small_kernel, u)
-    aa = kc.gradient_energy(u)
+    g0 = evaluate(base, small_kernel, u).gradient()
+    g2 = evaluate(kirch, small_kernel, u).gradient()
+    aa = kc.gradient_inner(u, u)
     expect = -2.0 * aa * kc.laplacian(u).values
-    assert np.allclose(g2.values - g0.values, expect, rtol=1e-12, atol=1e-12)
+    assert np.allclose(g2 - g0, expect, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +370,7 @@ def test_core_ray_energy_and_scaled_gradient_match_fresh_evaluations(small_spec,
         assert point.ray_energy(s) == pytest.approx(fresh, rel=1e-12)
         scaled = point.at_scale(s)
         assert scaled.ray_energy() == pytest.approx(fresh, rel=1e-12)
-        g = kc.energy_gradient(small_spec, small_kernel, su).values
+        g = evaluate(small_spec, small_kernel, su).gradient()
         err = np.linalg.norm(scaled.gradient() - g)
         assert err <= 1e-12 * np.linalg.norm(g)
 
@@ -381,6 +382,5 @@ def test_core_convolves_once_per_evaluation(small_spec, small_kernel, rng, convo
     point.at_scale(2.0).gradient()
     point.ray_energy(3.0)
     assert convolution_count[0] == 1
-    for view in (kc.energy, kc.energy_gradient, kc.interaction_energy):
-        view(small_spec, small_kernel, u)
-    assert convolution_count[0] == 4
+    kc.energy(small_spec, small_kernel, u)
+    assert convolution_count[0] == 2

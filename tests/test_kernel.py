@@ -28,9 +28,11 @@ R1_DIAGONAL = 5.59761722957831e-02
 
 
 def test_laplace_symbol_values():
-    assert kc.laplace_symbol(0.0, 0.0, 0.0) == 0.0
-    assert kc.laplace_symbol(np.pi, np.pi, np.pi) == pytest.approx(12.0, rel=1e-15)
-    assert kc.laplace_symbol(np.pi / 2, 0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+    # the symbol 6 - 2 sum cos k_j on the 4-point grid k_j in {0, pi/2, pi, 3pi/2}
+    m = kernel_module._symbol_grid(4)
+    assert m[0, 0, 0] == 0.0
+    assert m[2, 2, 2] == pytest.approx(12.0, rel=1e-15)
+    assert m[1, 0, 0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_fractional_degree_trapezoid_ladder():

@@ -13,10 +13,10 @@ def test_box_geometry():
     assert box.site_count == 343
     assert box.contains((3, -3, 0))
     assert not box.contains((4, 0, 0))
-    assert box.linear_index((-3, -3, -3)) == 0
-    assert box.linear_index((3, 3, 3)) == box.site_count - 1
     # row-major scan order: last coordinate varies fastest
-    assert box.linear_index((-3, -3, -2)) == 1
+    for site, rank in (((-3, -3, -3), 0), ((-3, -3, -2), 1), ((3, 3, 3), box.site_count - 1)):
+        assert np.ravel_multi_index(np.add(site, 3), (box.side,) * 3) == rank
+        assert np.flatnonzero(Field.delta(box, site).flat).tolist() == [rank]
 
 
 def test_box_validation():
@@ -32,7 +32,7 @@ def test_radius_zero_dirichlet_box():
     box = LatticeBox(0)
     u = Field.delta(box, (0, 0, 0), 2.0)
     assert kc.laplacian(u).values[0, 0, 0] == -12.0
-    assert kc.gradient_energy(u) == pytest.approx(6.0 * 4.0)
+    assert kc.gradient_inner(u, u) == pytest.approx(6.0 * 4.0)
 
 
 def test_laplacian_stencil_oracle():
@@ -82,7 +82,7 @@ def test_gradient_energy_bound(rng):
     for mode in (kc.DIRICHLET, kc.PERIODIC):
         box = LatticeBox(4, mode)
         u = Field(box, rng.standard_normal((9, 9, 9)))
-        ge = kc.gradient_energy(u)
+        ge = kc.gradient_inner(u, u)
         assert 0.0 <= ge <= 12.0 * float(np.sum(u.values**2)) + 1e-12
 
 
@@ -92,7 +92,7 @@ def test_gradient_inner_is_polarization(rng):
     v = Field(box, rng.standard_normal((7, 7, 7)))
     upv = Field(box, u.values + v.values)
     umv = Field(box, u.values - v.values)
-    polar = 0.25 * (kc.gradient_energy(upv) - kc.gradient_energy(umv))
+    polar = 0.25 * (kc.gradient_inner(upv, upv) - kc.gradient_inner(umv, umv))
     assert kc.gradient_inner(u, v) == pytest.approx(polar, rel=1e-12)
 
 
@@ -120,7 +120,7 @@ def test_h_inner_and_norm(rng):
     )
     expected = 2.0 * kc.gradient_inner(u, v) + float(np.sum(table * u.values * v.values))
     assert kc.h_inner(u, v, 2.0, table) == pytest.approx(expected, rel=1e-13)
-    assert kc.h_norm(u, 2.0, table) > 0.0
+    assert kc.h_inner(u, u, 2.0, table) > 0.0
     # scalar potential shortcut agrees with the filled table
     assert kc.h_inner(u, v, 2.0, 1.5) == pytest.approx(
         kc.h_inner(u, v, 2.0, np.full((7, 7, 7), 1.5)), rel=1e-13
@@ -134,7 +134,7 @@ def test_translate_periodic_exact(rng):
     assert np.array_equal(t.values, np.roll(u.values, (2, -1, 5), axis=(0, 1, 2)))
     back = kc.translate(t, (-2, 1, -5))
     assert np.array_equal(back.values, u.values)
-    assert kc.gradient_energy(t) == pytest.approx(kc.gradient_energy(u), rel=1e-13)
+    assert kc.gradient_inner(t, t) == pytest.approx(kc.gradient_inner(u, u), rel=1e-13)
 
 
 def test_translate_dirichlet_drops_and_fills(rng):
@@ -164,7 +164,7 @@ def test_field_helpers():
     assert d.values[3, 0, 2] == 2.5
     assert float(np.sum(np.abs(d.values))) == 2.5
     flat = d.flat
-    assert flat[box.linear_index((1, -2, 0))] == 2.5
+    assert flat[np.ravel_multi_index((3, 0, 2), (box.side,) * 3)] == 2.5
     again = Field.from_flat(box, flat)
     assert again == d
     copy = d.copy()
@@ -186,25 +186,8 @@ def test_text_io_round_trip(tmp_path, rng):
         assert header == f"# lattice-field v1 radius=2 mode={mode}"
 
 
-def test_binary_io_round_trip(tmp_path, rng):
-    box = LatticeBox(3, kc.PERIODIC)
-    u = Field(box, rng.standard_normal((7, 7, 7)))
-    path = tmp_path / "u.fieldb"
-    kc.save_field_binary(u, path)
-    v = kc.load_field_binary(path)
-    assert v == u
-    assert v.box.mode == kc.PERIODIC
-
-
 def test_text_io_rejects_garbage(tmp_path):
     path = tmp_path / "bad.field"
     path.write_text("# wrong header\n1.0\n")
     with pytest.raises(ValueError):
         kc.load_field_text(path)
-
-
-def test_binary_io_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.fieldb"
-    path.write_bytes(b"NOTAFIELD" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        kc.load_field_binary(path)

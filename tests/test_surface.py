@@ -15,12 +15,10 @@ PUBLIC = [
     "SolveReport", "TORUS_QUADRATURE", "build_kernel", "cache_key", "check_box_convergence",
     "check_fiber_monotonicity", "check_hls", "check_kernel_integrity", "check_level_identity",
     "check_mountain_pass_geometry", "check_symmetry_and_translation", "convolve", "energy",
-    "energy_gradient", "evaluate", "fit_decay_exponent", "fractional_degree",
-    "fractional_degree_refined", "gaussian_bump_field", "gradient_energy", "gradient_inner",
-    "green_values", "h_inner", "h_norm", "interaction_energy", "laplace_symbol", "laplacian",
-    "load_field_binary", "load_field_text", "lp_norm", "mountain_pass_level_check",
-    "nehari_scale", "pairing", "random_start_field", "run_suite", "save_field_binary",
-    "save_field_text", "solve_ground_state", "sphere_inverse", "suite_csv", "suite_passed",
+    "evaluate", "fit_decay_exponent", "fractional_degree", "fractional_degree_refined",
+    "gaussian_bump_field", "gradient_inner", "green_values", "h_inner", "laplacian",
+    "load_field_text", "lp_norm", "mountain_pass_level_check", "nehari_scale", "pairing",
+    "random_start_field", "run_suite", "save_field_text", "solve_ground_state", "sphere_inverse", "suite_csv", "suite_passed",
     "suite_summary", "translate",
 ]
 
@@ -32,7 +30,7 @@ INI_KEYS = {
     "nonlinearity": ("coefficient", "exponent", "theta"),
     "solver": ("seed", "gradient_tolerance", "initial_guess", "initial_file"),
     "kernel": ("table_radius", "cache_dir"),
-    "output": ("directory", "solution_format"),
+    "output": ("directory",),
     "verify": ("trials", "mp_trials", "fiber_fields", "level_samples", "radii"),
     "sweep": ("parameter", "values"),
 }
@@ -69,7 +67,7 @@ def declared_keys():
 
 
 def test_all_is_the_pinned_public_surface():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 64
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 57
     assert len(set(kc.__all__)) == len(kc.__all__)
     assert sorted(kc.__all__) == PUBLIC
 
