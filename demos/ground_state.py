@@ -34,9 +34,9 @@ print(f"H-dual residual      : {report.h_residual:.3e}")
 print(f"Nehari defect        : {report.nehari_defect:.3e}")
 print(f"iterations           : {report.iterations} descent + {report.newton_iterations} newton")
 print(f"energy-norm lower bnd: {report.eta_estimate:.6f} <= ||u|| = {spec.h_norm(u):.6f}")
-theta = spec.nonlinearity.theta
-print(f"level floor          : c >= (1/2 - 1/theta) eta^2 = "
-      f"{(0.5 - 1 / theta) * report.eta_estimate**2:.6f}")
+p = spec.nonlinearity.exponent
+print(f"level floor          : c >= (1/2 - 1/(2p)) eta^2 = "
+      f"{(0.5 - 1 / (2 * p)) * report.eta_estimate**2:.6f}")
 print()
 
 # the state is positive, peaked at the potential minimum, and decays fast

@@ -159,6 +159,7 @@ def _solve_report_text(config: RunConfig, report) -> str:
         "",
         f"energy          = {report.energy!r}",
         f"residual        = {report.residual!r}",
+        f"residual_scale  = {report.residual_scale!r}",
         f"h_residual      = {report.h_residual!r}",
         f"nehari_defect   = {report.nehari_defect!r}",
         f"eta_estimate    = {report.eta_estimate!r}",

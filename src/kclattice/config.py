@@ -150,9 +150,7 @@ class RunConfig:
     table: tuple = _key("potential", "table", "", _FLOATS)
     coefficient: float = _key("nonlinearity", "coefficient", "1.0", _FLOAT)
     exponent: float = _key("nonlinearity", "exponent", "3.0", _FLOAT)
-    theta: float = _key("nonlinearity", "theta", "", _FLOAT)
     seed: int = _key("solver", "seed", "42", _INT)
-    gradient_tolerance: float = _key("solver", "gradient_tolerance", "1e-9", _FLOAT)
     initial_guess: str = _key("solver", "initial_guess", GAUSSIAN_BUMP, _TEXT,
                               (GAUSSIAN_BUMP, RANDOM_START, FILE_START))
     initial_file: str = _key("solver", "initial_file", "", _TEXT)
@@ -240,7 +238,7 @@ class RunConfig:
         return PotentialSpec.periodic(self.tau, self.table)
 
     def nonlinearity(self) -> PowerNonlinearity:
-        return PowerNonlinearity(self.coefficient, self.exponent, self.theta)
+        return PowerNonlinearity(self.coefficient, self.exponent)
 
     def problem_spec(self) -> ProblemSpec:
         return ProblemSpec(self.box(), self.potential_spec(), self.nonlinearity(),
@@ -252,8 +250,7 @@ class RunConfig:
             guess = FILE_START
         elif guess == FILE_START:
             raise ValueError("initial_guess = file needs the field loaded and passed in")
-        return SolveConfig(gradient_tolerance=self.gradient_tolerance, seed=self.seed,
-                           initial_guess=guess, initial_field=initial_field)
+        return SolveConfig(seed=self.seed, initial_guess=guess, initial_field=initial_field)
 
     def sweep_point(self, value: float) -> "RunConfig":
         """This run with the sweep parameter set to one of the sweep values."""

@@ -23,15 +23,15 @@ whose pointwise representer is the gradient field
 
 ``evaluate`` is the one evaluation core: a single convolution R * F(u)
 gives ||u||^2, A, B and D, J(su) in closed form along the ray, and the
-gradient at su (R * F(su) = s^p R * F(u)); ``energy`` is a view of it.
-``pairing`` expands the variation bilinearly with its own convolution, as
-the referee.
+gradient at su (R * F(su) = s^p R * F(u)) with its norm and scale;
+``energy`` is a view of it.  ``pairing`` expands the variation
+bilinearly with its own convolution, as the referee.
 
 Admissibility of the power: p > 2 makes the interaction superquadratic
 along rays (the mechanism behind uniqueness of the projection scale), and
 p > (3 + alpha)/3 keeps the interaction controlled by the convolution
-inequality on l^p spaces.  The quotient bound theta F(t) <= 2 t f(t) holds
-for any theta <= 2p; theta defaults to 2p and must exceed 4.
+inequality on l^p spaces.  The power satisfies 2p F(t) = 2 t f(t), the
+Ambrosetti-Rabinowitz bound with its sharpest index 2p > 4.
 """
 
 from __future__ import annotations
@@ -155,7 +155,6 @@ class PowerNonlinearity:
 
     coefficient: float
     exponent: float
-    theta: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not math.isfinite(self.coefficient) or self.coefficient <= 0.0:
@@ -164,12 +163,6 @@ class PowerNonlinearity:
         if not math.isfinite(self.exponent) or self.exponent <= 2.0:
             raise ValueError(f"exponent (the power p) must be finite and exceed 2, "
                              f"got {self.exponent}")
-        if self.theta is None:
-            object.__setattr__(self, "theta", 2.0 * self.exponent)
-        if not 4.0 < self.theta <= 2.0 * self.exponent:
-            raise ValueError(
-                f"theta must lie in (4, 2p] = (4, {2 * self.exponent}], got {self.theta}"
-            )
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
@@ -252,6 +245,16 @@ class FiberCoefficients:
             if not math.isfinite(getattr(self, name)):
                 raise RuntimeError(f"fiber coefficient {name} is not finite")
 
+    def nehari_defect(self, b: float, s: float = 1.0) -> float:
+        """|q(s)| relative to the largest of its three terms, q(s) = ||u||^2 + b A^2 s^2 - D s^(2p-2).
+
+        Relative to ||u||^2 alone, a root where the Kirchhoff term or the
+        drive dominates would measure the cancellation of huge terms.
+        """
+        terms = (self.norm_h2, b * self.grad2 * self.grad2 * s * s,
+                 self.drive * s ** (2.0 * self.exponent - 2.0))
+        return abs(terms[0] + terms[1] - terms[2]) / max(terms)
+
 
 @dataclass(frozen=True, eq=False)
 class Evaluation(FiberCoefficients):
@@ -275,12 +278,17 @@ class Evaluation(FiberCoefficients):
 
     def gradient(self) -> np.ndarray:
         """Representer g with <J'(u), phi> = sum g phi for every phi, as a box-shaped array."""
+        return self.residual()[0]
+
+    def residual(self) -> tuple:
+        """(g, ||g||, scale), the scale ||(a + bA) lap u|| + ||V u|| + ||(R * F(u)) f(u)||
+        summing the l2 norms of g's three terms: ||g|| if none cancelled another."""
         spec, u = self.spec, self.u.values
-        return (
-            -(spec.a + spec.b * self.grad2) * _laplacian_values(u, self.u.box.mode)
-            + spec.potential_table * u
-            - self.conv * spec.nonlinearity.f(u)
-        )
+        terms = (-(spec.a + spec.b * self.grad2) * _laplacian_values(u, self.u.box.mode),
+                 spec.potential_table * u, self.conv * spec.nonlinearity.f(u))
+        g = terms[0] + terms[1] - terms[2]
+        norms = [float(np.sqrt(np.sum(t ** 2))) for t in (g, *terms)]
+        return g, norms[0], sum(norms[1:])
 
 
 def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:

@@ -27,7 +27,9 @@ frozen at the current point, by a few conjugate-gradient steps.  Below a
 residual of _SWITCH_RESIDUAL, Newton steps polish the Euler-Lagrange
 residual to roundoff, where energy differences no longer resolve but the
 residual still does; their minres solves are preconditioned by that same
-operator.  Such numerics (_ARMIJO, _BACKTRACK, ...) are module constants.
+operator.  The solve converges when ||g|| <= _TOLERANCE times the scale
+of ``Evaluation.residual``, so the stop follows a, b, V and the
+coefficient.  Such numerics (_TOLERANCE, _ARMIJO, ...) are module constants.
 
 The solver core runs on box-shaped arrays; a ``Field`` is validated only
 where data enters it (the start field, ``evaluate``, ``convolve``) or
@@ -73,6 +75,9 @@ _MAX_ITERATIONS = 2000
 _NEWTON_MAX_ITERATIONS = 30
 # the residual at which the descent hands over to the Newton polish
 _SWITCH_RESIDUAL = 1.0e-3
+# the relative residual ||g|| / scale of convergence: g's terms carry rounding
+# errors near eps * scale, so a few hundred ulps is what a double can certify
+_TOLERANCE = 1.0e-13
 
 
 def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
@@ -80,8 +85,8 @@ def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
 
     Roots q(s) = norm_h2 + b A^2 s^2 - D s^(2p-2).  q(0) > 0 and q has one
     sign change, so Newton's method safeguarded by a verified bracket
-    pins the root to relative accuracy near machine precision, to |q(s)|
-    <= _ROOT_TOLERANCE times q's largest term.  A zero field is a
+    pins the root to relative accuracy near machine precision, to a
+    ``nehari_defect`` of at most _ROOT_TOLERANCE.  A zero field is a
     ValueError; a drive that underflowed to zero on a nonzero field is a
     RuntimeError.
     """
@@ -147,12 +152,9 @@ def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
         if abs(qt) >= abs(qs):
             break
         s, qs = trial, qt
-    # the residual floor is set by the largest term entering q, not by nh:
-    # when the Kirchhoff term dominates (tiny drive), |q| at the root is a
-    # cancellation of huge terms and can never reach tolerance*nh
-    scale = max(nh, baa * s * s, dd * s ** ex)
-    if abs(q(s)) > _ROOT_TOLERANCE * scale:
-        raise RuntimeError(f"fiber root residual {abs(q(s)) / scale:.3e} exceeds "
+    defect = coeffs.nehari_defect(b, s)
+    if defect > _ROOT_TOLERANCE:
+        raise RuntimeError(f"fiber root residual {defect:.3e} exceeds "
                            f"tolerance {_ROOT_TOLERANCE:.3e}")
     return s
 
@@ -318,9 +320,8 @@ def _h_representer(spec: ProblemSpec, g: np.ndarray, rtol: float = 1.0e-12,
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """The solve's accuracy contract and start field."""
+    """The solve's start field."""
 
-    gradient_tolerance: float = 1.0e-9
     seed: int = 0
     initial_guess: str = GAUSSIAN_BUMP
     initial_field: Field = None
@@ -328,8 +329,6 @@ class SolveConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not self.gradient_tolerance > 0.0:  # NaN fails too
-            raise ValueError("gradient_tolerance must be positive")
         if self.initial_guess not in (GAUSSIAN_BUMP, RANDOM_START, FILE_START):
             raise ValueError(f"unknown initial guess kind {self.initial_guess!r}")
         if self.initial_guess == FILE_START and self.initial_field is None:
@@ -343,6 +342,7 @@ class SolveReport:
     solution: Field
     energy: float
     residual: float
+    residual_scale: float
     h_residual: float
     nehari_defect: float
     eta_estimate: float
@@ -456,7 +456,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     roundoff, so Newton steps polish the Euler-Lagrange residual itself, by
     minres on the exact second-derivative action preconditioned with P^-1,
     P = -(a + bA) lap + V (CG to _PRECONDITIONER_RTOL), and a merit rule of
-    residual decrease.
+    residual decrease.  Both stop at ||g|| <= _TOLERANCE * scale.
 
     Failures are reported in the returned SolveReport (converged flag and
     message), not raised: a stalled line search or exhausted iteration
@@ -468,7 +468,6 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     if config is None:
         config = SolveConfig()
     box = spec.box
-    tol = config.gradient_tolerance
 
     w0 = sphere_inverse(_initial_field(spec, config), spec.a, spec.potential_table)
     w = w0.values  # the iterate on the unit sphere
@@ -482,14 +481,13 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         s = nehari_scale(start, spec.b)
         current = start.ray_energy(s)
         point = start.at_scale(s)
-        g = point.gradient()
-        gnorm = float(np.sqrt(np.sum(g ** 2)))
+        g, gnorm, scale = point.residual()
         prev_w = prev_gp = None
         step = None
 
         for iterations in range(_MAX_ITERATIONS):
             history.append((current, gnorm, s))
-            if gnorm <= max(tol, _SWITCH_RESIDUAL):
+            if gnorm <= max(_TOLERANCE * scale, _SWITCH_RESIDUAL):
                 break
 
             weight = spec.a + spec.b * point.grad2
@@ -520,14 +518,13 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             s = s_trial * norm_trial
             current = e_trial
             point = trial.at_scale(s_trial)
-            g = point.gradient()
-            gnorm = float(np.sqrt(np.sum(g ** 2)))
+            g, gnorm, scale = point.residual()
         else:
             message = "descent iteration budget exhausted"
 
         # Newton polish on the Euler-Lagrange residual
         for _ in range(_NEWTON_MAX_ITERATIONS):
-            if gnorm <= tol:
+            if gnorm <= _TOLERANCE * scale:
                 break
             weight = spec.a + spec.b * point.grad2
             delta, _ = _minres(_hessian(kernel, point), -g.ravel(),
@@ -537,15 +534,14 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             length = 1.0
             for _ in range(30):
                 trial = evaluate(spec, kernel, Field(box, point.u.values + length * delta))
-                trial_g = trial.gradient()
-                trial_norm = float(np.sqrt(np.sum(trial_g ** 2)))
-                if trial_norm < gnorm:
+                trial_residual = trial.residual()
+                if trial_residual[1] < gnorm:
                     break
                 length *= 0.5
             else:
                 message = "Newton polish stalled before reaching the residual tolerance"
                 break
-            point, g, gnorm = trial, trial_g, trial_norm
+            point, (g, gnorm, scale) = trial, trial_residual
             newton_iterations += 1
             history.append((point.ray_energy(), gnorm, nehari_scale(point, spec.b)))
         else:
@@ -555,8 +551,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
 
     if point is None:  # the start itself could not be evaluated or scaled
         nan = math.nan
-        return SolveReport(w0, nan, nan, nan, nan, nan, 0, 0, False, message, *np.empty((3, 0)))
-    defect = abs(point.norm_h2 + spec.b * point.grad2 ** 2 - point.drive) / point.norm_h2
+        return SolveReport(w0, *[nan] * 6, 0, 0, False, message, *np.empty((3, 0)))
     h_residual = eta = math.nan
     try:
         rep = _h_representer(spec, g)
@@ -564,7 +559,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         eta = _eta_estimate(spec, kernel, point)
     except RuntimeError as exc:
         message = f"{message}; {exc}"
-    converged = gnorm <= tol and not failed
+    converged = gnorm <= _TOLERANCE * scale and not failed
     if converged and message not in ("ok",):
         message = "ok after Newton polish"
 
@@ -573,8 +568,9 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         solution=point.u,
         energy=point.ray_energy(),
         residual=gnorm,
+        residual_scale=scale,
         h_residual=h_residual,
-        nehari_defect=defect,
+        nehari_defect=point.nehari_defect(spec.b),
         eta_estimate=eta,
         iterations=iterations,
         newton_iterations=newton_iterations,

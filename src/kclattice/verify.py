@@ -255,9 +255,9 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
     """Ray behavior of the interaction energy g(t) = I(tu).
 
     Three predictions: the quotient combination t g'(t)/4 - g(t) is
-    positive and strictly increasing in t; g(t) >= t^theta g(1) for
-    t >= 1 (equality when theta = 2p, strict when theta < 2p); and for
-    the power nonlinearity the exact homogeneity g(t) = t^(2p) g(1).
+    positive and strictly increasing in t; g(t) > t^theta g(1) for t > 1
+    at theta = strict_theta in (4, 2p); and the exact homogeneity g(t) =
+    t^(2p) g(1), the same bound at theta = 2p, which the probes test.
 
     The grid curve (the 50 points of _FIBER_GRID) is derived, not sampled:
     each field is evaluated once at t = 1 and g, g' and the quotient at
@@ -268,7 +268,6 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
     name = "fiber-monotonicity"
     rng = _check_rng(seed, name)
     p = spec.nonlinearity.exponent
-    theta = spec.nonlinearity.theta
     grid = _FIBER_GRID
     worst_identity = 0.0
     min_quotient = math.inf
@@ -287,12 +286,8 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
             worst_identity = max(worst_identity, abs(probe - predicted) / predicted)
         g, _, quotient = _fiber_curve(base, grid)
         for t, g_t in zip(grid, g):
-            if t >= 1.0:
-                if g_t < t ** theta * g1 * (1.0 - 1.0e-10):
-                    passed = False
-                    witness = f"g(t) < t^theta g(1) at t={t:.4f}, field {k}"
-                if t > 1.0:
-                    min_strict_gap = min(min_strict_gap, g_t - t ** strict_theta * g1)
+            if t > 1.0:
+                min_strict_gap = min(min_strict_gap, g_t - t ** strict_theta * g1)
         min_quotient = min(min_quotient, float(quotient.min()))
         increments = np.diff(quotient)
         min_increase = min(min_increase, float(increments.min()))

@@ -103,7 +103,8 @@ def test_solve_artifacts_and_determinism(tmp_path, cache_dir, capsys):
 def test_solve_exit3_still_writes_artifacts(tmp_path, cache_dir, capsys, monkeypatch):
     monkeypatch.setattr(nehari_module, "_MAX_ITERATIONS", 2)
     monkeypatch.setattr(nehari_module, "_NEWTON_MAX_ITERATIONS", 1)
-    cfg = write_config(tmp_path, base_config(cache_dir, "[solver]\ngradient_tolerance = 1e-13\n"))
+    monkeypatch.setattr(nehari_module, "_TOLERANCE", 1e-16)
+    cfg = write_config(tmp_path, base_config(cache_dir))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--output", str(out), "solve"]) == 3
     capsys.readouterr()
@@ -136,10 +137,18 @@ def test_solve_with_an_overflowing_coefficient_exits_through_a_documented_path(
     capsys.readouterr()
     report = (latest_run(out) / "report.txt").read_text()
     if re.search(r"converged\s*=\s*True", report):
-        # at 1e150 the ray coefficients once underflowed to a zero drive
-        values = dict(re.findall(r"^(nehari_defect|eta_estimate)\s*=\s*(\S+)$", report, re.M))
+        # at 1e150 the ray coefficients once underflowed to a zero drive, and
+        # later an absolute residual tolerance passed the unsolved start
+        values = dict(re.findall(r"^(energy|nehari_defect|eta_estimate)\s*=\s*(\S+)$",
+                                 report, re.M))
         assert float(values["nehari_defect"]) <= 1e-8
         assert 0.0 < float(values["eta_estimate"]) < math.inf
+        # u = v / sqrt(c) leaves the b = 0, c = 1 problem up to a Kirchhoff
+        # term of relative size 1/c, so the level is that problem's over c
+        level = 8.387450841858964 / float(coefficient)
+        assert float(values["energy"]) == pytest.approx(level, rel=1e-6, abs=0.0)
+    else:
+        assert re.search(r"converged\s*=\s*False", report)
 
 
 VERIFY_1E200 = ("[problem]\nradius = 4\n\n[nonlinearity]\ncoefficient = 1e200\n\n"
@@ -386,6 +395,13 @@ _BAD_INPUTS = {
     # the solver's step budgets are fixed too
     "max-iterations": ("solve", "[solver]\nmax_iterations = 500\n", "max_iterations = 500",
                        "unknown key 'max_iterations' in section [solver]"),
+    # the stopping rule is relative to the gradient's scale, not a key
+    "gradient-tolerance": ("solve", "[solver]\ngradient_tolerance = 1e-9\n",
+                           "gradient_tolerance = 1e-9",
+                           "unknown key 'gradient_tolerance' in section [solver]"),
+    # the power's superlinearity index is 2p
+    "theta": ("verify", "[nonlinearity]\ntheta = 6\n", "theta = 6",
+              "unknown key 'theta' in section [nonlinearity]"),
     "negative-seed": ("verify", "[solver]\nseed = -1\n", "seed = -1",
                       "[solver] seed must be nonnegative"),
     "verify-radius": ("verify", "[verify]\nradii = -1 3\n", "radii = -1 3",

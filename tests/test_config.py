@@ -1,5 +1,9 @@
 """Config grammar: parsing, line-anchored errors, round-trips, accessors."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import kclattice as kc
@@ -22,11 +26,9 @@ table = 5 6 7 6 7 8 7 8 9 6 7 8 7 8 9 8 9 10 7 8 9 8 9 10 9 10 11
 [nonlinearity]
 coefficient = 2.0
 exponent = 3.0
-theta = 5.5
 
 [solver]
 seed = 7
-gradient_tolerance = 1e-10
 
 [kernel]
 table_radius = 6
@@ -56,7 +58,6 @@ def test_custom_round_trip():
     assert cfg.alpha == 1.5
     assert cfg.mode == kc.PERIODIC
     assert cfg.tau == 3
-    assert cfg.theta == 5.5
     assert cfg.sweep_parameter == "b"
     assert cfg.sweep_values == (0.0, 0.5, 1.0)
 
@@ -93,6 +94,11 @@ def test_unknown_section_is_anchored():
     # removed key: the text format is the only field format
     pytest.param("[output]\ndirectory = out\nsolution_format = binary\n", 3, "solution_format",
                  id="removed-solution-format"),
+    # removed key: the solve stops relative to the gradient's scale
+    pytest.param("[solver]\nseed = 1\ngradient_tolerance = 1e-9\n", 3, "gradient_tolerance",
+                 id="removed-gradient-tolerance"),
+    # removed key: the power's superlinearity index is 2p
+    pytest.param("[nonlinearity]\ntheta = 5.5\n", 2, "theta", id="removed-theta"),
 ])
 def test_unknown_key_is_anchored(text, line, key):
     with pytest.raises(ConfigError) as err:
@@ -209,14 +215,12 @@ def test_problem_spec_accessors():
     assert spec.potential.kind == kc.PERIODIC_POTENTIAL
     assert spec.potential.tau == 3
     assert spec.nonlinearity.coefficient == 2.0
-    assert spec.nonlinearity.theta == 5.5
 
 
 def test_solve_config_accessor_and_seed_override():
     cfg = RunConfig.from_text(GOOD)
     sc = cfg.solve_config()
     assert sc.seed == 7
-    assert sc.gradient_tolerance == 1e-10
     assert cfg.with_seed(99).seed == 99
     assert cfg.with_seed(99).radius == cfg.radius
 
@@ -248,3 +252,24 @@ def test_constant_and_coercive_potentials():
     assert pot.kind == kc.COERCIVE
     assert pot.center == (1, 0, -1)
     assert pot.value((1, 0, -1)) == 1.5
+
+
+def _benchmark_runner(monkeypatch):
+    """perfbench/run.py as a module, loaded without running it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ first
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("quick", [False, True])
+def test_benchmark_workload_configs_parse(monkeypatch, quick):
+    # the benchmark writes these configs for the CLI; a key that the parser
+    # no longer knows would fail every one of its operations
+    run = _benchmark_runner(monkeypatch)
+    assert run.WORKLOADS
+    for name, workload in run.WORKLOADS.items():
+        for sections in (workload.sections(1, quick), workload.prebuild_sections(1, quick)):
+            RunConfig.from_text(run._ini(sections), name)

@@ -113,7 +113,6 @@ def test_power_nonlinearity_values():
     assert nl.F(-2.0) == pytest.approx(16.0 / 3.0)
     assert nl.f_prime(-2.0) == pytest.approx(8.0)
     assert nl.f(0.0) == 0.0 and nl.F(0.0) == 0.0
-    assert nl.theta == 6.0
 
 
 def test_power_nonlinearity_fprime_is_derivative(rng):
@@ -126,15 +125,13 @@ def test_power_nonlinearity_fprime_is_derivative(rng):
 
 def test_superlinearity_bound_on_grid():
     # theta * F(t) <= 2 t f(t), with equality at theta = 2p
+    nl = PowerNonlinearity(1.0, 3.0)
+    ts = np.linspace(-10.0, 10.0, 401)
     for theta in (4.5, 5.0, 6.0):
-        nl = PowerNonlinearity(1.0, 3.0, theta=theta)
-        ts = np.linspace(-10.0, 10.0, 401)
         lhs = theta * nl.F(ts)
         rhs = 2.0 * ts * nl.f(ts)
         assert np.all(lhs <= rhs * (1.0 + 1e-12) + 1e-15)
-    tight = PowerNonlinearity(1.0, 3.0)
-    ts = np.linspace(-10.0, 10.0, 401)
-    assert np.allclose(tight.theta * tight.F(ts), 2.0 * ts * tight.f(ts), rtol=1e-13)
+    assert np.allclose(6.0 * nl.F(ts), 2.0 * ts * nl.f(ts), rtol=1e-13)
 
 
 def test_nonlinearity_validation():
@@ -142,10 +139,6 @@ def test_nonlinearity_validation():
         PowerNonlinearity(0.0, 3.0)
     with pytest.raises(ValueError):
         PowerNonlinearity(1.0, 2.0)
-    with pytest.raises(ValueError):
-        PowerNonlinearity(1.0, 3.0, theta=4.0)
-    with pytest.raises(ValueError):
-        PowerNonlinearity(1.0, 3.0, theta=6.5)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +311,9 @@ def test_pairing_with_u_closes_the_fiber_identity(small_spec, small_kernel, rng)
     lhs = kc.pairing(small_spec, small_kernel, u, u)
     rhs = coeffs.norm_h2 + small_spec.b * coeffs.grad2**2 - coeffs.drive
     assert lhs == pytest.approx(rhs, rel=1e-12)
+    # the Nehari defect is that pairing relative to the largest of its three terms
+    largest = max(coeffs.norm_h2, small_spec.b * coeffs.grad2**2, coeffs.drive)
+    assert coeffs.nehari_defect(small_spec.b) == pytest.approx(abs(rhs) / largest, rel=1e-12)
 
 
 def test_interaction_pairing_is_directional_derivative(small_spec, small_kernel, rng):
@@ -373,6 +369,19 @@ def test_core_ray_energy_and_scaled_gradient_match_fresh_evaluations(small_spec,
         g = evaluate(small_spec, small_kernel, su).gradient()
         err = np.linalg.norm(scaled.gradient() - g)
         assert err <= 1e-12 * np.linalg.norm(g)
+
+
+def test_residual_scale_sums_the_norms_of_the_gradient_terms(small_spec, small_kernel, rng):
+    u = random_field(small_spec.box, rng)
+    point = evaluate(small_spec, small_kernel, u)
+    g, gnorm, scale = point.residual()
+    assert np.array_equal(g, point.gradient())
+    assert gnorm == pytest.approx(np.linalg.norm(g), rel=1e-12)
+    weight = small_spec.a + small_spec.b * point.grad2
+    terms = (weight * kc.laplacian(u).values, small_spec.potential_table * u.values,
+             point.conv * small_spec.nonlinearity.f(u.values))
+    assert scale == pytest.approx(sum(np.linalg.norm(t) for t in terms), rel=1e-12)
+    assert gnorm <= scale
 
 
 def test_core_convolves_once_per_evaluation(small_spec, small_kernel, rng, convolution_count):

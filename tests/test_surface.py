@@ -22,13 +22,13 @@ PUBLIC = [
     "suite_summary", "translate",
 ]
 
-SOLVE_CONFIG_FIELDS = ("gradient_tolerance", "seed", "initial_guess", "initial_field")
+SOLVE_CONFIG_FIELDS = ("seed", "initial_guess", "initial_field")
 
 INI_KEYS = {
     "problem": ("a", "b", "alpha", "radius", "mode"),
     "potential": ("kind", "v0", "rate", "power", "center", "tau", "table"),
-    "nonlinearity": ("coefficient", "exponent", "theta"),
-    "solver": ("seed", "gradient_tolerance", "initial_guess", "initial_file"),
+    "nonlinearity": ("coefficient", "exponent"),
+    "solver": ("seed", "initial_guess", "initial_file"),
     "kernel": ("table_radius", "cache_dir"),
     "output": ("directory",),
     "verify": ("trials", "mp_trials", "fiber_fields", "level_samples", "radii"),
@@ -79,6 +79,9 @@ def test_every_exported_name_resolves():
 
 def test_solve_config_has_the_pinned_knobs():
     assert tuple(f.name for f in dataclasses.fields(kc.SolveConfig)) == SOLVE_CONFIG_FIELDS
+    # the superlinearity index is 2p, not a field
+    assert tuple(f.name for f in dataclasses.fields(kc.PowerNonlinearity)) == (
+        "coefficient", "exponent")
 
 
 def test_kernel_entry_points_have_the_pinned_parameters():
