@@ -33,10 +33,12 @@ print(f"l2 residual          : {report.residual:.3e}")
 print(f"H-dual residual      : {report.h_residual:.3e}")
 print(f"Nehari defect        : {report.nehari_defect:.3e}")
 print(f"iterations           : {report.iterations} descent + {report.newton_iterations} newton")
-print(f"energy-norm lower bnd: {report.eta_estimate:.6f} <= ||u|| = {spec.h_norm(u):.6f}")
+# eta is proven from one interaction constant K (B <= K ||u||^(2p) on the box);
+# K grows with the box, so both floors are loose and weaken with the radius
+print(f"proven norm floor eta: {report.eta_estimate:.6f} <= ||u|| = {spec.h_norm(u):.6f}")
 p = spec.nonlinearity.exponent
-print(f"level floor          : c >= (1/2 - 1/(2p)) eta^2 = "
-      f"{(0.5 - 1 / (2 * p)) * report.eta_estimate**2:.6f}")
+print(f"proven level floor   : c >= (1/2)(1 - 1/p) eta^2 = "
+      f"{0.5 * (1 - 1 / p) * report.eta_estimate**2:.6f}")
 print()
 
 # the state is positive, peaked at the potential minimum, and decays fast

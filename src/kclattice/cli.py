@@ -147,13 +147,13 @@ def _configured_solve(config: RunConfig):
     return spec, config.solve_config(initial_field=initial)
 
 
-def _solve_report_text(config: RunConfig, report) -> str:
+def _solve_report_text(config: RunConfig, spec, report) -> str:
     u = report.solution
     lines = [
         "ground-state solve report",
         f"problem: a={config.a!r} b={config.b!r} alpha={config.alpha!r} "
         f"p={config.exponent!r} c={config.coefficient!r}",
-        f"potential: {config.potential_kind} (v0={config.v0!r})",
+        f"potential: {config.potential_kind} (v0={float(spec.potential_table.min())!r})",
         f"box: radius={config.radius} mode={config.mode}",
         f"seed: {config.seed}",
         "",
@@ -184,7 +184,7 @@ def cmd_solve(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     spec, solve_config = problem
     report = solve_ground_state(spec, kernel, solve_config)
     save_field_text(report.solution, run_dir / "solution.field")
-    (run_dir / "report.txt").write_text(_solve_report_text(config, report), encoding="ascii")
+    (run_dir / "report.txt").write_text(_solve_report_text(config, spec, report), encoding="ascii")
     _write_history(report, run_dir / "history.csv")
     print(f"energy = {report.energy!r}")
     print(f"residual = {report.residual:.3e}  nehari defect = {report.nehari_defect:.3e}")

@@ -34,6 +34,7 @@ from .energy import (
     PowerNonlinearity,
     ProblemSpec,
 )
+from .kernel import block_radius
 from .lattice import DIRICHLET, PERIODIC, LatticeBox
 from .nehari import FILE_START, GAUSSIAN_BUMP, RANDOM_START, SolveConfig
 from .verify import HLS_RADII
@@ -259,7 +260,7 @@ class RunConfig:
 
     def solve_table_radius(self) -> int:
         """Kernel radius for a solve on the box; a smaller set table_radius is a ConfigError."""
-        return self._table_radius((self.radius, self.mode))
+        return self._table_radius(self.box())
 
     def verify_table_radius(self) -> int:
         """Kernel radius covering every box the verify suite convolves on, checked the same way.
@@ -268,14 +269,14 @@ class RunConfig:
         of radii HLS_RADII whatever the run's mode.
         """
         top = max((self.radius,) + tuple(self.verify_radii))
-        return self._table_radius((top, self.mode), (max(HLS_RADII), DIRICHLET))
+        return self._table_radius(LatticeBox(top, self.mode), LatticeBox(max(HLS_RADII)))
 
     def _table_radius(self, *boxes) -> int:
-        # a Dirichlet box of radius r sees displacements up to 2r, a periodic one up to r
-        needed, top, mode = max((2 * r if m == DIRICHLET else r, r, m) for r, m in boxes)
+        box = max(boxes, key=block_radius)
+        needed = block_radius(box)
         if self.table_radius is not None and self.table_radius < needed:
             raise self.sections["kernel"].error("table_radius", (
-                f"{self.table_radius} cannot cover a {mode} box of radius {top} "
+                f"{self.table_radius} cannot cover a {box.mode} box of radius {box.radius} "
                 f"(needs >= {needed})"))
         return needed if self.table_radius is None else self.table_radius
 

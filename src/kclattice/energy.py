@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import GreenKernel, convolve
+from .kernel import GreenKernel, convolve, kernel_block
 from .lattice import Field, LatticeBox, _edge_sum, _laplacian_values, gradient_inner, h_inner
 
 CONSTANT = "constant"
@@ -331,3 +331,25 @@ def pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> flo
     conv = convolve(kernel, Field(u.box, big_f)).values
     drive = float(np.sum(conv * spec.nonlinearity.f(u.values) * phi.values))
     return linear + spec.b * grad2 * cross - drive
+
+
+def log_interaction_constant(spec: ProblemSpec, kernel: GreenKernel) -> float:
+    """log K, with B(u) <= K ||u||^(2p) on the box: K = (c/p)^2 ||R_block||_1 V_min^-p.
+
+    Young's inequality on the box's ``kernel_block``, ||u||_2p <= ||u||_2 and
+    ||u||_2^2 <= ||u||^2 / V_min (V_min the least V on the box) prove it up to rounding.
+    K grows like n^alpha with the box, so its bounds weaken with the radius; logs
+    keep it past the double range (a coefficient of 1e200).
+    """
+    _check_kernel(spec, kernel)
+    c, p = spec.nonlinearity.coefficient, spec.nonlinearity.exponent
+    return (2.0 * math.log(c / p) + math.log(float(np.sum(kernel_block(kernel, spec.box))))
+            - p * math.log(float(spec.potential_table.min())))
+
+
+def nehari_radius(spec: ProblemSpec, kernel: GreenKernel) -> float:
+    """eta = (pK)^(-1/(2p-2)): Nehari points have ||u||^2 <= pB <= pK ||u||^(2p), so ||u|| >= eta
+    and J >= sigma* = (1/2)(1 - 1/p) eta^2, the top of the floor rho^2/2 - K rho^(2p)/2 of J
+    on the sphere ||u|| = rho."""
+    p = spec.nonlinearity.exponent
+    return math.exp(-(math.log(p) + log_interaction_constant(spec, kernel)) / (2.0 * p - 2.0))

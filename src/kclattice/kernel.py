@@ -445,11 +445,8 @@ def build_kernel(alpha: float, table_radius: int, *, cache_dir=None) -> GreenKer
 # ---------------------------------------------------------------------------
 # convolution against a tabulated kernel
 #
-# Dirichlet boxes use linear convolution: out(x) = sum_{y in box} R(x-y) w(y),
-# which needs table_radius >= 2 * box radius.  Periodic boxes use circular
-# convolution at the box period with the minimal-image kernel block (a
-# modeling choice: displacement images beyond the box are not folded in),
-# which needs table_radius >= box radius.
+# Dirichlet boxes use linear convolution, out(x) = sum_{y in box} R(x-y) w(y); periodic
+# boxes circular convolution with the minimal-image block (images are not folded in).
 
 _plan_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -467,30 +464,34 @@ def _fast_len(n: int) -> int:
         length += 1
 
 
-class _ConvolutionPlan:
-    """The box's kernel block |z_i| <= r, wrapped onto a circular grid and transformed once.
+def block_radius(box) -> int:
+    """The block |z_i| <= r a box convolves with: r = n periodic (minimal images), 2n Dirichlet."""
+    return box.radius if box.mode == "periodic" else 2 * box.radius
 
-    r is the box radius n for periodic boxes and 2n for Dirichlet ones.  A
-    periodic grid has the box's own side; a Dirichlet grid is at least
+
+def kernel_block(kernel: GreenKernel, box) -> np.ndarray:
+    """The table entries |z_i| <= block_radius(box); a ValueError if the table is smaller."""
+    need, m = block_radius(box), kernel.table_radius
+    if m < need:
+        raise ValueError(f"kernel table radius {m} cannot cover a {box.mode} "
+                         f"box of radius {box.radius} (needs >= {need})")
+    return kernel.table[m - need : m + need + 1, m - need : m + need + 1, m - need : m + need + 1]
+
+
+class _ConvolutionPlan:
+    """The box's ``kernel_block``, wrapped onto a circular grid and transformed once.
+
+    A periodic grid has the box's own side; a Dirichlet grid is at least
     4n + 1 long, so no wrapped image of the block reaches the box, and the
     circular result cropped to the box is the linear one.
     """
 
     def __init__(self, kernel: GreenKernel, box):
-        n, m = box.radius, kernel.table_radius
-        periodic = box.mode == "periodic"
-        need = n if periodic else 2 * n
-        if m < need:
-            raise ValueError(
-                f"kernel table radius {m} cannot cover a {box.mode} "
-                f"box of radius {n} (needs >= {need})"
-            )
-        size = box.side if periodic else _fast_len(4 * n + 1)
-        wrap = np.arange(-need, need + 1) % size
+        block = kernel_block(kernel, box)
+        size = box.side if box.mode == "periodic" else _fast_len(4 * box.radius + 1)
+        wrap = np.arange(-block_radius(box), block_radius(box) + 1) % size
         grid = np.zeros((size,) * 3)
-        grid[np.ix_(wrap, wrap, wrap)] = kernel.table[
-            m - need : m + need + 1, m - need : m + need + 1, m - need : m + need + 1
-        ]
+        grid[np.ix_(wrap, wrap, wrap)] = block
         self.shape = grid.shape
         self.side = box.side
         self.spectrum = np.fft.rfftn(grid)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Evaluation, FiberCoefficients, ProblemSpec, evaluate
+from .energy import Evaluation, FiberCoefficients, ProblemSpec, evaluate, nehari_radius
 from .kernel import GreenKernel, convolve
 from .lattice import Field, _edge_sum, _laplacian_values, h_inner
 
@@ -345,7 +345,7 @@ class SolveReport:
     residual_scale: float
     h_residual: float
     nehari_defect: float
-    eta_estimate: float
+    eta_estimate: float  # ``nehari_radius``: a proven floor on the norm of every Nehari point
     iterations: int
     newton_iterations: int
     converged: bool
@@ -421,23 +421,6 @@ def _hessian(kernel: GreenKernel, point: Evaluation):
                 + spec.potential_table * v - conv_fv * fu - conv_fp * v).ravel()
 
     return apply
-
-
-def _eta_estimate(spec: ProblemSpec, kernel: GreenKernel, ground: Evaluation) -> float:
-    """Lower bound on the norm of any Nehari point, from two sampled drives.
-
-    For u on the Nehari set, ||u||^2 <= D(u) = ||u||^(2p) D(u/||u||), so
-    ||u|| >= C^(-1/(2p-2)) whenever C bounds the drive over unit fields.
-    C is estimated as the larger drive of two unit directions: the ground
-    state's, D(su) = s^(2p) D(u) at s = 1/||u|| from its final evaluation
-    with no further convolution, which makes eta <= ||ground|| an identity
-    rather than a hope; and the default Gaussian bump's, at one convolution.
-    """
-    bump = gaussian_bump_field(spec.box, spec.potential.minimum_site(spec.box))
-    unit_bump = evaluate(spec, kernel, sphere_inverse(bump, spec.a, spec.potential_table))
-    sp = (1.0 / math.sqrt(ground.norm_h2)) ** ground.exponent
-    top = max(sp * (sp * ground.drive), unit_bump.drive)
-    return top ** (-1.0 / (2.0 * spec.nonlinearity.exponent - 2.0))
 
 
 def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
@@ -549,16 +532,14 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     except RuntimeError as exc:
         message, failed = str(exc), True
 
+    eta = nehari_radius(spec, kernel)
     if point is None:  # the start itself could not be evaluated or scaled
-        nan = math.nan
-        return SolveReport(w0, *[nan] * 6, 0, 0, False, message, *np.empty((3, 0)))
-    h_residual = eta = math.nan
+        return SolveReport(w0, *[math.nan] * 5, eta, 0, 0, False, message, *np.empty((3, 0)))
     try:
         rep = _h_representer(spec, g)
         h_residual = float(math.sqrt(max(np.sum(rep * g), 0.0)))
-        eta = _eta_estimate(spec, kernel, point)
     except RuntimeError as exc:
-        message = f"{message}; {exc}"
+        h_residual, message = math.nan, f"{message}; {exc}"
     converged = gnorm <= _TOLERANCE * scale and not failed
     if converged and message not in ("ok",):
         message = "ok after Newton polish"

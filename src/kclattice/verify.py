@@ -6,6 +6,7 @@ returns a PropertyReport.  These are evidence, not proof: the statements
 quantify over all fields and ray parameters, and a finite sample can only
 fail to falsify them.  Every report carries its sample count and tolerance
 so the evidence is auditable, and the suite header says this out loud.
+mountain-pass-geometry's floor is proven, by ``nehari_radius``; its samples confirm it.
 
 All randomness is derived from a master seed, one independent stream per
 check (keyed by the check name), so a full-suite run is reproducible and
@@ -27,10 +28,11 @@ from .energy import (
     ProblemSpec,
     energy,
     evaluate,
+    nehari_radius,
 )
 from .kernel import GreenKernel, QuadratureError, _table_defect, convolve, fit_decay_exponent
 from .kernel import fractional_degree_refined
-from .lattice import Field, LatticeBox, lp_norm, translate
+from .lattice import DIRICHLET, Field, LatticeBox, lp_norm, translate
 from .nehari import (
     FILE_START,
     GAUSSIAN_BUMP,
@@ -55,6 +57,7 @@ _HLS_SPREAD = 0.05  # largest relative spread of check_hls's sups across radii
 _SYMMETRY_TOLERANCE = 1.0e-12  # relative, per table entry, in check_kernel_integrity
 _FIBER_GRID = np.linspace(0.06, 3.0, 50)  # the t at which check_fiber_monotonicity reads g(t)
 _BOX_GAP = 1.0e-3  # largest final relative level gap check_box_convergence passes
+_BOX_RISE = 1.0e-12  # largest relative rise of a Dirichlet level check_box_convergence passes
 
 
 @dataclass
@@ -123,14 +126,13 @@ def check_kernel_integrity(kernel: GreenKernel) -> PropertyReport:
 
 def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
                                  trials: int = 100, seed: int = 42) -> PropertyReport:
-    """A positive energy floor on a small sphere and a negative far point.
+    """A proven positive energy floor on a small sphere, sampled, and a negative far point.
 
-    Scans sphere radii 2^0, 2^-1, ... until the sampled minimum of J on
-    the radius-rho sphere is positive; then grows a ray until the energy
-    turns negative.  Superquadratic interaction guarantees both ends.
-    Each direction is evaluated once; J along its ray is the closed form
-    ``Evaluation.ray_energy``, so the check makes exactly ``trials``
-    convolutions however deep either scan goes.
+    On the sphere ||u|| = rho = eta (``nehari_radius``), J >= sigma* = (1/2)(1 - 1/p)
+    eta^2 > 0; ``trials`` unit directions w confirm J(rho w) >= sigma*, and the first
+    one's ray is grown until J turns negative.  Each direction is evaluated once and
+    its ray read from ``Evaluation.ray_energy``: ``trials`` convolutions in all.
+    eta shrinks as the box grows, so the proven floor weakens with the radius.
     """
     name = "mountain-pass-geometry"
     rng = _check_rng(seed, name)
@@ -138,35 +140,20 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
         evaluate(spec, kernel, _unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal"))
         for k in range(trials)
     ]
-    rho = None
-    sigma = -math.inf
-    for k in range(61):
-        candidate = 2.0 ** (-k)
-        floor = min(point.ray_energy(candidate) for point in points)
-        if floor > 0.0:
-            rho, sigma = candidate, floor
-            break
+    rho = nehari_radius(spec, kernel)
+    sigma = 0.5 * (1.0 - 1.0 / spec.nonlinearity.exponent) * rho * rho
+    floor = min(point.ray_energy(rho) for point in points)
+    e_norm = next((2.0 ** k for k in range(61) if points[0].ray_energy(2.0 ** k) < 0.0), math.nan)
+    passed = floor >= sigma > 0.0 and e_norm > rho  # False on a nan e_norm
     witness = ""
-    if rho is None:
-        witness = f"no positive sphere floor down to rho=2^-60 over {trials} directions"
-        return PropertyReport(name, "positive-sphere-floor-and-negative-far-point",
-                              trials, False, sigma, 0.0, {}, witness)
-    e_scale = None
-    e_energy = math.inf
-    for k in range(61):
-        t = 2.0 ** k
-        e_energy = points[0].ray_energy(t)
-        if e_energy < 0.0:
-            e_scale = t
-            break
-    if e_scale is None:
-        witness = "no negative-energy point found up to scale 2^60"
-    passed = e_scale is not None and sigma > 0.0 and e_scale > rho
-    details = {"rho": rho, "sigma": sigma,
-               "e_norm": e_scale if e_scale is not None else math.nan,
-               "e_energy": e_energy}
+    if not floor >= sigma > 0.0:
+        witness = f"sphere floor at rho={rho!r}: sampled {floor!r}, proven {sigma!r}"
+    elif not passed:
+        witness = "no negative-energy point found beyond rho up to scale 2^60"
+    details = {"rho": rho, "sigma": sigma, "sampled_floor": floor, "e_norm": e_norm,
+               "e_energy": points[0].ray_energy(e_norm)}
     return PropertyReport(name, "positive-sphere-floor-and-negative-far-point",
-                          trials, passed, sigma, 0.0, details, witness)
+                          trials, passed, floor, sigma, details, witness)
 
 
 def check_hls(kernel: GreenKernel, trials: int = 200, seed: int = 42) -> PropertyReport:
@@ -465,9 +452,10 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
 
     The underlying problem lives on the whole lattice; this measures how
     fast the finite-box level settles.  Pass iff the last relative gap is
-    at most _BOX_GAP.  Requires a kernel covering twice the largest
-    radius.  A given ``solve_report`` is the solve of ``spec`` itself and
-    stands in for the radius equal to the spec's box radius.
+    at most _BOX_GAP.  Zero-extension nests Dirichlet boxes' Nehari sets, so
+    there a level rising by over _BOX_RISE fails and the last bounds the Z^3
+    level from above; periodic boxes do not nest.  A ``solve_report`` is the
+    solve of ``spec`` itself, standing in for the radius of the spec's box.
 
     The solves continue across radii: each radius after the first starts
     from the previous radius's solution, zero-embedded at the same lattice
@@ -503,13 +491,19 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
             passed = False
             witness = f"solve did not converge at radius {radius}: {report.message}"
         levels.append(report.energy)
-    gaps = [abs(levels[i + 1] - levels[i]) / abs(levels[i + 1]) for i in range(len(levels) - 1)]
-    final_gap = gaps[-1]
+    rises = [(levels[i + 1] - levels[i]) / abs(levels[i + 1]) for i in range(len(levels) - 1)]
+    final_gap = abs(rises[-1])
+    if spec.box.mode == DIRICHLET and max(rises) > _BOX_RISE:
+        passed = False
+        i = rises.index(max(rises))
+        witness = witness or f"level rose by {rises[i]:.3e} at radii {radii[i]}->{radii[i + 1]}"
     if final_gap > _BOX_GAP:
         passed = False
         witness = witness or f"final relative gap {final_gap:.3e} at radii {radii[-2]}->{radii[-1]}"
     details = {f"level_radius_{r}": levels[i] for i, r in enumerate(radii)}
-    details.update({f"gap_{radii[i]}_{radii[i + 1]}": gaps[i] for i in range(len(gaps))})
+    details.update({f"gap_{radii[i]}_{radii[i + 1]}": abs(rises[i]) for i in range(len(rises))})
+    if spec.box.mode == DIRICHLET:
+        details["z3_level_upper_bound"] = levels[-1]
     return PropertyReport(name, "truncation-energy-cauchy", len(radii), passed,
                           final_gap, _BOX_GAP, details, witness)
 

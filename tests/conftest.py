@@ -19,6 +19,26 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.line(line)
 
 
+def interaction_constant(spec, kernel):
+    """K = (c/p)^2 ||R_block||_1 V_min^-p, summed over the table slice the box convolves with.
+
+    A Dirichlet box of radius n sees displacements |z_i| <= 2n, a periodic
+    one its minimal images |z_i| <= n.
+    """
+    n, m = spec.box.radius, kernel.table_radius
+    r = n if spec.box.mode == kc.PERIODIC else 2 * n
+    block = kernel.table[m - r:m + r + 1, m - r:m + r + 1, m - r:m + r + 1]
+    c, p = spec.nonlinearity.coefficient, spec.nonlinearity.exponent
+    return (c / p) ** 2 * float(block.sum()) * float(spec.potential_table.min()) ** -p
+
+
+def proven_floor(spec, kernel):
+    """(eta, sigma*) = ((pK)^(-1/(2p-2)), (1/2)(1 - 1/p) eta^2) for interaction_constant's K."""
+    p = spec.nonlinearity.exponent
+    eta = (p * interaction_constant(spec, kernel)) ** (-1.0 / (2.0 * p - 2.0))
+    return eta, 0.5 * (1.0 - 1.0 / p) * eta ** 2
+
+
 @pytest.fixture(scope="session")
 def kernel_m8():
     """Order-1 kernel covering radius-4 boxes."""

@@ -205,13 +205,19 @@ def test_criterion_09_level_identity(reference_spec, kernel_m16, ground):
 
 def test_criterion_10_mountain_pass_geometry(reference_spec, kernel_m16):
     rep = kc.check_mountain_pass_geometry(reference_spec, kernel_m16, trials=100)
-    sigma, rho = rep.details["sigma"], rep.details["rho"]
-    ok = rep.passed and sigma > 0.0 and rho > 0.0 and rep.details["e_energy"] < 0.0
+    sigma, rho, floor = rep.details["sigma"], rep.details["rho"], rep.details["sampled_floor"]
+    # the closed form, recomputed from the table slice the radius-8 box convolves with
+    eta, sigma_star = conftest.proven_floor(reference_spec, kernel_m16)
+    closed = (rho == pytest.approx(eta, rel=1e-12, abs=0.0)
+              and sigma == pytest.approx(sigma_star, rel=1e-12, abs=0.0))
+    ok = (rep.passed and closed and sigma > 0.0 and floor >= sigma
+          and rep.details["e_energy"] < 0.0)
     announce(
         10,
         "mountain pass geometry",
         ok,
-        f"sigma={sigma:.3e} at rho={rho:.3e}, J(e)={rep.details['e_energy']:.3e}",
+        f"rho=eta={rho:.4e}, sigma*={sigma:.4e}, sampled floor={floor:.4e}, "
+        f"J(e)={rep.details['e_energy']:.3e}",
     )
 
 

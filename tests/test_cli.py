@@ -100,6 +100,18 @@ def test_solve_artifacts_and_determinism(tmp_path, cache_dir, capsys):
     assert float(final[2]) <= 1e-9
 
 
+def test_solve_report_prints_the_potential_floor_the_solve_used(tmp_path, cache_dir, capsys):
+    # a periodic potential ignores [potential] v0: its floor, on which eta
+    # rests, is the table minimum
+    cfg = write_config(tmp_path, base_config(cache_dir).replace(
+        "kind = coercive\n", "kind = periodic\ntau = 1\ntable = 2.5\n"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "solve"]) == 0
+    capsys.readouterr()
+    report = (latest_run(out) / "report.txt").read_text()
+    assert "potential: periodic (v0=2.5)" in report.splitlines()
+
+
 def test_solve_exit3_still_writes_artifacts(tmp_path, cache_dir, capsys, monkeypatch):
     monkeypatch.setattr(nehari_module, "_MAX_ITERATIONS", 2)
     monkeypatch.setattr(nehari_module, "_NEWTON_MAX_ITERATIONS", 1)
@@ -136,13 +148,14 @@ def test_solve_with_an_overflowing_coefficient_exits_through_a_documented_path(
     assert main(["--config", cfg, "--output", str(out), "solve"]) in (0, 3)
     capsys.readouterr()
     report = (latest_run(out) / "report.txt").read_text()
+    values = dict(re.findall(r"^(energy|nehari_defect|eta_estimate)\s*=\s*(\S+)$",
+                             report, re.M))
+    # eta is a closed form in logs, finite where K itself overflows a double
+    assert 0.0 < float(values["eta_estimate"]) < math.inf
     if re.search(r"converged\s*=\s*True", report):
         # at 1e150 the ray coefficients once underflowed to a zero drive, and
         # later an absolute residual tolerance passed the unsolved start
-        values = dict(re.findall(r"^(energy|nehari_defect|eta_estimate)\s*=\s*(\S+)$",
-                                 report, re.M))
         assert float(values["nehari_defect"]) <= 1e-8
-        assert 0.0 < float(values["eta_estimate"]) < math.inf
         # u = v / sqrt(c) leaves the b = 0, c = 1 problem up to a Kirchhoff
         # term of relative size 1/c, so the level is that problem's over c
         level = 8.387450841858964 / float(coefficient)

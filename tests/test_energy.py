@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import conftest
 import kclattice as kc
 from kclattice import Field, LatticeBox, PotentialSpec, PowerNonlinearity, ProblemSpec
-from kclattice.energy import evaluate
+from kclattice.energy import evaluate, log_interaction_constant, nehari_radius
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +280,38 @@ def test_interaction_homogeneity(small_spec, small_kernel, rng):
     p = small_spec.nonlinearity.exponent
     assert double == pytest.approx(2.0 ** (2 * p) * base, rel=1e-12)
     assert base > 0.0
+
+
+@pytest.mark.parametrize("mode", [kc.DIRICHLET, kc.PERIODIC])
+def test_interaction_is_bounded_by_the_closed_form_constant(small_kernel, rng, mode,
+                                                            convolution_count):
+    # B(u) <= K ||u||^(2p): Young's inequality on the box's kernel block, then
+    # ||u||_2p <= ||u||_2 and ||u||_2^2 <= ||u||^2 / V_min
+    potential = (PotentialSpec.coercive(1.5, 1.0, 2.0) if mode == kc.DIRICHLET
+                 else PotentialSpec.periodic(2, [2.5, 3.0, 4.0, 2.5, 5.0, 3.5, 2.5, 6.0]))
+    spec = ProblemSpec(LatticeBox(2, mode), potential, PowerNonlinearity(2.0, 3.5),
+                       alpha=1.0, a=0.5, b=1.0)
+    big_k = math.exp(log_interaction_constant(spec, small_kernel))
+    assert convolution_count[0] == 0
+    assert big_k == pytest.approx(conftest.interaction_constant(spec, small_kernel), rel=1e-12)
+    p = spec.nonlinearity.exponent
+    shape = (spec.box.side,) * 3
+    fields = [Field.delta(spec.box, (0, 0, 0), 3.0)]
+    fields += [Field(spec.box, rng.random(shape)) for _ in range(5)]
+    fields += [Field(spec.box, 10.0 * rng.standard_normal(shape)) for _ in range(5)]
+    for u in fields:
+        point = evaluate(spec, small_kernel, u)
+        assert 0.0 < point.interaction <= big_k * point.norm_h2 ** p
+
+
+def test_nehari_radius_stays_finite_past_the_double_range(small_kernel):
+    spec = ProblemSpec(LatticeBox(2), PotentialSpec.constant(1.0), PowerNonlinearity(1e200, 3.0),
+                       alpha=1.0)
+    eta = nehari_radius(spec, small_kernel)  # K itself is near 1e401
+    assert 0.0 < eta < math.inf
+    unit = ProblemSpec(spec.box, spec.potential, PowerNonlinearity(1.0, 3.0), alpha=1.0)
+    # K scales like c^2 and eta like K^(-1/(2p-2)) = c^(-1/2) at p = 3
+    assert eta == pytest.approx(nehari_radius(unit, small_kernel) * 1e-100, rel=1e-12)
 
 
 def test_pairing_matches_gradient_representer(small_spec, small_kernel, rng):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import conftest
 import kclattice as kc
 import kclattice.nehari as nehari_module
 from kclattice import (
@@ -410,19 +411,6 @@ def test_solver_eta_lower_bound(spec5, kernel10, solved5):
     assert rep.energy >= floor - 1e-12
 
 
-def test_eta_reuses_the_final_evaluation(spec5, kernel10, solved5, convolution_count):
-    point = kc.evaluate(spec5, kernel10, solved5.solution)
-    convolution_count[0] = 0
-    eta = nehari_module._eta_estimate(spec5, kernel10, point)
-    # one convolution for the bump; the ground direction costs none
-    assert convolution_count[0] == 1
-    assert eta == pytest.approx(solved5.eta_estimate, rel=1e-12)
-    unit = kc.sphere_inverse(solved5.solution, spec5.a, spec5.potential_table)
-    p = spec5.nonlinearity.exponent
-    ground_bound = kc.evaluate(spec5, kernel10, unit).drive ** (-1.0 / (2.0 * p - 2.0))
-    assert eta <= ground_bound * (1.0 + 1e-12)
-
-
 def test_solver_small_kirchhoff_continuity(spec5, kernel10):
     # the b -> 0 limit is regular: levels move little for tiny b
     base = ProblemSpec(
@@ -557,6 +545,9 @@ def test_solver_reports_ray_root_failure(spec5, kernel10, monkeypatch, which):
     assert not rep.converged
     assert rep.message == f"injected ray-root failure on call {k}"
     assert rep.solution.box == spec5.box
+    # the proven eta needs no evaluation, so even a failed start reports it
+    eta, _ = conftest.proven_floor(spec5, kernel10)
+    assert rep.eta_estimate == pytest.approx(eta, rel=1e-12, abs=0.0)
     if which == "start":
         assert np.isnan(rep.energy) and np.isnan(rep.residual)
         assert len(rep.energy_history) == 0
@@ -570,7 +561,7 @@ def test_reference_solve_convolution_budget(reference_spec, kernel_m16, convolut
     rep = kc.solve_ground_state(reference_spec, kernel_m16)
     assert (rep.iterations, rep.newton_iterations) == (16, 1)
     assert rep.energy == pytest.approx(3212.704611141712, rel=1e-12)
-    assert rep.eta_estimate == pytest.approx(12.655920686002435, rel=1e-12)
+    assert rep.eta_estimate == pytest.approx(0.5593856543491934, rel=1e-12)
     assert convolution_count[0] <= 30
 
 
@@ -579,7 +570,7 @@ def test_reference_solve_validates_fields_only_at_the_core_boundary(
     # two per convolution (convolve's argument and its result) and one per
     # evaluation or rescale; the iterates, gradients and steps stay arrays
     rep = kc.solve_ground_state(reference_spec, kernel_m16)
-    assert convolution_count[0] == 27
+    assert convolution_count[0] == 26
     assert field_count[0] <= 100
     # building the Newton operator wraps nothing; an action wraps only around convolve
     point = kc.evaluate(reference_spec, kernel_m16, rep.solution)
@@ -699,24 +690,20 @@ def _level_spec(radius=6, b=1.0, alpha=1.0, p=3.0, mode=kc.DIRICHLET, potential=
 
 
 # ground-state levels of the Jacobi-scaled descent that preceded the
-# energy-norm direction; the minimizer must not move with the path to it.
-# The eta estimates were recorded when 32 random unit fields were sampled
-# beside the ground direction and the bump; none of them ever set eta.
+# energy-norm direction; the minimizer must not move with the path to it
 _RECORDED_LEVELS = {
-    "r4": (lambda: _level_spec(4), 8, None, 3379.857413815028, 9.730610479368561),
-    "r10": (lambda: _level_spec(10), 20, None, 3211.5419795582393, 12.72133294406034),
-    "b0": (lambda: _level_spec(b=0.0), 12, None, 8.387450840307544, 5.016208978992267),
-    "b10": (lambda: _level_spec(b=10.0), 12, None, 2635944.695067171, 20.039602804127178),
-    "alpha0.5": (lambda: _level_spec(alpha=0.5), 12, None, 3885.746661304678,
-                 11.902559719484184),
-    "alpha2.5": (lambda: _level_spec(alpha=2.5), 12, None, 323.16155347081985,
-                 12.512878658193724),
-    "p2.5": (lambda: _level_spec(p=2.5), 12, None, 243596.67304763163, 25.793078328277847),
+    "r4": (lambda: _level_spec(4), 8, None, 3379.857413815028),
+    "r10": (lambda: _level_spec(10), 20, None, 3211.5419795582393),
+    "b0": (lambda: _level_spec(b=0.0), 12, None, 8.387450840307544),
+    "b10": (lambda: _level_spec(b=10.0), 12, None, 2635944.695067171),
+    "alpha0.5": (lambda: _level_spec(alpha=0.5), 12, None, 3885.746661304678),
+    "alpha2.5": (lambda: _level_spec(alpha=2.5), 12, None, 323.16155347081985),
+    "p2.5": (lambda: _level_spec(p=2.5), 12, None, 243596.67304763163),
     "random": (lambda: _level_spec(), 12, SolveConfig(seed=5, initial_guess=kc.RANDOM_START),
-               3229.9404106067605, 12.071985730584629),
+               3229.9404106067605),
     "periodic-r7": (lambda: _level_spec(7, b=0.0, mode=kc.PERIODIC,
-                                        potential=_periodic_tau3_potential()),
-                    16, None, 8.14101427628749, 4.941967505848503),
+                                        potential=_periodic_tau3_potential()), 16, None,
+                    8.14101427628749),
 }
 
 
@@ -733,12 +720,17 @@ def test_solver_converges_at_large_kirchhoff_weights(b):
 
 @pytest.mark.parametrize("case", sorted(_RECORDED_LEVELS))
 def test_ground_levels_match_recorded_values(case):
-    make_spec, table_radius, config, level, eta = _RECORDED_LEVELS[case]
+    make_spec, table_radius, config, level = _RECORDED_LEVELS[case]
     spec = make_spec()
-    rep = kc.solve_ground_state(spec, kc.build_kernel(spec.alpha, table_radius), config)
+    kernel = kc.build_kernel(spec.alpha, table_radius)
+    rep = kc.solve_ground_state(spec, kernel, config)
     assert rep.converged, rep.message
     assert rep.energy == pytest.approx(level, rel=1e-12, abs=0.0)
+    # the proven floors: ||u|| >= eta on the Nehari set and c >= sigma*
+    eta, sigma = conftest.proven_floor(spec, kernel)
     assert rep.eta_estimate == pytest.approx(eta, rel=1e-12, abs=0.0)
+    assert eta <= spec.h_norm(rep.solution)
+    assert rep.energy >= sigma
 
 
 def test_mountain_pass_level_check(spec5, kernel10, solved5, rng):

@@ -1,11 +1,13 @@
 """Property checks: each one must pass on a well-posed problem and fail
 loudly when its hypothesis is broken."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import conftest
 import kclattice as kc
 import kclattice.verify as verify_module
 from kclattice import (
@@ -114,16 +116,18 @@ def test_mountain_pass_geometry_convolves_once_per_direction(spec4, kernel_m16,
     rep = kc.check_mountain_pass_geometry(spec, kernel_m16, trials=12)
     assert rep.passed
     assert convolution_count[0] == 12
-    rho = rep.details["rho"]
-    if coefficient == 1.0e4:
-        assert rho == 0.125  # the sphere scan went three halvings below rho = 1
-    # referee: the closed-form sphere floor against convolving every rho w
+    eta, sigma = conftest.proven_floor(spec, kernel_m16)
+    assert rep.details["rho"] == pytest.approx(eta, rel=1e-12, abs=0.0)
+    assert rep.details["sigma"] == pytest.approx(sigma, rel=1e-12, abs=0.0)
+    # referee: J on the radius-eta sphere by a fresh convolution per direction
     rng = verify_module._check_rng(42, "mountain-pass-geometry")
     directions = [verify_module._unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal")
                   for k in range(12)]
-    floor = min(kc.energy(spec, kernel_m16, kc.Field(spec.box, rho * w.values))
+    floor = min(kc.energy(spec, kernel_m16, kc.Field(spec.box, rep.details["rho"] * w.values))
                 for w in directions)
-    assert rep.details["sigma"] == pytest.approx(floor, rel=1e-12, abs=0.0)
+    assert floor >= sigma
+    assert rep.details["sampled_floor"] == pytest.approx(floor, rel=1e-12, abs=0.0)
+    assert (rep.measured, rep.tolerance) == (rep.details["sampled_floor"], rep.details["sigma"])
 
 
 def test_hls_stability(kernel_m16):
@@ -213,6 +217,30 @@ def test_box_convergence_honest_failure(spec4, kernel_m16):
     assert not rep.passed
     assert rep.measured > 1e-3
     assert rep.witness
+
+
+def test_box_convergence_fails_a_rising_dirichlet_level(spec4, kernel_m16, solved4):
+    # zero-extension nests the Dirichlet Nehari sets, so c_n cannot rise with n;
+    # a solve stuck above the smaller box's level fails even within the 1e-3 gap
+    c3 = kc.solve_ground_state(spec4.with_box(LatticeBox(3)), kernel_m16).energy
+    honest = kc.check_box_convergence(spec4, kernel_m16, radii=(3, 4), solve_report=solved4)
+    assert solved4.energy < c3
+    assert honest.details["z3_level_upper_bound"] == solved4.energy
+    stuck = dataclasses.replace(solved4, energy=c3 * (1.0 + 1e-6))
+    rep = kc.check_box_convergence(spec4, kernel_m16, radii=(3, 4), solve_report=stuck)
+    assert rep.measured < 1e-3
+    assert not rep.passed
+    assert "level rose" in rep.witness
+
+
+def test_box_convergence_lets_a_periodic_level_rise(kernel_m16):
+    # periodic boxes do not nest, so their levels may move either way
+    spec = _periodic_spec()
+    c3 = kc.solve_ground_state(spec.with_box(LatticeBox(3, kc.PERIODIC)), kernel_m16).energy
+    stuck = dataclasses.replace(kc.solve_ground_state(spec, kernel_m16), energy=c3 * (1.0 + 1e-6))
+    rep = kc.check_box_convergence(spec, kernel_m16, radii=(3, 4), solve_report=stuck)
+    assert rep.passed, rep.witness
+    assert "z3_level_upper_bound" not in rep.details
 
 
 def _cold_start_levels(spec, kernel, radii):
@@ -372,7 +400,7 @@ def test_run_suite_convolution_budget(spec4, kernel_m16, convolution_count):
     # hls 3 * (1 + 4), mountain pass 6, fiber 3 * 2, kernel integrity and the
     # octahedral symmetry check none; the rest is the solves and level-identity.
     # Any growth in the suite's work shows here.
-    assert convolution_count[0] == 138
+    assert convolution_count[0] == 135
 
 
 def test_suite_csv_and_summary_format(spec4, kernel_m16, solved4):
