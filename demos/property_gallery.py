@@ -1,9 +1,11 @@
 """Run the full property suite against one problem and print the evidence.
 
-Every check samples a statement the variational framework guarantees:
+Every check tests a statement the variational framework guarantees:
 kernel symmetry and positivity, the mountain-pass landscape (whose sphere
-floor is also proven, in closed form), stability of the convolution bound, monotonicity of the fiber quotient, the level
-identity, truncation convergence, and lattice symmetry of the solution.
+floor is also proven, in closed form), stability of the convolution bound
+(computed by a power iteration, not sampled), monotonicity of the fiber
+quotient, the level identity, truncation convergence, and lattice symmetry
+of the solution.
 A strongly confined problem keeps the box-convergence ladder cheap.
 """
 

@@ -17,6 +17,7 @@ or at its section header when the key is unset.
 
 Unknown sections and keys are errors, not warnings: a typo that silently
 falls back to a default is the worst failure mode a batch run can have.
+So is a `[potential]` key that the potential's kind does not read.
 """
 
 from __future__ import annotations
@@ -128,6 +129,10 @@ def _key(section: str, key: str, default: str, kind: _Kind, choices=()):
     return field(metadata={"ini": _Key(section, key, default, kind, choices)})
 
 
+# [potential] kind -> the keys it reads besides `kind`; setting any other is an error
+_POTENTIAL_KEYS = {CONSTANT: ("v0",), COERCIVE: ("v0", "rate", "power", "center"),
+                   PERIODIC_POTENTIAL: ("tau", "table")}
+
 # [sweep] parameter -> the RunConfig field a sweep varies
 _SWEEPABLE = {"b": "b", "p": "exponent", "alpha": "alpha", "radius": "radius"}
 
@@ -191,6 +196,10 @@ class RunConfig:
             self.box()
         except ValueError as exc:
             raise secs["problem"].error("radius", str(exc)) from None
+        pot = secs["potential"]
+        for key, (text, _) in pot.entries.items():
+            if text and not self._reads("potential", key):
+                raise pot.error(key, f"a {self.potential_kind} potential does not read it")
         self._anchored(self.problem_spec, "problem", "potential", "nonlinearity")
         if self.initial_guess == FILE_START and self.initial_file is None:
             raise secs["solver"].error("initial_file", "required when initial_guess = file")
@@ -223,6 +232,10 @@ class RunConfig:
             key = str(exc).split()[0]
             sec = self.sections[next((n for n in names if key in _SECTIONS[n]), names[0])]
             raise ConfigError(sec.path, sec.line(key), f"[{sec.name}] {exc}") from None
+
+    def _reads(self, section: str, key: str) -> bool:
+        """Whether this run reads the key: a potential reads only its kind's keys."""
+        return section != "potential" or key in ("kind",) + _POTENTIAL_KEYS[self.potential_kind]
 
     def box(self) -> LatticeBox:
         return LatticeBox(self.radius, self.mode)
@@ -284,12 +297,12 @@ class RunConfig:
         return replace(self, seed=seed)
 
     def to_text(self) -> str:
-        """Canonical serialization; parses back to an equal RunConfig."""
+        """Canonical serialization of the keys the run reads; parses back to an equal RunConfig."""
         chunks = []
         for section, keys in _SECTIONS.items():
             chunks.append(f"[{section}]")
             chunks.extend(f"{key} = {_KEYS[name].format(getattr(self, name))}".rstrip()
-                          for key, name in keys.items())
+                          for key, name in keys.items() if self._reads(section, key))
             chunks.append("")
         return "\n".join(chunks)
 

@@ -101,10 +101,10 @@ def test_solve_artifacts_and_determinism(tmp_path, cache_dir, capsys):
 
 
 def test_solve_report_prints_the_potential_floor_the_solve_used(tmp_path, cache_dir, capsys):
-    # a periodic potential ignores [potential] v0: its floor, on which eta
-    # rests, is the table minimum
+    # a periodic potential's floor, on which eta rests, is the table minimum
     cfg = write_config(tmp_path, base_config(cache_dir).replace(
-        "kind = coercive\n", "kind = periodic\ntau = 1\ntable = 2.5\n"))
+        "kind = coercive\nv0 = 1.0\nrate = 3.0\npower = 2.0\n",
+        "kind = periodic\ntau = 1\ntable = 2.5\n"))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--output", str(out), "solve"]) == 0
     capsys.readouterr()

@@ -254,6 +254,24 @@ def test_constant_and_coercive_potentials():
     assert pot.value((1, 0, -1)) == 1.5
 
 
+@pytest.mark.parametrize("kind, keys, stray", [
+    ("constant", "v0 = 2.0\n", "rate = 2.0"),
+    ("coercive", "v0 = 1.5\nrate = 0.5\npower = 1.0\ncenter = 1 0 -1\n", "tau = 2"),
+    ("periodic", "tau = 1\ntable = 2.5\n", "v0 = 1.0"),
+])
+def test_potential_rejects_a_key_its_kind_does_not_read(kind, keys, stray):
+    text = f"[potential]\nkind = {kind}\n{keys}"
+    cfg = RunConfig.from_text(text)
+    # the snapshot writes the keys the kind reads, and only those
+    snapshot = cfg.to_text()
+    assert snapshot.split("[potential]\n")[1].split("\n\n")[0] == f"kind = {kind}\n{keys}".strip()
+    assert RunConfig.from_text(snapshot) == cfg
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_text(f"{text}{stray}\n", path="bad.cfg")
+    line = len(text.splitlines()) + 1
+    assert str(err.value).startswith(f"bad.cfg:{line}: [potential] {stray.split()[0]}: ")
+
+
 def _benchmark_runner(monkeypatch):
     """perfbench/run.py as a module, loaded without running it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -272,4 +290,6 @@ def test_benchmark_workload_configs_parse(monkeypatch, quick):
     assert run.WORKLOADS
     for name, workload in run.WORKLOADS.items():
         for sections in (workload.sections(1, quick), workload.prebuild_sections(1, quick)):
-            RunConfig.from_text(run._ini(sections), name)
+            cfg = RunConfig.from_text(run._ini(sections), name)
+            # the snapshot each run writes must parse back to the same run
+            assert RunConfig.from_text(cfg.to_text(), name) == cfg

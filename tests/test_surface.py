@@ -48,7 +48,7 @@ KERNEL_PARAMETERS = {
 FIXED_PARAMETERS = {
     "check_kernel_integrity": ("kernel",),
     "check_mountain_pass_geometry": ("spec", "kernel", "trials", "seed"),
-    "check_hls": ("kernel", "trials", "seed"),
+    "check_hls": ("kernel", "trials"),
     "check_fiber_monotonicity": ("spec", "kernel", "fields", "seed"),
     "check_level_identity": ("spec", "kernel", "solve_report", "samples", "seed"),
     "check_box_convergence": ("spec", "kernel", "radii", "seed", "solve_config", "solve_report"),

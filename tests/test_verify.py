@@ -133,28 +133,82 @@ def test_mountain_pass_geometry_convolves_once_per_direction(spec4, kernel_m16,
 def test_hls_stability(kernel_m16):
     rep = kc.check_hls(kernel_m16, trials=60)
     assert rep.passed
-    assert rep.measured < 0.05  # spread of the empirical sup across radii
-    assert rep.details["delta_pair_ratio"] == pytest.approx(
-        kernel_m16.value((0, 0, 0)), rel=1e-12
-    )
-    assert rep.details["empirical_constant"] > 0.0
-    for r in (4, 6, 8):
-        assert rep.details[f"sup_radius_{r}"] > 0.0
+    assert rep.measured < 1e-4  # spread of the sups across radii
+    anchor = rep.details["delta_pair_ratio"]
+    assert anchor == pytest.approx(kernel_m16.value((0, 0, 0)), rel=1e-12)
+    sups = [rep.details[f"sup_radius_{r}"] for r in (4, 6, 8)]
+    # the iteration climbs from the delta, and a larger box holds every smaller one's fields
+    assert anchor < sups[0] <= sups[1] <= sups[2] == rep.details["empirical_constant"]
+    assert abs(rep.details["last_relative_increase"]) <= 1e-12  # settled within the budget
 
 
 def test_hls_convolves_each_trial_once(kernel_m16, convolution_count):
-    # one delta anchor and 200 trials per radius; the homogeneity probe reuses R * v
+    # one delta anchor and one convolution per power step on each radius; the
+    # homogeneity probe reuses R * u, and each radius settles in 14 steps
     rep = kc.check_hls(kernel_m16)
-    assert convolution_count[0] == 3 * (1 + 200)
-    assert rep.passed and rep.measured == 0.029808101682814565
+    assert convolution_count[0] == 3 * (1 + 14) and rep.samples == 3 * 14
+    assert rep.passed and rep.measured == 4.632775149853744e-05
+    # a budget too small to settle ends the iteration and shows in the report
+    convolution_count[0] = 0
+    short = kc.check_hls(kernel_m16, trials=4)
+    assert convolution_count[0] == 3 * (1 + 4) and short.samples == 3 * 4
+    assert short.passed and short.details["last_relative_increase"] > 1e-6
 
 
-def test_hls_determinism(kernel_m16):
-    a = kc.check_hls(kernel_m16, trials=30, seed=9)
-    b = kc.check_hls(kernel_m16, trials=30, seed=9)
-    assert a.measured == b.measured
-    c = kc.check_hls(kernel_m16, trials=30, seed=10)
-    assert c.measured != a.measured
+def test_hls_determinism(spec4, kernel_m16, solved4):
+    a = kc.check_hls(kernel_m16, trials=30)
+    b = kc.check_hls(kernel_m16, trials=30)
+    assert a == b
+    # the check draws no random numbers: the suite's seed leaves its row alone
+    rows = [next(r.csv_row() for r in kc.run_suite(
+        spec4, kernel_m16, seed=seed, trials=30, mp_trials=2, fiber_fields=1,
+        level_samples=1, radii=(2, 3, 4), solve_report=solved4) if r.name == "hls-ratio")
+        for seed in (1, 2)]
+    assert rows[0] == rows[1] == a.csv_row()
+
+
+def test_hls_fails_a_falling_ratio(kernel_m16, monkeypatch):
+    # rho cannot fall on a positive definite kernel matrix; shrink the third
+    # convolution, radius 4's second power step, and the fall must be caught
+    calls = [0]
+
+    def shrunk(kernel, w):
+        calls[0] += 1
+        out = kc.convolve(kernel, w)
+        return kc.Field(w.box, 0.9 * out.values) if calls[0] == 3 else out
+
+    monkeypatch.setattr(verify_module, "convolve", shrunk)
+    rep = verify_module.check_hls(kernel_m16)
+    assert not rep.passed
+    assert rep.witness == "ratio fell at radius=4 step=2"
+    assert 0.09 < rep.measured < 0.1  # rho fell by a tenth from a slightly lower rho
+
+
+def test_hls_power_method_matches_a_dense_referee(kernel_m16, monkeypatch, rng):
+    from scipy.optimize import minimize
+
+    monkeypatch.setattr(verify_module, "HLS_RADII", (2,))
+    sup = kc.check_hls(kernel_m16).details["sup_radius_2"]
+    # the Dirichlet radius-2 box's kernel matrix R(x - y), 125 x 125
+    n, m = 2, kernel_m16.table_radius
+    sites = np.array([(i, j, k) for i in range(-n, n + 1) for j in range(-n, n + 1)
+                      for k in range(-n, n + 1)])
+    z = sites[:, None, :] - sites[None, :, :] + m
+    matrix = kernel_m16.table[z[..., 0], z[..., 1], z[..., 2]]
+    assert np.linalg.eigvalsh(matrix).min() > 0.0
+    r = 6.0 / (3.0 + kernel_m16.alpha)
+
+    def negative_ratio(u):
+        form, power = u @ matrix @ u, np.sum(u ** r)
+        norm2 = power ** (2.0 / r)
+        grad = 2.0 * (matrix @ u) / norm2 - 2.0 * form * u ** (r - 1.0) / (power * norm2)
+        return -form / norm2, -grad
+
+    best = max(-minimize(negative_ratio, rng.random(len(sites)) + 0.1, jac=True,
+                         method="L-BFGS-B", bounds=[(0.0, None)] * len(sites),
+                         options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10000}).fun
+               for _ in range(10))
+    assert sup == pytest.approx(best, rel=1e-10, abs=0.0)
 
 
 def test_fiber_monotonicity(spec4, kernel_m16):
