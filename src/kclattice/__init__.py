@@ -59,23 +59,37 @@ from .nehari import (
     solve_ground_state,
     sphere_inverse,
 )
-from .verify import (
-    PropertyReport,
-    check_box_convergence,
-    check_fiber_monotonicity,
-    check_hls,
-    check_kernel_integrity,
-    check_level_identity,
-    check_mountain_pass_geometry,
-    check_symmetry_and_translation,
-    run_suite,
-    suite_csv,
-    suite_passed,
-    suite_summary,
-)
 from .config import ConfigError, RunConfig
 
 __version__ = "0.1.0"
+
+# the property suite is imported on first use of one of its names (PEP 562),
+# so that a solve does not load it
+_VERIFY_NAMES = frozenset({
+    "PropertyReport",
+    "check_box_convergence",
+    "check_fiber_monotonicity",
+    "check_hls",
+    "check_kernel_integrity",
+    "check_level_identity",
+    "check_mountain_pass_geometry",
+    "check_symmetry_and_translation",
+    "run_suite",
+    "suite_csv",
+    "suite_passed",
+    "suite_summary",
+})
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _VERIFY_NAMES)
 
 __all__ = [
     "DIRICHLET",

@@ -27,7 +27,6 @@ from .config import ConfigError, RunConfig
 from .kernel import QuadratureError, build_kernel, fit_decay_exponent
 from .lattice import load_field_text, save_field_text
 from .nehari import solve_ground_state
-from .verify import require_origin_center, run_suite, suite_csv, suite_passed, suite_summary
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -197,6 +196,8 @@ def cmd_solve(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
 
 
 def cmd_verify(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
+    from .verify import run_suite, suite_csv, suite_passed, suite_summary
+
     kernel = _kernel_for(config, config.verify_table_radius(), base)
     spec, solve_config = problem
     reports = run_suite(
@@ -274,6 +275,8 @@ def _check_command(command: str, config: RunConfig):
     if command == "solve":
         config.solve_table_radius()
     elif command == "verify":
+        from .verify import require_origin_center
+
         config.verify_table_radius()
         try:
             require_origin_center(config.potential_spec())

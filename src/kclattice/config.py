@@ -38,7 +38,6 @@ from .energy import (
 from .kernel import block_radius
 from .lattice import DIRICHLET, PERIODIC, LatticeBox
 from .nehari import FILE_START, GAUSSIAN_BUMP, RANDOM_START, SolveConfig
-from .verify import HLS_RADII
 
 
 class ConfigError(ValueError):
@@ -281,6 +280,8 @@ class RunConfig:
         Besides the run's own boxes, check_hls convolves on Dirichlet boxes
         of radii HLS_RADII whatever the run's mode.
         """
+        from .verify import HLS_RADII
+
         top = max((self.radius,) + tuple(self.verify_radii))
         return self._table_radius(LatticeBox(top, self.mode), LatticeBox(max(HLS_RADII)))
 

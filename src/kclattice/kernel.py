@@ -50,7 +50,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 HEAT_KERNEL = "heat_kernel"
 TORUS_QUADRATURE = "torus_quadrature"
@@ -203,6 +202,8 @@ def _cube_moment(alpha: float, points: int = 96) -> float:
     a smooth square integral: I = 3/(3-alpha) * int_{[-1/2,1/2]^2}
     (q1^2 + q2^2 + 1/4)^(-alpha/2) dq, done by Gauss-Legendre.
     """
+    from numpy.polynomial.legendre import leggauss  # loads only for this referee
+
     x, w = leggauss(points)
     q = 0.5 * x
     wq = 0.5 * w

@@ -28,6 +28,7 @@ site order, so results are deterministic for a given box shape.
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 from dataclasses import dataclass, field
@@ -133,20 +134,43 @@ class Field:
 # discrete operators
 
 
+@functools.lru_cache(maxsize=None)
+def _axis_slices(side: int) -> tuple:
+    """Per axis of a (side, side, side) array: its flat stride and the index
+    tuples of the sites with a lower neighbour, those with an upper one, the
+    first face and the last face."""
+    slices = []
+    for axis in range(3):
+        def on(s, axis=axis):
+            index = [slice(None)] * 3
+            index[axis] = s
+            return tuple(index)
+        slices.append((side ** (2 - axis), on(slice(1, None)), on(slice(None, -1)),
+                       on(0), on(-1)))
+    return tuple(slices)
+
+
 def _laplacian_values(v: np.ndarray, mode: str) -> np.ndarray:
-    """The graph Laplacian on a raw (side, side, side) array; see ``laplacian``."""
-    out = -6.0 * v
-    if mode == PERIODIC:
-        for ax in range(3):
-            out = out + np.roll(v, 1, axis=ax) + np.roll(v, -1, axis=ax)
-        return out
-    out[1:, :, :] += v[:-1, :, :]
-    out[:-1, :, :] += v[1:, :, :]
-    out[:, 1:, :] += v[:, :-1, :]
-    out[:, :-1, :] += v[:, 1:, :]
-    out[:, :, 1:] += v[:, :, :-1]
-    out[:, :, :-1] += v[:, :, 1:]
-    return out
+    """The graph Laplacian on a raw (side, side, side) array; see ``laplacian``.
+
+    Each neighbour term is one contiguous pass over the flat array, shifted
+    by the axis stride side^2, side or 1.  The shift reaches across the box's
+    edge on one face, which is saved before the pass and written back after
+    it, plus the wrapped neighbour in periodic mode.  So every site receives
+    -6 u(x) + u(x - e1) + u(x + e1) + ... + u(x + e3), in this order and
+    nothing else: bit for bit the sum of shifted 3-D slices.
+    """
+    flat = v.reshape(-1)
+    out = -6.0 * flat
+    cube = out.reshape(v.shape)
+    periodic = mode == PERIODIC
+    for stride, _, _, first, last in _axis_slices(v.shape[0]):
+        for face, across, target, source in ((first, last, out[stride:], flat[:-stride]),
+                                             (last, first, out[:-stride], flat[stride:])):
+            kept = cube[face].copy()
+            target += source
+            cube[face] = kept + v[across] if periodic else kept
+    return cube
 
 
 def laplacian(u: Field) -> Field:
@@ -157,26 +181,35 @@ def laplacian(u: Field) -> Field:
     return Field(u.box, _laplacian_values(u.values, u.box.mode))
 
 
+def _differences(u: np.ndarray, mode: str, slices: tuple) -> np.ndarray:
+    """u(x + e) - u(x) along one axis, given by its ``_axis_slices`` entry,
+    over the edges inside the box.
+
+    Periodic boxes have one at every site, the last face's wrapping to the
+    first: one contiguous pass over the flat array, then the face rewritten.
+    """
+    stride, upper, lower, first, last = slices
+    if mode != PERIODIC:
+        return u[upper] - u[lower]
+    flat = u.reshape(-1)
+    out = np.empty(u.shape)
+    np.subtract(flat[stride:], flat[:-stride], out=out.reshape(-1)[:-stride])
+    np.subtract(u[first], u[last], out=out[last])
+    return out
+
+
 def _edge_sum(u: np.ndarray, v: np.ndarray, mode: str) -> float:
     """Sum over undirected edges of (u(y)-u(x)) (v(y)-v(x)), each edge once."""
     total = 0.0
-    if mode == PERIODIC:
-        for ax in range(3):
-            du = np.roll(u, -1, axis=ax) - u
-            dv = np.roll(v, -1, axis=ax) - v
-            total += float(np.sum(du * dv))
-        return total
-    for ax in range(3):
-        du = np.diff(u, axis=ax)
-        dv = np.diff(v, axis=ax)
+    for slices in _axis_slices(u.shape[0]):
+        du = _differences(u, mode, slices)
+        dv = du if v is u else _differences(v, mode, slices)
         total += float(np.sum(du * dv))
-        first = [slice(None)] * 3
-        last = [slice(None)] * 3
-        first[ax] = 0
-        last[ax] = -1
-        # edges leaving the box toward zero-valued sites
-        total += float(np.sum(u[tuple(first)] * v[tuple(first)]))
-        total += float(np.sum(u[tuple(last)] * v[tuple(last)]))
+        if mode != PERIODIC:
+            # edges leaving the box toward zero-valued sites
+            first, last = slices[3:]
+            total += float(np.sum(u[first] * v[first]))
+            total += float(np.sum(u[last] * v[last]))
     return total
 
 
@@ -247,10 +280,9 @@ def translate(u: Field, shift) -> Field:
 
 
 def save_field_text(u: Field, path) -> None:
+    header = f"# lattice-field v1 radius={u.box.radius} mode={u.box.mode}\n"
     with open(path, "w") as fh:
-        fh.write(f"# lattice-field v1 radius={u.box.radius} mode={u.box.mode}\n")
-        for value in u.flat:
-            fh.write(f"{value:.16e}\n")
+        fh.write(header + "".join(f"{value:.16e}\n" for value in u.flat.tolist()))
 
 
 def load_field_text(path) -> Field:

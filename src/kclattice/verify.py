@@ -97,13 +97,18 @@ def _check_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(name.encode()))))
 
 
-def _unit_direction(spec: ProblemSpec, rng, kind: str) -> Field:
+def _unit_directions(spec: ProblemSpec, rng, count: int):
+    """``count`` directions on the unit sphere, drawn from ``rng`` in turn:
+    smoothed positive noise around the potential's minimum, then plain
+    Gaussian noise, alternately."""
     box = spec.box
-    if kind == "positive":
-        raw = random_start_field(box, rng, spec.potential.minimum_site(box))
-    else:
-        raw = Field(box, rng.standard_normal((box.side,) * 3))
-    return sphere_inverse(raw, spec.a, spec.potential_table)
+    center = spec.potential.minimum_site(box)
+    for k in range(count):
+        if k % 2 == 0:
+            raw = random_start_field(box, rng, center)
+        else:
+            raw = Field(box, rng.standard_normal((box.side,) * 3))
+        yield sphere_inverse(raw, spec.a, spec.potential_table)
 
 
 def check_kernel_integrity(kernel: GreenKernel) -> PropertyReport:
@@ -139,10 +144,7 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
     """
     name = "mountain-pass-geometry"
     rng = _check_rng(seed, name)
-    points = [
-        evaluate(spec, kernel, _unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal"))
-        for k in range(trials)
-    ]
+    points = [evaluate(spec, kernel, w) for w in _unit_directions(spec, rng, trials)]
     rho = nehari_radius(spec, kernel)
     sigma = 0.5 * (1.0 - 1.0 / spec.nonlinearity.exponent) * rho * rho
     floor = min(point.ray_energy(rho) for point in points)
@@ -263,8 +265,7 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
     witness = ""
     passed = True
     strict_theta = 4.5 if 4.5 < 2.0 * p else 0.5 * (4.0 + 2.0 * p)
-    for k in range(fields):
-        u = _unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal")
+    for k, u in enumerate(_unit_directions(spec, rng, fields)):
         base = evaluate(spec, kernel, u)
         g1 = 0.5 * base.interaction
         for t in (grid[0], grid[-1]):
@@ -318,8 +319,7 @@ def check_level_identity(spec: ProblemSpec, kernel: GreenKernel,
     if not passed:
         witness = "solve report not converged"
     min_ray_max = math.inf
-    for k in range(samples):
-        u = _unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal")
+    for k, u in enumerate(_unit_directions(spec, rng, samples)):
         ray_max = mountain_pass_level_check(spec, kernel, [u])
         min_ray_max = min(min_ray_max, ray_max)
         if ray_max < c - tol:

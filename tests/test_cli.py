@@ -565,14 +565,14 @@ def warm_cache(tmp_path_factory):
     return cache
 
 
-def _scipy_modules_after(tmp_path, config_text, command):
-    """Run ``command`` in a fresh interpreter; its exit code and the scipy modules it loaded."""
+def _modules_after(tmp_path, config_text, command):
+    """Run ``command`` in a fresh interpreter; its exit code and the modules it loaded."""
     cfg = write_config(tmp_path, config_text)
     script = (
         "import json, sys\n"
         "from kclattice.cli import main\n"
         f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, {command!r}])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     src = str(Path(kc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -583,13 +583,26 @@ def _scipy_modules_after(tmp_path, config_text, command):
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def _under(modules, package):
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
 def test_warm_solve_imports_no_scipy(tmp_path, warm_cache):
     # scipy is only needed to build a table; a fresh process solving the
     # reference problem on a cached table must not pay its import
-    code, scipy_modules = _scipy_modules_after(
-        tmp_path, f"[kernel]\ncache_dir = {warm_cache}\n", "solve")
+    code, modules = _modules_after(tmp_path, f"[kernel]\ncache_dir = {warm_cache}\n", "solve")
     assert code == 0
-    assert scipy_modules == []
+    assert _under(modules, "scipy") == []
+
+
+def test_warm_solve_loads_neither_the_suite_nor_numpy_polynomial(tmp_path, warm_cache):
+    # a solve loads only the code it runs: the property suite and the
+    # torus referee's Gauss-Legendre rule stay unloaded
+    code, modules = _modules_after(tmp_path, f"[kernel]\ncache_dir = {warm_cache}\n", "solve")
+    assert code == 0
+    assert "kclattice.nehari" in modules
+    assert _under(modules, "kclattice.verify") == []
+    assert _under(modules, "numpy.polynomial") == []
 
 
 def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
@@ -601,6 +614,7 @@ def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
         "[verify]\ntrials = 4\nmp_trials = 4\nfiber_fields = 1\nlevel_samples = 2\n"
         "radii = 6 8\n"
     )
-    code, scipy_modules = _scipy_modules_after(tmp_path, config, "verify")
+    code, modules = _modules_after(tmp_path, config, "verify")
     assert code == 0
-    assert scipy_modules == []
+    assert "kclattice.verify" in modules
+    assert _under(modules, "scipy") == []

@@ -5,6 +5,7 @@ import pytest
 
 import kclattice as kc
 from kclattice import Field, LatticeBox
+from kclattice.lattice import _edge_sum, _laplacian_values
 
 
 def test_box_geometry():
@@ -63,6 +64,60 @@ def test_laplacian_periodic_wraps():
     assert lap[0, 1, 1] == 1.0
     assert lap[2, 1, 1] == -6.0
     assert np.sum(lap) == pytest.approx(0.0, abs=1e-15)
+
+
+def _laplacian_by_axes(v, mode):
+    """Referee: the Laplacian as shifted 3-D slices, one axis at a time."""
+    out = -6.0 * v
+    if mode == kc.PERIODIC:
+        for ax in range(3):
+            out = out + np.roll(v, 1, axis=ax) + np.roll(v, -1, axis=ax)
+        return out
+    out[1:, :, :] += v[:-1, :, :]
+    out[:-1, :, :] += v[1:, :, :]
+    out[:, 1:, :] += v[:, :-1, :]
+    out[:, :-1, :] += v[:, 1:, :]
+    out[:, :, 1:] += v[:, :, :-1]
+    out[:, :, :-1] += v[:, :, 1:]
+    return out
+
+
+def _edge_sum_by_axes(u, v, mode):
+    """Referee: the edge sum from per-axis differences and boundary faces."""
+    total = 0.0
+    if mode == kc.PERIODIC:
+        for ax in range(3):
+            du = np.roll(u, -1, axis=ax) - u
+            dv = np.roll(v, -1, axis=ax) - v
+            total += float(np.sum(du * dv))
+        return total
+    for ax in range(3):
+        du = np.diff(u, axis=ax)
+        dv = np.diff(v, axis=ax)
+        total += float(np.sum(du * dv))
+        first = [slice(None)] * 3
+        last = [slice(None)] * 3
+        first[ax] = 0
+        last[ax] = -1
+        total += float(np.sum(u[tuple(first)] * v[tuple(first)]))
+        total += float(np.sum(u[tuple(last)] * v[tuple(last)]))
+    return total
+
+
+@pytest.mark.parametrize("mode", [kc.DIRICHLET, kc.PERIODIC])
+@pytest.mark.parametrize("side", [1, 2, 3, 9, 17, 21])
+def test_flat_stencils_match_the_per_axis_referee_bit_for_bit(rng, mode, side):
+    # the flat passes add the same terms in the same order, so nothing may
+    # move, not even the sign of a zero
+    shape = (side,) * 3
+    u = rng.standard_normal(shape)
+    w = rng.standard_normal(shape)
+    mixed = rng.choice([0.0, -0.0, 1.5, -2.0], size=shape)
+    for field in (u, mixed, np.asfortranarray(u)):
+        assert _laplacian_values(field, mode).tobytes() == _laplacian_by_axes(field, mode).tobytes()
+        assert np.array_equal(_laplacian_values(field, mode), _laplacian_by_axes(field, mode))
+    for a, b in ((u, u), (u, w), (mixed, mixed), (mixed, u), (w, mixed)):
+        assert _edge_sum(a, b, mode) == _edge_sum_by_axes(a, b, mode)
 
 
 def test_summation_by_parts_exact(rng):
@@ -184,6 +239,9 @@ def test_text_io_round_trip(tmp_path, rng):
         assert np.array_equal(v.values, u.values)
         header = path.read_text().splitlines()[0]
         assert header == f"# lattice-field v1 radius=2 mode={mode}"
+        # byte for byte the header and one %.16e line per site
+        lines = [header] + [f"{value:.16e}" for value in u.flat]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_text_io_rejects_garbage(tmp_path):

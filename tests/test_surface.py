@@ -75,6 +75,11 @@ def test_all_is_the_pinned_public_surface():
 def test_every_exported_name_resolves():
     for name in kc.__all__:
         assert getattr(kc, name, None) is not None, name
+    # the property suite's names are served on first use, star import included
+    namespace = {}
+    exec("from kclattice import *", namespace)
+    assert set(kc.__all__) <= set(namespace)
+    assert set(kc.__all__) <= set(dir(kc))
 
 
 def test_solve_config_has_the_pinned_knobs():

@@ -108,6 +108,19 @@ def test_mountain_pass_radius_shrinks_with_stronger_nonlinearity(spec4, kernel_m
     assert strong_rep.details["rho"] <= weak_rep.details["rho"]
 
 
+def test_sampling_checks_locate_the_potential_minimum_once(spec4, kernel_m16, solved4,
+                                                          monkeypatch):
+    # the positive directions share one center; locating it rebuilds the potential table
+    calls = []
+    minimum_site = type(spec4.potential).minimum_site
+    monkeypatch.setattr(type(spec4.potential), "minimum_site",
+                        lambda self, box: calls.append(box) or minimum_site(self, box))
+    kc.check_mountain_pass_geometry(spec4, kernel_m16, trials=6)
+    kc.check_fiber_monotonicity(spec4, kernel_m16, fields=3)
+    kc.check_level_identity(spec4, kernel_m16, solved4, samples=4)
+    assert calls == [spec4.box] * 3
+
+
 @pytest.mark.parametrize("coefficient", [1.0, 10.0, 1.0e4])
 def test_mountain_pass_geometry_convolves_once_per_direction(spec4, kernel_m16,
                                                              convolution_count, coefficient):
@@ -121,8 +134,7 @@ def test_mountain_pass_geometry_convolves_once_per_direction(spec4, kernel_m16,
     assert rep.details["sigma"] == pytest.approx(sigma, rel=1e-12, abs=0.0)
     # referee: J on the radius-eta sphere by a fresh convolution per direction
     rng = verify_module._check_rng(42, "mountain-pass-geometry")
-    directions = [verify_module._unit_direction(spec, rng, "positive" if k % 2 == 0 else "normal")
-                  for k in range(12)]
+    directions = list(verify_module._unit_directions(spec, rng, 12))
     floor = min(kc.energy(spec, kernel_m16, kc.Field(spec.box, rep.details["rho"] * w.values))
                 for w in directions)
     assert floor >= sigma
@@ -229,7 +241,9 @@ def test_fiber_monotonicity_convolves_three_times_per_field(spec4, kernel_m16, c
 
 @pytest.mark.parametrize("kind", ["positive", "normal"])
 def test_derived_fiber_curve_matches_per_point_evaluations(spec4, kernel_m16, kind):
-    u = verify_module._unit_direction(spec4, np.random.default_rng(7), kind)
+    # the suite's directions alternate, smoothed positive noise first
+    positive, normal = verify_module._unit_directions(spec4, np.random.default_rng(7), 2)
+    u = positive if kind == "positive" else normal
     grid = np.linspace(0.06, 3.0, 50)
     g, gp, quotient = verify_module._fiber_curve(kc.evaluate(spec4, kernel_m16, u), grid)
     for i, t in enumerate(grid):
