@@ -46,6 +46,7 @@ import math
 import os
 import struct
 import tempfile
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -450,6 +451,15 @@ def build_kernel(alpha: float, table_radius: int, *, cache_dir=None) -> GreenKer
 # boxes circular convolution with the minimal-image block (images are not folded in).
 
 _plan_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_workspace = threading.local()  # .buffer: the calling thread's complex FFT scratch
+
+
+def _scratch(length: int) -> np.ndarray:
+    """The calling thread's complex workspace, at least ``length`` long; it only grows."""
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None or buffer.size < length:
+        buffer = _workspace.buffer = np.empty(length, dtype=complex)
+    return buffer
 
 
 def _fast_len(n: int) -> int:
@@ -484,7 +494,9 @@ class _ConvolutionPlan:
 
     A periodic grid has the box's own side; a Dirichlet grid is at least
     4n + 1 long, so no wrapped image of the block reaches the box, and the
-    circular result cropped to the box is the linear one.
+    circular result cropped to the box is the linear one.  ``apply`` keeps
+    its transforms in one complex buffer per thread (``_scratch``), sized
+    by the largest grid that thread has convolved on and reused after that.
     """
 
     def __init__(self, kernel: GreenKernel, box):
@@ -503,17 +515,29 @@ class _ConvolutionPlan:
         One axis at a time, each transform runs only over the lines that
         hold nonzero input (forward) or the box's output (inverse): the
         input fills a side^3 corner of the grid and only that corner is kept.
+        The transforms alternate between two regions of the thread's
+        workspace, ``front`` (side x size x half) and ``back`` (size x size x
+        half), and the inverse axis-0 and axis-1 passes run in place.  The 1-D
+        transforms and their order are those of allocating each intermediate,
+        so the result is the same bit for bit.
         """
         size, side = self.shape[0], self.side
-        spec = np.fft.rfft(values, n=size, axis=2)
-        spec = np.fft.fft(spec, n=size, axis=1)
-        spec = np.fft.fft(spec, n=size, axis=0)
+        half = size // 2 + 1
+        lines, grid = side * size * half, size * size * half
+        buffer = _scratch(lines + grid)
+        front, back = buffer[:lines], buffer[lines : lines + grid]
+        spec = np.fft.rfft(values, n=size, axis=2,
+                           out=back[: side * side * half].reshape(side, side, half))
+        spec = np.fft.fft(spec, n=size, axis=1, out=front.reshape(side, size, half))
+        spec = np.fft.fft(spec, n=size, axis=0, out=back.reshape(size, size, half))
         spec *= self.spectrum
-        spec = np.fft.ifft(spec, axis=0)[:side]
-        spec = np.fft.ifft(spec, axis=1)[:, :side]
-        out = np.fft.irfft(spec, n=size, axis=2)[:, :, :side]
-        # contiguous, so that a held result does not keep a larger grid alive
-        return np.ascontiguousarray(out)
+        np.fft.ifft(spec, axis=0, out=spec)
+        spec = spec[:side]
+        np.fft.ifft(spec, axis=1, out=spec)
+        real = front.view(float)[: side * side * size].reshape(side, side, size)
+        out = np.fft.irfft(spec[:, :side], n=size, axis=2, out=real)
+        # a copy, never a view: the workspace is overwritten by the next call
+        return out[:, :, :side].copy()
 
 
 def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:

@@ -435,9 +435,13 @@ def _bounded_minimum(func, lo: float, hi: float, xatol: float, maxfun: int) -> f
     return fx
 
 
-def _embedded(u: Field, box: LatticeBox) -> Field:
-    """u on a box at least as large, at the same lattice coordinates, zero elsewhere."""
+def _on_box(u: Field, box: LatticeBox) -> Field:
+    """u on another box at the same lattice coordinates: restricted to a smaller
+    box, zero-embedded in a larger one."""
     shift = box.radius - u.box.radius
+    if shift < 0:
+        inner = slice(-shift, shift)
+        return Field(box, u.values[inner, inner, inner])
     values = np.zeros((box.side,) * 3)
     inner = slice(shift, shift + u.box.side)
     values[inner, inner, inner] = u.values
@@ -457,21 +461,24 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
     level from above; periodic boxes do not nest.  A ``solve_report`` is the
     solve of ``spec`` itself, standing in for the radius of the spec's box.
 
-    The solves continue across radii: each radius after the first starts
-    from the previous radius's solution, zero-embedded at the same lattice
-    coordinates.  The first radius takes ``solve_config``'s start, except
-    that a file start is used only on the box its field lives on and the
-    Gaussian bump replaces it elsewhere.
+    The solves continue across radii in ascending order: each starts from
+    the last solution, at the same lattice coordinates (restricted to a
+    smaller box, zero-embedded in a larger one).  A ``solve_report`` is the
+    first solution, so the radii below the spec's start from it.  With no
+    solution yet, a radius takes ``solve_config``'s start, except that a
+    file start is used only on the box its field lives on and the Gaussian
+    bump replaces it elsewhere.  The first radius that does not converge is
+    the witness.
     """
     name = "box-convergence"
     if list(radii) != sorted(radii) or len(radii) < 2:
         raise ValueError("box convergence needs at least two increasing radii")
     if solve_config is None:
         solve_config = SolveConfig(seed=seed)
+    previous = None if solve_report is None else solve_report.solution
     levels = []
     witness = ""
     passed = True
-    previous = None
     for radius in radii:
         box = LatticeBox(radius, spec.box.mode)
         if solve_report is not None and radius == spec.box.radius:
@@ -479,7 +486,7 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
         else:
             if previous is not None:
                 start = replace(solve_config, initial_guess=FILE_START,
-                                initial_field=_embedded(previous, box))
+                                initial_field=_on_box(previous, box))
             elif (solve_config.initial_guess == FILE_START
                   and solve_config.initial_field.box != box):
                 start = replace(solve_config, initial_guess=GAUSSIAN_BUMP, initial_field=None)
@@ -489,7 +496,7 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
         previous = report.solution
         if not report.converged:
             passed = False
-            witness = f"solve did not converge at radius {radius}: {report.message}"
+            witness = witness or f"solve did not converge at radius {radius}: {report.message}"
         levels.append(report.energy)
     rises = [(levels[i + 1] - levels[i]) / abs(levels[i + 1]) for i in range(len(levels) - 1)]
     final_gap = abs(rises[-1])

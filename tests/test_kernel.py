@@ -2,6 +2,8 @@
 
 import hashlib
 import struct
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +352,72 @@ def test_convolve_fft_matches_direct_on_larger_boxes(kernel_m20, rng, mode, radi
     # a held result must not pin the larger transform grid
     assert fft.flags.c_contiguous
     assert fft.base is None or fft.base.nbytes == fft.nbytes
+
+
+def _allocating_apply(plan, values):
+    """The convolution with a fresh array per intermediate: the referee of the workspace."""
+    size, side = plan.shape[0], plan.side
+    spec = np.fft.rfft(values, n=size, axis=2)
+    spec = np.fft.fft(spec, n=size, axis=1)
+    spec = np.fft.fft(spec, n=size, axis=0)
+    spec *= plan.spectrum
+    spec = np.fft.ifft(spec, axis=0)[:side]
+    spec = np.fft.ifft(spec, axis=1)[:, :side]
+    return np.ascontiguousarray(np.fft.irfft(spec, n=size, axis=2)[:, :, :side])
+
+
+def test_convolution_workspace_is_bit_identical_and_never_aliased(kernel_m20, rng):
+    # ascending, then descending, then mixed: the workspace grows, then is reused
+    # through a prefix; periodic boxes crop the whole grid
+    boxes = [LatticeBox(r) for r in range(11)] + [LatticeBox(r, kc.PERIODIC) for r in (1, 3, 7)]
+    order = boxes + boxes[::-1] + [
+        LatticeBox(3), LatticeBox(7, kc.PERIODIC), LatticeBox(10), LatticeBox(0),
+        LatticeBox(1, kc.PERIODIC), LatticeBox(6)]
+    results = []
+    for box in order:
+        values = rng.standard_normal((box.side,) * 3)
+        plan = kernel_module._plan_for(kernel_m20, box)
+        out = plan.apply(values)
+        want = _allocating_apply(plan, values)
+        assert out.tobytes() == want.tobytes(), box
+        assert out.flags.c_contiguous and out.base is None
+        results.append((out, want.tobytes()))
+    for out, want in results:  # no later call wrote into an earlier result
+        assert out.tobytes() == want
+
+
+def test_convolution_workspace_is_per_thread(kernel_m20, rng):
+    # numpy.fft releases the GIL, so a workspace shared between threads
+    # would let one thread's transform overwrite another's
+    fields = [Field(box, rng.standard_normal((box.side,) * 3))
+              for box in (LatticeBox(8), LatticeBox(10))]
+    serial = [kc.convolve(kernel_m20, w).values.tobytes() for w in fields]
+    mismatches = []
+
+    def work(w, want):
+        for _ in range(60):
+            if kc.convolve(kernel_m20, w).values.tobytes() != want:
+                mismatches.append(w.box.radius)
+
+    threads = [threading.Thread(target=work, args=pair) for pair in zip(fields, serial)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert mismatches == []
+
+
+def test_warm_convolution_allocates_little(kernel_m16, rng):
+    w = Field(LatticeBox(8), rng.standard_normal((17, 17, 17)))
+    kc.convolve(kernel_m16, w)  # builds the plan and grows the workspace
+    tracemalloc.start()
+    try:
+        kc.convolve(kernel_m16, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # fresh intermediates peaked at 771 KB; the result alone is 39 KB
+    assert peak < 200_000
 
 
 def test_fast_len_matches_scipy():

@@ -328,12 +328,15 @@ def _periodic_spec():
     )
 
 
-@pytest.mark.parametrize("case", ["reference", "periodic"])
+@pytest.mark.parametrize("case", ["reference", "periodic", "reference-shared", "periodic-shared"])
 def test_box_convergence_continuation_keeps_the_cold_start_levels(reference_spec, kernel_m20,
                                                                   case):
-    spec, radii = (reference_spec, (4, 6, 8, 10)) if case == "reference" else (
+    spec, radii = (reference_spec, (4, 6, 8, 10)) if case.startswith("reference") else (
         _periodic_spec(), (2, 3, 4, 5))
-    rep = kc.check_box_convergence(spec, kernel_m20, radii=radii)
+    # a shared solve of the spec's box starts the smaller radii from its restriction
+    shared = (kc.solve_ground_state(spec, kernel_m20, SolveConfig(seed=42))
+              if case.endswith("shared") else None)
+    rep = kc.check_box_convergence(spec, kernel_m20, radii=radii, solve_report=shared)
     cold = _cold_start_levels(spec, kernel_m20, radii)
     for r, level in zip(radii, cold):
         assert rep.details[f"level_radius_{r}"] == pytest.approx(level, rel=1e-12, abs=0.0)
@@ -354,6 +357,43 @@ def test_box_convergence_takes_a_file_start_only_on_its_own_box(spec4, kernel_m1
         (3, kc.GAUSSIAN_BUMP), (4, kc.FILE_START), (5, kc.FILE_START)]
     assert starts[1][2].box == spec4.box  # the chain's start on the file's own box
     assert starts[0][2] is None
+
+
+def test_box_convergence_witness_names_the_first_unconverged_radius(spec4, kernel_m16,
+                                                                     monkeypatch):
+    def stalled(spec, kernel, config):
+        report = kc.solve_ground_state(spec, kernel, config)
+        if spec.box.radius == 2:
+            return report
+        return dataclasses.replace(report, converged=False,
+                                   message=f"stalled on radius {spec.box.radius}")
+
+    monkeypatch.setattr(verify_module, "solve_ground_state", stalled)
+    rep = kc.check_box_convergence(spec4, kernel_m16, radii=(2, 3, 4))
+    assert not rep.passed
+    assert rep.witness == "solve did not converge at radius 3: stalled on radius 3"
+
+
+def test_box_convergence_starts_from_the_shared_solve_then_continues(spec4, kernel_m16,
+                                                                      solved4, monkeypatch):
+    starts, solutions = {}, {4: solved4.solution.values}
+
+    def recorded(spec, kernel, config):
+        report = kc.solve_ground_state(spec, kernel, config)
+        starts[spec.box.radius] = config.initial_field.values
+        solutions[spec.box.radius] = report.solution.values
+        return report
+
+    monkeypatch.setattr(verify_module, "solve_ground_state", recorded)
+    kc.check_box_convergence(spec4, kernel_m16, radii=(1, 3, 4, 5), solve_report=solved4)
+    assert sorted(starts) == [1, 3, 5]
+    # radius 1 takes the shared radius-4 solution restricted to its box, radius 3
+    # radius 1's solution zero-embedded, radius 5 the shared one zero-embedded
+    assert np.array_equal(starts[1], solutions[4][3:-3, 3:-3, 3:-3])
+    assert np.array_equal(starts[3][2:-2, 2:-2, 2:-2], solutions[1])
+    assert np.count_nonzero(starts[3]) == np.count_nonzero(solutions[1])
+    assert np.array_equal(starts[5][1:-1, 1:-1, 1:-1], solutions[4])
+    assert np.count_nonzero(starts[5]) == np.count_nonzero(solutions[4])
 
 
 def test_symmetry_check_octahedral(spec4, kernel_m16, solved4, convolution_count):
@@ -449,7 +489,7 @@ def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_
     box = next(r for r in suite if r.name == "box-convergence")
     assert box.details["level_radius_8"] == reports[0].energy
     assert [r.solution.box.radius for r in reports] == [8, 4, 6, 10]
-    # continuation: radius 10 starts from the shared radius-8 solution, zero-embedded
+    # radius 10 starts from the shared radius-8 solution, zero-embedded
     start = configs[3].initial_field
     assert configs[3].initial_guess == kc.FILE_START
     assert start.box == kc.LatticeBox(10)
@@ -457,7 +497,13 @@ def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_
     assert np.array_equal(start.values[2:-2, 2:-2, 2:-2], inner)
     assert np.count_nonzero(start.values) == np.count_nonzero(inner)
     assert configs[2].initial_field.box == kc.LatticeBox(6)
-    assert configs[1].initial_guess == kc.GAUSSIAN_BUMP
+    # radius 4 starts from the shared solution restricted to its box, radius 6 from
+    # radius 4's solution, zero-embedded
+    assert configs[1].initial_guess == kc.FILE_START
+    assert configs[1].initial_field.box == kc.LatticeBox(4)
+    assert np.array_equal(configs[1].initial_field.values, inner[4:-4, 4:-4, 4:-4])
+    assert np.array_equal(configs[2].initial_field.values[2:-2, 2:-2, 2:-2],
+                          reports[1].solution.values)
 
 
 def test_run_suite_convolution_budget(spec4, kernel_m16, convolution_count):
@@ -467,8 +513,9 @@ def test_run_suite_convolution_budget(spec4, kernel_m16, convolution_count):
     assert [r.name for r in reports if not r.passed] == ["box-convergence"]
     # hls 3 * (1 + 4), mountain pass 6, fiber 3 * 2, kernel integrity and the
     # octahedral symmetry check none; the rest is the solves and level-identity.
-    # Any growth in the suite's work shows here.
-    assert convolution_count[0] == 135
+    # Radius 2 starts from the shared radius-4 solution restricted to its box:
+    # 19 convolutions there, 16 from the bump. Any growth in the suite's work shows here.
+    assert convolution_count[0] == 138
 
 
 def test_suite_csv_and_summary_format(spec4, kernel_m16, solved4):
