@@ -265,9 +265,16 @@ class Evaluation(FiberCoefficients):
     conv: np.ndarray
 
     def ray_energy(self, s: float = 1.0) -> float:
-        """J(su) = s^2/2 ||u||^2 + b s^4/4 A^2 - s^(2p) B/2, with no convolution."""
-        return (0.5 * s * s * self.norm_h2 + 0.25 * self.spec.b * s ** 4 * self.grad2 ** 2
-                - 0.5 * s ** (2.0 * self.exponent) * self.interaction)
+        """J(su) = s^2/2 ||u||^2 + b s^4/4 A^2 - s^(2p) B/2, with no convolution.
+
+        A power that leaves the double range is a RuntimeError, which the
+        solver and the property suite report as a failure.
+        """
+        try:
+            return (0.5 * s * s * self.norm_h2 + 0.25 * self.spec.b * s ** 4 * self.grad2 ** 2
+                    - 0.5 * s ** (2.0 * self.exponent) * self.interaction)
+        except OverflowError:
+            raise RuntimeError(f"ray energy at scale {s!r} overflows") from None
 
     def at_scale(self, s: float) -> "Evaluation":
         """The evaluation at su, using R * F(su) = s^p R * F(u)."""
@@ -284,10 +291,11 @@ class Evaluation(FiberCoefficients):
         """(g, ||g||, scale), the scale ||(a + bA) lap u|| + ||V u|| + ||(R * F(u)) f(u)||
         summing the l2 norms of g's three terms: ||g|| if none cancelled another."""
         spec, u = self.spec, self.u.values
-        terms = (-(spec.a + spec.b * self.grad2) * _laplacian_values(u, self.u.box.mode),
-                 spec.potential_table * u, self.conv * spec.nonlinearity.f(u))
-        g = terms[0] + terms[1] - terms[2]
-        norms = [float(np.sqrt(np.sum(t ** 2))) for t in (g, *terms)]
+        with np.errstate(over="ignore", invalid="ignore"):  # the solver rejects inf and nan
+            terms = (-(spec.a + spec.b * self.grad2) * _laplacian_values(u, self.u.box.mode),
+                     spec.potential_table * u, self.conv * spec.nonlinearity.f(u))
+            g = terms[0] + terms[1] - terms[2]
+            norms = [float(np.sqrt(np.sum(t ** 2))) for t in (g, *terms)]
         return g, norms[0], sum(norms[1:])
 
 
@@ -301,7 +309,10 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
     """
     _check_kernel(spec, kernel)
     nl = spec.nonlinearity
-    big_f = nl.F(u.values)
+    with np.errstate(over="ignore"):
+        big_f = nl.F(u.values)
+    if not np.isfinite(big_f).all():
+        raise RuntimeError("F(u) overflows the double range")
     conv = convolve(kernel, Field(u.box, big_f)).values
     with np.errstate(over="ignore", invalid="ignore"):  # FiberCoefficients rejects inf and nan
         drive = float(np.sum(conv * nl.f(u.values) * u.values))
@@ -350,6 +361,9 @@ def log_interaction_constant(spec: ProblemSpec, kernel: GreenKernel) -> float:
 def nehari_radius(spec: ProblemSpec, kernel: GreenKernel) -> float:
     """eta = (pK)^(-1/(2p-2)): Nehari points have ||u||^2 <= pB <= pK ||u||^(2p), so ||u|| >= eta
     and J >= sigma* = (1/2)(1 - 1/p) eta^2, the top of the floor rho^2/2 - K rho^(2p)/2 of J
-    on the sphere ||u|| = rho."""
+    on the sphere ||u|| = rho.  Past the double range it is inf, as no Nehari point is a double."""
     p = spec.nonlinearity.exponent
-    return math.exp(-(math.log(p) + log_interaction_constant(spec, kernel)) / (2.0 * p - 2.0))
+    try:
+        return math.exp(-(math.log(p) + log_interaction_constant(spec, kernel)) / (2.0 * p - 2.0))
+    except OverflowError:
+        return math.inf

@@ -41,7 +41,6 @@ test suite; only the first builds kernel tables:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -52,11 +51,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# CPython's own SHA-256: hashlib gives the same digest but maps OpenSSL's
+# libcrypto, 3.5 MB resident, into every process that checks a cache file
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 HEAT_KERNEL = "heat_kernel"
 TORUS_QUADRATURE = "torus_quadrature"
 _KERNEL_MAGIC = b"LCKERN03"
 _KERNEL_HEADER = "<dId"  # alpha, table radius, K_alpha
-_DIGEST_SIZE = hashlib.sha256().digest_size  # trails magic + header + table
+_DIGEST_SIZE = sha256().digest_size  # trails magic + header + table
 
 _REFINED_RESOLUTION = 96  # the coarser grid of fractional_degree_refined's pair
 
@@ -153,6 +162,8 @@ def _heat_green_grid(alpha, triples, k_alpha, step, tail_tol):
     from scipy.special import gammaln
 
     prefactor = k_alpha / float(np.exp(gammaln(alpha / 2.0)))
+    if not prefactor > 0.0:  # alpha near 0: Gamma(alpha/2) leaves the double range
+        raise QuadratureError(f"heat-kernel prefactor underflows (alpha={alpha})")
     # tail:  int_T^inf t^(a/2-1) (4t)^(-3/2) dt = T^((a-3)/2) / (4 (3-a)) * 2... bound
     # as alpha -> 3 the tail decays so slowly that the cutoff leaves the double
     # range; numpy's power gives inf for a float or a numpy scalar alike
@@ -171,9 +182,13 @@ def _heat_green_grid(alpha, triples, k_alpha, step, tail_tol):
     t = np.exp(s)
     zmax = int(triples.max()) if triples.size else 0
     factors = _ive_safe(np.arange(zmax + 1, dtype=float)[:, None], 2.0 * t[None, :])
-    weights = t ** (alpha / 2.0) * step  # includes the Jacobian of t = e^s
     prod = factors[triples[:, 0]] * factors[triples[:, 1]] * factors[triples[:, 2]]
-    return prefactor * (prod @ weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # a far cutoff overflows t^(alpha/2)
+        weights = t ** (alpha / 2.0) * step  # includes the Jacobian of t = e^s
+        values = prefactor * (prod @ weights)
+    if not np.isfinite(values).all():
+        raise QuadratureError(f"heat-kernel weights overflow (alpha={alpha})")
+    return values
 
 
 def _heat_green_many(alpha, zs, k_alpha, tolerance=1.0e-12, step=0.1):
@@ -318,7 +333,7 @@ class GreenKernel:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(payload + hashlib.sha256(payload).digest())
+                fh.write(payload + sha256(payload).digest())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -335,7 +350,7 @@ class GreenKernel:
         if len(raw) < start + _DIGEST_SIZE:
             raise ValueError(f"{path}: truncated header")
         payload, digest = raw[:-_DIGEST_SIZE], raw[-_DIGEST_SIZE:]
-        if hashlib.sha256(payload).digest() != digest:
+        if sha256(payload).digest() != digest:
             raise ValueError(f"{path}: checksum mismatch")
         alpha, radius, k_alpha = struct.unpack_from(_KERNEL_HEADER, raw, len(_KERNEL_MAGIC))
         side = 2 * radius + 1
@@ -348,7 +363,7 @@ class GreenKernel:
 
 def cache_key(alpha: float, table_radius: int) -> str:
     text = f"v4|alpha={float(alpha)!r}|radius={int(table_radius)}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def _table_defect(table: np.ndarray, tolerance: float = 0.0):

@@ -159,6 +159,19 @@ def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
     return s
 
 
+def _stepped(values: np.ndarray, length: float, direction: np.ndarray) -> np.ndarray:
+    """values + length * direction; a step that overflows or lands on u = 0 is a RuntimeError.
+
+    The zero field is a critical point of J, but a trivial one off the Nehari set.
+    """
+    out = values + length * direction
+    if not np.isfinite(out).all():
+        raise RuntimeError(f"a step of length {length!r} overflows")
+    if not out.any():
+        raise RuntimeError(f"a step of length {length!r} lands on the zero field")
+    return out
+
+
 def sphere_inverse(u: Field, a: float, potential_table: np.ndarray) -> Field:
     """Map a nonzero field to the unit sphere of the energy norm: u / ||u||."""
     norm2 = h_inner(u, u, a, potential_table)
@@ -423,6 +436,9 @@ def _hessian(kernel: GreenKernel, point: Evaluation):
     return apply
 
 
+# numpy's overflow warnings are off in the solver: an overflowed step is a
+# RuntimeError, and a report is converged only at a finite residual and energy
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                        config: SolveConfig = None) -> SolveReport:
     """Minimize the reduced functional on the unit sphere, then polish.
@@ -470,6 +486,8 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
 
         for iterations in range(_MAX_ITERATIONS):
             history.append((current, gnorm, s))
+            if not (math.isfinite(gnorm) and math.isfinite(scale)):  # inf <= inf holds below
+                raise RuntimeError(f"residual {gnorm!r} at scale {scale!r} is not finite")
             if gnorm <= max(_TOLERANCE * scale, _SWITCH_RESIDUAL):
                 break
 
@@ -487,7 +505,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
 
             slope = float(np.sum(g * direction))
             for _ in range(_MAX_BACKTRACKS):
-                trial = evaluate(spec, kernel, Field(box, w + step * direction))
+                trial = evaluate(spec, kernel, Field(box, _stepped(w, step, direction)))
                 s_trial = nehari_scale(trial, spec.b)
                 e_trial = trial.ray_energy(s_trial)
                 if e_trial <= current + _ARMIJO * step * s * slope:
@@ -516,7 +534,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             delta = delta.reshape(g.shape)
             length = 1.0
             for _ in range(30):
-                trial = evaluate(spec, kernel, Field(box, point.u.values + length * delta))
+                trial = evaluate(spec, kernel, Field(box, _stepped(point.u.values, length, delta)))
                 trial_residual = trial.residual()
                 if trial_residual[1] < gnorm:
                     break
@@ -540,14 +558,19 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         h_residual = float(math.sqrt(max(np.sum(rep * g), 0.0)))
     except RuntimeError as exc:
         h_residual, message = math.nan, f"{message}; {exc}"
-    converged = gnorm <= _TOLERANCE * scale and not failed
+    try:
+        energy = point.ray_energy()
+    except RuntimeError as exc:
+        energy, message = math.nan, f"{message}; {exc}"
+    converged = (not failed and all(map(math.isfinite, (gnorm, scale, energy)))
+                 and gnorm <= _TOLERANCE * scale)
     if converged and message not in ("ok",):
         message = "ok after Newton polish"
 
     hist = np.asarray(history, dtype=float).reshape(-1, 3)
     return SolveReport(
         solution=point.u,
-        energy=point.ray_energy(),
+        energy=energy,
         residual=gnorm,
         residual_scale=scale,
         h_residual=h_residual,

@@ -587,22 +587,37 @@ def _under(modules, package):
     return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
-def test_warm_solve_imports_no_scipy(tmp_path, warm_cache):
+@pytest.fixture(scope="module")
+def warm_solve_modules(tmp_path_factory, warm_cache):
+    """Exit code and loaded modules of the reference solve on the warm cache."""
+    return _modules_after(tmp_path_factory.mktemp("warm_solve"),
+                          f"[kernel]\ncache_dir = {warm_cache}\n", "solve")
+
+
+def test_warm_solve_imports_no_scipy(warm_solve_modules):
     # scipy is only needed to build a table; a fresh process solving the
     # reference problem on a cached table must not pay its import
-    code, modules = _modules_after(tmp_path, f"[kernel]\ncache_dir = {warm_cache}\n", "solve")
+    code, modules = warm_solve_modules
     assert code == 0
     assert _under(modules, "scipy") == []
 
 
-def test_warm_solve_loads_neither_the_suite_nor_numpy_polynomial(tmp_path, warm_cache):
+def test_warm_solve_loads_neither_the_suite_nor_numpy_polynomial(warm_solve_modules):
     # a solve loads only the code it runs: the property suite and the
     # torus referee's Gauss-Legendre rule stay unloaded
-    code, modules = _modules_after(tmp_path, f"[kernel]\ncache_dir = {warm_cache}\n", "solve")
+    code, modules = warm_solve_modules
     assert code == 0
     assert "kclattice.nehari" in modules
     assert _under(modules, "kclattice.verify") == []
     assert _under(modules, "numpy.polynomial") == []
+
+
+def test_warm_solve_loads_no_openssl(warm_solve_modules):
+    # the cache digest comes from CPython's own SHA-256: hashlib would map
+    # OpenSSL's libcrypto, 3.5 MB resident, for the same bytes
+    code, modules = warm_solve_modules
+    assert code == 0
+    assert "_hashlib" not in modules and "hashlib" not in modules
 
 
 def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):

@@ -1,0 +1,174 @@
+"""Property test of the command line's exit contract over extreme problems.
+
+``kclattice solve`` leaves through exit codes 0-4 and never raises, and
+exit 0 means a finite residual within the solver's tolerance.  Coefficients
+range over 1e-200 to 1e200, where energies, norms and the nonlinearity
+leave the double range.
+"""
+
+import contextlib
+import io
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import kclattice.nehari as nehari_module  # noqa: E402
+from kclattice.cli import main  # noqa: E402
+
+# exit 0 certifies ||g|| <= _TOLERANCE * scale (nehari.py)
+_TOLERANCE = 1.0e-13
+
+# 10^e rounded to four digits, so a failing config reads back short
+_magnitudes = st.floats(-200.0, 200.0).map(lambda e: float(f"{10.0 ** e:.4g}"))
+
+# solves that once left through the wrong door: this one exited 0 with
+# converged = True and residual inf
+_OVERFLOWED_RESIDUAL = {
+    "problem": {"radius": 2, "mode": "dirichlet", "a": 71.04, "b": 0.261},
+    "potential": {"kind": "constant", "v0": 8.83},
+    "nonlinearity": {"coefficient": 0.01005, "exponent": 2.0365},
+}
+# this one's ray energy raised OverflowError: exit 1 and a traceback
+_OVERFLOWED_RAY_ENERGY = {
+    "problem": {"radius": 3, "mode": "periodic", "b": 0.0},
+    "potential": {"kind": "coercive"},
+    "nonlinearity": {"coefficient": 1e-140, "exponent": 3.0},
+}
+# and this one's Nehari radius, exp of a log past the double range, did too
+_OVERFLOWED_NEHARI_RADIUS = {
+    "problem": {"radius": 1},
+    "potential": {"kind": "constant", "v0": 1e200},
+    "nonlinearity": {"coefficient": 1e-200, "exponent": 2.0001},
+}
+# a Newton step landed on u = 0, and nehari_scale raised ValueError
+_NEWTON_STEP_TO_ZERO = {
+    "problem": {"radius": 1, "alpha": 0.21875, "a": 1e-38, "b": 0.0},
+    "potential": {"kind": "constant", "v0": 4.217e-21},
+    "nonlinearity": {"coefficient": 1e9, "exponent": 4.25},
+}
+# the preconditioner's CG overflowed: a RuntimeWarning, raised under the tests' filter
+_OVERFLOWED_INNER_SOLVE = {
+    "problem": {"radius": 1, "alpha": 1.5, "a": 1e-170, "b": 0.0},
+    "potential": {"kind": "coercive", "v0": 1e-169, "rate": 1.0, "power": 1.0},
+    "nonlinearity": {"coefficient": 1e9, "exponent": 3.0},
+}
+_PAST_DEFECTS = {
+    "residual": _OVERFLOWED_RESIDUAL,
+    "ray-energy": _OVERFLOWED_RAY_ENERGY,
+    "nehari-radius": _OVERFLOWED_NEHARI_RADIUS,
+    "newton-to-zero": _NEWTON_STEP_TO_ZERO,
+    "inner-solve": _OVERFLOWED_INNER_SOLVE,
+}
+
+
+@st.composite
+def _potentials(draw):
+    kind = draw(st.sampled_from(["constant", "coercive", "periodic"]))
+    if kind == "periodic":
+        tau = draw(st.integers(1, 2))
+        return {"kind": kind, "tau": tau, "table": [draw(_magnitudes) for _ in range(tau ** 3)]}
+    potential = {"kind": kind, "v0": draw(_magnitudes)}
+    if kind == "coercive":
+        potential.update(rate=draw(_magnitudes), power=draw(st.floats(0.5, 4.0)))
+    return potential
+
+
+_problems = st.fixed_dictionaries({
+    "problem": st.fixed_dictionaries({
+        "radius": st.integers(0, 3),
+        "mode": st.sampled_from(["dirichlet", "periodic"]),
+        "alpha": st.floats(0.0, 3.0, exclude_min=True, exclude_max=True),
+        "a": _magnitudes,
+        "b": st.just(0.0) | _magnitudes,
+    }),
+    "potential": _potentials(),
+    "nonlinearity": st.fixed_dictionaries({
+        "coefficient": _magnitudes,
+        "exponent": st.floats(2.0, 8.0, exclude_min=True),
+    }),
+})
+
+
+def _value_text(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return " ".join(map(repr, value))
+    return repr(value)
+
+
+def _config_text(problem, cache_dir):
+    """The run config of ``{section: {key: value}}``, with keys left out at their defaults."""
+    sections = dict(problem, kernel={"cache_dir": str(cache_dir)})
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {_value_text(value)}\n"
+                                           for key, value in entries.items()) + "\n"
+                   for name, entries in sections.items())
+
+
+@pytest.fixture(scope="module")
+def contract_dirs(tmp_path_factory):
+    # some extreme problems descend for the whole 2,000-step budget, 20 s at
+    # radius 1; a budget of 50 keeps each solve under a second and leaves
+    # every exit path, running out of steps included
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nehari_module, "_MAX_ITERATIONS", 50)
+        yield tmp_path_factory.mktemp("contract_cache"), tmp_path_factory.mktemp("contract_out")
+
+
+def _run(problem, cache_dir, out_dir, command="solve"):
+    """Exit code, stdout and stderr of ``kclattice <command>`` on the problem."""
+    cfg = out_dir / "run.cfg"
+    cfg.write_text(_config_text(problem, cache_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--output", str(out_dir), command])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _report_value(report, name):
+    return re.search(rf"^{name} += (.*)$", report, re.M).group(1)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(_OVERFLOWED_RESIDUAL)
+@example(_OVERFLOWED_RAY_ENERGY)
+@example(_OVERFLOWED_NEHARI_RADIUS)
+@example(_NEWTON_STEP_TO_ZERO)
+@example(_OVERFLOWED_INNER_SOLVE)
+@given(_problems)
+def test_solve_exit_contract(contract_dirs, problem):
+    code, out, _ = _run(problem, *contract_dirs)
+    assert 0 <= code <= 4
+    if code == 0:
+        report = (Path(re.search(r"run directory: (.*)", out).group(1)) / "report.txt").read_text()
+        residual = float(_report_value(report, "residual"))
+        scale = float(_report_value(report, "residual_scale"))
+        assert math.isfinite(residual) and residual <= _TOLERANCE * scale, report
+
+
+@pytest.mark.parametrize("problem", _PAST_DEFECTS.values(), ids=_PAST_DEFECTS.keys())
+def test_overflowing_solve_exits_three_with_its_artifacts(tmp_path, problem):
+    code, out, err = _run(problem, tmp_path / "cache", tmp_path)
+    assert code == 3
+    assert "NOT CONVERGED" in err and "Traceback" not in err
+    run = Path(re.search(r"run directory: (.*)", out).group(1))
+    assert sorted(p.name for p in run.iterdir()) == [
+        "config.snapshot", "history.csv", "report.txt", "solution.field"]
+    assert _report_value((run / "report.txt").read_text(), "converged") == "False"
+
+
+def test_verify_reports_an_overflowing_ray_energy(tmp_path):
+    problem = dict(_OVERFLOWED_RAY_ENERGY, verify={
+        "trials": 4, "mp_trials": 4, "fiber_fields": 1, "level_samples": 2, "radii": "3 4"})
+    code, out, err = _run(problem, tmp_path / "cache", tmp_path, "verify")
+    assert code == 4
+    assert "Traceback" not in err
+    assert "[FAIL] mountain-pass-geometry (raised)" in out
+    assert "witness: RuntimeError: ray energy at scale" in out

@@ -107,6 +107,10 @@ def test_torus_route_agrees_with_heat_kernel():
     pytest.param(kc.HEAT_KERNEL, 2.95, None, id="heat-kernel-alpha-2.95"),
     # near alpha = 0 the head cutoff underflows a double
     pytest.param(kc.HEAT_KERNEL, 0.05, None, id="heat-kernel-alpha-0.05"),
+    # the tail cutoff still fits, but t^(alpha/2) at it does not
+    pytest.param(kc.HEAT_KERNEL, 2.89, None, id="heat-kernel-alpha-2.89"),
+    # Gamma(alpha/2) overflows, so the prefactor is 0
+    pytest.param(kc.HEAT_KERNEL, 5e-324, None, id="heat-kernel-alpha-5e-324"),
 ])
 def test_torus_route_reports_unreachable_tolerance(method, alpha, tolerance):
     with pytest.raises(kc.QuadratureError):
@@ -288,6 +292,37 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
         assert again.k_alpha == first.k_alpha, name
         assert path.read_bytes() == good, name
     assert kc.build_kernel(1.0, 3, cache_dir=tmp_path).meta["cached"]
+
+
+def test_builtin_sha256_matches_hashlib(rng):
+    # lengths around the 64-byte block and the 56-byte padding limit
+    for size in (0, 1, 55, 56, 63, 64, 65, 1000, 287_000):
+        payload = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        assert kernel_module.sha256(payload).digest() == hashlib.sha256(payload).digest(), size
+
+
+def test_cache_key_values_are_unchanged():
+    # cache file names written before the digest left hashlib
+    assert kc.cache_key(1.0, 8) == "6cb292773d710370"
+    assert kc.cache_key(1.0, 16) == "96e15762dea2f751"
+    assert kc.cache_key(0.5, 3) == "eba2cf1dd7151b71"
+    assert kc.cache_key(2.9, 20) == "f69aedb67b017ede"
+
+
+def test_cache_file_sealed_by_hashlib_is_a_hit(tmp_path):
+    # a file sealed by hashlib, as every cache file was before, loads and
+    # matches the writer byte for byte
+    built = kc.build_kernel(1.0, 3, cache_dir=tmp_path / "built")
+    path = tmp_path / "sealed" / Path(built.meta["cache_path"]).name
+    path.parent.mkdir()
+    header = struct.pack(kernel_module._KERNEL_HEADER, built.alpha, built.table_radius,
+                         built.k_alpha)
+    path.write_bytes(_sealed(kernel_module._KERNEL_MAGIC + header
+                             + built.table.astype("<f8").tobytes()))
+    loaded = kc.build_kernel(1.0, 3, cache_dir=tmp_path / "sealed")
+    assert loaded.meta["cached"]
+    assert np.array_equal(loaded.table, built.table)
+    assert path.read_bytes() == Path(built.meta["cache_path"]).read_bytes()
 
 
 def test_loader_and_kernel_integrity_share_one_invariance_test(tmp_path, monkeypatch):

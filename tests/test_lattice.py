@@ -5,6 +5,7 @@ import pytest
 
 import kclattice as kc
 from kclattice import Field, LatticeBox
+from kclattice import lattice as lattice_module
 from kclattice.lattice import _edge_sum, _laplacian_values
 
 
@@ -242,6 +243,37 @@ def test_text_io_round_trip(tmp_path, rng):
         # byte for byte the header and one %.16e line per site
         lines = [header] + [f"{value:.16e}" for value in u.flat]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _save_field_text_one_join(u, path):
+    """The writer before streaming: the whole file as one joined string."""
+    header = f"# lattice-field v1 radius={u.box.radius} mode={u.box.mode}\n"
+    with open(path, "w") as fh:
+        fh.write(header + "".join(f"{value:.16e}\n" for value in u.flat.tolist()))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_streamed_field_file_matches_the_one_join_writer(tmp_path, rng, monkeypatch, chunk):
+    # radius 5 and up cross the default chunk of lines; chunks of 1 and 7
+    # put boundaries everywhere, and 7 leaves a partial last chunk
+    if chunk is not None:
+        monkeypatch.setattr(lattice_module, "_FIELD_CHUNK_LINES", chunk)
+    for radius in (0, 1, 5, 8, 10):
+        for mode in (kc.DIRICHLET, kc.PERIODIC):
+            if mode == kc.PERIODIC and radius == 0:
+                continue
+            box = LatticeBox(radius, mode)
+            values = rng.standard_normal(box.site_count) * 10.0 ** rng.integers(-300, 300,
+                                                                                box.site_count)
+            values[::5] = 0.0
+            values[2::5] = -0.0
+            values[-1] = -0.0
+            u = Field.from_flat(box, values)
+            streamed, joined = tmp_path / "streamed.field", tmp_path / "joined.field"
+            kc.save_field_text(u, streamed)
+            _save_field_text_one_join(u, joined)
+            assert streamed.read_bytes() == joined.read_bytes(), (radius, mode)
+            assert b"-0.0000000000000000e+00\n" in streamed.read_bytes()
 
 
 def test_text_io_rejects_garbage(tmp_path):
