@@ -27,9 +27,11 @@ frozen at the current point, by a few conjugate-gradient steps.  Below a
 residual of _SWITCH_RESIDUAL, Newton steps polish the Euler-Lagrange
 residual to roundoff, where energy differences no longer resolve but the
 residual still does; their minres solves are preconditioned by that same
-operator.  The solve converges when ||g|| <= _TOLERANCE times the scale
-of ``Evaluation.residual``, so the stop follows a, b, V and the
-coefficient.  Such numerics (_TOLERANCE, _ARMIJO, ...) are module constants.
+operator, inverted exactly where it separates by axis (``separable``) and
+by conjugate gradients elsewhere.  The solve converges when ||g|| <=
+_TOLERANCE times the scale of ``Evaluation.residual``, so the stop follows
+a, b, V and the coefficient.  Such numerics (_TOLERANCE, _ARMIJO, ...) are
+module constants.
 
 The solver core runs on box-shaped arrays; a ``Field`` is validated only
 where data enters it (the start field, ``evaluate``, ``convolve``) or
@@ -46,6 +48,7 @@ import numpy as np
 from .energy import Evaluation, FiberCoefficients, ProblemSpec, evaluate, nehari_radius
 from .kernel import GreenKernel, convolve
 from .lattice import Field, _edge_sum, _laplacian_values, h_inner
+from .separable import separable_inverse
 
 GAUSSIAN_BUMP = "gaussian_bump"
 RANDOM_START = "random"
@@ -63,6 +66,7 @@ _DESCENT_RTOL = 0.1
 _NEWTON_RTOL = 1.0e-4
 _NEWTON_MAXITER = 400
 # relative residual of the inner CG solve that applies minres's preconditioner
+# where it does not separate by axis (see ``separable.separable_inverse``)
 _PRECONDITIONER_RTOL = 1.0e-6
 # bound on the ray root's residual |q(s)|, relative to the largest term of q
 _ROOT_TOLERANCE = 1.0e-12
@@ -172,11 +176,19 @@ def _stepped(values: np.ndarray, length: float, direction: np.ndarray) -> np.nda
     return out
 
 
+@np.errstate(over="ignore")
 def sphere_inverse(u: Field, a: float, potential_table: np.ndarray) -> Field:
-    """Map a nonzero field to the unit sphere of the energy norm: u / ||u||."""
-    norm2 = h_inner(u, u, a, potential_table)
-    if norm2 == 0.0:
+    """Map a nonzero field to the unit sphere of the energy norm: u / ||u||.
+
+    The zero field is a ValueError; a nonzero field whose squared norm
+    leaves the double range, to 0 or inf, is a RuntimeError.
+    """
+    if not u.values.any():
         raise ValueError("cannot normalize the zero field")
+    norm2 = h_inner(u, u, a, potential_table)
+    if not 0.0 < norm2 < math.inf:
+        raise RuntimeError(f"squared energy norm {norm2!r} of a nonzero field leaves the "
+                           f"double range")
     return Field(u.box, u.values / math.sqrt(norm2))
 
 
@@ -219,10 +231,11 @@ def _minres(matvec, b: np.ndarray, psolve, rtol: float, maxiter: int):
     same Lanczos recurrences in the M^-1 inner product, the same stopping
     tests (istop), and info = maxiter when the budget runs out.  psolve
     must be symmetric positive definite; r.M^-1 r < 0 raises RuntimeError
-    (scipy raises ValueError).
+    (scipy raises ValueError).  matvec must return a new array, which is
+    updated in place: fewer vectors alive at once lower a solve's peak memory.
     """
     eps = np.finfo(float).eps
-    r1 = b.copy()
+    r1 = b  # never written in place, like every vector here but x and y
     y = psolve(r1)
     beta1 = np.dot(r1, y)
     if beta1 < 0:
@@ -238,16 +251,16 @@ def _minres(matvec, b: np.ndarray, psolve, rtol: float, maxiter: int):
     gmin = np.finfo(float).max
     cs, sn = -1.0, 0.0
     w = np.zeros_like(b)
-    w2 = np.zeros_like(b)
+    w2 = np.zeros_like(b)  # the w before w; the one before that is dropped once used
     r2 = r1
     while itn < maxiter:
         itn += 1
         v = (1.0 / beta) * y
         y = matvec(v)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y -= (beta / oldb) * r1
         alfa = np.dot(v, y)
-        y = y - (alfa / beta) * r2
+        y -= (alfa / beta) * r2
         r1 = r2
         r2 = y
         y = psolve(r2)
@@ -272,10 +285,8 @@ def _minres(matvec, b: np.ndarray, psolve, rtol: float, maxiter: int):
         phi = cs * phibar
         phibar = sn * phibar
         denom = 1.0 / gamma
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) * denom
-        x = x + phi * w
+        w2, w = w, (v - oldeps * w2 - delta * w) * denom
+        x += phi * w
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
         z = rhs1 / gamma
@@ -430,8 +441,14 @@ def _hessian(kernel: GreenKernel, point: Evaluation):
         v = x.reshape(u.shape)
         cross = _edge_sum(u, v, box.mode)
         conv_fv = convolve(kernel, Field(box, fu * v)).values
-        return (weight * _laplacian_values(v, box.mode) - 2.0 * spec.b * cross * lap_u
-                + spec.potential_table * v - conv_fv * fu - conv_fp * v).ravel()
+        # term by term in place, in the order and rounding of one sum expression
+        out = _laplacian_values(v, box.mode)
+        out *= weight
+        out -= 2.0 * spec.b * cross * lap_u
+        out += spec.potential_table * v
+        out -= conv_fv * fu
+        out -= conv_fp * v
+        return out.ravel()
 
     return apply
 
@@ -454,28 +471,34 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     Phase two: below a residual of _SWITCH_RESIDUAL the energy is flat to
     roundoff, so Newton steps polish the Euler-Lagrange residual itself, by
     minres on the exact second-derivative action preconditioned with P^-1,
-    P = -(a + bA) lap + V (CG to _PRECONDITIONER_RTOL), and a merit rule of
-    residual decrease.  Both stop at ||g|| <= _TOLERANCE * scale.
+    P = -(a + bA) lap + V, and a merit rule of residual decrease.  P^-1 is
+    built once per step: exact, by ``separable.separable_inverse``, on a
+    Dirichlet box with an additive potential table, and else CG to
+    _PRECONDITIONER_RTOL at every application.  Both phases stop at
+    ||g|| <= _TOLERANCE * scale.
 
     Failures are reported in the returned SolveReport (converged flag and
     message), not raised: a stalled line search or exhausted iteration
     budget still produces a usable field and diagnostics.  A RuntimeError
-    from the ray root, the D = pB check, an exhausted CG budget or an
+    from the start field's normalization, the ray root, the D = pB check,
+    an exhausted CG budget, an overflowing separable preconditioner or an
     indefinite minres preconditioner ends the iteration with its message
-    and converged=False, reporting the last evaluated point.
+    and converged=False, reporting the last evaluated point (the start
+    field as given if none was).
     """
     if config is None:
         config = SolveConfig()
     box = spec.box
 
-    w0 = sphere_inverse(_initial_field(spec, config), spec.a, spec.potential_table)
-    w = w0.values  # the iterate on the unit sphere
+    w0 = _initial_field(spec, config)
     history = []
     message = "ok"
     failed = False
     iterations = newton_iterations = 0
     point = None  # the evaluation at the current iterate
     try:
+        w0 = sphere_inverse(w0, spec.a, spec.potential_table)
+        w = w0.values  # the iterate on the unit sphere
         start = evaluate(spec, kernel, w0)
         s = nehari_scale(start, spec.b)
         current = start.ray_energy(s)
@@ -522,14 +545,17 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             g, gnorm, scale = point.residual()
         else:
             message = "descent iteration budget exhausted"
+        # the descent's arrays are dead: dropped, they leave room for minres's
+        start = trial = w = prev_w = prev_gp = gp = direction = None
 
         # Newton polish on the Euler-Lagrange residual
         for _ in range(_NEWTON_MAX_ITERATIONS):
             if gnorm <= _TOLERANCE * scale:
                 break
             weight = spec.a + spec.b * point.grad2
-            delta, _ = _minres(_hessian(kernel, point), -g.ravel(),
-                               lambda r: _h_representer(spec, r, _PRECONDITIONER_RTOL, weight),
+            psolve = (separable_inverse(spec, weight)
+                      or (lambda r: _h_representer(spec, r, _PRECONDITIONER_RTOL, weight)))
+            delta, _ = _minres(_hessian(kernel, point), -g.ravel(), psolve,
                                _NEWTON_RTOL, _NEWTON_MAXITER)
             delta = delta.reshape(g.shape)
             length = 1.0

@@ -61,6 +61,7 @@ _SYMMETRY_TOLERANCE = 1.0e-12  # relative, per table entry, in check_kernel_inte
 _FIBER_GRID = np.linspace(0.06, 3.0, 50)  # the t at which check_fiber_monotonicity reads g(t)
 _BOX_GAP = 1.0e-3  # largest final relative level gap check_box_convergence passes
 _BOX_RISE = 1.0e-12  # largest relative rise of a Dirichlet level check_box_convergence passes
+_NORMAL_MIN = np.finfo(float).tiny  # smallest g(t) check_fiber_monotonicity compares
 
 
 @dataclass
@@ -140,15 +141,20 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
     eta^2 > 0; ``trials`` unit directions w confirm J(rho w) >= sigma*, and the first
     one's ray is grown until J turns negative.  Each direction is evaluated once and
     its ray read from ``Evaluation.ray_energy``: ``trials`` convolutions in all.
+    Only the first evaluation is kept, and one energy of each other.
     eta shrinks as the box grows, so the proven floor weakens with the radius.
     """
     name = "mountain-pass-geometry"
     rng = _check_rng(seed, name)
-    points = [evaluate(spec, kernel, w) for w in _unit_directions(spec, rng, trials)]
     rho = nehari_radius(spec, kernel)
     sigma = 0.5 * (1.0 - 1.0 / spec.nonlinearity.exponent) * rho * rho
-    floor = min(point.ray_energy(rho) for point in points)
-    e_norm = next((2.0 ** k for k in range(61) if points[0].ray_energy(2.0 ** k) < 0.0), math.nan)
+    first, on_sphere = None, []
+    for w in _unit_directions(spec, rng, trials):
+        point = evaluate(spec, kernel, w)
+        first = point if first is None else first
+        on_sphere.append(point.ray_energy(rho))
+    floor = min(on_sphere)
+    e_norm = next((2.0 ** k for k in range(61) if first.ray_energy(2.0 ** k) < 0.0), math.nan)
     passed = floor >= sigma > 0.0 and e_norm > rho  # False on a nan e_norm
     witness = ""
     if not floor >= sigma > 0.0:
@@ -156,7 +162,7 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
     elif not passed:
         witness = "no negative-energy point found beyond rho up to scale 2^60"
     details = {"rho": rho, "sigma": sigma, "sampled_floor": floor, "e_norm": e_norm,
-               "e_energy": points[0].ray_energy(e_norm)}
+               "e_energy": first.ray_energy(e_norm)}
     return PropertyReport(name, "positive-sphere-floor-and-negative-far-point",
                           trials, passed, floor, sigma, details, witness)
 
@@ -268,10 +274,17 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
     for k, u in enumerate(_unit_directions(spec, rng, fields)):
         base = evaluate(spec, kernel, u)
         g1 = 0.5 * base.interaction
-        for t in (grid[0], grid[-1]):
+        ends = (grid[0], grid[-1])
+        predicted = [t ** (2.0 * p) * g1 for t in ends]
+        if not all(_NORMAL_MIN <= value < math.inf for value in predicted):
+            # a deviation relative to 0 or inf reads nan, which max() would drop
+            passed, worst_identity = False, math.inf
+            witness = (f"interaction t^(2p) g(1) leaves the normal doubles on field {k}: "
+                       f"{predicted[0]:.3e} at t={ends[0]:g}, {predicted[1]:.3e} at t={ends[1]:g}")
+            continue
+        for t, value in zip(ends, predicted):
             probe = 0.5 * evaluate(spec, kernel, Field(spec.box, t * u.values)).interaction
-            predicted = t ** (2.0 * p) * g1
-            worst_identity = max(worst_identity, abs(probe - predicted) / predicted)
+            worst_identity = max(worst_identity, abs(probe - value) / value)
         g, _, quotient = _fiber_curve(base, grid)
         for t, g_t in zip(grid, g):
             if t > 1.0:

@@ -100,6 +100,33 @@ def test_solve_artifacts_and_determinism(tmp_path, cache_dir, capsys):
     assert float(final[2]) <= 1e-9
 
 
+def test_periodic_solve_artifacts_match_a_run_without_the_separable_inverse(
+        tmp_path, cache_dir, capsys, monkeypatch):
+    # a periodic box never separates: every Newton step asks for the exact
+    # inverse, gets None and keeps the Jacobi-CG preconditioner, byte for byte
+    cfg = write_config(tmp_path, base_config(cache_dir).replace(
+        "radius = 3\n", "radius = 3\nmode = periodic\n").replace(
+        "kind = coercive\nv0 = 1.0\nrate = 3.0\npower = 2.0\n",
+        "kind = periodic\ntau = 1\ntable = 2.5\n"))
+    answers = []
+    separable_inverse = nehari_module.separable_inverse
+
+    def spied(spec, c):
+        answers.append(separable_inverse(spec, c))
+        return answers[-1]
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(nehari_module, "separable_inverse", spied)
+    assert main(["--config", cfg, "--output", str(out), "--seed", "1", "solve"]) == 0
+    monkeypatch.setattr(nehari_module, "separable_inverse", lambda spec, c: None)
+    assert main(["--config", cfg, "--output", str(out), "--seed", "1", "solve"]) == 0
+    capsys.readouterr()
+    assert answers and answers == [None] * len(answers)
+    first, second = run_dirs(out)[-2:]
+    for name in ("solution.field", "report.txt", "history.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_solve_report_prints_the_potential_floor_the_solve_used(tmp_path, cache_dir, capsys):
     # a periodic potential's floor, on which eta rests, is the table minimum
     cfg = write_config(tmp_path, base_config(cache_dir).replace(
@@ -565,11 +592,33 @@ def warm_cache(tmp_path_factory):
     return cache
 
 
+# run before kclattice is imported: a LAPACK decomposition or a numpy.matmul
+# on a 2-D operand raises, since their first calls map BLAS and LAPACK pages
+# that raise a warm run's peak resident set by 0.4-0.9 MB
+_NO_LAPACK_OR_BLAS3 = """
+import numpy, numpy.linalg
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(name + " called")
+    return call
+for _name in ("eigh", "eigvalsh", "solve"):
+    setattr(numpy.linalg, _name, _forbidden("numpy.linalg." + _name))
+_matmul = numpy.matmul
+def _vector_matmul(a, b, *args, **kwargs):
+    if numpy.ndim(a) >= 2 or numpy.ndim(b) >= 2:
+        raise AssertionError("2-D numpy.matmul called")
+    return _matmul(a, b, *args, **kwargs)
+numpy.matmul = _vector_matmul
+"""
+
+
 def _modules_after(tmp_path, config_text, command):
-    """Run ``command`` in a fresh interpreter; its exit code and the modules it loaded."""
+    """Run ``command`` in a fresh interpreter with LAPACK's decompositions and
+    2-D numpy.matmul disabled; its exit code and the modules it loaded."""
     cfg = write_config(tmp_path, config_text)
     script = (
         "import json, sys\n"
+        + _NO_LAPACK_OR_BLAS3 +
         "from kclattice.cli import main\n"
         f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, {command!r}])\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"

@@ -1,9 +1,9 @@
 """Property test of the command line's exit contract over extreme problems.
 
-``kclattice solve`` leaves through exit codes 0-4 and never raises, and
-exit 0 means a finite residual within the solver's tolerance.  Coefficients
-range over 1e-200 to 1e200, where energies, norms and the nonlinearity
-leave the double range.
+``kclattice solve`` and ``kclattice verify`` leave through exit codes 0-4
+and never raise, and a solve's exit 0 means a finite residual within the
+solver's tolerance.  Coefficients range over 1e-200 to 1e200, where
+energies, norms and the nonlinearity leave the double range.
 """
 
 import contextlib
@@ -58,12 +58,22 @@ _OVERFLOWED_INNER_SOLVE = {
     "potential": {"kind": "coercive", "v0": 1e-169, "rate": 1.0, "power": 1.0},
     "nonlinearity": {"coefficient": 1e9, "exponent": 3.0},
 }
+# a separable table near the top of the double range: the start field's energy
+# norm overflowed, the field normalized to 0 and nehari_scale's ValueError left
+# as a traceback.  No start brings the Newton preconditioner's eigenvalue sums,
+# about V + 6c, past the double range: unit fields of so large a V or c
+# underflow the drive first, so test_nehari tests that overflow directly
+_OVERFLOWED_SEPARABLE_TABLE = {
+    "problem": {"radius": 1, "mode": "dirichlet"},
+    "potential": {"kind": "coercive", "v0": 1.0, "rate": 5.99e307, "power": 2.0},
+}
 _PAST_DEFECTS = {
     "residual": _OVERFLOWED_RESIDUAL,
     "ray-energy": _OVERFLOWED_RAY_ENERGY,
     "nehari-radius": _OVERFLOWED_NEHARI_RADIUS,
     "newton-to-zero": _NEWTON_STEP_TO_ZERO,
     "inner-solve": _OVERFLOWED_INNER_SOLVE,
+    "separable-table": _OVERFLOWED_SEPARABLE_TABLE,
 }
 
 
@@ -75,24 +85,37 @@ def _potentials(draw):
         return {"kind": kind, "tau": tau, "table": [draw(_magnitudes) for _ in range(tau ** 3)]}
     potential = {"kind": kind, "v0": draw(_magnitudes)}
     if kind == "coercive":
-        potential.update(rate=draw(_magnitudes), power=draw(st.floats(0.5, 4.0)))
+        # power 2 is additive, which takes the Newton polish's separable preconditioner
+        potential.update(rate=draw(_magnitudes), power=draw(st.just(2.0) | st.floats(0.5, 4.0)))
     return potential
 
 
-_problems = st.fixed_dictionaries({
-    "problem": st.fixed_dictionaries({
-        "radius": st.integers(0, 3),
-        "mode": st.sampled_from(["dirichlet", "periodic"]),
-        "alpha": st.floats(0.0, 3.0, exclude_min=True, exclude_max=True),
-        "a": _magnitudes,
-        "b": st.just(0.0) | _magnitudes,
-    }),
-    "potential": _potentials(),
-    "nonlinearity": st.fixed_dictionaries({
-        "coefficient": _magnitudes,
-        "exponent": st.floats(2.0, 8.0, exclude_min=True),
-    }),
-})
+def _problems_with(radius, alpha, **sections):
+    return st.fixed_dictionaries({
+        "problem": st.fixed_dictionaries({
+            "radius": radius,
+            "mode": st.sampled_from(["dirichlet", "periodic"]),
+            "alpha": alpha,
+            "a": _magnitudes,
+            "b": st.just(0.0) | _magnitudes,
+        }),
+        "potential": _potentials(),
+        "nonlinearity": st.fixed_dictionaries({
+            "coefficient": _magnitudes,
+            "exponent": st.floats(2.0, 8.0, exclude_min=True),
+        }),
+        **sections,
+    })
+
+
+_problems = _problems_with(st.integers(0, 3), st.floats(0.0, 3.0, exclude_min=True,
+                                                         exclude_max=True))
+# the property suite at its smallest counts; three orders keep the kernel builds,
+# at the table radius 16 the hls check needs, to three per run
+_SMALL_SUITE = {"trials": 2, "mp_trials": 2, "fiber_fields": 1, "level_samples": 2,
+                "radii": "1 2"}
+_suites = _problems_with(st.integers(0, 2), st.sampled_from([0.5, 1.0, 2.0]),
+                         verify=st.just(_SMALL_SUITE))
 
 
 def _value_text(value):
@@ -142,6 +165,7 @@ def _report_value(report, name):
 @example(_OVERFLOWED_NEHARI_RADIUS)
 @example(_NEWTON_STEP_TO_ZERO)
 @example(_OVERFLOWED_INNER_SOLVE)
+@example(_OVERFLOWED_SEPARABLE_TABLE)
 @given(_problems)
 def test_solve_exit_contract(contract_dirs, problem):
     code, out, _ = _run(problem, *contract_dirs)
@@ -151,6 +175,25 @@ def test_solve_exit_contract(contract_dirs, problem):
         residual = float(_report_value(report, "residual"))
         scale = float(_report_value(report, "residual_scale"))
         assert math.isfinite(residual) and residual <= _TOLERANCE * scale, report
+
+
+# its fiber check once divided by an interaction that underflowed to 0
+_UNDERFLOWED_FIBER = {
+    "problem": {"radius": 0, "a": 1e107},
+    "potential": {"kind": "constant", "v0": 1.0},
+    "nonlinearity": {"coefficient": 1.0, "exponent": 3.0},
+    "verify": _SMALL_SUITE,
+}
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(_UNDERFLOWED_FIBER)
+@given(_suites)
+def test_verify_exit_contract(contract_dirs, problem):
+    code, _, err = _run(problem, *contract_dirs, "verify")
+    assert 0 <= code <= 4
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("problem", _PAST_DEFECTS.values(), ids=_PAST_DEFECTS.keys())

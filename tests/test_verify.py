@@ -239,6 +239,18 @@ def test_fiber_monotonicity_convolves_three_times_per_field(spec4, kernel_m16, c
         assert convolution_count[0] == 3 * fields
 
 
+def test_fiber_monotonicity_fails_naming_an_underflowed_interaction(kernel_m8):
+    # unit fields on one site with a = 1e107 are near 1e-54, so g(1), of order
+    # u^6, underflows to 0: the identity's deviation relative to it would read
+    # nan, which max() drops, and the check would pass on a deviation of 0
+    spec = ProblemSpec(LatticeBox(0), PotentialSpec.constant(1.0), PowerNonlinearity(1.0, 3.0),
+                       alpha=1.0, a=1e107)
+    rep = kc.check_fiber_monotonicity(spec, kernel_m8, fields=2)
+    assert not rep.passed
+    assert rep.measured == math.inf
+    assert "interaction t^(2p) g(1) leaves the normal doubles on field 1: 0.000e+00" in rep.witness
+
+
 @pytest.mark.parametrize("kind", ["positive", "normal"])
 def test_derived_fiber_curve_matches_per_point_evaluations(spec4, kernel_m16, kind):
     # the suite's directions alternate, smoothed positive noise first
