@@ -28,6 +28,14 @@ def _tridiagonal(c, w):
     return c * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) + np.diag(w)
 
 
+def _assert_eigenpairs(t, mu, qt):
+    """mu and the rows of qt are t's eigenpairs to rounding, against LAPACK."""
+    mu, top = np.asarray(mu), np.abs(t).max()
+    assert np.abs(np.sort(mu) - np.linalg.eigvalsh(t)).max() <= 1e-14 * top
+    assert np.abs(qt @ qt.T - np.eye(len(t))).max() <= 1e-14
+    assert np.abs(qt @ t - mu[:, None] * qt).max() <= 1e-14 * top
+
+
 @pytest.mark.parametrize("kind", sorted(_SEPARABLE))
 @pytest.mark.parametrize("radius", range(11))
 def test_separable_inverse_is_exact(radius, kind):
@@ -48,26 +56,16 @@ def test_ql_eigenpairs_match_lapack_where_eigenvalues_coincide(radius):
     x = np.arange(-radius, radius + 1.0)
     t = _tridiagonal(1.0, x * x)
     want = np.linalg.eigh(t)[0]
-    top = np.abs(want).max()
-    assert np.diff(want).min() <= 2.0 * np.spacing(top)
-    full = tridiagonal_eigen(np.diag(t).tolist(), np.diag(t, 1).tolist())
-    for mu, qt in (full, _axis_eigen(1.0, x * x)):
-        mu = np.asarray(mu)
-        assert np.abs(np.sort(mu) - want).max() <= 1e-14 * top
-        assert np.abs(qt @ qt.T - np.eye(len(x))).max() <= 1e-14
-        assert np.abs(qt @ t - mu[:, None] * qt).max() <= 1e-14 * top
+    assert np.diff(want).min() <= 2.0 * np.spacing(want.max())
+    _assert_eigenpairs(t, *tridiagonal_eigen(np.diag(t).tolist(), np.diag(t, 1).tolist()))
+    _assert_eigenpairs(t, *_axis_eigen(1.0, x * x))
 
 
 @pytest.mark.parametrize("w", [[0.0], [0.0, 3.0], [4.0, 1.0, 0.0, 1.0, 4.0], [0.0] * 6])
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
 def test_axis_eigenpairs_on_small_and_even_sides(w, c):
     w = np.array(w)
-    t = _tridiagonal(c, w)
-    mu, qt = _axis_eigen(c, w)
-    top = np.abs(t).max()
-    assert np.abs(np.sort(mu) - np.linalg.eigvalsh(t)).max() <= 1e-14 * top
-    assert np.abs(qt @ qt.T - np.eye(len(w))).max() <= 1e-14
-    assert np.abs(qt @ t - mu[:, None] * qt).max() <= 1e-14 * top
+    _assert_eigenpairs(_tridiagonal(c, w), *_axis_eigen(c, w))
 
 
 def _random_table(tau):
