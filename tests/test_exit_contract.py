@@ -62,7 +62,7 @@ _OVERFLOWED_INNER_SOLVE = {
 # norm overflowed, the field normalized to 0 and nehari_scale's ValueError left
 # as a traceback.  No start brings the Newton preconditioner's eigenvalue sums,
 # about V + 6c, past the double range: unit fields of so large a V or c
-# underflow the drive first, so test_nehari tests that overflow directly
+# underflow the drive first, so test_separable tests that overflow directly
 _OVERFLOWED_SEPARABLE_TABLE = {
     "problem": {"radius": 1, "mode": "dirichlet"},
     "potential": {"kind": "coercive", "v0": 1.0, "rate": 5.99e307, "power": 2.0},
