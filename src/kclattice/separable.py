@@ -74,26 +74,11 @@ def tridiagonal_eigen(d: list, e: list):
 def _axis_eigen(c: float, w: np.ndarray):
     """Eigenvalues and eigenvectors (the rows) of T = c tridiag(-1, 2, -1) + diag(w).
 
-    T is scaled to entries of at most 1 for the eigensolver.  On an odd side
-    n = 2h + 1, a mirror-symmetric w, as a centred potential has, splits T
-    into halves with a quarter of the rotations each: on the even vectors T
-    acts as its leading (h+1) x (h+1) block with the last off-diagonal entry
-    doubled, which scaling the middle entry by 1/sqrt 2 makes symmetric
-    again, and on the odd ones as its leading h x h block.
+    T is scaled to entries of at most 1 for the eigensolver.
     """
-    n, scale = len(w), 2.0 * c + float(w.max())
-    if not math.isfinite(scale):
-        raise RuntimeError(f"separable preconditioner overflows at weight {c!r}")
-    d, e = ((2.0 * c + w) / scale).tolist(), -c / scale
-    h, r = n // 2, math.sqrt(0.5)
-    if n % 2 == 0 or n < 3 or (w != w[::-1]).any():
-        mu, qt = tridiagonal_eigen(d, [e] * (n - 1))
-        return scale * np.array(mu), qt
-    mu_even, even = tridiagonal_eigen(d[:h + 1], [e] * (h - 1) + [e / r])
-    mu_odd, odd = tridiagonal_eigen(d[:h], [e] * (h - 1))
-    qt = np.vstack([np.hstack([r * even[:, :h], even[:, h:], r * even[:, h - 1::-1]]),
-                    np.hstack([r * odd, np.zeros((h, 1)), -r * odd[:, ::-1]])])
-    return scale * np.array(mu_even + mu_odd), qt
+    scale = 2.0 * c + float(w.max())
+    mu, qt = tridiagonal_eigen(((2.0 * c + w) / scale).tolist(), [-c / scale] * (len(w) - 1))
+    return scale * np.array(mu), qt
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is tested for below, not warned of

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary run directories."""
 
+import hashlib
 import json
 import math
 import os
@@ -100,31 +101,30 @@ def test_solve_artifacts_and_determinism(tmp_path, cache_dir, capsys):
     assert float(final[2]) <= 1e-9
 
 
-def test_periodic_solve_artifacts_match_a_run_without_the_separable_inverse(
-        tmp_path, cache_dir, capsys, monkeypatch):
-    # a periodic box never separates: every Newton step asks for the exact
-    # inverse, gets None and keeps the Jacobi-CG preconditioner, byte for byte
+# SHA-256 of the artifacts that the solver wrote for the periodic config of
+# the test below at --seed 1 before the Newton polish had a separable inverse,
+# when every preconditioner application was a Jacobi-CG solve (numpy 2.4, x86-64)
+_PERIODIC_DIGESTS = {
+    "solution.field": "06e225e6984f5b6464d5b537b0f2de1434492f0530cb8ac3195f046ff7ddbd75",
+    "report.txt": "d1be61b4848e1914cbdf6e09d0cc549d7091a98dee592ea2712264be657424de",
+    "history.csv": "9a475f916d816142b94ce722922b1946325a09f70827d739c89fe812fe57d7d4",
+}
+
+
+def test_periodic_solve_artifacts_match_the_cg_preconditioned_solver(tmp_path, cache_dir,
+                                                                     capsys):
+    # a periodic box never separates: its polish keeps the Jacobi-CG
+    # preconditioner and writes the same bytes as before the exact inverse
     cfg = write_config(tmp_path, base_config(cache_dir).replace(
         "radius = 3\n", "radius = 3\nmode = periodic\n").replace(
         "kind = coercive\nv0 = 1.0\nrate = 3.0\npower = 2.0\n",
         "kind = periodic\ntau = 1\ntable = 2.5\n"))
-    answers = []
-    separable_inverse = nehari_module.separable_inverse
-
-    def spied(spec, c):
-        answers.append(separable_inverse(spec, c))
-        return answers[-1]
-
     out = tmp_path / "out"
-    monkeypatch.setattr(nehari_module, "separable_inverse", spied)
-    assert main(["--config", cfg, "--output", str(out), "--seed", "1", "solve"]) == 0
-    monkeypatch.setattr(nehari_module, "separable_inverse", lambda spec, c: None)
     assert main(["--config", cfg, "--output", str(out), "--seed", "1", "solve"]) == 0
     capsys.readouterr()
-    assert answers and answers == [None] * len(answers)
-    first, second = run_dirs(out)[-2:]
-    for name in ("solution.field", "report.txt", "history.csv"):
-        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    run = latest_run(out)
+    for name, digest in _PERIODIC_DIGESTS.items():
+        assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_solve_report_prints_the_potential_floor_the_solve_used(tmp_path, cache_dir, capsys):
@@ -592,36 +592,59 @@ def warm_cache(tmp_path_factory):
     return cache
 
 
-# run before kclattice is imported: a LAPACK decomposition or a numpy.matmul
-# on a 2-D operand raises, since their first calls map BLAS and LAPACK pages
-# that raise a warm run's peak resident set by 0.4-0.9 MB
+# run before kclattice is imported: LAPACK's decompositions raise, and after
+# the run a 2-D product and an eigh report how many kB of numpy's BLAS/LAPACK
+# library they map.  The first call of a BLAS-3 product or of a LAPACK
+# decomposition maps pages that raise a warm run's peak resident set by
+# 0.4-0.9 MB; where the run made such a call, the same call after it maps
+# nothing new.  The page count sees the `@` operator, np.dot and tensordot,
+# which reach the BLAS at C level without any numpy attribute a patch could
+# replace.
 _NO_LAPACK_OR_BLAS3 = """
 import numpy, numpy.linalg
+_eigh = numpy.linalg.eigh
 def _forbidden(name):
     def call(*args, **kwargs):
         raise AssertionError(name + " called")
     return call
 for _name in ("eigh", "eigvalsh", "solve"):
     setattr(numpy.linalg, _name, _forbidden("numpy.linalg." + _name))
-_matmul = numpy.matmul
-def _vector_matmul(a, b, *args, **kwargs):
-    if numpy.ndim(a) >= 2 or numpy.ndim(b) >= 2:
-        raise AssertionError("2-D numpy.matmul called")
-    return _matmul(a, b, *args, **kwargs)
-numpy.matmul = _vector_matmul
+def _blas_kb():
+    total, found, take = 0, False, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split()
+            if len(head) >= 5 and not head[0].endswith(":"):
+                path = head[5].lower() if len(head) > 5 else ""
+                take = "blas" in path or "lapack" in path
+                found = found or take
+            elif take and head[0] == "Rss:":
+                total += int(head[1])
+    return total if found else None
+def _fresh_blas_kb():
+    before = _blas_kb()
+    if before is None:
+        return None
+    numpy.ones((17, 17)) @ numpy.ones((17, 289))
+    gemm = _blas_kb()
+    _eigh(numpy.eye(5))
+    return {"gemm": gemm - before, "eigh": _blas_kb() - gemm}
 """
 
 
 def _modules_after(tmp_path, config_text, command):
-    """Run ``command`` in a fresh interpreter with LAPACK's decompositions and
-    2-D numpy.matmul disabled; its exit code and the modules it loaded."""
+    """Run ``command`` in a fresh interpreter with LAPACK's decompositions
+    disabled; its exit code, the modules it loaded and the kB of BLAS/LAPACK
+    pages that a 2-D product and an eigh map after it (None without a
+    /proc/self/smaps that names such a library)."""
     cfg = write_config(tmp_path, config_text)
     script = (
-        "import json, sys\n"
+        "import json, os, sys\n"
         + _NO_LAPACK_OR_BLAS3 +
         "from kclattice.cli import main\n"
         f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, {command!r}])\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
+        "fresh = _fresh_blas_kb() if os.path.exists('/proc/self/smaps') else None\n"
+        "print(json.dumps([code, sorted(sys.modules), fresh]))\n"
     )
     src = str(Path(kc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -632,13 +655,21 @@ def _modules_after(tmp_path, config_text, command):
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def _assert_no_blas3_or_lapack_ran(fresh):
+    if fresh is None:
+        pytest.skip("no /proc/self/smaps mapping of a BLAS or LAPACK library to count")
+    assert fresh["gemm"] > 0, "the run already mapped the BLAS-3 product's pages"
+    assert fresh["eigh"] > 0, "the run already mapped LAPACK eigh's pages"
+
+
 def _under(modules, package):
     return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
 @pytest.fixture(scope="module")
 def warm_solve_modules(tmp_path_factory, warm_cache):
-    """Exit code and loaded modules of the reference solve on the warm cache."""
+    """Exit code, loaded modules and fresh BLAS/LAPACK pages of the reference
+    solve on the warm cache."""
     return _modules_after(tmp_path_factory.mktemp("warm_solve"),
                           f"[kernel]\ncache_dir = {warm_cache}\n", "solve")
 
@@ -646,7 +677,7 @@ def warm_solve_modules(tmp_path_factory, warm_cache):
 def test_warm_solve_imports_no_scipy(warm_solve_modules):
     # scipy is only needed to build a table; a fresh process solving the
     # reference problem on a cached table must not pay its import
-    code, modules = warm_solve_modules
+    code, modules, _ = warm_solve_modules
     assert code == 0
     assert _under(modules, "scipy") == []
 
@@ -654,17 +685,25 @@ def test_warm_solve_imports_no_scipy(warm_solve_modules):
 def test_warm_solve_loads_neither_the_suite_nor_numpy_polynomial(warm_solve_modules):
     # a solve loads only the code it runs: the property suite and the
     # torus referee's Gauss-Legendre rule stay unloaded
-    code, modules = warm_solve_modules
+    code, modules, _ = warm_solve_modules
     assert code == 0
     assert "kclattice.nehari" in modules
     assert _under(modules, "kclattice.verify") == []
     assert _under(modules, "numpy.polynomial") == []
 
 
+def test_warm_solve_runs_no_blas3_product_or_lapack_decomposition(warm_solve_modules):
+    # the Newton polish's exact inverse factors and applies with plain-Python
+    # rotations and 2-D einsum: a warm solve leaves those pages unmapped
+    code, _, fresh = warm_solve_modules
+    assert code == 0
+    _assert_no_blas3_or_lapack_ran(fresh)
+
+
 def test_warm_solve_loads_no_openssl(warm_solve_modules):
     # the cache digest comes from CPython's own SHA-256: hashlib would map
     # OpenSSL's libcrypto, 3.5 MB resident, for the same bytes
-    code, modules = warm_solve_modules
+    code, modules, _ = warm_solve_modules
     assert code == 0
     assert "_hashlib" not in modules and "hashlib" not in modules
 
@@ -678,7 +717,8 @@ def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
         "[verify]\ntrials = 4\nmp_trials = 4\nfiber_fields = 1\nlevel_samples = 2\n"
         "radii = 6 8\n"
     )
-    code, modules = _modules_after(tmp_path, config, "verify")
+    code, modules, fresh = _modules_after(tmp_path, config, "verify")
     assert code == 0
     assert "kclattice.verify" in modules
     assert _under(modules, "scipy") == []
+    _assert_no_blas3_or_lapack_ran(fresh)
