@@ -1,8 +1,8 @@
 """Tour of the lattice Green's function machinery.
 
-Builds the fractional kernel R_alpha two independent ways, checks the
-normalizing constant against its exact anchors, fits the far-field decay
-law, and shows the on-disk cache round trip.
+Checks the normalizing constant against its exact anchors, evaluates the
+fractional kernel R_alpha by heat-kernel quadrature, tabulates it, fits the
+far-field decay law, and shows the on-disk cache round trip.
 """
 
 import tempfile
@@ -22,23 +22,21 @@ print(f"  alpha  = 2: {kc.fractional_degree(2.0, 64):.15f}   (exact 6)")
 print(f"  alpha  = 1: {kc.fractional_degree_refined(1.0):.15f}")
 print()
 
-# --- two quadrature routes for R_alpha -------------------------------------
-# heat_kernel integrates t^(alpha/2-1) e^(-6t) prod I_z(2t) over (0, inf);
-# torus_quadrature inverts the symbol on refined FFT grids.  They share no
-# code past the constant, so agreement is a real cross-check.
+# --- R_alpha and its table -------------------------------------------------
+# green_values integrates t^(alpha/2-1) e^(-6t) prod I_z(2t) over (0, inf);
+# a table quadratures one octant of displacements the same way and fills the
+# cube by reflection.
 zs = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 2, 1), (4, 3, 0)]
-print("R_1(z) by both quadratures")
-heat = kc.green_values(1.0, zs, method=kc.HEAT_KERNEL)
-torus = kc.green_values(1.0, zs, method=kc.TORUS_QUADRATURE)
-for z, h, t in zip(zs, heat, torus):
-    print(f"  z={z}: heat={h:.12e}  torus={t:.12e}  rel dev={abs(t / h - 1):.1e}")
-print()
-
-# --- tabulated kernel and the decay law ------------------------------------
+heat = kc.green_values(1.0, zs)
 t0 = time.perf_counter()
 kernel = kc.build_kernel(1.0, 24)
 print(f"tabulated |z_i| <= 24 in {time.perf_counter() - t0:.2f} s "
       f"({kernel.table.size} entries from {len(kernel.octant_triples())} quadratured orbits)")
+for z, h in zip(zs, heat):
+    t = kernel.value((-z[2], z[0], -z[1]))  # a reflected, permuted image of z
+    print(f"  z={z}: R_1={h:.12e}  table={t:.12e}  rel dev={abs(t / h - 1):.1e}")
+
+# --- the decay law -----------------------------------------------------------
 slope = kc.fit_decay_exponent(kernel, lo=10, hi=24)
 print(f"  log-log decay slope on the axis, |z| in [10, 24]: {slope:.4f} "
       f"(the law says alpha - 3 = -2)")

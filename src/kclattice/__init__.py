@@ -22,8 +22,6 @@ from .lattice import (
     translate,
 )
 from .kernel import (
-    HEAT_KERNEL,
-    TORUS_QUADRATURE,
     GreenKernel,
     QuadratureError,
     build_kernel,
@@ -44,7 +42,6 @@ from .energy import (
     ProblemSpec,
     energy,
     evaluate,
-    pairing,
 )
 from .nehari import (
     FILE_START,
@@ -94,8 +91,6 @@ def __dir__():
 __all__ = [
     "DIRICHLET",
     "PERIODIC",
-    "HEAT_KERNEL",
-    "TORUS_QUADRATURE",
     "GAUSSIAN_BUMP",
     "RANDOM_START",
     "FILE_START",
@@ -143,7 +138,6 @@ __all__ = [
     "lp_norm",
     "mountain_pass_level_check",
     "nehari_scale",
-    "pairing",
     "random_start_field",
     "save_field_text",
     "solve_ground_state",

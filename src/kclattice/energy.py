@@ -24,8 +24,7 @@ whose pointwise representer is the gradient field
 ``evaluate`` is the one evaluation core: a single convolution R * F(u)
 gives ||u||^2, A, B and D, J(su) in closed form along the ray, and the
 gradient at su (R * F(su) = s^p R * F(u)) with its norm and scale;
-``energy`` is a view of it.  ``pairing`` expands the variation
-bilinearly with its own convolution, as the referee.
+``energy`` is a view of it.
 
 Admissibility of the power: p > 2 makes the interaction superquadratic
 along rays (the mechanism behind uniqueness of the projection scale), and
@@ -43,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import GreenKernel, convolve, kernel_block
-from .lattice import Field, LatticeBox, _edge_sum, _laplacian_values, gradient_inner, h_inner
+from .lattice import Field, LatticeBox, _edge_sum, _laplacian_values, h_inner
 
 CONSTANT = "constant"
 COERCIVE = "coercive"
@@ -330,18 +329,6 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
 def energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
     """Total energy J(u)."""
     return evaluate(spec, kernel, u).ray_energy()
-
-
-def pairing(spec: ProblemSpec, kernel: GreenKernel, u: Field, phi: Field) -> float:
-    """First variation <J'(u), phi> through the bilinear-form expansion."""
-    _check_kernel(spec, kernel)
-    grad2 = gradient_inner(u, u)
-    cross = gradient_inner(u, phi)
-    linear = spec.h_inner(u, phi)
-    big_f = spec.nonlinearity.F(u.values)
-    conv = convolve(kernel, Field(u.box, big_f)).values
-    drive = float(np.sum(conv * spec.nonlinearity.f(u.values) * phi.values))
-    return linear + spec.b * grad2 * cross - drive
 
 
 def log_interaction_constant(spec: ProblemSpec, kernel: GreenKernel) -> float:

@@ -13,30 +13,19 @@ normalized by the fractional degree K_alpha = (2 pi)^-3 int_T3 m(k)^(alpha/2) dk
 K_0 = 1 and K_2 = 6 exactly; R_alpha(z) decays like |z|^(alpha-3) at large
 distance for 0 < alpha < 3.
 
-Two independent evaluation routes are provided and cross-checked in the
-test suite; only the first builds kernel tables:
+R_alpha is computed by one route, the heat-kernel quadrature: the Laplace
+representation m^(-alpha/2) = Gamma(alpha/2)^-1 int t^(alpha/2-1) e^(-t m) dt
+turns the torus integral into a product of modified Bessel factors,
 
-``heat_kernel`` (production path)
-    Laplace representation m^(-alpha/2) = Gamma(alpha/2)^-1 int t^(alpha/2-1)
-    e^(-t m) dt turns the torus integral into a product of modified Bessel
-    factors: R_alpha(z) = K_alpha / Gamma(alpha/2) *
-    int_0^inf t^(alpha/2-1) prod_j [e^(-2t) I_{|z_j|}(2t)] dt.
-    The integrand is smooth and positive; after t = e^s the trapezoid rule
-    converges geometrically.  The upper cutoff T is chosen from the bound
-    prod_j e^(-2t) I_{z_j}(2t) <= (1+4t)^(-3/2) so the discarded tail is
-    below 1e-12, and the step is halved until the value stops moving.
+    R_alpha(z) = K_alpha / Gamma(alpha/2) *
+                 int_0^inf t^(alpha/2-1) prod_j [e^(-2t) I_{|z_j|}(2t)] dt.
 
-``torus_quadrature`` (referee, ``green_values`` only)
-    Punctured product trapezoid sums on N^3 grids (the k = 0 cell is
-    excluded and re-added analytically via the local model m ~ |k|^2),
-    evaluated for all z at once by an inverse FFT.  The puncture leaves a
-    slowly convergent error ladder c0 N^(alpha-3) + c1 N^(alpha-5) + ...,
-    so values from several resolutions are Richardson-extrapolated with
-    those known exponents; the spread between extrapolation orders gives a
-    (conservative) error estimate, and estimates above the requested
-    tolerance raise QuadratureError.  Its grids must be at least four times
-    the largest |z_i|, so it reaches only the small displacements it
-    cross-checks, not the tables a solve needs.
+The integrand is smooth and positive; after t = e^s the trapezoid rule
+converges geometrically.  The upper cutoff T is chosen from the bound
+prod_j e^(-2t) I_{z_j}(2t) <= (1+4t)^(-3/2) so the discarded tail is below
+1e-12, and the step is halved until the value stops moving.  The test suite
+keeps an independent referee, a Richardson-extrapolated torus quadrature,
+and cross-checks the two at small displacements.
 """
 
 from __future__ import annotations
@@ -61,8 +50,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-HEAT_KERNEL = "heat_kernel"
-TORUS_QUADRATURE = "torus_quadrature"
 _KERNEL_MAGIC = b"LCKERN03"
 _KERNEL_HEADER = "<dId"  # alpha, table radius, K_alpha
 _DIGEST_SIZE = sha256().digest_size  # trails magic + header + table
@@ -83,11 +70,6 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 3.0:
         raise ValueError(f"fractional order alpha must lie in (0, 3), got {alpha}")
     return alpha
-
-
-def _symbol_grid(resolution: int) -> np.ndarray:
-    c = np.cos(2.0 * np.pi * np.arange(resolution) / resolution)
-    return 6.0 - 2.0 * (c[:, None, None] + c[None, :, None] + c[None, None, :])
 
 
 def fractional_degree(alpha: float, resolution: int = 64) -> float:
@@ -130,7 +112,7 @@ def fractional_degree_refined(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# heat-kernel route
+# R_alpha by heat-kernel quadrature
 
 
 def _ive_safe(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -191,9 +173,18 @@ def _heat_green_grid(alpha, triples, k_alpha, step, tail_tol):
     return values
 
 
-def _heat_green_many(alpha, zs, k_alpha, tolerance=1.0e-12, step=0.1):
-    """Adaptive heat-kernel evaluation for an (n, 3) integer array of sites."""
+def green_values(alpha, zs, k_alpha=None):
+    """R_alpha at an (n, 3) array of integer sites, as a flat array.
+
+    The trapezoid step is halved from 0.1 until no value moves by more than
+    1e-12 times the largest (or 1); four halvings without settling raise
+    QuadratureError.
+    """
+    alpha = _check_alpha(alpha)
     triples = np.abs(np.asarray(zs, dtype=int)).reshape(-1, 3)
+    if k_alpha is None:
+        k_alpha = fractional_degree_refined(alpha)
+    tolerance, step = 1.0e-12, 0.1
     previous = _heat_green_grid(alpha, triples, k_alpha, step, tolerance)
     for _ in range(4):
         step *= 0.5
@@ -205,96 +196,6 @@ def _heat_green_many(alpha, zs, k_alpha, tolerance=1.0e-12, step=0.1):
     raise QuadratureError(
         f"heat-kernel quadrature did not settle to {tolerance:g} (alpha={alpha})"
     )
-
-
-# ---------------------------------------------------------------------------
-# torus-quadrature route
-
-
-def _cube_moment(alpha: float, points: int = 96) -> float:
-    """Integral of |t|^-alpha over the unit cube [-1/2, 1/2]^3.
-
-    Collapsing the radial direction against each exit face reduces this to
-    a smooth square integral: I = 3/(3-alpha) * int_{[-1/2,1/2]^2}
-    (q1^2 + q2^2 + 1/4)^(-alpha/2) dq, done by Gauss-Legendre.
-    """
-    from numpy.polynomial.legendre import leggauss  # loads only for this referee
-
-    x, w = leggauss(points)
-    q = 0.5 * x
-    wq = 0.5 * w
-    q1, q2 = np.meshgrid(q, q, indexing="ij")
-    face = float(np.sum(np.outer(wq, wq) * (q1 ** 2 + q2 ** 2 + 0.25) ** (-alpha / 2.0)))
-    return 3.0 / (3.0 - alpha) * face
-
-
-def _torus_block(alpha: float, resolution: int, zmax: int) -> np.ndarray:
-    """Punctured trapezoid sum plus analytic cell term, all |z_i| <= zmax."""
-    mu = _symbol_grid(resolution)
-    mu[0, 0, 0] = 1.0
-    g = mu ** (-alpha / 2.0)
-    g[0, 0, 0] = 0.0
-    values = np.fft.ifftn(g).real
-    cell = (2.0 * np.pi) ** (-alpha) * resolution ** (alpha - 3.0) * _cube_moment(alpha)
-    idx = np.arange(-zmax, zmax + 1) % resolution
-    return values[np.ix_(idx, idx, idx)] + cell
-
-
-def _extrapolation_weights(resolutions, exponents) -> np.ndarray:
-    m = np.zeros((len(resolutions), len(resolutions)))
-    m[:, 0] = 1.0
-    for j, e in enumerate(exponents[: len(resolutions) - 1]):
-        m[:, 1 + j] = np.asarray(resolutions, dtype=float) ** (-e)
-    return np.linalg.inv(m)[0]
-
-
-def _torus_green_block(alpha, zmax, resolutions=None, tolerance=1.0e-5):
-    """Richardson-extrapolated torus values, returned with an error estimate.
-
-    The puncture-plus-cell scheme has error expansion
-    sum_j c_j(z) N^(alpha-3-2j); four resolutions eliminate three terms.
-    The estimate is the gap to the three-resolution extrapolant and runs a
-    couple of orders above the true error, so it is a safety gate rather
-    than a sharp bound.
-    """
-    alpha = _check_alpha(alpha)
-    if resolutions is None:
-        resolutions = (64, 96, 128, 192) if alpha >= 2.0 else (48, 64, 96, 128)
-    if min(resolutions) < 4 * zmax:
-        raise QuadratureError(
-            f"torus resolutions {resolutions} too coarse for |z| <= {zmax}; "
-            "aliased images would dominate"
-        )
-    exponents = [3.0 - alpha + 2.0 * j for j in range(len(resolutions) - 1)]
-    blocks = np.stack([_torus_block(alpha, n, zmax) for n in resolutions])
-    w_full = _extrapolation_weights(resolutions, exponents)
-    full = np.tensordot(w_full, blocks, axes=1)
-    w_part = _extrapolation_weights(resolutions[1:], exponents[:-1])
-    part = np.tensordot(w_part, blocks[1:], axes=1)
-    estimate = np.abs(full - part)
-    scale = max(1.0, float(np.max(np.abs(full))))
-    if float(estimate.max()) > tolerance * scale:
-        raise QuadratureError(
-            f"torus quadrature error estimate {float(estimate.max()):.3e} exceeds "
-            f"tolerance {tolerance * scale:.3e} (alpha={alpha}, resolutions={resolutions})"
-        )
-    return full, float(estimate.max())
-
-
-def green_values(alpha, zs, method=HEAT_KERNEL, k_alpha=None, tolerance=None):
-    """R_alpha at an (n, 3) array of integer sites, as a flat array."""
-    alpha = _check_alpha(alpha)
-    zs = np.asarray(zs, dtype=int).reshape(-1, 3)
-    if k_alpha is None:
-        k_alpha = fractional_degree_refined(alpha)
-    if method == HEAT_KERNEL:
-        return _heat_green_many(alpha, zs, k_alpha, tolerance or 1.0e-12)
-    if method == TORUS_QUADRATURE:
-        zmax = int(np.abs(zs).max()) if zs.size else 0
-        block, _ = _torus_green_block(alpha, zmax, tolerance=tolerance or 1.0e-5)
-        idx = zs + zmax
-        return k_alpha * block[idx[:, 0], idx[:, 1], idx[:, 2]]
-    raise ValueError(f"unknown quadrature method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +342,7 @@ def build_kernel(alpha: float, table_radius: int, *, cache_dir=None) -> GreenKer
     m = table_radius
     side = 2 * m + 1
     octant = _octant_triples(m)
-    values = _heat_green_many(alpha, octant, k_alpha)
+    values = green_values(alpha, octant, k_alpha)
 
     lookup = np.empty((m + 1,) * 3)
     lookup[octant[:, 0], octant[:, 1], octant[:, 2]] = values
@@ -564,37 +465,21 @@ def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:
     return plan
 
 
-def _direct_convolve(kernel: GreenKernel, box, flat: np.ndarray) -> np.ndarray:
-    """sum_y R(x - y) w(y), one block of displacement-matrix rows at a time."""
-    c = np.arange(-box.radius, box.radius + 1)
-    g = np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1).reshape(-1, 3)
-    m = kernel.table_radius
-    side = box.side
-    out = np.empty(g.shape[0])
-    for start in range(0, g.shape[0], 128):
-        stop = min(start + 128, g.shape[0])
-        d = g[start:stop, None, :] - g[None, :, :]
-        if box.mode == "periodic":
-            d = (d + box.radius) % side - box.radius
-        out[start:stop] = kernel.table[d[..., 0] + m, d[..., 1] + m, d[..., 2] + m] @ flat
-    return out
+def convolve(kernel: GreenKernel, w):
+    """Convolution (R * w)(x) = sum_y R(x - y) w(y) over the box of ``w``, by FFT.
 
-
-def convolve(kernel: GreenKernel, w, method: str = "fft"):
-    """Convolution (R * w)(x) = sum_y R(x - y) w(y) over the box of ``w``.
-
-    ``fft`` is the production path; ``direct`` sums over the displacement
-    matrix, a block of rows at a time, and is the quadratic-cost reference
-    the fft path is tested against.
+    A finite ``w`` can still have a convolution past the double range; that
+    is a RuntimeError, which the solver and the property suite report as a
+    failure.
     """
     from .lattice import Field
 
     plan = _plan_for(kernel, w.box)  # checks that the table covers the box
-    if method == "fft":
-        return Field(w.box, plan.apply(w.values))
-    if method == "direct":
-        return Field.from_flat(w.box, _direct_convolve(kernel, w.box, w.flat))
-    raise ValueError(f"unknown convolution method {method!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = plan.apply(w.values)
+    if not np.isfinite(values).all():
+        raise RuntimeError("convolution overflows the double range")
+    return Field(w.box, values)
 
 
 def fit_decay_exponent(kernel: GreenKernel, lo: int | None = None, hi: int | None = None) -> float:

@@ -34,7 +34,7 @@ from .energy import (
 )
 from .kernel import GreenKernel, QuadratureError, _table_defect, convolve, fit_decay_exponent
 from .kernel import fractional_degree_refined
-from .lattice import DIRICHLET, Field, LatticeBox, lp_norm, translate
+from .lattice import DIRICHLET, Field, LatticeBox, translate
 from .nehari import (
     FILE_START,
     GAUSSIAN_BUMP,
@@ -190,20 +190,20 @@ def check_hls(kernel: GreenKernel, trials: int = 200) -> PropertyReport:
 
     for radius in HLS_RADII:
         box = LatticeBox(radius)
-        u = Field.delta(box)
-        conv = convolve(kernel, u).values
+        delta = Field.delta(box)
+        u, conv = delta.values, convolve(kernel, delta).values
         rho = _hls_ratio(u, u, conv, exponent)
         if delta_anchor is not None and abs(rho - delta_anchor) > 1.0e-12 * delta_anchor:
             return failed(abs(rho - delta_anchor), 1.0e-12,
                           f"delta-pair ratio drifted across radii at radius={radius}")
         delta_anchor, rise = rho, math.inf
         for step in range(1, trials + 1):
-            u = Field(box, conv ** (1.0 / (exponent - 1.0)))
-            u = Field(box, u.values / lp_norm(u, exponent))
-            conv = convolve(kernel, u).values  # shared by the homogeneity probe
+            u = conv ** (1.0 / (exponent - 1.0))
+            u = u / _lr_norm(u, exponent)
+            conv = convolve(kernel, Field(box, u)).values  # shared by the homogeneity probe
             previous, rho = rho, _hls_ratio(u, u, conv, exponent)
             steps += 1
-            doubled = _hls_ratio(Field(box, 2.0 * u.values), u, conv, exponent)
+            doubled = _hls_ratio(2.0 * u, u, conv, exponent)
             if abs(doubled - rho) > 1.0e-10 * rho:
                 return failed(abs(doubled - rho) / rho, 1.0e-10,
                               f"homogeneity broken at radius={radius} step={step}")
@@ -224,24 +224,29 @@ def check_hls(kernel: GreenKernel, trials: int = 200) -> PropertyReport:
     return PropertyReport(name, anchor, steps, passed, spread, _HLS_SPREAD, details, witness)
 
 
-def _hls_ratio(u: Field, v: Field, conv_v: np.ndarray, exponent: float) -> float:
+def _lr_norm(values: np.ndarray, r: float) -> float:
+    """``lp_norm`` of an array, for the exponent 1 < r < 2 of check_hls."""
+    return float(np.sum(np.abs(values) ** r) ** (1.0 / r))
+
+
+def _hls_ratio(u: np.ndarray, v: np.ndarray, conv_v: np.ndarray, exponent: float) -> float:
     """The bilinear form sum u (R * v) over ||u||_r ||v||_r, given conv_v = R * v."""
-    form = float(np.sum(u.values * conv_v))
-    return form / (lp_norm(u, exponent) * lp_norm(v, exponent))
+    form = float(np.sum(u * conv_v))
+    return form / (_lr_norm(u, exponent) * _lr_norm(v, exponent))
 
 
 def _fiber_curve(base: Evaluation, grid: np.ndarray):
     """g(t) = I(tu), g'(t) and the quotient t g'(t)/4 - g(t) on a grid, from one evaluation.
 
-    Each point is ``base.at_scale(t)``: R * F(tu) = t^p R * F(u), so the
-    curve costs no convolution.
+    Each point scales the ray scalars as ``Evaluation.at_scale`` does:
+    R * F(tu) = t^p R * F(u), so the curve costs no convolution.  The powers
+    t^p are taken one scalar at a time, as there: numpy's array power may
+    round differently.  The caller's probe at the largest t has evaluated
+    D(tu) there, so no point's drive leaves the double range.
     """
-    g = np.empty(len(grid))
-    gp = np.empty(len(grid))
-    for i, t in enumerate(grid):
-        point = base.at_scale(t)
-        g[i] = 0.5 * point.interaction
-        gp[i] = point.drive / t  # <I'(tu), u> = sum (R * F(tu)) f(tu) u = D(tu) / t
+    sp = np.array([t ** base.exponent for t in grid])
+    g = 0.5 * (sp * (sp * base.interaction))
+    gp = sp * (sp * base.drive) / grid  # <I'(tu), u> = sum (R * F(tu)) f(tu) u = D(tu) / t
     return g, gp, 0.25 * grid * gp - g
 
 
@@ -256,8 +261,8 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
 
     The grid curve (the 50 points of _FIBER_GRID) is derived, not sampled:
     each field is evaluated once at t = 1 and g, g' and the quotient at
-    every grid point are read from ``Evaluation.at_scale``, which rests on
-    the homogeneity itself.  That identity is probed by real convolutions
+    every grid point are scaled from its ray scalars (``_fiber_curve``), which
+    rests on the homogeneity itself.  That identity is probed by real convolutions
     of tu at the two grid ends, so each field costs three convolutions.
     """
     name = "fiber-monotonicity"
@@ -378,7 +383,7 @@ def _segment_max_deviation(spec: ProblemSpec, kernel: GreenKernel,
 def _bounded_minimum(func, lo: float, hi: float, xatol: float, maxfun: int) -> float:
     """Minimum value of a scalar function on [lo, hi] by Brent's bounded method.
 
-    A port of scipy.optimize.minimize_scalar(method="bounded"): golden
+    A port of scipy.optimize.minimize_scalar's "bounded" method: golden
     sections with parabolic steps (Brent 1973, ch. 5), the same stopping
     test |x - mid| <= 2 tol - (b - a) / 2 with tol = sqrt(eps) |x| +
     xatol / 3, and the same budget of ``maxfun`` evaluations.  It returns

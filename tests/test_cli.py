@@ -683,8 +683,8 @@ def test_warm_solve_imports_no_scipy(warm_solve_modules):
 
 
 def test_warm_solve_loads_neither_the_suite_nor_numpy_polynomial(warm_solve_modules):
-    # a solve loads only the code it runs: the property suite and the
-    # torus referee's Gauss-Legendre rule stay unloaded
+    # a solve loads only the code it runs: the property suite and
+    # numpy.polynomial, which no kclattice module uses, stay unloaded
     code, modules, _ = warm_solve_modules
     assert code == 0
     assert "kclattice.nehari" in modules

@@ -1,8 +1,8 @@
 """Property test of the command line's exit contract over extreme problems.
 
-``kclattice solve`` and ``kclattice verify`` leave through exit codes 0-4
-and never raise, and a solve's exit 0 means a finite residual within the
-solver's tolerance.  Coefficients range over 1e-200 to 1e200, where
+``kclattice solve``, ``kclattice verify`` and ``kclattice sweep`` leave
+through exit codes 0-4 and never raise, and a solve's exit 0 means a finite
+residual within the solver's tolerance.  Coefficients range over 1e-200 to 1e200, where
 energies, norms and the nonlinearity leave the double range.
 """
 
@@ -67,6 +67,13 @@ _OVERFLOWED_SEPARABLE_TABLE = {
     "problem": {"radius": 1, "mode": "dirichlet"},
     "potential": {"kind": "coercive", "v0": 1.0, "rate": 5.99e307, "power": 2.0},
 }
+# F(u) was finite but its convolution was not: the Field wrapped around the
+# inf result raised ValueError, and solve and verify ended in a traceback
+_OVERFLOWED_CONVOLUTION = {
+    "problem": {"radius": 4, "mode": "dirichlet", "b": 0.0},
+    "potential": {"kind": "constant", "v0": 1.0},
+    "nonlinearity": {"coefficient": 1.7e308, "exponent": 3.0},
+}
 _PAST_DEFECTS = {
     "residual": _OVERFLOWED_RESIDUAL,
     "ray-energy": _OVERFLOWED_RAY_ENERGY,
@@ -74,6 +81,7 @@ _PAST_DEFECTS = {
     "newton-to-zero": _NEWTON_STEP_TO_ZERO,
     "inner-solve": _OVERFLOWED_INNER_SOLVE,
     "separable-table": _OVERFLOWED_SEPARABLE_TABLE,
+    "convolution": _OVERFLOWED_CONVOLUTION,
 }
 
 
@@ -166,6 +174,7 @@ def _report_value(report, name):
 @example(_NEWTON_STEP_TO_ZERO)
 @example(_OVERFLOWED_INNER_SOLVE)
 @example(_OVERFLOWED_SEPARABLE_TABLE)
+@example(_OVERFLOWED_CONVOLUTION)
 @given(_problems)
 def test_solve_exit_contract(contract_dirs, problem):
     code, out, _ = _run(problem, *contract_dirs)
@@ -189,9 +198,37 @@ _UNDERFLOWED_FIBER = {
 @settings(max_examples=25, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @example(_UNDERFLOWED_FIBER)
+@example(dict(_OVERFLOWED_CONVOLUTION, verify=_SMALL_SUITE))
 @given(_suites)
 def test_verify_exit_contract(contract_dirs, problem):
     code, _, err = _run(problem, *contract_dirs, "verify")
+    assert 0 <= code <= 4
+    assert "Traceback" not in err
+
+
+# two points of one swept parameter; the alphas and radii keep the kernel
+# builds to three orders at table radius 4 or less
+_SWEPT = {
+    "b": st.just(0.0) | _magnitudes,
+    "p": st.floats(2.0, 8.0, exclude_min=True),
+    "alpha": st.sampled_from([0.5, 1.0, 2.0]),
+    "radius": st.integers(0, 2),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    parameter = draw(st.sampled_from(sorted(_SWEPT)))
+    sweep = {"parameter": parameter, "values": [draw(_SWEPT[parameter]) for _ in range(2)]}
+    return draw(_problems_with(st.integers(0, 2), st.sampled_from([0.5, 1.0, 2.0]),
+                               sweep=st.just(sweep)))
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_sweeps())
+def test_sweep_exit_contract(contract_dirs, problem):
+    code, _, err = _run(problem, *contract_dirs, "sweep")
     assert 0 <= code <= 4
     assert "Traceback" not in err
 

@@ -15,6 +15,7 @@ import kclattice as kc
 from kclattice import Field, LatticeBox
 from kclattice import kernel as kernel_module
 from kclattice.kernel import _IVE_ASYMPTOTIC_SWITCH, _ive_safe
+from referees import direct_convolve, symbol_grid, torus_green_values
 
 # trapezoid ladder for the normalizing constant at alpha = 1; the refined
 # value is the Richardson limit of the (96, 192) pair and is what every
@@ -31,7 +32,7 @@ R1_DIAGONAL = 5.59761722957831e-02
 
 def test_laplace_symbol_values():
     # the symbol 6 - 2 sum cos k_j on the 4-point grid k_j in {0, pi/2, pi, 3pi/2}
-    m = kernel_module._symbol_grid(4)
+    m = symbol_grid(4)
     assert m[0, 0, 0] == 0.0
     assert m[2, 2, 2] == pytest.approx(12.0, rel=1e-15)
     assert m[1, 0, 0] == pytest.approx(2.0, rel=1e-14)
@@ -96,25 +97,25 @@ def test_heat_kernel_monotone_along_axis():
 def test_torus_route_agrees_with_heat_kernel():
     zs = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, 2, 2)]
     for alpha in (0.5, 1.0, 2.5):
-        heat = kc.green_values(alpha, zs, method=kc.HEAT_KERNEL)
-        torus = kc.green_values(alpha, zs, method=kc.TORUS_QUADRATURE)
+        heat = kc.green_values(alpha, zs)
+        torus = torus_green_values(alpha, zs)
         assert np.max(np.abs(torus / heat - 1.0)) < 1e-6
 
 
-@pytest.mark.parametrize("method, alpha, tolerance", [
-    pytest.param(kc.TORUS_QUADRATURE, 1.0, 1e-14, id="torus-tight-tolerance"),
+@pytest.mark.parametrize("route, alpha, options", [
+    pytest.param(torus_green_values, 1.0, {"tolerance": 1e-14}, id="torus-tight-tolerance"),
     # near alpha = 3 the heat-kernel tail cutoff overflows a double
-    pytest.param(kc.HEAT_KERNEL, 2.95, None, id="heat-kernel-alpha-2.95"),
+    pytest.param(kc.green_values, 2.95, {}, id="heat-kernel-alpha-2.95"),
     # near alpha = 0 the head cutoff underflows a double
-    pytest.param(kc.HEAT_KERNEL, 0.05, None, id="heat-kernel-alpha-0.05"),
+    pytest.param(kc.green_values, 0.05, {}, id="heat-kernel-alpha-0.05"),
     # the tail cutoff still fits, but t^(alpha/2) at it does not
-    pytest.param(kc.HEAT_KERNEL, 2.89, None, id="heat-kernel-alpha-2.89"),
+    pytest.param(kc.green_values, 2.89, {}, id="heat-kernel-alpha-2.89"),
     # Gamma(alpha/2) overflows, so the prefactor is 0
-    pytest.param(kc.HEAT_KERNEL, 5e-324, None, id="heat-kernel-alpha-5e-324"),
+    pytest.param(kc.green_values, 5e-324, {}, id="heat-kernel-alpha-5e-324"),
 ])
-def test_torus_route_reports_unreachable_tolerance(method, alpha, tolerance):
+def test_torus_route_reports_unreachable_tolerance(route, alpha, options):
     with pytest.raises(kc.QuadratureError):
-        kc.green_values(alpha, [(0, 0, 0)], method=method, tolerance=tolerance)
+        route(alpha, [(0, 0, 0)], **options)
 
 
 def test_heat_kernel_cutoff_overflow_with_a_numpy_scalar_normalization():
@@ -222,7 +223,7 @@ def test_cache_key_moved_past_the_full_grid_normalization():
     # differ from a fresh build in the last bit, and v3 tables were cached in
     # the LCKERN02 layout with its method tag, so neither key may come back
     for version in ("v2", "v3"):
-        text = f"{version}|alpha={1.0!r}|radius=8|method={kc.HEAT_KERNEL}|res=s16|tol=None"
+        text = f"{version}|alpha={1.0!r}|radius=8|method=heat_kernel|res=s16|tol=None"
         old = hashlib.sha256(text.encode()).hexdigest()[:16]
         assert kc.cache_key(1.0, 8) != old, version
 
@@ -371,8 +372,8 @@ def test_convolve_fft_matches_direct(kernel_m8, rng):
     for mode in (kc.DIRICHLET, kc.PERIODIC):
         box = LatticeBox(4, mode)
         w = Field(box, rng.standard_normal((9, 9, 9)))
-        fft = kc.convolve(kernel_m8, w, method="fft")
-        direct = kc.convolve(kernel_m8, w, method="direct")
+        fft = kc.convolve(kernel_m8, w)
+        direct = direct_convolve(kernel_m8, w)
         scale = np.max(np.abs(direct.values))
         assert np.max(np.abs(fft.values - direct.values)) < 1e-12 * scale
 
@@ -382,7 +383,7 @@ def test_convolve_fft_matches_direct_on_larger_boxes(kernel_m20, rng, mode, radi
     box = LatticeBox(radius, mode)
     w = Field(box, rng.standard_normal((box.side,) * 3))
     fft = kc.convolve(kernel_m20, w).values
-    direct = kc.convolve(kernel_m20, w, method="direct").values
+    direct = direct_convolve(kernel_m20, w).values
     assert np.max(np.abs(fft - direct)) < 1e-12 * np.max(np.abs(direct))
     # a held result must not pin the larger transform grid
     assert fft.flags.c_contiguous
@@ -500,8 +501,6 @@ def test_convolve_coverage_requirements(kernel_m8):
         kc.convolve(kernel_m8, Field.zeros(LatticeBox(5)))
     kc.convolve(kernel_m8, Field.zeros(LatticeBox(5, kc.PERIODIC)))
     kc.convolve(kernel_m8, Field.zeros(LatticeBox(4)))
-    with pytest.raises(ValueError):
-        kc.convolve(kernel_m8, Field.zeros(LatticeBox(3)), method="nope")
 
 
 def test_mismatched_alpha_is_rejected(kernel_m8, reference_spec):
