@@ -209,7 +209,13 @@ def _octant_triples(m: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class GreenKernel:
-    """Tabulated R_alpha on the displacement cube |z_i| <= table_radius."""
+    """Tabulated R_alpha on the displacement cube |z_i| <= table_radius.
+
+    The table is even along each axis (flipping the sign of any z_i leaves
+    the entry alone) by construction, since ``build_kernel`` fills the cube
+    by reflection, and by the exact invariance test a cached file must pass
+    to load.  ``convolve`` relies on it and refuses a block that is not.
+    """
 
     alpha: float
     k_alpha: float
@@ -408,16 +414,22 @@ def kernel_block(kernel: GreenKernel, box) -> np.ndarray:
 class _ConvolutionPlan:
     """The box's ``kernel_block``, wrapped onto a circular grid and transformed once.
 
-    A periodic grid has the box's own side; a Dirichlet grid is at least
-    4n + 1 long, so no wrapped image of the block reaches the box, and the
-    circular result cropped to the box is the linear one.  ``apply`` keeps
-    its transforms in one complex buffer per thread (``_scratch``), sized
-    by the largest grid that thread has convolved on and reused after that.
+    A periodic grid has the box's own side.  A Dirichlet grid is at least
+    4n long: displacements -2n..2n then wrap onto distinct planes except
+    the +-2n pair, which share one, and an even block holds the same value
+    on both; so the circular result cropped to the box is the linear one.
+    (This is the minimal circulant embedding of a symmetric Toeplitz
+    matrix, Dietrich & Newsam 1997.)  A block that is not even along every
+    axis is refused.  ``apply`` keeps its transforms in one complex buffer
+    per thread (``_scratch``), sized by the largest grid that thread has
+    convolved on and reused after that.
     """
 
     def __init__(self, kernel: GreenKernel, box):
         block = kernel_block(kernel, box)
-        size = box.side if box.mode == "periodic" else _fast_len(4 * box.radius + 1)
+        if not all(np.array_equal(block, np.flip(block, axis)) for axis in range(3)):
+            raise ValueError("kernel block is not even along every axis: the table is corrupted")
+        size = box.side if box.mode == "periodic" else _fast_len(max(1, 4 * box.radius))
         wrap = np.arange(-block_radius(box), block_radius(box) + 1) % size
         grid = np.zeros((size,) * 3)
         grid[np.ix_(wrap, wrap, wrap)] = block
@@ -474,7 +486,7 @@ def convolve(kernel: GreenKernel, w):
     """
     from .lattice import Field
 
-    plan = _plan_for(kernel, w.box)  # checks that the table covers the box
+    plan = _plan_for(kernel, w.box)  # checks that the table covers the box and is even
     with np.errstate(over="ignore", invalid="ignore"):
         values = plan.apply(w.values)
     if not np.isfinite(values).all():

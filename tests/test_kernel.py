@@ -468,9 +468,40 @@ def test_convolution_depends_only_on_the_box(kernel_m8, kernel_m16, rng, mode):
     small = kc.convolve(kernel_m8, w).values
     large = kc.convolve(kernel_m16, w).values
     assert np.array_equal(small, large)
-    size = box.side if mode == kc.PERIODIC else next_fast_len(4 * box.radius + 1, real=True)
+    size = box.side if mode == kc.PERIODIC else next_fast_len(max(1, 4 * box.radius), real=True)
     for kernel in (kernel_m8, kernel_m16):
         assert kernel_module._plan_for(kernel, box).shape == (size,) * 3
+
+
+@pytest.mark.parametrize("radius", range(11))
+def test_dirichlet_convolution_on_the_minimal_even_grid(kernel_m20, rng, radius):
+    # a 4n grid puts the block's +-2n planes on one plane, where the even block
+    # holds R(2n) either way; radius 7 takes 30 points, since 28 is not 5-smooth
+    box = LatticeBox(radius)
+    w = Field(box, rng.standard_normal((box.side,) * 3))
+    fft = kc.convolve(kernel_m20, w).values
+    direct = direct_convolve(kernel_m20, w).values
+    assert np.max(np.abs(fft - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_dirichlet_grid_sizes(kernel_m20):
+    want = {0: 1, 4: 16, 6: 24, 7: 30, 8: 32, 10: 40}
+    for radius, size in want.items():
+        assert kernel_module._plan_for(kernel_m20, LatticeBox(radius)).shape == (size,) * 3
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_convolve_refuses_a_block_that_is_not_even(kernel_m16, rng, axis):
+    table = kernel_m16.table.copy()
+    np.moveaxis(table, axis, 0)[:16] *= 1.0 + 1e-6  # tilt one half-space
+    tilted = kc.GreenKernel(kernel_m16.alpha, kernel_m16.k_alpha, kernel_m16.table_radius,
+                            table, dict(kernel_m16.meta))
+    boxes = [LatticeBox(r) for r in (1, 4, 7, 8)] + [LatticeBox(r, kc.PERIODIC) for r in (1, 4, 8)]
+    for box in boxes:
+        w = Field(box, rng.standard_normal((box.side,) * 3))
+        with pytest.raises(ValueError, match="not even"):
+            kc.convolve(tilted, w)
+    assert kernel_module._plan_cache[tilted] == {}  # no refused plan is kept
 
 
 def test_convolve_delta_reproduces_table(kernel_m8):

@@ -159,7 +159,7 @@ def test_hls_convolves_each_trial_once(kernel_m16, convolution_count):
     # homogeneity probe reuses R * u, and each radius settles in 14 steps
     rep = kc.check_hls(kernel_m16)
     assert convolution_count[0] == 3 * (1 + 14) and rep.samples == 3 * 14
-    assert rep.passed and rep.measured == 4.632775149853744e-05
+    assert rep.passed and rep.measured == 4.632775149853742e-05
     # a budget too small to settle ends the iteration and shows in the report
     convolution_count[0] = 0
     short = kc.check_hls(kernel_m16, trials=4)
