@@ -397,7 +397,8 @@ def random_start_field(box, rng, center=(0, 0, 0)) -> Field:
     Raw noise starts the descent outside the ground-state basin often
     enough to matter; three Jacobi smoothing sweeps push the high lattice
     frequencies down and make the basin of the positive ground state the
-    practically certain destination.
+    practically certain destination.  ``rng`` is any object with a
+    ``.random(shape)`` of uniforms in [0, 1).
     """
     width = max(box.radius / 3.0, 1.0)
     v = rng.random((box.side,) * 3)
@@ -412,8 +413,9 @@ def _initial_field(spec: ProblemSpec, config: SolveConfig) -> Field:
     if config.initial_guess == GAUSSIAN_BUMP:
         return gaussian_bump_field(spec.box, center)
     if config.initial_guess == RANDOM_START:
-        rng = np.random.default_rng(config.seed)
-        return random_start_field(spec.box, rng, center)
+        from .splitmix import stream  # only a random start loads the stream
+
+        return random_start_field(spec.box, stream(config.seed), center)
     f = config.initial_field
     if f.box != spec.box:
         raise ValueError("initial field lives on a different box than the problem")

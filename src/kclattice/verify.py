@@ -10,9 +10,10 @@ and the suite header says this out loud.  mountain-pass-geometry's floor is
 proven, by ``nehari_radius``; hls-ratio's sups are lower bounds on each
 box's constant.
 
-All randomness is derived from a master seed, one independent stream per
-check (keyed by the check name), so a full-suite run is reproducible and
-reordering checks does not change any of them.
+All randomness is derived from a master seed, one independent SplitMix64
+stream per check (``splitmix.stream(seed, crc32(check name))``), so a
+full-suite run is reproducible, reordering checks does not change any of
+them, and a witness's field is the check's draw from that stream.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .nehari import (
     solve_ground_state,
     sphere_inverse,
 )
+from .splitmix import SplitMix64, stream
 
 SUITE_HEADER = (
     "property suite: sampled evidence for the variational structure\n"
@@ -94,8 +96,8 @@ class PropertyReport:
             yield f"    witness: {self.witness}"
 
 
-def _check_rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(name.encode()))))
+def _check_rng(seed: int, name: str) -> SplitMix64:
+    return stream(seed, zlib.crc32(name.encode()))
 
 
 def _unit_directions(spec: ProblemSpec, rng, count: int):

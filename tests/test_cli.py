@@ -592,14 +592,16 @@ def warm_cache(tmp_path_factory):
     return cache
 
 
-# run before kclattice is imported: LAPACK's decompositions raise, and after
-# the run a 2-D product and an eigh report how many kB of numpy's BLAS/LAPACK
-# library they map.  The first call of a BLAS-3 product or of a LAPACK
-# decomposition maps pages that raise a warm run's peak resident set by
-# 0.4-0.9 MB; where the run made such a call, the same call after it maps
-# nothing new.  The page count sees the `@` operator, np.dot and tensordot,
-# which reach the BLAS at C level without any numpy attribute a patch could
-# replace.
+# run before kclattice is imported: LAPACK's decompositions and least-squares
+# fits raise, and after the run a 2-D product and an eigh report how many kB
+# of numpy's BLAS/LAPACK library they map.  The first call of a BLAS-3
+# product or of a LAPACK decomposition maps pages that raise a warm run's
+# peak resident set by 0.4-0.9 MB; where the run made such a call, the same
+# call after it maps nothing new.  The page count sees the `@` operator,
+# np.dot and tensordot, which reach the BLAS at C level without any numpy
+# attribute a patch could replace.  It does not see lstsq, whose pages an
+# eigh does not map, so lstsq is patched, and so is polyfit, which holds its
+# own reference to lstsq.
 _NO_LAPACK_OR_BLAS3 = """
 import numpy, numpy.linalg
 _eigh = numpy.linalg.eigh
@@ -607,8 +609,9 @@ def _forbidden(name):
     def call(*args, **kwargs):
         raise AssertionError(name + " called")
     return call
-for _name in ("eigh", "eigvalsh", "solve"):
+for _name in ("eigh", "eigvalsh", "solve", "lstsq"):
     setattr(numpy.linalg, _name, _forbidden("numpy.linalg." + _name))
+numpy.polyfit = _forbidden("numpy.polyfit")
 def _blas_kb():
     total, found, take = 0, False, False
     with open("/proc/self/smaps") as smaps:
@@ -700,12 +703,33 @@ def test_warm_solve_runs_no_blas3_product_or_lapack_decomposition(warm_solve_mod
     _assert_no_blas3_or_lapack_ran(fresh)
 
 
+# numpy.random maps 2.5 MB of extension modules and, through secrets and
+# hmac, OpenSSL's libcrypto, 3.5 MB resident; the cache digest comes from
+# CPython's own SHA-256 and sampled fields from kclattice.splitmix
+_NOT_LOADED = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
+
+
+def _assert_no_openssl_or_numpy_random(modules):
+    for package in _NOT_LOADED:
+        assert _under(modules, package) == [], package
+
+
 def test_warm_solve_loads_no_openssl(warm_solve_modules):
-    # the cache digest comes from CPython's own SHA-256: hashlib would map
-    # OpenSSL's libcrypto, 3.5 MB resident, for the same bytes
     code, modules, _ = warm_solve_modules
     assert code == 0
-    assert "_hashlib" not in modules and "hashlib" not in modules
+    _assert_no_openssl_or_numpy_random(modules)
+    # the Gaussian-bump start draws nothing
+    assert "kclattice.splitmix" not in modules
+
+
+def test_warm_random_start_solve_loads_no_openssl_or_numpy_random(tmp_path, warm_cache):
+    code, modules, fresh = _modules_after(
+        tmp_path, f"[solver]\ninitial_guess = random\n\n[kernel]\ncache_dir = {warm_cache}\n",
+        "solve")
+    assert code == 0
+    assert "kclattice.splitmix" in modules
+    _assert_no_openssl_or_numpy_random(modules)
+    _assert_no_blas3_or_lapack_ran(fresh)
 
 
 def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
@@ -721,4 +745,5 @@ def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
     assert code == 0
     assert "kclattice.verify" in modules
     assert _under(modules, "scipy") == []
+    _assert_no_openssl_or_numpy_random(modules)
     _assert_no_blas3_or_lapack_ran(fresh)

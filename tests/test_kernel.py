@@ -179,6 +179,20 @@ def test_decay_exponent_near_alpha_minus_three(kernel_m16):
         kc.fit_decay_exponent(kernel_m16, lo=10, hi=40)
 
 
+@pytest.mark.parametrize("table, window", [
+    ("kernel_m16", (None, None)), ("kernel_m16", (1, 16)), ("kernel_m16", (3, 9)),
+    ("kernel_m20", (None, None)), ("kernel_m20", (10, 20)), ("kernel_m20", (1, 2)),
+])
+def test_decay_exponent_matches_the_polyfit_referee(request, table, window):
+    # the closed-form least-squares slope, against LAPACK's lstsq through polyfit
+    kernel = request.getfixturevalue(table)
+    m = kernel.table_radius
+    lo, hi = window
+    js = np.arange(max(2, m // 2) if lo is None else lo, (m if hi is None else hi) + 1)
+    want = np.polyfit(np.log(js), np.log(kernel.table[m + js, m, m]), 1)[0]
+    assert kc.fit_decay_exponent(kernel, lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_kernel_save_load_round_trip(tmp_path, kernel_m8):
     path = tmp_path / "k.tab"
     kernel_m8.save(path)
