@@ -1,5 +1,6 @@
 """Quadrature constants, kernel tables, convolution, and caching."""
 
+import dataclasses
 import hashlib
 import struct
 import threading
@@ -309,6 +310,40 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
     assert kc.build_kernel(1.0, 3, cache_dir=tmp_path).meta["cached"]
 
 
+def test_a_header_claiming_a_huge_radius_is_refused_before_allocating(tmp_path):
+    # sealed and otherwise well formed: only the size check sees it, and it
+    # must see it before a (2 * 10^6 + 1)^3 table is allocated
+    header = struct.pack(kernel_module._KERNEL_HEADER, 1.0, 10 ** 6, K1_REFINED)
+    path = tmp_path / "huge.lck"
+    path.write_bytes(_sealed(kernel_module._KERNEL_MAGIC + header + bytes(8 * 27)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="does not match radius 1000000"):
+            kc.GreenKernel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_loaded_table_is_a_writeable_float64_copy_of_the_saved_one(tmp_path, kernel_m20):
+    path = tmp_path / "k.lck"
+    kernel_m20.save(path)
+    tracemalloc.start()
+    try:
+        again = kc.GreenKernel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = again.table
+    assert table.dtype == np.float64 and table.shape == kernel_m20.table.shape
+    assert table.flags.writeable and table.flags.c_contiguous and table.flags.owndata
+    assert table.tobytes() == kernel_m20.table.tobytes()
+    # the table is read straight into its own array: no copy of the file
+    # (a whole-file read, its payload slice and a converted copy took 3x)
+    assert peak < table.nbytes + 100_000
+
+
 def test_builtin_sha256_matches_hashlib(rng):
     # lengths around the 64-byte block and the 56-byte padding limit
     for size in (0, 1, 55, 56, 63, 64, 65, 1000, 287_000):
@@ -455,6 +490,67 @@ def test_convolution_workspace_is_per_thread(kernel_m20, rng):
     for thread in threads:
         thread.join()
     assert mismatches == []
+
+
+def test_convolution_workspace_is_per_thread_across_evicted_plans(kernel_m20, rng):
+    # each thread alternates between its own two boxes, so nearly every call
+    # finds the kernel's one plan on another box and rebuilds it
+    kernel = dataclasses.replace(kernel_m20)  # a new kernel, which holds no plan yet
+    pairs = [(LatticeBox(3), LatticeBox(7, kc.PERIODIC)), (LatticeBox(5), LatticeBox(9))]
+    fields = [[Field(box, rng.standard_normal((box.side,) * 3)) for box in pair]
+              for pair in pairs]
+    serial = [[kc.convolve(kernel, w).values.tobytes() for w in pair] for pair in fields]
+    mismatches = []
+
+    def work(pair, wants):
+        for _ in range(20):
+            for w, want in zip(pair, wants):
+                if kc.convolve(kernel, w).values.tobytes() != want:
+                    mismatches.append(w.box)
+
+    threads = [threading.Thread(target=work, args=args) for args in zip(fields, serial)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert mismatches == []
+    assert len(kernel_module._plan_cache[kernel]) == 1
+
+
+def test_a_kernel_keeps_one_plan_and_rebuilds_it_bit_for_bit(kernel_m20, rng):
+    kernel = dataclasses.replace(kernel_m20)  # a new kernel, which holds no plan yet
+    first, second = LatticeBox(6), LatticeBox(10)
+    held = []
+    for box in (first, second, first, LatticeBox(7, kc.PERIODIC), first):
+        w = Field(box, rng.standard_normal((box.side,) * 3))
+        out = kc.convolve(kernel, w).values
+        fresh = kernel_module._ConvolutionPlan(kernel, box).apply(w.values)
+        assert out.tobytes() == fresh.tobytes(), box
+        plans = kernel_module._plan_cache[kernel]
+        assert list(plans) == [box]
+        assert all(plans[box] is not plan for plan in held)  # rebuilt, never kept
+        held.append(plans[box])
+
+
+def _wrapped_grid(kernel, box):
+    """The box's kernel block wrapped onto its circular grid, built as the plan once built it."""
+    block = kernel_module.kernel_block(kernel, box)
+    reach = kernel_module.block_radius(box)
+    size = box.side if box.mode == kc.PERIODIC else next_fast_len(max(1, 4 * box.radius),
+                                                                   real=True)
+    wrap = np.arange(-reach, reach + 1) % size
+    grid = np.zeros((size,) * 3)
+    grid[np.ix_(wrap, wrap, wrap)] = block
+    return grid
+
+
+@pytest.mark.parametrize("box", [LatticeBox(r) for r in range(1, 11)]
+                         + [LatticeBox(r, kc.PERIODIC) for r in (3, 7)], ids=str)
+def test_plan_spectrum_built_in_place_is_the_plain_transform(kernel_m20, box):
+    spectrum = kernel_module._ConvolutionPlan(kernel_m20, box).spectrum
+    want = np.fft.rfftn(_wrapped_grid(kernel_m20, box))
+    assert spectrum.dtype == want.dtype and spectrum.shape == want.shape
+    assert spectrum.tobytes() == want.tobytes()
 
 
 def test_warm_convolution_allocates_little(kernel_m16, rng):

@@ -9,6 +9,7 @@ import pytest
 
 import conftest
 import kclattice as kc
+import kclattice.kernel as kernel_module
 import kclattice.verify as verify_module
 from kclattice import (
     LatticeBox,
@@ -528,6 +529,23 @@ def test_run_suite_convolution_budget(spec4, kernel_m16, convolution_count):
     # Radius 2 starts from the shared radius-4 solution restricted to its box:
     # 19 convolutions there, 16 from the bump. Any growth in the suite's work shows here.
     assert convolution_count[0] == 138
+
+
+def test_run_suite_leaves_one_plan_per_kernel(spec4, kernel_m16, monkeypatch):
+    kernel = dataclasses.replace(kernel_m16)  # a new kernel, which holds no plan yet
+    boxes = []
+    plan_for = kernel_module._plan_for
+
+    def recorded(kernel, box):
+        boxes.append(box)
+        return plan_for(kernel, box)
+
+    monkeypatch.setattr(kernel_module, "_plan_for", recorded)
+    kc.run_suite(spec4, kernel, trials=4, mp_trials=6, fiber_fields=2, level_samples=2,
+                 radii=(2, 3, 4, 5))
+    # the suite visits every radius and more boxes besides, but keeps only the last plan
+    assert {2, 3, 4, 5} < {box.radius for box in boxes}
+    assert list(kernel_module._plan_cache[kernel]) == [boxes[-1]]
 
 
 def test_suite_csv_and_summary_format(spec4, kernel_m16, solved4):
