@@ -50,7 +50,6 @@ from .nehari import (
     SolveConfig,
     SolveReport,
     gaussian_bump_field,
-    mountain_pass_level_check,
     nehari_scale,
     random_start_field,
     solve_ground_state,
@@ -88,6 +87,7 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | _VERIFY_NAMES)
 
+# the solve path's names, then the property suite's
 __all__ = [
     "DIRICHLET",
     "PERIODIC",
@@ -101,7 +101,6 @@ __all__ = [
     "Field",
     "LatticeBox",
     "GreenKernel",
-    "PropertyReport",
     "QuadratureError",
     "PotentialSpec",
     "PowerNonlinearity",
@@ -110,17 +109,6 @@ __all__ = [
     "FiberCoefficients",
     "SolveConfig",
     "SolveReport",
-    "check_box_convergence",
-    "check_fiber_monotonicity",
-    "check_hls",
-    "check_kernel_integrity",
-    "check_level_identity",
-    "check_mountain_pass_geometry",
-    "check_symmetry_and_translation",
-    "run_suite",
-    "suite_csv",
-    "suite_passed",
-    "suite_summary",
     "build_kernel",
     "cache_key",
     "convolve",
@@ -136,11 +124,10 @@ __all__ = [
     "laplacian",
     "load_field_text",
     "lp_norm",
-    "mountain_pass_level_check",
     "nehari_scale",
     "random_start_field",
     "save_field_text",
     "solve_ground_state",
     "sphere_inverse",
     "translate",
-]
+] + sorted(_VERIFY_NAMES)

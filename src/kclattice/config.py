@@ -202,9 +202,9 @@ class RunConfig:
         self._anchored(self.problem_spec, "problem", "potential", "nonlinearity")
         if self.initial_guess == FILE_START and self.initial_file is None:
             raise secs["solver"].error("initial_file", "required when initial_guess = file")
-        # a stand-in guess: the parser checked the guess, and a file start's
-        # field is loaded later by whoever runs the solve
-        self._anchored(lambda: replace(self, initial_guess=GAUSSIAN_BUMP).solve_config(), "solver")
+        self._anchored(lambda: SolveConfig(self.seed), "solver")  # the parser checked the guess
+        if self.table_radius is not None and self.table_radius < 0:
+            raise secs["kernel"].error("table_radius", "must be nonnegative")
         ver = secs["verify"]
         for key in ("trials", "mp_trials", "fiber_fields", "level_samples"):
             if getattr(self, f"verify_{key}") < 1:
@@ -258,12 +258,8 @@ class RunConfig:
                            self.alpha, self.a, self.b)
 
     def solve_config(self, initial_field=None) -> SolveConfig:
-        guess = self.initial_guess
-        if initial_field is not None:
-            guess = FILE_START
-        elif guess == FILE_START:
-            raise ValueError("initial_guess = file needs the field loaded and passed in")
-        return SolveConfig(seed=self.seed, initial_guess=guess, initial_field=initial_field)
+        """The solve's start; a file start needs its field loaded and passed in."""
+        return SolveConfig(self.seed, self.initial_guess, initial_field)
 
     def sweep_point(self, value: float) -> "RunConfig":
         """This run with the sweep parameter set to one of the sweep values."""

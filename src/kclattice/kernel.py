@@ -35,10 +35,11 @@ import os
 import struct
 import tempfile
 import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .lattice import PERIODIC, Field
 
 # CPython's own SHA-256: hashlib gives the same digest but maps OpenSSL's
 # libcrypto, 3.5 MB resident, into every process that checks a cache file
@@ -222,6 +223,8 @@ class GreenKernel:
     table_radius: int
     table: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict)
+    # (box, plan), see ``_plan_for``; a replaced or loaded kernel holds none
+    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def value(self, z) -> float:
         m = self.table_radius
@@ -389,7 +392,6 @@ def build_kernel(alpha: float, table_radius: int, *, cache_dir=None) -> GreenKer
 # Dirichlet boxes use linear convolution, out(x) = sum_{y in box} R(x-y) w(y); periodic
 # boxes circular convolution with the minimal-image block (images are not folded in).
 
-_plan_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _workspace = threading.local()  # .buffer: the calling thread's complex FFT scratch
 
 
@@ -416,7 +418,7 @@ def _fast_len(n: int) -> int:
 
 def block_radius(box) -> int:
     """The block |z_i| <= r a box convolves with: r = n periodic (minimal images), 2n Dirichlet."""
-    return box.radius if box.mode == "periodic" else 2 * box.radius
+    return box.radius if box.mode == PERIODIC else 2 * box.radius
 
 
 def kernel_block(kernel: GreenKernel, box) -> np.ndarray:
@@ -450,7 +452,7 @@ class _ConvolutionPlan:
         block = kernel_block(kernel, box)
         if not all(np.array_equal(block, np.flip(block, axis)) for axis in range(3)):
             raise ValueError("kernel block is not even along every axis: the table is corrupted")
-        size = box.side if box.mode == "periodic" else _fast_len(max(1, 4 * box.radius))
+        size = box.side if box.mode == PERIODIC else _fast_len(max(1, 4 * box.radius))
         wrap = np.arange(-block_radius(box), block_radius(box) + 1) % size
         # rfftn with out= runs a plain rfftn's passes in place: the same bytes,
         # and no intermediates of the grid's size
@@ -495,19 +497,19 @@ class _ConvolutionPlan:
 def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:
     """The kernel's plan for ``box``, built if the kernel holds none for it.
 
-    A kernel holds one plan, the last box's: a plan for another box drops
-    it before the new one is built, so the memory of the plans is bounded
+    A kernel holds one plan in its ``_plan`` slot, the last box's: a plan
+    for another box empties the slot before the new one is built, and a
+    refused plan leaves it empty.  So the memory of the plans is bounded
     by the largest box's spectrum, however many boxes a run visits.  Going
     back to a box builds its plan again, one grid fill and one transform:
     about 0.1 ms for a radius-4 Dirichlet box, 0.3 ms for radius 6 and
     0.7 ms for radius 8.
     """
-    plan = _plan_cache.get(kernel, {}).get(box)
-    if plan is None:
-        _plan_cache[kernel] = {}  # the old plan goes before the new one is allocated
-        plan = _ConvolutionPlan(kernel, box)
-        _plan_cache[kernel] = {box: plan}
-    return plan
+    held = kernel._plan
+    if held is None or held[0] != box:
+        kernel._plan = None  # the old plan goes before the new one is allocated
+        held = kernel._plan = (box, _ConvolutionPlan(kernel, box))
+    return held[1]
 
 
 def convolve(kernel: GreenKernel, w):
@@ -517,8 +519,6 @@ def convolve(kernel: GreenKernel, w):
     is a RuntimeError, which the solver and the property suite report as a
     failure.
     """
-    from .lattice import Field
-
     plan = _plan_for(kernel, w.box)  # checks that the table covers the box and is even
     with np.errstate(over="ignore", invalid="ignore"):
         values = plan.apply(w.values)

@@ -223,15 +223,20 @@ def gradient_inner(u: Field, v: Field) -> float:
     return _edge_sum(u.values, v.values, u.box.mode)
 
 
-def lp_norm(u: Field, p: float) -> float:
-    """l^p norm over sites; p = inf gives the max norm, p < 1 is rejected."""
+def _lp_norm_values(v: np.ndarray, p: float) -> float:
+    """The l^p norm of a raw array; see ``lp_norm``."""
     if p == np.inf:
-        return float(np.max(np.abs(u.values)))
+        return float(np.max(np.abs(v)))
     if p < 1:
         raise ValueError(f"lp_norm needs p >= 1 or inf, got {p}")
     if p == 2:
-        return float(np.sqrt(np.sum(u.values * u.values)))
-    return float(np.sum(np.abs(u.values) ** p) ** (1.0 / p))
+        return float(np.sqrt(np.sum(v * v)))
+    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+
+
+def lp_norm(u: Field, p: float) -> float:
+    """l^p norm over sites; p = inf gives the max norm, p < 1 is rejected."""
+    return _lp_norm_values(u.values, p)
 
 
 def h_inner(u: Field, v: Field, a: float, potential) -> float:

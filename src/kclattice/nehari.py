@@ -24,14 +24,14 @@ on the sphere along the gradient's representer in the Kirchhoff-weighted
 energy norm (a Sobolev gradient in Neuberger's sense): the direction d
 solves (-(a + bA) lap + V) d = g, the linear part of the gradient with A
 frozen at the current point, by a few conjugate-gradient steps.  Below a
-residual of _SWITCH_RESIDUAL, Newton steps polish the Euler-Lagrange
-residual to roundoff, where energy differences no longer resolve but the
-residual still does; their minres solves are preconditioned by that same
-operator, inverted exactly where it separates by axis (``separable``) and
-by conjugate gradients elsewhere.  The solve converges when ||g|| <=
-_TOLERANCE times the scale of ``Evaluation.residual``, so the stop follows
-a, b, V and the coefficient.  Such numerics (_TOLERANCE, _ARMIJO, ...) are
-module constants.
+residual of _SWITCH_RESIDUAL times min(1, scale), Newton steps polish the
+Euler-Lagrange residual to roundoff, where energy differences no longer
+resolve but the residual still does; their minres solves are
+preconditioned by that same operator, inverted exactly where it separates
+by axis (``separable``) and by conjugate gradients elsewhere.  The solve
+converges when ||g|| <= _TOLERANCE times the scale of
+``Evaluation.residual``, so the stop follows a, b, V and the coefficient.
+Such numerics (_TOLERANCE, _ARMIJO, ...) are module constants.
 
 The solver core runs on box-shaped arrays; a ``Field`` is validated only
 where data enters it (the start field, ``evaluate``, ``convolve``) or
@@ -77,7 +77,7 @@ _MAX_BACKTRACKS = 60
 # step budgets of the descent and of the Newton polish
 _MAX_ITERATIONS = 2000
 _NEWTON_MAX_ITERATIONS = 30
-# the residual at which the descent hands over to the Newton polish
+# the residual at which the descent hands over to the Newton polish, times min(1, scale)
 _SWITCH_RESIDUAL = 1.0e-3
 # the relative residual ||g|| / scale of convergence: g's terms carry rounding
 # errors near eps * scale, so a few hundred ulps is what a double can certify
@@ -470,13 +470,14 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     system gives g.d > 0 at any tolerance, so -d always descends.  The
     step length starts from a Barzilai-Borwein estimate and backtracks by
     _BACKTRACK, at most _MAX_BACKTRACKS times, to Armijo decrease (_ARMIJO).
-    Phase two: below a residual of _SWITCH_RESIDUAL the energy is flat to
-    roundoff, so Newton steps polish the Euler-Lagrange residual itself, by
-    minres on the exact second-derivative action preconditioned with P^-1,
-    P = -(a + bA) lap + V, and a merit rule of residual decrease.  P^-1 is
-    built once per step: exact, by ``separable.separable_inverse``, on a
-    Dirichlet box with an additive potential table, and else CG to
-    _PRECONDITIONER_RTOL at every application.  Both phases stop at
+    Phase two: below a residual of _SWITCH_RESIDUAL * min(1, scale) the
+    energy is flat to roundoff, so Newton steps polish the Euler-Lagrange
+    residual itself, by minres on the exact second-derivative action
+    preconditioned with P^-1, P = -(a + bA) lap + V, and a merit rule of
+    residual decrease.  P^-1 is built once per step: exact, by
+    ``separable.separable_inverse``, on a Dirichlet box with an additive
+    potential table, and else CG to _PRECONDITIONER_RTOL at every
+    application.  Both phases stop at
     ||g|| <= _TOLERANCE * scale.
 
     Failures are reported in the returned SolveReport (converged flag and
@@ -513,7 +514,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             history.append((current, gnorm, s))
             if not (math.isfinite(gnorm) and math.isfinite(scale)):  # inf <= inf holds below
                 raise RuntimeError(f"residual {gnorm!r} at scale {scale!r} is not finite")
-            if gnorm <= max(_TOLERANCE * scale, _SWITCH_RESIDUAL):
+            if gnorm <= max(_TOLERANCE * scale, _SWITCH_RESIDUAL * min(1.0, scale)):
                 break
 
             weight = spec.a + spec.b * point.grad2
@@ -612,21 +613,3 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         energy_history=hist[:, 0].copy(),
         residual_history=hist[:, 1].copy(),
     )
-
-
-def mountain_pass_level_check(spec: ProblemSpec, kernel: GreenKernel, u_samples) -> float:
-    """Min over sample rays of the ray-maximal energy.
-
-    Every ray maximum max_s J(su) = J(s_u u) sits at or above the
-    ground-state level, and the minimum over a family of samples that
-    includes the ground state recovers the level exactly; this is the
-    cheap cross-check that the sphere-descent answer is also the
-    mountain-pass value.  ``nehari_scale`` rejects a zero sample.
-    """
-    best = math.inf
-    for u in u_samples:
-        point = evaluate(spec, kernel, u)
-        best = min(best, point.ray_energy(nehari_scale(point, spec.b)))
-    if not math.isfinite(best):
-        raise ValueError("level check needs at least one sample")
-    return best

@@ -191,6 +191,21 @@ def test_solve_with_an_overflowing_coefficient_exits_through_a_documented_path(
         assert re.search(r"converged\s*=\s*False", report)
 
 
+def test_solve_below_unit_scale_descends_then_converges(tmp_path, cache_dir, capsys):
+    # the whole gradient, about 7e-75, lay below an absolute hand-over of 1e-3:
+    # the Newton polish started from the bump, stalled and the solve exited 3
+    cfg = write_config(tmp_path, f"[problem]\nradius = 4\n\n[nonlinearity]\ncoefficient = "
+                                 f"1e150\n\n[kernel]\ncache_dir = {cache_dir}\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--output", str(out), "solve"]) == 0
+    capsys.readouterr()
+    report = (latest_run(out) / "report.txt").read_text()
+    values = dict(re.findall(r"^(\w+)\s*= (.*)$", report, re.M))
+    assert float(values["energy"]) == pytest.approx(8.387450841858959e-150, rel=1e-12, abs=0.0)
+    assert float(values["residual"]) <= 1e-13 * float(values["residual_scale"])
+    assert not values["iterations"].startswith("0 descent")
+
+
 VERIFY_1E200 = ("[problem]\nradius = 4\n\n[nonlinearity]\ncoefficient = 1e200\n\n"
                 "[verify]\ntrials = 5\nmp_trials = 4\nfiber_fields = 2\nlevel_samples = 2\n"
                 "radii = 2 4\n\n[kernel]\ncache_dir = {}\n")
@@ -551,6 +566,27 @@ def test_initial_file_is_read_once_per_run(tmp_path, cache_dir, capsys, monkeypa
     assert main(["--config", cfg, "--output", str(tmp_path / "out"), command]) in (0, 4)
     capsys.readouterr()
     assert reads == [str(start)]
+
+
+def test_negative_seed_flag_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--seed", "-1", "--output", str(out), "solve"]) == 1
+    assert "error: <cli>:0: --seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_green_rejects_a_negative_table_radius_at_its_line(tmp_path, capsys, monkeypatch):
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("no kernel should be built for a rejected config")
+
+    monkeypatch.setattr(cli_module, "build_kernel", unbuildable)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "[problem]\nradius = 2\n\n[kernel]\ntable_radius = -1\n")
+    assert main(["--config", cfg, "--output", str(out), "green"]) == 1
+    err = capsys.readouterr().err
+    assert "run.cfg:5: [kernel] table_radius: must be nonnegative" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,7 +1,7 @@
 """Property test of the command line's exit contract over extreme problems.
 
-``kclattice solve``, ``kclattice verify`` and ``kclattice sweep`` leave
-through exit codes 0-4 and never raise, and a solve's exit 0 means a finite
+``kclattice green``, ``solve``, ``verify`` and ``sweep`` leave through exit
+codes 0-4 and never raise, and a solve's exit 0 means a finite
 residual within the solver's tolerance.  Coefficients range over 1e-200 to 1e200, where
 energies, norms and the nonlinearity leave the double range.
 """
@@ -46,11 +46,20 @@ _OVERFLOWED_NEHARI_RADIUS = {
     "potential": {"kind": "constant", "v0": 1e200},
     "nonlinearity": {"coefficient": 1e-200, "exponent": 2.0001},
 }
-# a Newton step landed on u = 0, and nehari_scale raised ValueError
+# a Newton step landed on u = 0, and nehari_scale raised ValueError; later the
+# polish, started from the bump below an absolute hand-over of 1e-3, exited 3
+# at a zero drive.  Handed over relative to its scale of 1e-26, it converges
 _NEWTON_STEP_TO_ZERO = {
     "problem": {"radius": 1, "alpha": 0.21875, "a": 1e-38, "b": 0.0},
     "potential": {"kind": "constant", "v0": 4.217e-21},
     "nonlinearity": {"coefficient": 1e9, "exponent": 4.25},
+}
+# the door the problem above once took: a RuntimeError inside the Newton polish,
+# here a trial point whose ray energy overflows after 6 descent steps
+_NEWTON_STEP_OVERFLOWS = {
+    "problem": {"radius": 1, "a": 6.364e-154, "b": 0.0},
+    "potential": {"kind": "constant", "v0": 6.365e-115},
+    "nonlinearity": {"coefficient": 3.898e-181, "exponent": 2.198},
 }
 # the preconditioner's CG overflowed: a RuntimeWarning, raised under the tests' filter
 _OVERFLOWED_INNER_SOLVE = {
@@ -78,7 +87,7 @@ _PAST_DEFECTS = {
     "residual": _OVERFLOWED_RESIDUAL,
     "ray-energy": _OVERFLOWED_RAY_ENERGY,
     "nehari-radius": _OVERFLOWED_NEHARI_RADIUS,
-    "newton-to-zero": _NEWTON_STEP_TO_ZERO,
+    "newton-overflow": _NEWTON_STEP_OVERFLOWS,
     "inner-solve": _OVERFLOWED_INNER_SOLVE,
     "separable-table": _OVERFLOWED_SEPARABLE_TABLE,
     "convolution": _OVERFLOWED_CONVOLUTION,
@@ -136,7 +145,7 @@ def _value_text(value):
 
 def _config_text(problem, cache_dir):
     """The run config of ``{section: {key: value}}``, with keys left out at their defaults."""
-    sections = dict(problem, kernel={"cache_dir": str(cache_dir)})
+    sections = dict(problem, kernel={**problem.get("kernel", {}), "cache_dir": str(cache_dir)})
     return "".join(f"[{name}]\n" + "".join(f"{key} = {_value_text(value)}\n"
                                            for key, value in entries.items()) + "\n"
                    for name, entries in sections.items())
@@ -242,6 +251,43 @@ def test_overflowing_solve_exits_three_with_its_artifacts(tmp_path, problem):
     assert sorted(p.name for p in run.iterdir()) == [
         "config.snapshot", "history.csv", "report.txt", "solution.field"]
     assert _report_value((run / "report.txt").read_text(), "converged") == "False"
+
+
+# problems whose whole gradient lies below unit scale, which an absolute
+# hand-over to the Newton polish sent there from the start
+_BELOW_UNIT_SCALE = {
+    "newton-to-zero": _NEWTON_STEP_TO_ZERO,
+    "coefficient-1e150": {"problem": {"radius": 4}, "nonlinearity": {"coefficient": 1e150}},
+}
+
+
+@pytest.mark.parametrize("problem", _BELOW_UNIT_SCALE.values(), ids=_BELOW_UNIT_SCALE.keys())
+def test_below_unit_scale_solves_converge(tmp_path, problem):
+    code, out, err = _run(problem, tmp_path / "cache", tmp_path)
+    assert code == 0, err
+    report = (Path(re.search(r"run directory: (.*)", out).group(1)) / "report.txt").read_text()
+    assert _report_value(report, "converged") == "True"
+    residual = float(_report_value(report, "residual"))
+    assert residual <= _TOLERANCE * float(_report_value(report, "residual_scale"))
+    assert float(_report_value(report, "nehari_defect")) <= 1e-12
+
+
+# green tabulates whatever table radius it is given: a negative one ended in a
+# traceback from build_kernel, and alpha 0.05 lies below what the quadrature reaches
+_GREEN_EXAMPLES = {
+    "table-radius--1": ({"problem": {"radius": 2}, "kernel": {"table_radius": -1}}, 1),
+    "table-radius-0": ({"problem": {"radius": 2}, "kernel": {"table_radius": 0}}, 0),
+    "table-radius-3": ({"problem": {"radius": 2}, "kernel": {"table_radius": 3}}, 0),
+    "alpha-0.05": ({"problem": {"radius": 1, "alpha": 0.05}}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GREEN_EXAMPLES))
+def test_green_exit_contract(tmp_path, case):
+    problem, want = _GREEN_EXAMPLES[case]
+    code, _, err = _run(problem, tmp_path / "cache", tmp_path, "green")
+    assert code == want and 0 <= code <= 2
+    assert "Traceback" not in err
 
 
 def test_verify_reports_an_overflowing_ray_energy(tmp_path):

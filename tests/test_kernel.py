@@ -514,7 +514,7 @@ def test_convolution_workspace_is_per_thread_across_evicted_plans(kernel_m20, rn
     for thread in threads:
         thread.join()
     assert mismatches == []
-    assert len(kernel_module._plan_cache[kernel]) == 1
+    assert kernel._plan[0] in {box for pair in pairs for box in pair}
 
 
 def test_a_kernel_keeps_one_plan_and_rebuilds_it_bit_for_bit(kernel_m20, rng):
@@ -526,10 +526,19 @@ def test_a_kernel_keeps_one_plan_and_rebuilds_it_bit_for_bit(kernel_m20, rng):
         out = kc.convolve(kernel, w).values
         fresh = kernel_module._ConvolutionPlan(kernel, box).apply(w.values)
         assert out.tobytes() == fresh.tobytes(), box
-        plans = kernel_module._plan_cache[kernel]
-        assert list(plans) == [box]
-        assert all(plans[box] is not plan for plan in held)  # rebuilt, never kept
-        held.append(plans[box])
+        held_box, plan = kernel._plan
+        assert held_box == box
+        assert all(plan is not old for old in held)  # rebuilt, never kept
+        held.append(plan)
+
+
+def test_replaced_and_loaded_kernels_hold_no_plan(kernel_m8, tmp_path, rng):
+    kernel = dataclasses.replace(kernel_m8)
+    kc.convolve(kernel, Field(LatticeBox(4), rng.standard_normal((9, 9, 9))))
+    assert kernel._plan[0] == LatticeBox(4) and "_plan" not in repr(kernel)
+    assert dataclasses.replace(kernel)._plan is None
+    kernel.save(tmp_path / "kernel.lck")
+    assert kc.GreenKernel.load(tmp_path / "kernel.lck")._plan is None
 
 
 def _wrapped_grid(kernel, box):
@@ -611,7 +620,14 @@ def test_convolve_refuses_a_block_that_is_not_even(kernel_m16, rng, axis):
         w = Field(box, rng.standard_normal((box.side,) * 3))
         with pytest.raises(ValueError, match="not even"):
             kc.convolve(tilted, w)
-    assert kernel_module._plan_cache[tilted] == {}  # no refused plan is kept
+    assert tilted._plan is None  # no refused plan is kept
+
+
+def test_convolution_past_the_double_range_is_a_runtime_error(kernel_m8):
+    # every value is finite, but their convolution is not
+    w = Field(LatticeBox(4), np.full((9, 9, 9), 1e307))
+    with pytest.raises(RuntimeError, match="convolution overflows the double range"):
+        kc.convolve(kernel_m8, w)
 
 
 def test_convolve_delta_reproduces_table(kernel_m8):

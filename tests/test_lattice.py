@@ -202,6 +202,23 @@ def test_translate_dirichlet_drops_and_fills(rng):
     assert np.array_equal(kc.translate(u, (0, 0, 0)).values, u.values)
 
 
+def _translated_by_loops(u, shift):
+    """out(x) = u(x - shift) on a Dirichlet box, site by site, zero where x - shift leaves it."""
+    n, out = u.box.radius, np.zeros_like(u.values)
+    for i, j, k in np.ndindex(*out.shape):
+        source = (i - n - shift[0], j - n - shift[1], k - n - shift[2])
+        if u.box.contains(source):
+            out[i, j, k] = u.values[source[0] + n, source[1] + n, source[2] + n]
+    return out
+
+
+@pytest.mark.parametrize("shift", [(-1, 0, 0), (0, -2, 1), (-3, 2, -1), (-5, -5, -5),
+                                   (-7, 0, 9)])
+def test_translate_dirichlet_by_negative_shifts_matches_a_loop_referee(rng, shift):
+    u = Field(LatticeBox(2), rng.standard_normal((5, 5, 5)))
+    assert np.array_equal(kc.translate(u, shift).values, _translated_by_loops(u, shift))
+
+
 def test_field_validation():
     box = LatticeBox(2)
     with pytest.raises(ValueError):

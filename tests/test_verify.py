@@ -12,6 +12,7 @@ import kclattice as kc
 import kclattice.kernel as kernel_module
 import kclattice.verify as verify_module
 from kclattice import (
+    Field,
     LatticeBox,
     PotentialSpec,
     PowerNonlinearity,
@@ -276,6 +277,18 @@ def test_level_identity(spec4, kernel_m16, solved4):
     assert rep.details["level"] == pytest.approx(solved4.energy)
 
 
+@pytest.mark.parametrize("factor, witness", [
+    (1e6, "below level"),  # every sample's ray maximum lies below so high a level
+    (1.0 - 1e-4, "ground ray maximum"),  # the samples lie above, the ground ray misses
+], ids=["sample-below", "ground-misses"])
+def test_level_identity_fails_a_wrong_level(spec4, kernel_m16, solved4, factor, witness):
+    wrong = dataclasses.replace(solved4, energy=factor * solved4.energy)
+    rep = kc.check_level_identity(spec4, kernel_m16, wrong, samples=4)
+    assert not rep.passed
+    assert witness in rep.witness
+    assert rep.details["ground_ray_max"] == pytest.approx(solved4.energy, rel=1e-8)
+
+
 def test_box_convergence_passes_on_resolved_radii(spec4, kernel_m16):
     small = ProblemSpec(
         box=spec4.box,
@@ -430,6 +443,26 @@ def test_symmetry_check_periodic_translation():
     )
 
 
+def test_symmetry_check_fails_an_asymmetric_state(spec4, kernel_m16, solved4):
+    shifted = dataclasses.replace(solved4, solution=kc.translate(solved4.solution, (1, 0, 0)))
+    rep = kc.check_symmetry_and_translation(spec4, kernel_m16, shifted)
+    assert not rep.passed
+    assert rep.measured > 1e-4
+    assert rep.witness.startswith("octahedral residual")
+
+
+def test_symmetry_check_fails_a_state_that_is_not_translation_invariant(kernel_m16, solved4,
+                                                                          rng):
+    # on a Dirichlet box a spread-out state loses what a shift pushes past the boundary
+    spec = _periodic_spec().with_box(LatticeBox(4))
+    spread = Field(LatticeBox(4), 1.0 + rng.random((9, 9, 9)))
+    rep = kc.check_symmetry_and_translation(
+        spec, kernel_m16, dataclasses.replace(solved4, solution=spread))
+    assert not rep.passed
+    assert rep.measured > rep.tolerance
+    assert rep.witness.startswith("translation by one period moved the energy")
+
+
 def test_symmetry_check_rejects_off_center_potential(kernel_m16, solved4):
     off = ProblemSpec(
         box=LatticeBox(4),
@@ -545,7 +578,7 @@ def test_run_suite_leaves_one_plan_per_kernel(spec4, kernel_m16, monkeypatch):
                  radii=(2, 3, 4, 5))
     # the suite visits every radius and more boxes besides, but keeps only the last plan
     assert {2, 3, 4, 5} < {box.radius for box in boxes}
-    assert list(kernel_module._plan_cache[kernel]) == [boxes[-1]]
+    assert kernel._plan[0] == boxes[-1]
 
 
 def test_suite_csv_and_summary_format(spec4, kernel_m16, solved4):
