@@ -24,9 +24,13 @@ spec = kc.ProblemSpec(
 # must cover displacements up to 16 regardless of the problem box
 kernel = kc.build_kernel(spec.alpha, 16)
 
+# the suite certifies a computed ground state: solve first, then check it
+solve = kc.solve_ground_state(spec, kernel)
+
 reports = kc.run_suite(
     spec,
     kernel,
+    solve,
     trials=60,
     mp_trials=40,
     fiber_fields=10,

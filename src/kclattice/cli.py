@@ -26,7 +26,7 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .kernel import QuadratureError, build_kernel, fit_decay_exponent
 from .lattice import load_field_text, save_field_text
-from .nehari import solve_ground_state
+from .nehari import FILE_START, solve_ground_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,7 +72,7 @@ def _load_run_config(args) -> RunConfig:
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("<cli>", 0, "--seed must be nonnegative")
-        config = config.with_seed(args.seed)
+        config = replace(config, seed=args.seed)
     if args.output is not None:
         config = replace(config, output_directory=args.output)
     return config
@@ -141,7 +141,7 @@ def _configured_solve(config: RunConfig):
     """The problem and its solve config, with a file start loaded for the problem's box."""
     spec = config.problem_spec()
     initial = None
-    if config.initial_guess == "file":
+    if config.initial_guess == FILE_START:
         initial = _load_initial_field(config, spec.box)
     return spec, config.solve_config(initial_field=initial)
 
@@ -203,13 +203,13 @@ def cmd_verify(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     reports = run_suite(
         spec,
         kernel,
+        solve_ground_state(spec, kernel, solve_config),
         seed=config.seed,
         trials=config.verify_trials,
         mp_trials=config.verify_mp_trials,
         fiber_fields=config.verify_fiber_fields,
         level_samples=config.verify_level_samples,
         radii=config.verify_radii,
-        solve_config=solve_config,
     )
     summary = suite_summary(reports)
     (run_dir / "suite.csv").write_text(suite_csv(reports), encoding="ascii")

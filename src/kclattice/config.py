@@ -290,9 +290,6 @@ class RunConfig:
                 f"(needs >= {needed})"))
         return needed if self.table_radius is None else self.table_radius
 
-    def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=seed)
-
     def to_text(self) -> str:
         """Canonical serialization of the keys the run reads; parses back to an equal RunConfig."""
         chunks = []

@@ -29,7 +29,8 @@ gradient at su (R * F(su) = s^p R * F(u)) with its norm and scale;
 Admissibility of the power: p > 2 makes the interaction superquadratic
 along rays (the mechanism behind uniqueness of the projection scale), and
 p > (3 + alpha)/3 keeps the interaction controlled by the convolution
-inequality on l^p spaces.  The power satisfies 2p F(t) = 2 t f(t), the
+inequality on l^p spaces; p > 2 implies that bound, as (3 + alpha)/3 < 2
+for every alpha in (0, 3).  The power satisfies 2p F(t) = 2 t f(t), the
 Ambrosetti-Rabinowitz bound with its sharpest index 2p > 4.
 """
 
@@ -195,12 +196,6 @@ class ProblemSpec:
                              f"got {self.b}")
         if not 0.0 < self.alpha < 3.0:
             raise ValueError(f"alpha (the fractional order) must lie in (0, 3), got {self.alpha}")
-        p = self.nonlinearity.exponent
-        if p <= (3.0 + self.alpha) / 3.0:
-            raise ValueError(
-                f"exponent {p} too small for alpha={self.alpha}: "
-                f"needs p > (3+alpha)/3 = {(3.0 + self.alpha) / 3.0:.4f}"
-            )
 
     @cached_property
     def potential_table(self) -> np.ndarray:

@@ -124,8 +124,6 @@ def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
         lo *= 0.5
     else:
         raise RuntimeError("failed to bracket the fiber root from below")
-    if not (q(lo) >= 0.0 >= q(hi)):
-        raise RuntimeError("fiber bracket lost its sign change")
     # safeguarded Newton: q' < 0 at the root, so steps converge quadratically
     # near it; a step that leaves the shrinking bracket bisects instead
     s = 0.5 * (lo + hi)

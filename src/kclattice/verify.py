@@ -10,6 +10,10 @@ and the suite header says this out loud.  mountain-pass-geometry's floor is
 proven, by ``nehari_radius``; hls-ratio's sups are lower bounds on each
 box's constant.
 
+The suite certifies the caller's solve of the spec, a ``SolveReport``, and
+has no start policy of its own: only box-convergence solves, on its other
+radii, each from the last solution.
+
 All randomness is derived from a master seed, one independent SplitMix64
 stream per check (``splitmix.stream(seed, crc32(check name))``), so a
 full-suite run is reproducible, reordering checks does not change any of
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +37,11 @@ from .energy import (
     evaluate,
     nehari_radius,
 )
-from .kernel import GreenKernel, QuadratureError, _table_defect, convolve, fit_decay_exponent
+from .kernel import GreenKernel, _table_defect, convolve, fit_decay_exponent
 from .kernel import fractional_degree_refined
 from .lattice import DIRICHLET, Field, LatticeBox, _lp_norm_values, translate
 from .nehari import (
     FILE_START,
-    GAUSSIAN_BUMP,
     SolveConfig,
     SolveReport,
     nehari_scale,
@@ -467,49 +470,36 @@ def _on_box(u: Field, box: LatticeBox) -> Field:
     return Field(box, values)
 
 
-def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel,
-                          radii=(4, 6, 8, 10), solve_config: SolveConfig = None,
-                          solve_report: SolveReport = None) -> PropertyReport:
+def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel, solve_report: SolveReport,
+                          radii=(4, 6, 8, 10)) -> PropertyReport:
     """Cauchy behavior of the ground level as the truncation box grows.
 
     The underlying problem lives on the whole lattice; this measures how
     fast the finite-box level settles.  Pass iff the last relative gap is
     at most _BOX_GAP.  Zero-extension nests Dirichlet boxes' Nehari sets, so
     there a level rising by over _BOX_RISE fails and the last bounds the Z^3
-    level from above; periodic boxes do not nest.  A ``solve_report`` is the
+    level from above; periodic boxes do not nest.  ``solve_report`` is the
     solve of ``spec`` itself, standing in for the radius of the spec's box.
 
-    The solves continue across radii in ascending order: each starts from
-    the last solution, at the same lattice coordinates (restricted to a
-    smaller box, zero-embedded in a larger one).  A ``solve_report`` is the
-    first solution, so the radii below the spec's start from it.  With no
-    solution yet, a radius takes ``solve_config``'s start, except that a
-    file start is used only on the box its field lives on and the Gaussian
-    bump replaces it elsewhere.  The first radius that does not converge is
-    the witness.
+    The solves continue across radii in ascending order from that solution:
+    each other radius starts from the last solution, at the same lattice
+    coordinates (restricted to a smaller box, zero-embedded in a larger
+    one), so the radii below the spec's start from the reported one.  The
+    first radius that does not converge is the witness.
     """
     name = "box-convergence"
     if list(radii) != sorted(radii) or len(radii) < 2:
         raise ValueError("box convergence needs at least two increasing radii")
-    if solve_config is None:
-        solve_config = SolveConfig()
-    previous = None if solve_report is None else solve_report.solution
+    previous = solve_report.solution
     levels = []
     witness = ""
     passed = True
     for radius in radii:
         box = LatticeBox(radius, spec.box.mode)
-        if solve_report is not None and radius == spec.box.radius:
+        if radius == spec.box.radius:
             report = solve_report
         else:
-            if previous is not None:
-                start = replace(solve_config, initial_guess=FILE_START,
-                                initial_field=_on_box(previous, box))
-            elif (solve_config.initial_guess == FILE_START
-                  and solve_config.initial_field.box != box):
-                start = replace(solve_config, initial_guess=GAUSSIAN_BUMP, initial_field=None)
-            else:
-                start = solve_config
+            start = SolveConfig(initial_guess=FILE_START, initial_field=_on_box(previous, box))
             report = solve_ground_state(spec.with_box(box), kernel, start)
         previous = report.solution
         if not report.converged:
@@ -600,25 +590,19 @@ def check_symmetry_and_translation(spec: ProblemSpec, kernel: GreenKernel,
                           measured, tolerance, details, witness)
 
 
-def run_suite(spec: ProblemSpec, kernel: GreenKernel, seed: int = 42,
-              trials: int = 200, mp_trials: int = 100, fiber_fields: int = 20,
-              level_samples: int = 20, radii=(4, 6, 8, 10),
-              solve_config: SolveConfig = None,
-              solve_report: SolveReport = None):
-    """Run every check against one problem; returns the report list.
+def run_suite(spec: ProblemSpec, kernel: GreenKernel, solve_report: SolveReport,
+              seed: int = 42, trials: int = 200, mp_trials: int = 100,
+              fiber_fields: int = 20, level_samples: int = 20, radii=(4, 6, 8, 10)):
+    """Run every check against one problem and its solve; returns the report list.
 
-    The ground-state solve is shared between the checks that need one.
-    Callers wanting exact periodic-translation invariance should pass a
-    periodic-mode spec whose box side is a multiple of the potential
-    period.  An off-center coercive potential is rejected before any work.
-    A check that raises a RuntimeError is reported as failed, with the error
-    as its witness; a QuadratureError propagates.
+    ``solve_report`` is the ground-state solve of ``spec`` that the suite
+    certifies, shared by the checks that need one.  Callers wanting exact
+    periodic-translation invariance should pass a periodic-mode spec whose
+    box side is a multiple of the potential period.  An off-center coercive
+    potential is rejected before any check runs.  A check that raises a
+    RuntimeError is reported as failed, with the error as its witness.
     """
     require_origin_center(spec.potential)
-    if solve_config is None:
-        solve_config = SolveConfig()
-    if solve_report is None:
-        solve_report = solve_ground_state(spec, kernel, solve_config)
     checks = {
         "kernel-integrity": lambda: check_kernel_integrity(kernel),
         "mountain-pass-geometry": lambda: check_mountain_pass_geometry(
@@ -629,7 +613,7 @@ def run_suite(spec: ProblemSpec, kernel: GreenKernel, seed: int = 42,
         "level-identity": lambda: check_level_identity(
             spec, kernel, solve_report, samples=level_samples, seed=seed),
         "box-convergence": lambda: check_box_convergence(
-            spec, kernel, radii=radii, solve_config=solve_config, solve_report=solve_report),
+            spec, kernel, solve_report, radii=radii),
         "symmetry-translation": lambda: check_symmetry_and_translation(spec, kernel, solve_report),
     }
     return [_run_check(name, check) for name, check in checks.items()]
@@ -639,8 +623,6 @@ def _run_check(name: str, check) -> PropertyReport:
     """check(), or a failed report whose witness is the RuntimeError it raised."""
     try:
         return check()
-    except QuadratureError:
-        raise
     except RuntimeError as exc:
         return PropertyReport(name, "raised", 0, False, math.nan, math.nan,
                               witness=f"RuntimeError: {exc}")

@@ -280,7 +280,8 @@ def test_criterion_12_kirchhoff_monotonicity(reference_spec, kernel_m16, ground)
 
 
 def test_criterion_13_box_convergence(reference_spec, kernel_m20):
-    rep = kc.check_box_convergence(reference_spec, kernel_m20, radii=(4, 6, 8, 10))
+    solve = kc.solve_ground_state(reference_spec, kernel_m20)
+    rep = kc.check_box_convergence(reference_spec, kernel_m20, solve, radii=(4, 6, 8, 10))
     levels = [rep.details[f"level_radius_{r}"] for r in (4, 6, 8, 10)]
     gaps = [abs(x - y) / abs(y) for x, y in zip(levels, levels[1:])]
     ok = rep.passed and gaps[-1] < 1e-3 and all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))

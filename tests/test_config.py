@@ -221,8 +221,6 @@ def test_solve_config_accessor_and_seed_override():
     cfg = RunConfig.from_text(GOOD)
     sc = cfg.solve_config()
     assert sc.seed == 7
-    assert cfg.with_seed(99).seed == 99
-    assert cfg.with_seed(99).radius == cfg.radius
 
 
 def test_table_radius_defaults():

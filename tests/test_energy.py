@@ -161,17 +161,6 @@ def test_problem_spec_validation():
         ProblemSpec(box, pot, nl, alpha=1.0, b=-1.0)
 
 
-def test_problem_spec_names_an_exponent_too_small_for_alpha():
-    # PowerNonlinearity itself needs p > 2, above (3+alpha)/3 for every alpha < 3,
-    # so only another nonlinearity with an exponent can reach this bound
-    class Weak:
-        exponent = 1.2
-
-    with pytest.raises(ValueError, match=r"^exponent 1\.2 too small for alpha=1\.0: "
-                                         r"needs p > \(3\+alpha\)/3 = 1\.3333$"):
-        ProblemSpec(LatticeBox(2), PotentialSpec.constant(1.0), Weak(), alpha=1.0)
-
-
 def _spec_with(**weights):
     return ProblemSpec(LatticeBox(2), PotentialSpec.constant(1.0), PowerNonlinearity(1.0, 3.0),
                        alpha=1.0, **weights)

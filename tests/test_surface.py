@@ -54,10 +54,10 @@ FIXED_PARAMETERS = {
     "check_hls": ("kernel", "trials"),
     "check_fiber_monotonicity": ("spec", "kernel", "fields", "seed"),
     "check_level_identity": ("spec", "kernel", "solve_report", "samples", "seed"),
-    "check_box_convergence": ("spec", "kernel", "radii", "solve_config", "solve_report"),
+    "check_box_convergence": ("spec", "kernel", "solve_report", "radii"),
     "check_symmetry_and_translation": ("spec", "kernel", "solve_report"),
-    "run_suite": ("spec", "kernel", "seed", "trials", "mp_trials", "fiber_fields",
-                  "level_samples", "radii", "solve_config", "solve_report"),
+    "run_suite": ("spec", "kernel", "solve_report", "seed", "trials", "mp_trials",
+                  "fiber_fields", "level_samples", "radii"),
     "gaussian_bump_field": ("box", "center"),
     "random_start_field": ("box", "rng", "center"),
     "fractional_degree_refined": ("alpha",),
@@ -100,6 +100,10 @@ def test_kernel_entry_points_have_the_pinned_parameters():
 def test_fixed_numerics_have_no_parameter():
     for name, parameters in FIXED_PARAMETERS.items():
         assert tuple(inspect.signature(getattr(kc, name)).parameters) == parameters, name
+    # the suite certifies the solve it is handed and has no start policy of its own
+    for name in ("run_suite", "check_box_convergence"):
+        solve_report = inspect.signature(getattr(kc, name)).parameters["solve_report"]
+        assert solve_report.default is inspect.Parameter.empty, name
     # a periodic potential's floor is its smallest entry
     assert tuple(inspect.signature(kc.PotentialSpec.periodic).parameters) == ("tau", "table")
 

@@ -298,7 +298,8 @@ def test_box_convergence_passes_on_resolved_radii(spec4, kernel_m16):
         a=spec4.a,
         b=0.0,
     )
-    rep = kc.check_box_convergence(small, kernel_m16, radii=(3, 4, 5, 6))
+    rep = kc.check_box_convergence(small, kernel_m16, kc.solve_ground_state(small, kernel_m16),
+                                   radii=(3, 4, 5, 6))
     assert rep.name == "box-convergence"
     levels = [rep.details[f"level_radius_{r}"] for r in (3, 4, 5, 6)]
     final_gap = abs(levels[-1] - levels[-2]) / abs(levels[-1])
@@ -306,8 +307,8 @@ def test_box_convergence_passes_on_resolved_radii(spec4, kernel_m16):
     assert rep.passed == (final_gap < 1e-3)
 
 
-def test_box_convergence_honest_failure(spec4, kernel_m16):
-    rep = kc.check_box_convergence(spec4, kernel_m16, radii=(2, 3))
+def test_box_convergence_honest_failure(spec4, kernel_m16, solved4):
+    rep = kc.check_box_convergence(spec4, kernel_m16, solved4, radii=(2, 3))
     assert not rep.passed
     assert rep.measured > 1e-3
     assert rep.witness
@@ -354,39 +355,21 @@ def _periodic_spec():
     )
 
 
-@pytest.mark.parametrize("case", ["reference", "periodic", "reference-shared", "periodic-shared"])
+@pytest.mark.parametrize("case", ["reference-shared", "periodic-shared"])
 def test_box_convergence_continuation_keeps_the_cold_start_levels(reference_spec, kernel_m20,
                                                                   case):
     spec, radii = (reference_spec, (4, 6, 8, 10)) if case.startswith("reference") else (
         _periodic_spec(), (2, 3, 4, 5))
     # a shared solve of the spec's box starts the smaller radii from its restriction
-    shared = (kc.solve_ground_state(spec, kernel_m20, SolveConfig(seed=42))
-              if case.endswith("shared") else None)
+    shared = kc.solve_ground_state(spec, kernel_m20, SolveConfig(seed=42))
     rep = kc.check_box_convergence(spec, kernel_m20, radii=radii, solve_report=shared)
     cold = _cold_start_levels(spec, kernel_m20, radii)
     for r, level in zip(radii, cold):
         assert rep.details[f"level_radius_{r}"] == pytest.approx(level, rel=1e-12, abs=0.0)
 
 
-def test_box_convergence_takes_a_file_start_only_on_its_own_box(spec4, kernel_m16, solved4,
-                                                                monkeypatch):
-    starts = []
-
-    def recorded(spec, kernel, config):
-        starts.append((spec.box.radius, config.initial_guess, config.initial_field))
-        return kc.solve_ground_state(spec, kernel, config)
-
-    monkeypatch.setattr(verify_module, "solve_ground_state", recorded)
-    config = SolveConfig(initial_guess=kc.FILE_START, initial_field=solved4.solution)
-    kc.check_box_convergence(spec4, kernel_m16, radii=(3, 4, 5), solve_config=config)
-    assert [(r, guess) for r, guess, _ in starts] == [
-        (3, kc.GAUSSIAN_BUMP), (4, kc.FILE_START), (5, kc.FILE_START)]
-    assert starts[1][2].box == spec4.box  # the chain's start on the file's own box
-    assert starts[0][2] is None
-
-
 def test_box_convergence_witness_names_the_first_unconverged_radius(spec4, kernel_m16,
-                                                                     monkeypatch):
+                                                                     solved4, monkeypatch):
     def stalled(spec, kernel, config):
         report = kc.solve_ground_state(spec, kernel, config)
         if spec.box.radius == 2:
@@ -395,7 +378,7 @@ def test_box_convergence_witness_names_the_first_unconverged_radius(spec4, kerne
                                    message=f"stalled on radius {spec.box.radius}")
 
     monkeypatch.setattr(verify_module, "solve_ground_state", stalled)
-    rep = kc.check_box_convergence(spec4, kernel_m16, radii=(2, 3, 4))
+    rep = kc.check_box_convergence(spec4, kernel_m16, solved4, radii=(2, 3, 4))
     assert not rep.passed
     assert rep.witness == "solve did not converge at radius 3: stalled on radius 3"
 
@@ -474,8 +457,8 @@ def test_symmetry_check_rejects_off_center_potential(kernel_m16, solved4):
         kc.check_symmetry_and_translation(off, kernel_m16, solved4)
 
 
-def test_run_suite_rejects_off_center_potential_before_any_work(kernel_m16, monkeypatch,
-                                                                convolution_count):
+def test_run_suite_rejects_off_center_potential_before_any_work(kernel_m16, solved4,
+                                                                monkeypatch, convolution_count):
     solves = []
     monkeypatch.setattr(verify_module, "solve_ground_state",
                         lambda *args, **kwargs: solves.append(args))
@@ -486,7 +469,7 @@ def test_run_suite_rejects_off_center_potential_before_any_work(kernel_m16, monk
         alpha=1.0,
     )
     with pytest.raises(ValueError, match="centered at the origin"):
-        kc.run_suite(off, kernel_m16, trials=2, mp_trials=2, fiber_fields=1,
+        kc.run_suite(off, kernel_m16, solved4, trials=2, mp_trials=2, fiber_fields=1,
                      level_samples=1, radii=(2, 4))
     assert solves == []
     assert convolution_count[0] == 0
@@ -528,8 +511,9 @@ def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_
         return reports[-1]
 
     monkeypatch.setattr(verify_module, "solve_ground_state", counted)
-    suite = kc.run_suite(reference_spec, kernel_m20, trials=4, mp_trials=4, fiber_fields=1,
-                         level_samples=2, radii=(4, 6, 8, 10))
+    shared = counted(reference_spec, kernel_m20, SolveConfig())
+    suite = kc.run_suite(reference_spec, kernel_m20, shared, trials=4, mp_trials=4,
+                         fiber_fields=1, level_samples=2, radii=(4, 6, 8, 10))
     # the shared radius-8 solve comes first; box convergence adds 4, 6 and 10
     assert len(reports) == 4
     box = next(r for r in suite if r.name == "box-convergence")
@@ -553,7 +537,8 @@ def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_
 
 
 def test_run_suite_convolution_budget(spec4, kernel_m16, convolution_count):
-    reports = kc.run_suite(spec4, kernel_m16, trials=4, mp_trials=6, fiber_fields=2,
+    solve = kc.solve_ground_state(spec4, kernel_m16)  # counted with the suite's work
+    reports = kc.run_suite(spec4, kernel_m16, solve, trials=4, mp_trials=6, fiber_fields=2,
                            level_samples=2, radii=(2, 3, 4))
     # at b = 1 the level still moves by 8% between radii 3 and 4
     assert [r.name for r in reports if not r.passed] == ["box-convergence"]
@@ -574,8 +559,8 @@ def test_run_suite_leaves_one_plan_per_kernel(spec4, kernel_m16, monkeypatch):
         return plan_for(kernel, box)
 
     monkeypatch.setattr(kernel_module, "_plan_for", recorded)
-    kc.run_suite(spec4, kernel, trials=4, mp_trials=6, fiber_fields=2, level_samples=2,
-                 radii=(2, 3, 4, 5))
+    kc.run_suite(spec4, kernel, kc.solve_ground_state(spec4, kernel), trials=4, mp_trials=6,
+                 fiber_fields=2, level_samples=2, radii=(2, 3, 4, 5))
     # the suite visits every radius and more boxes besides, but keeps only the last plan
     assert {2, 3, 4, 5} < {box.radius for box in boxes}
     assert kernel._plan[0] == boxes[-1]
