@@ -697,20 +697,9 @@ def _fresh_blas_kb():
 """
 
 
-def _modules_after(tmp_path, config_text, command):
-    """Run ``command`` in a fresh interpreter with LAPACK's decompositions
-    disabled; its exit code, the modules it loaded and the kB of BLAS/LAPACK
-    pages that a 2-D product and an eigh map after it (None without a
-    /proc/self/smaps that names such a library)."""
-    cfg = write_config(tmp_path, config_text)
-    script = (
-        "import json, os, sys\n"
-        + _NO_LAPACK_OR_BLAS3 +
-        "from kclattice.cli import main\n"
-        f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, {command!r}])\n"
-        "fresh = _fresh_blas_kb() if os.path.exists('/proc/self/smaps') else None\n"
-        "print(json.dumps([code, sorted(sys.modules), fresh]))\n"
-    )
+def _in_fresh_interpreter(script):
+    """Run ``script`` in a fresh interpreter that imports this kclattice;
+    the JSON value its last line of output prints."""
     src = str(Path(kc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -718,6 +707,28 @@ def _modules_after(tmp_path, config_text, command):
                             text=True, timeout=600)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def _main_call(cfg, out, command):
+    """Source of a ``main`` call that runs ``command`` at --seed 1."""
+    return (f"main(['--config', {str(cfg)!r}, '--output', {str(out)!r}, "
+            f"'--seed', '1', {command!r}])")
+
+
+def _modules_after(tmp_path, config_text, command):
+    """Run ``command`` in a fresh interpreter with LAPACK's decompositions
+    disabled; its exit code, the modules it loaded and the kB of BLAS/LAPACK
+    pages that a 2-D product and an eigh map after it (None without a
+    /proc/self/smaps that names such a library)."""
+    cfg = write_config(tmp_path, config_text)
+    return _in_fresh_interpreter(
+        "import json, os, sys\n"
+        + _NO_LAPACK_OR_BLAS3 +
+        "from kclattice.cli import main\n"
+        f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, {command!r}])\n"
+        "fresh = _fresh_blas_kb() if os.path.exists('/proc/self/smaps') else None\n"
+        "print(json.dumps([code, sorted(sys.modules), fresh]))\n"
+    )
 
 
 def _assert_no_blas3_or_lapack_ran(fresh):
@@ -794,18 +805,76 @@ def test_warm_random_start_solve_loads_no_openssl_or_numpy_random(tmp_path, warm
     _assert_no_blas3_or_lapack_ran(fresh)
 
 
-def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
-    # the whole property suite, the segment referee included, runs on numpy
-    config = (
+# a small warm verify of the radius-4 problem on the alpha = 1, radius-16 table
+def _warm_verify_config(warm_cache):
+    return (
         "[problem]\nradius = 4\n\n"
         "[potential]\nkind = coercive\nv0 = 1.0\nrate = 3.0\npower = 2.0\n\n"
         f"[kernel]\ncache_dir = {warm_cache}\n\n"
         "[verify]\ntrials = 4\nmp_trials = 4\nfiber_fields = 1\nlevel_samples = 2\n"
         "radii = 6 8\n"
     )
-    code, modules, fresh = _modules_after(tmp_path, config, "verify")
+
+
+def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
+    # the whole property suite, the segment referee included, runs on numpy
+    code, modules, fresh = _modules_after(tmp_path, _warm_verify_config(warm_cache), "verify")
     assert code == 0
     assert "kclattice.verify" in modules
     assert _under(modules, "scipy") == []
     _assert_no_openssl_or_numpy_random(modules)
     _assert_no_blas3_or_lapack_ran(fresh)
+
+
+def test_library_import_leaves_the_collector_alone():
+    # only a command-line run freezes the heap; importing the package,
+    # its command-line module included, must not touch the collector
+    before, after = _in_fresh_interpreter(
+        "import gc, json\n"
+        "before = [gc.isenabled(), gc.get_freeze_count()]\n"
+        "import kclattice, kclattice.cli\n"
+        "print(json.dumps([before, [gc.isenabled(), gc.get_freeze_count()]]))\n")
+    assert before == after == [True, 0]
+
+
+def test_cli_run_freezes_the_imported_heap_once_and_keeps_the_collector_on(tmp_path,
+                                                                           warm_cache):
+    # the exit collection skips what was alive when the first main call
+    # started; later calls freeze nothing, or each would keep the cycles an
+    # earlier run left uncollected (its argument parser's among them) forever
+    cfg = write_config(tmp_path, f"[kernel]\ncache_dir = {warm_cache}\n")
+    code, enabled, frozen, later = _in_fresh_interpreter(
+        "import gc, json\n"
+        "from kclattice.cli import main\n"
+        f"code = {_main_call(cfg, tmp_path / 'out', 'solve')}\n"
+        "frozen = gc.get_freeze_count()\n"
+        "assert [main(['no-such-command']) for _ in range(3)] == [1, 1, 1]\n"
+        "print(json.dumps([code, gc.isenabled(), frozen, gc.get_freeze_count()]))\n")
+    assert code == 0
+    assert enabled is True
+    assert frozen > 0
+    assert later == frozen
+
+
+def test_two_runs_in_one_interpreter_write_the_bytes_of_separate_processes(tmp_path,
+                                                                           warm_cache):
+    # the second main call runs on the heap the first one froze and left
+    # its own objects in; its answers must not depend on either
+    cfg = write_config(tmp_path, _warm_verify_config(warm_cache))
+    codes = _in_fresh_interpreter(
+        "import json\n"
+        "from kclattice.cli import main\n"
+        f"codes = [{_main_call(cfg, tmp_path / 'shared_solve', 'solve')}, "
+        f"{_main_call(cfg, tmp_path / 'shared_verify', 'verify')}]\n"
+        "print(json.dumps(codes))\n")
+    assert codes == [0, 0]
+    for command, digests in _WARM_DIGESTS.items():
+        code = _in_fresh_interpreter(
+            "import json\n"
+            "from kclattice.cli import main\n"
+            f"print(json.dumps({_main_call(cfg, tmp_path / ('own_' + command), command)}))\n")
+        assert code == 0
+        shared = latest_run(tmp_path / f"shared_{command}")
+        own = latest_run(tmp_path / f"own_{command}")
+        for name in digests:
+            assert (shared / name).read_bytes() == (own / name).read_bytes(), (command, name)
