@@ -44,10 +44,6 @@ from .energy import (
     evaluate,
 )
 from .nehari import (
-    FILE_START,
-    GAUSSIAN_BUMP,
-    RANDOM_START,
-    SolveConfig,
     SolveReport,
     gaussian_bump_field,
     nehari_scale,
@@ -55,7 +51,7 @@ from .nehari import (
     solve_ground_state,
     sphere_inverse,
 )
-from .config import ConfigError, RunConfig
+from .config import FILE_START, GAUSSIAN_BUMP, RANDOM_START, ConfigError, RunConfig
 
 __version__ = "0.1.0"
 
@@ -107,7 +103,6 @@ __all__ = [
     "ProblemSpec",
     "RunConfig",
     "FiberCoefficients",
-    "SolveConfig",
     "SolveReport",
     "build_kernel",
     "cache_key",

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: ``green`` (kernel tables), ``solve`` (one ground state),
-``verify`` (the property suite), ``sweep`` (one parameter, many solves).
+Commands: ``green`` (kernel tables), ``solve`` (one ground state),
+``verify`` (the property suite), ``sweep`` (one parameter, many solves);
+options may come before or after the command.
 Every run writes its artifacts under ``<output>/<timestamp>/`` next to a
 snapshot of the exact configuration that produced them.
 
@@ -24,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import FILE_START, ConfigError, RunConfig
 from .kernel import QuadratureError, build_kernel, fit_decay_exponent
 from .lattice import load_field_text, save_field_text
-from .nehari import FILE_START, solve_ground_state
+from .nehari import solve_ground_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,16 +53,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kclattice",
         description="Ground states of Kirchhoff-Choquard equations on lattice boxes.",
     )
+    parser.add_argument("command", choices=_COMMANDS,
+                        help="green builds and caches the kernel table, solve solves for the "
+                        "ground state, verify runs the property suite, sweep solves across "
+                        "one parameter range")
     parser.add_argument("--config", metavar="PATH", help="run configuration file")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="override the configured master seed")
     parser.add_argument("--output", metavar="DIR",
                         help="override the configured output directory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("green", help="build and cache the kernel table")
-    sub.add_parser("solve", help="solve for the ground state")
-    sub.add_parser("verify", help="run the property suite")
-    sub.add_parser("sweep", help="solve across one parameter range")
     return parser
 
 
@@ -135,16 +135,17 @@ def _load_initial_field(config: RunConfig, box):
         raise solver.error("initial_file", f"{path} holds a field on a radius-"
                            f"{initial.box.radius} {initial.box.mode} box, not on the "
                            f"problem's radius-{box.radius} {box.mode} box")
+    if not initial.values.any():
+        raise solver.error("initial_file", f"{path} holds the zero field, which no solve can "
+                           "start from")
     return initial
 
 
 def _configured_solve(config: RunConfig):
-    """The problem and its solve config, with a file start loaded for the problem's box."""
+    """The problem and its start field, with a file start loaded for the problem's box."""
     spec = config.problem_spec()
-    initial = None
-    if config.initial_guess == FILE_START:
-        initial = _load_initial_field(config, spec.box)
-    return spec, config.solve_config(initial_field=initial)
+    loaded = _load_initial_field(config, spec.box) if config.initial_guess == FILE_START else None
+    return spec, config.start_field(spec, loaded)
 
 
 def _solve_report_text(config: RunConfig, spec, report) -> str:
@@ -181,8 +182,8 @@ def _write_history(report, path: Path) -> None:
 
 def cmd_solve(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     kernel = _kernel_for(config, config.solve_table_radius(), base)
-    spec, solve_config = problem
-    report = solve_ground_state(spec, kernel, solve_config)
+    spec, start = problem
+    report = solve_ground_state(spec, kernel, start)
     save_field_text(report.solution, run_dir / "solution.field")
     (run_dir / "report.txt").write_text(_solve_report_text(config, spec, report), encoding="ascii")
     _write_history(report, run_dir / "history.csv")
@@ -200,11 +201,11 @@ def cmd_verify(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     from .verify import run_suite, suite_csv, suite_passed, suite_summary
 
     kernel = _kernel_for(config, config.verify_table_radius(), base)
-    spec, solve_config = problem
+    spec, start = problem
     reports = run_suite(
         spec,
         kernel,
-        solve_ground_state(spec, kernel, solve_config),
+        solve_ground_state(spec, kernel, start),
         seed=config.seed,
         trials=config.verify_trials,
         mp_trials=config.verify_mp_trials,
@@ -233,8 +234,8 @@ def cmd_sweep(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int
         point = config.sweep_point(value)
         try:
             kernel = _kernel_for(point, point.solve_table_radius(), base)
-            spec, solve_config = _configured_solve(point)
-            report = solve_ground_state(spec, kernel, solve_config)
+            spec, start = _configured_solve(point)
+            report = solve_ground_state(spec, kernel, start)
         except (ValueError, QuadratureError) as exc:
             all_converged = False
             observations.append(f"# observation: point {param}={value!r} failed: {exc}")
@@ -268,9 +269,9 @@ def cmd_sweep(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int
 
 
 def _check_command(command: str, config: RunConfig):
-    """A subcommand's config-only checks, run before its run directory is made.
+    """A command's config-only checks, run before its run directory is made.
 
-    Returns the problem a ``solve`` or ``verify`` runs, (spec, solve config)
+    Returns the problem a ``solve`` or ``verify`` runs, (spec, start field)
     with any initial_file read once, here; None for the other commands.
     """
     if command == "solve":
@@ -299,7 +300,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; returns its exit code.
+    """Run one command; returns its exit code.
 
     The first call freezes everything alive when it starts (the imported
     modules, numpy's internals) into the collector's permanent generation,

@@ -36,8 +36,13 @@ from .energy import (
     ProblemSpec,
 )
 from .kernel import block_radius
-from .lattice import DIRICHLET, PERIODIC, LatticeBox
-from .nehari import FILE_START, GAUSSIAN_BUMP, RANDOM_START, SolveConfig
+from .lattice import DIRICHLET, PERIODIC, Field, LatticeBox
+from .nehari import random_start_field
+
+# [solver] initial_guess: the solver's default bump, a seeded random field, a field file
+GAUSSIAN_BUMP = "gaussian_bump"
+RANDOM_START = "random"
+FILE_START = "file"
 
 
 class ConfigError(ValueError):
@@ -202,7 +207,10 @@ class RunConfig:
         self._anchored(self.problem_spec, "problem", "potential", "nonlinearity")
         if self.initial_guess == FILE_START and self.initial_file is None:
             raise secs["solver"].error("initial_file", "required when initial_guess = file")
-        self._anchored(lambda: SolveConfig(self.seed), "solver")  # the parser checked the guess
+        if self.seed < 0:
+            sec = secs["solver"]
+            raise ConfigError(sec.path, sec.line("seed"),
+                              f"[solver] seed must be nonnegative, got {self.seed}")
         if self.table_radius is not None and self.table_radius < 0:
             raise secs["kernel"].error("table_radius", "must be nonnegative")
         ver = secs["verify"]
@@ -257,9 +265,22 @@ class RunConfig:
         return ProblemSpec(self.box(), self.potential_spec(), self.nonlinearity(),
                            self.alpha, self.a, self.b)
 
-    def solve_config(self, initial_field=None) -> SolveConfig:
-        """The solve's start; a file start needs its field loaded and passed in."""
-        return SolveConfig(self.seed, self.initial_guess, initial_field)
+    def start_field(self, spec: ProblemSpec, initial_field: Field = None) -> Field:
+        """The solve's start on spec's box; None starts the solver from its default bump.
+
+        A random start is keyed by the seed and centered at the potential's
+        minimum site; a file start needs its field loaded and passed in.
+        """
+        if self.initial_guess == GAUSSIAN_BUMP:
+            return None
+        if self.initial_guess == RANDOM_START:
+            from .splitmix import stream  # only a random start loads the stream
+
+            return random_start_field(spec.box, stream(self.seed),
+                                      spec.potential.minimum_site(spec.box))
+        if initial_field is None:
+            raise ValueError("file initial guess needs initial_field set")
+        return initial_field
 
     def sweep_point(self, value: float) -> "RunConfig":
         """This run with the sweep parameter set to one of the sweep values."""

@@ -50,10 +50,6 @@ from .kernel import GreenKernel, convolve
 from .lattice import Field, _edge_sum, _laplacian_values, h_inner
 from .separable import separable_inverse
 
-GAUSSIAN_BUMP = "gaussian_bump"
-RANDOM_START = "random"
-FILE_START = "file"
-
 
 # Newton stops once a step is below a few ulps of the root; bisection alone
 # would need about 60 halvings of the initial bracket
@@ -340,23 +336,6 @@ def _h_representer(spec: ProblemSpec, g: np.ndarray, rtol: float = 1.0e-12,
     return sol.reshape(g.shape)
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    """The solve's start field."""
-
-    seed: int = 0
-    initial_guess: str = GAUSSIAN_BUMP
-    initial_field: Field = None
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.initial_guess not in (GAUSSIAN_BUMP, RANDOM_START, FILE_START):
-            raise ValueError(f"unknown initial guess kind {self.initial_guess!r}")
-        if self.initial_guess == FILE_START and self.initial_field is None:
-            raise ValueError("file initial guess needs initial_field set")
-
-
 @dataclass
 class SolveReport:
     """Everything the solver learned, including failure diagnostics."""
@@ -406,20 +385,6 @@ def random_start_field(box, rng, center=(0, 0, 0)) -> Field:
     return Field(box, v * np.exp(-d2 / (2.0 * width * width)))
 
 
-def _initial_field(spec: ProblemSpec, config: SolveConfig) -> Field:
-    center = spec.potential.minimum_site(spec.box)
-    if config.initial_guess == GAUSSIAN_BUMP:
-        return gaussian_bump_field(spec.box, center)
-    if config.initial_guess == RANDOM_START:
-        from .splitmix import stream  # only a random start loads the stream
-
-        return random_start_field(spec.box, stream(config.seed), center)
-    f = config.initial_field
-    if f.box != spec.box:
-        raise ValueError("initial field lives on a different box than the problem")
-    return f.copy()
-
-
 def _hessian(kernel: GreenKernel, point: Evaluation):
     """The second-derivative action x -> J''(u)[x] at the evaluated point u, on flat arrays.
 
@@ -457,8 +422,12 @@ def _hessian(kernel: GreenKernel, point: Evaluation):
 # RuntimeError, and a report is converged only at a finite residual and energy
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
-                       config: SolveConfig = None) -> SolveReport:
+                       start: Field = None) -> SolveReport:
     """Minimize the reduced functional on the unit sphere, then polish.
+
+    The descent starts from a copy of ``start``, a field on the problem's
+    box (a field on another box is a ValueError), or by default from the
+    Gaussian bump at the potential's minimum site.
 
     Phase one: Sobolev-gradient descent in the unit-sphere chart.  The
     iterate is a unit field w; the step direction is -d, where d solves
@@ -487,11 +456,14 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     and converged=False, reporting the last evaluated point (the start
     field as given if none was).
     """
-    if config is None:
-        config = SolveConfig()
     box = spec.box
-
-    w0 = _initial_field(spec, config)
+    if start is None:
+        w0 = gaussian_bump_field(box, spec.potential.minimum_site(box))
+    elif start.box != box:
+        raise ValueError(f"start field lives on a radius-{start.box.radius} {start.box.mode} "
+                         f"box, not on the problem's radius-{box.radius} {box.mode} box")
+    else:
+        w0 = start.copy()
     history = []
     message = "ok"
     failed = False
@@ -500,10 +472,10 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     try:
         w0 = sphere_inverse(w0, spec.a, spec.potential_table)
         w = w0.values  # the iterate on the unit sphere
-        start = evaluate(spec, kernel, w0)
-        s = nehari_scale(start, spec.b)
-        current = start.ray_energy(s)
-        point = start.at_scale(s)
+        first = evaluate(spec, kernel, w0)
+        s = nehari_scale(first, spec.b)
+        current = first.ray_energy(s)
+        point = first.at_scale(s)
         g, gnorm, scale = point.residual()
         prev_w = prev_gp = None
         step = None
@@ -547,7 +519,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         else:
             message = "descent iteration budget exhausted"
         # the descent's arrays are dead: dropped, they leave room for minres's
-        start = trial = w = prev_w = prev_gp = gp = direction = None
+        first = trial = w = prev_w = prev_gp = gp = direction = None
 
         # Newton polish on the Euler-Lagrange residual
         for _ in range(_NEWTON_MAX_ITERATIONS):

@@ -41,8 +41,6 @@ from .kernel import GreenKernel, _table_defect, convolve, fit_decay_exponent
 from .kernel import fractional_degree_refined
 from .lattice import DIRICHLET, Field, LatticeBox, _lp_norm_values, translate
 from .nehari import (
-    FILE_START,
-    SolveConfig,
     SolveReport,
     nehari_scale,
     random_start_field,
@@ -499,8 +497,7 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel, solve_report: 
         if radius == spec.box.radius:
             report = solve_report
         else:
-            start = SolveConfig(initial_guess=FILE_START, initial_field=_on_box(previous, box))
-            report = solve_ground_state(spec.with_box(box), kernel, start)
+            report = solve_ground_state(spec.with_box(box), kernel, _on_box(previous, box))
         previous = report.solution
         if not report.converged:
             passed = False

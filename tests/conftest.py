@@ -6,6 +6,7 @@ import pytest
 import kclattice as kc
 from kclattice import kernel as kernel_module
 from kclattice import lattice as lattice_module
+from kclattice.splitmix import stream
 
 # one line per acceptance criterion, echoed after the run so the gate is
 # visible even though pytest captures test stdout
@@ -37,6 +38,11 @@ def proven_floor(spec, kernel):
     p = spec.nonlinearity.exponent
     eta = (p * interaction_constant(spec, kernel)) ** (-1.0 / (2.0 * p - 2.0))
     return eta, 0.5 * (1.0 - 1.0 / p) * eta ** 2
+
+
+def random_start(spec, seed):
+    """The seeded random start a run with initial_guess = random solves from."""
+    return kc.random_start_field(spec.box, stream(seed), spec.potential.minimum_site(spec.box))
 
 
 @pytest.fixture(scope="session")

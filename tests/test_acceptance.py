@@ -17,7 +17,6 @@ from kclattice import (
     PotentialSpec,
     PowerNonlinearity,
     ProblemSpec,
-    SolveConfig,
 )
 from referees import direct_convolve, pairing, torus_green_values
 
@@ -37,11 +36,8 @@ def ground(reference_spec, kernel_m16):
     report = kc.solve_ground_state(reference_spec, kernel_m16)
     elapsed = time.perf_counter() - t0
     repeats = [
-        kc.solve_ground_state(
-            reference_spec,
-            kernel_m16,
-            SolveConfig(seed=seed, initial_guess=kc.RANDOM_START),
-        )
+        kc.solve_ground_state(reference_spec, kernel_m16,
+                              conftest.random_start(reference_spec, seed))
         for seed in (1, 2)
     ]
     return report, elapsed, repeats

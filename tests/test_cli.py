@@ -489,6 +489,8 @@ _BAD_INPUTS = {
                       "[verify] radii: box radius must be a nonnegative integer"),
     "table-radius": ("solve", None, "table_radius = 2",
                      "[kernel] table_radius: 2 cannot cover a dirichlet box of radius 3"),
+    "verify-trials": ("verify", "[verify]\ntrials = 0\n", "trials = 0",
+                      "[verify] trials: must be at least 1"),
 }
 
 
@@ -526,12 +528,16 @@ def test_non_finite_values_exit_one_at_their_line(tmp_path, capsys, section, ent
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["other-box", "unparsable"])
+@pytest.mark.parametrize("case", ["other-box", "unparsable", "zero"])
 def test_bad_initial_file_exits_one_naming_it(tmp_path, cache_dir, capsys, case):
     start = tmp_path / "start.field"
     if case == "other-box":
         kc.save_field_text(kc.Field.zeros(kc.LatticeBox(2)), start)
         message = f"{start} holds a field on a radius-2 dirichlet box"
+    elif case == "zero":
+        # the zero field has no ray to the Nehari set; the solver raises, not reports, on it
+        kc.save_field_text(kc.Field.zeros(kc.LatticeBox(3)), start)
+        message = f"{start} holds the zero field, which no solve can start from"
     else:
         start.write_text("# lattice-field v1 radius=3 mode=dirichlet\nabc\n")
         message = f"cannot read {start}: could not convert string 'abc'"
@@ -613,6 +619,16 @@ def test_green_rejects_a_negative_table_radius_at_its_line(tmp_path, capsys, mon
     assert "run.cfg:5: [kernel] table_radius: must be nonnegative" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_options_may_follow_the_command(tmp_path, cache_dir, capsys):
+    cfg = write_config(tmp_path, base_config(cache_dir))
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert main(["--config", cfg, "--output", str(before), "solve"]) == 0
+    assert main(["solve", "--config", cfg, "--output", str(after)]) == 0
+    capsys.readouterr()
+    field = "solution.field"
+    assert (latest_run(before) / field).read_bytes() == (latest_run(after) / field).read_bytes()
 
 
 def test_usage_errors_exit_one(capsys):

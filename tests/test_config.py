@@ -2,12 +2,15 @@
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kclattice as kc
 from kclattice import ConfigError, RunConfig
+from kclattice.splitmix import stream
 
 
 GOOD = """\
@@ -181,6 +184,17 @@ def test_periodic_potential_semantic_errors():
         )
 
 
+@pytest.mark.parametrize("text, line", [
+    ("# tau alone\n[potential]\nkind = periodic\ntau = 3\n", 2),  # the section header
+    ("[potential]\nkind = periodic\ntau = 3\ntable =\n", 4),  # the empty table line
+])
+def test_periodic_potential_without_a_table_anchors_at_the_table(text, line):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_text(text, path="bad.cfg")
+    assert str(err.value) == (f"bad.cfg:{line}: [potential] table must be set for a "
+                              "periodic potential")
+
+
 def test_sweep_validation():
     with pytest.raises(ConfigError) as err:
         RunConfig.from_text("[sweep]\nparameter = gamma\nvalues = 1 2\n")
@@ -202,7 +216,7 @@ def test_file_start_requires_path():
     cfg = RunConfig.from_text("[solver]\ninitial_guess = file\ninitial_file = u.field\n")
     assert cfg.initial_guess == kc.FILE_START
     with pytest.raises(ValueError):
-        cfg.solve_config()  # the field itself was never loaded
+        cfg.start_field(cfg.problem_spec())  # the field itself was never loaded
 
 
 def test_problem_spec_accessors():
@@ -217,10 +231,27 @@ def test_problem_spec_accessors():
     assert spec.nonlinearity.coefficient == 2.0
 
 
-def test_solve_config_accessor_and_seed_override():
+def test_start_field_accessor():
     cfg = RunConfig.from_text(GOOD)
-    sc = cfg.solve_config()
-    assert sc.seed == 7
+    spec = cfg.problem_spec()
+    assert cfg.seed == 7
+    assert cfg.start_field(spec) is None  # the solver's default bump
+    random = replace(cfg, initial_guess=kc.RANDOM_START)
+    expected = kc.random_start_field(spec.box, stream(7), spec.potential.minimum_site(spec.box))
+    assert np.array_equal(random.start_field(spec).values, expected.values)
+    loaded = kc.gaussian_bump_field(spec.box)
+    assert replace(cfg, initial_guess=kc.FILE_START).start_field(spec, loaded) is loaded
+
+
+def test_solver_keys_validation():
+    with pytest.raises(ConfigError, match="initial_guess"):
+        RunConfig.from_text("[solver]\ninitial_guess = nope\n")
+    cfg = RunConfig.from_text("[solver]\ninitial_guess = file\ninitial_file = u.field\n")
+    with pytest.raises(ValueError, match="initial_field"):
+        cfg.start_field(cfg.problem_spec())
+    with pytest.raises(ConfigError, match=r"^<config>:2: \[solver\] seed must be nonnegative, "
+                                          r"got -1$"):
+        RunConfig.from_text("[solver]\nseed = -1\n")
 
 
 def test_table_radius_defaults():

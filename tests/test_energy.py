@@ -104,6 +104,20 @@ def test_potential_validation():
         PotentialSpec(kc.PERIODIC_POTENTIAL, 1.0, tau=1, table=(0.5,))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PotentialSpec.coercive(1.0, 1.0, 2.0, center=(0, 0)),
+     "center of the potential must have three coordinates"),
+    # periodic() takes its floor from the table, so an empty one never reaches tau's check
+    (lambda: PotentialSpec(kc.PERIODIC_POTENTIAL, 1.0, tau=0),
+     "tau (the period) must be a positive integer, got 0"),
+    (lambda: PotentialSpec("spiky", 1.0), "kind 'spiky' is not a known potential kind"),
+])
+def test_potential_refusals_name_their_parameter(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -258,6 +272,13 @@ def test_energy_matches_brute_force(small_kernel, rng, mode):
 
 def test_energy_of_zero_field(small_spec, small_kernel):
     assert kc.energy(small_spec, small_kernel, Field.zeros(small_spec.box)) == 0.0
+
+
+def test_evaluate_refuses_a_field_whose_F_overflows(small_spec, small_kernel):
+    # F(u) = |u|^3 / 3 at p = 3 is near 3e359 for u = 1e120
+    huge = Field(small_spec.box, np.full((small_spec.box.side,) * 3, 1e120))
+    with pytest.raises(RuntimeError, match=r"^F\(u\) overflows the double range$"):
+        evaluate(small_spec, small_kernel, huge)
 
 
 def test_energy_along_ray_is_polynomial(small_spec, small_kernel, rng):

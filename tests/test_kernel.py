@@ -79,6 +79,13 @@ def test_fractional_degree_rejects_bad_alpha():
             kc.fractional_degree(alpha)
 
 
+def test_fractional_degree_and_build_kernel_refuse_bad_sizes():
+    with pytest.raises(ValueError, match="^resolution must be >= 16, got 8$"):
+        kc.fractional_degree(1.0, 8)
+    with pytest.raises(ValueError, match="^table_radius must be nonnegative$"):
+        kc.build_kernel(1.0, -1)
+
+
 def test_heat_kernel_frozen_values():
     zs = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
     vals = kc.green_values(1.0, zs)

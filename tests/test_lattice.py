@@ -298,3 +298,15 @@ def test_text_io_rejects_garbage(tmp_path):
     path.write_text("# wrong header\n1.0\n")
     with pytest.raises(ValueError):
         kc.load_field_text(path)
+
+
+def test_text_io_rejects_a_short_file(tmp_path):
+    path = tmp_path / "short.field"
+    path.write_text("# lattice-field v1 radius=1 mode=dirichlet\n" + "1.0\n" * 26)
+    with pytest.raises(ValueError, match="expected 27 values for radius 1, got 26$"):
+        kc.load_field_text(path)
+
+
+def test_gradient_inner_refuses_fields_on_two_boxes():
+    with pytest.raises(ValueError, match="^fields live on different boxes$"):
+        kc.gradient_inner(Field.zeros(LatticeBox(1)), Field.zeros(LatticeBox(2)))

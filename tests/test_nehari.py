@@ -15,7 +15,6 @@ from kclattice import (
     PotentialSpec,
     PowerNonlinearity,
     ProblemSpec,
-    SolveConfig,
 )
 from referees import pairing
 
@@ -39,7 +38,7 @@ def kernel10():
 
 @pytest.fixture(scope="module")
 def solved5(spec5, kernel10):
-    report = kc.solve_ground_state(spec5, kernel10, SolveConfig(seed=7))
+    report = kc.solve_ground_state(spec5, kernel10)
     assert report.converged
     return report
 
@@ -389,17 +388,14 @@ def test_solver_positive_ground_state(solved5):
 
 
 def test_solver_seed_independence(spec5, kernel10, solved5):
-    other = kc.solve_ground_state(
-        spec5, kernel10, SolveConfig(seed=3, initial_guess=kc.RANDOM_START)
-    )
+    other = kc.solve_ground_state(spec5, kernel10, conftest.random_start(spec5, 3))
     assert other.converged
     assert other.energy == pytest.approx(solved5.energy, rel=1e-9)
 
 
 def test_solver_deterministic_per_seed(spec5, kernel10):
-    cfg = SolveConfig(seed=11, initial_guess=kc.RANDOM_START)
-    a = kc.solve_ground_state(spec5, kernel10, cfg)
-    b = kc.solve_ground_state(spec5, kernel10, cfg)
+    a = kc.solve_ground_state(spec5, kernel10, conftest.random_start(spec5, 11))
+    b = kc.solve_ground_state(spec5, kernel10, conftest.random_start(spec5, 11))
     assert a.energy == b.energy
     assert np.array_equal(a.solution.values, b.solution.values)
 
@@ -437,8 +433,7 @@ def test_solver_small_kirchhoff_continuity(spec5, kernel10):
 
 
 def test_solver_initial_field_start(spec5, kernel10, solved5):
-    cfg = SolveConfig(initial_guess=kc.FILE_START, initial_field=solved5.solution)
-    rep = kc.solve_ground_state(spec5, kernel10, cfg)
+    rep = kc.solve_ground_state(spec5, kernel10, solved5.solution)
     assert rep.converged
     assert rep.iterations <= 3
     assert rep.energy == pytest.approx(solved5.energy, rel=1e-12)
@@ -453,7 +448,7 @@ def test_solver_periodic_canonicalizes_peak():
         b=0.5,
     )
     kern = kc.build_kernel(1.0, 4)
-    rep = kc.solve_ground_state(spec, kern, SolveConfig(seed=5, initial_guess=kc.RANDOM_START))
+    rep = kc.solve_ground_state(spec, kern, conftest.random_start(spec, 5))
     assert rep.converged
     peak = np.unravel_index(np.argmax(np.abs(rep.solution.values)), rep.solution.values.shape)
     assert peak == (4, 4, 4)
@@ -537,12 +532,12 @@ def failing_on_call(k):
 def test_solver_reports_ray_root_failure(spec5, kernel10, monkeypatch, which):
     scale, calls = failing_on_call(0)  # never fires: this solve only counts the calls
     monkeypatch.setattr(nehari_module, "nehari_scale", scale)
-    kc.solve_ground_state(spec5, kernel10, SolveConfig(seed=7))
+    kc.solve_ground_state(spec5, kernel10)
     # the last call is the root of the final Newton history row
     k = {"start": 1, "descent": 2, "newton": calls[0]}[which]
     scale, _ = failing_on_call(k)
     monkeypatch.setattr(nehari_module, "nehari_scale", scale)
-    rep = kc.solve_ground_state(spec5, kernel10, SolveConfig(seed=7))
+    rep = kc.solve_ground_state(spec5, kernel10)
     assert not rep.converged
     assert rep.message == f"injected ray-root failure on call {k}"
     assert rep.solution.box == spec5.box
@@ -644,7 +639,7 @@ def test_descent_cg_budget_exhaustion_is_reported(spec5, kernel10, monkeypatch):
         return x, maxiter if rtol == nehari_module._DESCENT_RTOL else info
 
     monkeypatch.setattr(nehari_module, "_cg", exhausted)
-    rep = kc.solve_ground_state(spec5, kernel10, SolveConfig(seed=7))
+    rep = kc.solve_ground_state(spec5, kernel10)
     assert not rep.converged
     assert rep.message.startswith("energy-norm representer solve did not converge")
     assert rep.iterations == 0 and np.isfinite(rep.energy)
@@ -691,7 +686,8 @@ def _level_spec(radius=6, b=1.0, alpha=1.0, p=3.0, mode=kc.DIRICHLET, potential=
 
 
 # ground-state levels of the Jacobi-scaled descent that preceded the
-# energy-norm direction; the minimizer must not move with the path to it
+# energy-norm direction; the minimizer must not move with the path to it.
+# case -> (spec, table radius, random-start seed or None for the bump, level)
 _RECORDED_LEVELS = {
     "r4": (lambda: _level_spec(4), 8, None, 3379.857413815028),
     "r10": (lambda: _level_spec(10), 20, None, 3211.5419795582393),
@@ -700,8 +696,7 @@ _RECORDED_LEVELS = {
     "alpha0.5": (lambda: _level_spec(alpha=0.5), 12, None, 3885.746661304678),
     "alpha2.5": (lambda: _level_spec(alpha=2.5), 12, None, 323.16155347081985),
     "p2.5": (lambda: _level_spec(p=2.5), 12, None, 243596.67304763163),
-    "random": (lambda: _level_spec(), 12, SolveConfig(seed=5, initial_guess=kc.RANDOM_START),
-               3229.9404106067605),
+    "random": (lambda: _level_spec(), 12, 5, 3229.9404106067605),
     "periodic-r7": (lambda: _level_spec(7, b=0.0, mode=kc.PERIODIC,
                                         potential=_periodic_tau3_potential()), 16, None,
                     8.14101427628749),
@@ -736,10 +731,11 @@ def test_solver_descends_on_a_problem_below_unit_scale(kernel_m8):
 
 @pytest.mark.parametrize("case", sorted(_RECORDED_LEVELS))
 def test_ground_levels_match_recorded_values(case):
-    make_spec, table_radius, config, level = _RECORDED_LEVELS[case]
+    make_spec, table_radius, seed, level = _RECORDED_LEVELS[case]
     spec = make_spec()
     kernel = kc.build_kernel(spec.alpha, table_radius)
-    rep = kc.solve_ground_state(spec, kernel, config)
+    start = None if seed is None else conftest.random_start(spec, seed)
+    rep = kc.solve_ground_state(spec, kernel, start)
     assert rep.converged, rep.message
     assert rep.energy == pytest.approx(level, rel=1e-12, abs=0.0)
     # the proven floors: ||u|| >= eta on the Nehari set and c >= sigma*
@@ -749,13 +745,20 @@ def test_ground_levels_match_recorded_values(case):
     assert rep.energy >= sigma
 
 
-def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(initial_guess="nope")
-    with pytest.raises(ValueError):
-        SolveConfig(initial_guess=kc.FILE_START)
-    with pytest.raises(ValueError, match="seed"):
-        SolveConfig(seed=-1)
+def test_solver_start_must_live_on_the_problem_box(spec5, kernel10):
+    start = kc.gaussian_bump_field(LatticeBox(4))
+    with pytest.raises(ValueError, match="radius-4 dirichlet box, not on the problem's "
+                                         "radius-5 dirichlet box"):
+        kc.solve_ground_state(spec5, kernel10, start)
+
+
+def test_solver_copies_its_start(spec5, kernel10):
+    # even a start the solver cannot scale is reported as a copy, never the caller's field
+    start = Field(spec5.box, np.full((spec5.box.side,) * 3, 1e200))
+    rep = kc.solve_ground_state(spec5, kernel10, start)
+    assert not rep.converged and "leaves the double range" in rep.message
+    assert np.array_equal(rep.solution.values, start.values)
+    assert rep.solution is not start and not np.shares_memory(rep.solution.values, start.values)
 
 
 def test_start_field_builders(spec5, rng):

@@ -11,7 +11,7 @@ PUBLIC = [
     "COERCIVE", "CONSTANT", "ConfigError", "DIRICHLET", "FILE_START", "FiberCoefficients",
     "Field", "GAUSSIAN_BUMP", "GreenKernel", "LatticeBox", "PERIODIC",
     "PERIODIC_POTENTIAL", "PotentialSpec", "PowerNonlinearity", "ProblemSpec",
-    "PropertyReport", "QuadratureError", "RANDOM_START", "RunConfig", "SolveConfig",
+    "PropertyReport", "QuadratureError", "RANDOM_START", "RunConfig",
     "SolveReport", "build_kernel", "cache_key", "check_box_convergence",
     "check_fiber_monotonicity", "check_hls", "check_kernel_integrity", "check_level_identity",
     "check_mountain_pass_geometry", "check_symmetry_and_translation", "convolve", "energy",
@@ -22,7 +22,8 @@ PUBLIC = [
     "suite_summary", "translate",
 ]
 
-SOLVE_CONFIG_FIELDS = ("seed", "initial_guess", "initial_field")
+# the solver takes a start field; choosing one is the job of the [solver] keys
+SOLVE_PARAMETERS = ("spec", "kernel", "start")
 
 INI_KEYS = {
     "problem": ("a", "b", "alpha", "radius", "mode"),
@@ -70,7 +71,7 @@ def declared_keys():
 
 
 def test_all_is_the_pinned_public_surface():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 53
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 52
     assert len(set(kc.__all__)) == len(kc.__all__)
     assert sorted(kc.__all__) == PUBLIC
 
@@ -85,8 +86,8 @@ def test_every_exported_name_resolves():
     assert set(kc.__all__) <= set(dir(kc))
 
 
-def test_solve_config_has_the_pinned_knobs():
-    assert tuple(f.name for f in dataclasses.fields(kc.SolveConfig)) == SOLVE_CONFIG_FIELDS
+def test_solver_has_the_pinned_parameters():
+    assert tuple(inspect.signature(kc.solve_ground_state).parameters) == SOLVE_PARAMETERS
     # the superlinearity index is 2p, not a field
     assert tuple(f.name for f in dataclasses.fields(kc.PowerNonlinearity)) == (
         "coefficient", "exponent")
@@ -115,9 +116,8 @@ def test_config_has_the_pinned_sections_and_keys():
 
 def test_every_solver_knob_is_a_solver_key():
     solver = config_module._SECTIONS["solver"]
-    for name in SOLVE_CONFIG_FIELDS:
-        if name != "initial_field":
-            assert solver.get(name) == name, name
+    for name in ("seed", "initial_guess"):
+        assert solver.get(name) == name, name
 
 
 def test_readme_lists_every_key_with_its_default():

@@ -17,7 +17,6 @@ from kclattice import (
     PotentialSpec,
     PowerNonlinearity,
     ProblemSpec,
-    SolveConfig,
 )
 
 
@@ -35,7 +34,7 @@ def spec4():
 
 @pytest.fixture(scope="module")
 def solved4(spec4, kernel_m16):
-    rep = kc.solve_ground_state(spec4, kernel_m16, SolveConfig(seed=2))
+    rep = kc.solve_ground_state(spec4, kernel_m16)
     assert rep.converged
     return rep
 
@@ -314,6 +313,11 @@ def test_box_convergence_honest_failure(spec4, kernel_m16, solved4):
     assert rep.witness
 
 
+def test_box_convergence_refuses_a_single_radius(spec4, kernel_m16, solved4):
+    with pytest.raises(ValueError, match="^box convergence needs at least two increasing radii$"):
+        kc.check_box_convergence(spec4, kernel_m16, solved4, radii=(4,))
+
+
 def test_box_convergence_fails_a_rising_dirichlet_level(spec4, kernel_m16, solved4):
     # zero-extension nests the Dirichlet Nehari sets, so c_n cannot rise with n;
     # a solve stuck above the smaller box's level fails even within the 1e-3 gap
@@ -340,8 +344,8 @@ def test_box_convergence_lets_a_periodic_level_rise(kernel_m16):
 
 def _cold_start_levels(spec, kernel, radii):
     """One independent solve per radius, each from the default start."""
-    return [kc.solve_ground_state(spec.with_box(LatticeBox(r, spec.box.mode)), kernel,
-                                  SolveConfig(seed=42)).energy for r in radii]
+    return [kc.solve_ground_state(spec.with_box(LatticeBox(r, spec.box.mode)), kernel).energy
+            for r in radii]
 
 
 def _periodic_spec():
@@ -361,7 +365,7 @@ def test_box_convergence_continuation_keeps_the_cold_start_levels(reference_spec
     spec, radii = (reference_spec, (4, 6, 8, 10)) if case.startswith("reference") else (
         _periodic_spec(), (2, 3, 4, 5))
     # a shared solve of the spec's box starts the smaller radii from its restriction
-    shared = kc.solve_ground_state(spec, kernel_m20, SolveConfig(seed=42))
+    shared = kc.solve_ground_state(spec, kernel_m20)
     rep = kc.check_box_convergence(spec, kernel_m20, radii=radii, solve_report=shared)
     cold = _cold_start_levels(spec, kernel_m20, radii)
     for r, level in zip(radii, cold):
@@ -370,8 +374,8 @@ def test_box_convergence_continuation_keeps_the_cold_start_levels(reference_spec
 
 def test_box_convergence_witness_names_the_first_unconverged_radius(spec4, kernel_m16,
                                                                      solved4, monkeypatch):
-    def stalled(spec, kernel, config):
-        report = kc.solve_ground_state(spec, kernel, config)
+    def stalled(spec, kernel, start):
+        report = kc.solve_ground_state(spec, kernel, start)
         if spec.box.radius == 2:
             return report
         return dataclasses.replace(report, converged=False,
@@ -387,9 +391,9 @@ def test_box_convergence_starts_from_the_shared_solve_then_continues(spec4, kern
                                                                       solved4, monkeypatch):
     starts, solutions = {}, {4: solved4.solution.values}
 
-    def recorded(spec, kernel, config):
-        report = kc.solve_ground_state(spec, kernel, config)
-        starts[spec.box.radius] = config.initial_field.values
+    def recorded(spec, kernel, start):
+        report = kc.solve_ground_state(spec, kernel, start)
+        starts[spec.box.radius] = start.values
         solutions[spec.box.radius] = report.solution.values
         return report
 
@@ -417,7 +421,7 @@ def test_symmetry_check_periodic_translation():
     # the period is an exact symmetry of the discrete problem
     spec = _periodic_spec()
     kern = kc.build_kernel(1.0, 4)
-    rep_solve = kc.solve_ground_state(spec, kern, SolveConfig(seed=1))
+    rep_solve = kc.solve_ground_state(spec, kern)
     assert rep_solve.converged
     rep = kc.check_symmetry_and_translation(spec, kern, rep_solve)
     assert rep.passed
@@ -503,15 +507,15 @@ def test_run_suite_all_pass(spec4, kernel_m20, solved4):
 def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_m20,
                                                          monkeypatch):
     reports = []
-    configs = []
+    starts = []
 
-    def counted(spec, kernel, config):
-        configs.append(config)
-        reports.append(kc.solve_ground_state(spec, kernel, config))
+    def counted(spec, kernel, start):
+        starts.append(start)
+        reports.append(kc.solve_ground_state(spec, kernel, start))
         return reports[-1]
 
     monkeypatch.setattr(verify_module, "solve_ground_state", counted)
-    shared = counted(reference_spec, kernel_m20, SolveConfig())
+    shared = counted(reference_spec, kernel_m20, None)
     suite = kc.run_suite(reference_spec, kernel_m20, shared, trials=4, mp_trials=4,
                          fiber_fields=1, level_samples=2, radii=(4, 6, 8, 10))
     # the shared radius-8 solve comes first; box convergence adds 4, 6 and 10
@@ -520,20 +524,19 @@ def test_run_suite_shares_the_solve_with_box_convergence(reference_spec, kernel_
     assert box.details["level_radius_8"] == reports[0].energy
     assert [r.solution.box.radius for r in reports] == [8, 4, 6, 10]
     # radius 10 starts from the shared radius-8 solution, zero-embedded
-    start = configs[3].initial_field
-    assert configs[3].initial_guess == kc.FILE_START
+    start = starts[3]
+    assert isinstance(start, Field)
     assert start.box == kc.LatticeBox(10)
     inner = reports[0].solution.values
     assert np.array_equal(start.values[2:-2, 2:-2, 2:-2], inner)
     assert np.count_nonzero(start.values) == np.count_nonzero(inner)
-    assert configs[2].initial_field.box == kc.LatticeBox(6)
+    assert starts[2].box == kc.LatticeBox(6)
     # radius 4 starts from the shared solution restricted to its box, radius 6 from
     # radius 4's solution, zero-embedded
-    assert configs[1].initial_guess == kc.FILE_START
-    assert configs[1].initial_field.box == kc.LatticeBox(4)
-    assert np.array_equal(configs[1].initial_field.values, inner[4:-4, 4:-4, 4:-4])
-    assert np.array_equal(configs[2].initial_field.values[2:-2, 2:-2, 2:-2],
-                          reports[1].solution.values)
+    assert isinstance(starts[1], Field)
+    assert starts[1].box == kc.LatticeBox(4)
+    assert np.array_equal(starts[1].values, inner[4:-4, 4:-4, 4:-4])
+    assert np.array_equal(starts[2].values[2:-2, 2:-2, 2:-2], reports[1].solution.values)
 
 
 def test_run_suite_convolution_budget(spec4, kernel_m16, convolution_count):
