@@ -24,7 +24,8 @@ whose pointwise representer is the gradient field
 ``evaluate`` is the one evaluation core: a single convolution R * F(u)
 gives ||u||^2, A, B and D, J(su) in closed form along the ray, and the
 gradient at su (R * F(su) = s^p R * F(u)) with its norm and scale;
-``energy`` is a view of it.
+``energy`` is a view of it, and ``_hessian`` builds the second
+derivative's action at an evaluated point.
 
 Admissibility of the power: p > 2 makes the interaction superquadratic
 along rays (the mechanism behind uniqueness of the projection scale), and
@@ -70,12 +71,18 @@ class PotentialSpec:
 
     def __post_init__(self):
         # each message names its parameter first, so a config error can anchor at its key
-        if not all(math.isfinite(t) for t in self.table):  # before v0, its floor in periodic()
+        # the table, tau and its length come before v0, which periodic() takes from the table
+        if not all(math.isfinite(t) for t in self.table):
             raise ValueError("table values of a periodic potential must be finite")
+        if self.kind == PERIODIC_POTENTIAL:
+            if self.tau < 1:
+                raise ValueError(f"tau (the period) must be a positive integer, got {self.tau}")
+            if len(self.table) != self.tau ** 3:
+                raise ValueError(
+                    f"table needs tau^3 = {self.tau ** 3} values, got {len(self.table)}"
+                )
         if not math.isfinite(self.v0) or self.v0 <= 0.0:
             raise ValueError(f"v0 (the potential floor) must be positive and finite, got {self.v0}")
-        if self.kind == CONSTANT:
-            return
         if self.kind == COERCIVE:
             for name in ("rate", "power"):
                 value = getattr(self, name)
@@ -84,18 +91,11 @@ class PotentialSpec:
                                      f"finite, got {value}")
             if len(self.center) != 3:
                 raise ValueError("center of the potential must have three coordinates")
-            return
-        if self.kind == PERIODIC_POTENTIAL:
-            if self.tau < 1:
-                raise ValueError(f"tau (the period) must be a positive integer, got {self.tau}")
-            if len(self.table) != self.tau ** 3:
-                raise ValueError(
-                    f"table needs tau^3 = {self.tau ** 3} values, got {len(self.table)}"
-                )
+        elif self.kind == PERIODIC_POTENTIAL:
             if min(self.table) < self.v0:
                 raise ValueError("table values must not drop below the floor v0")
-            return
-        raise ValueError(f"kind {self.kind!r} is not a known potential kind")
+        elif self.kind != CONSTANT:
+            raise ValueError(f"kind {self.kind!r} is not a known potential kind")
 
     @classmethod
     def constant(cls, v0: float) -> "PotentialSpec":
@@ -109,7 +109,7 @@ class PotentialSpec:
     def periodic(cls, tau: int, table) -> "PotentialSpec":
         """The tau-periodic tiling of ``table``; its floor v0 is the smallest entry."""
         table = tuple(float(t) for t in np.asarray(table, dtype=float).reshape(-1))
-        return cls(PERIODIC_POTENTIAL, min(table), tau=int(tau), table=table)
+        return cls(PERIODIC_POTENTIAL, min(table, default=math.nan), tau=int(tau), table=table)
 
     def value(self, x) -> float:
         """Evaluate V at a single site."""
@@ -319,6 +319,39 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
     grad2 = _edge_sum(u.values, u.values, u.box.mode)  # and ||u||^2 = a A + sum V u u
     norm_h2 = spec.a * grad2 + float(np.sum(spec.potential_table * u.values * u.values))
     return Evaluation(norm_h2, grad2, drive, interaction, nl.exponent, spec, u, conv)
+
+
+def _hessian(kernel: GreenKernel, point: Evaluation):
+    """The second-derivative action x -> J''(u)[x] at the evaluated point u, on flat arrays.
+
+    Differentiating g(u) = -(a + bA)lap u + V u - (R*F(u)) f(u) gives a
+    Kirchhoff rank-one term 2b Gamma(u,v) lap u alongside the local and
+    convolution linearizations; the operator is symmetric but in general
+    indefinite away from the constraint set, hence minres downstream, whose
+    preconditioner inverts the principal part -(a + bA) lap + V.  f(u),
+    lap u and (R*F(u)) f'(u) depend on u alone, so they are computed once
+    per Newton step, here; each action then makes one convolution.
+    """
+    spec, box, u = point.spec, point.u.box, point.u.values
+    fu = spec.nonlinearity.f(u)
+    lap_u = _laplacian_values(u, box.mode)
+    conv_fp = point.conv * spec.nonlinearity.f_prime(u)
+    weight = -(spec.a + spec.b * point.grad2)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        v = x.reshape(u.shape)
+        cross = _edge_sum(u, v, box.mode)
+        conv_fv = convolve(kernel, Field(box, fu * v)).values
+        # term by term in place, in the order and rounding of one sum expression
+        out = _laplacian_values(v, box.mode)
+        out *= weight
+        out -= 2.0 * spec.b * cross * lap_u
+        out += spec.potential_table * v
+        out -= conv_fv * fu
+        out -= conv_fp * v
+        return out.ravel()
+
+    return apply
 
 
 def energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:

@@ -27,9 +27,8 @@ frozen at the current point, by a few conjugate-gradient steps.  Below a
 residual of _SWITCH_RESIDUAL times min(1, scale), Newton steps polish the
 Euler-Lagrange residual to roundoff, where energy differences no longer
 resolve but the residual still does; their minres solves are
-preconditioned by that same operator, inverted exactly where it separates
-by axis (``separable``) and by conjugate gradients elsewhere.  The solve
-converges when ||g|| <= _TOLERANCE times the scale of
+preconditioned by that same operator.  ``krylov`` owns every solve with
+it.  The solve converges when ||g|| <= _TOLERANCE times the scale of
 ``Evaluation.residual``, so the stop follows a, b, V and the coefficient.
 Such numerics (_TOLERANCE, _ARMIJO, ...) are module constants.
 
@@ -45,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Evaluation, FiberCoefficients, ProblemSpec, evaluate, nehari_radius
-from .kernel import GreenKernel, convolve
-from .lattice import Field, _edge_sum, _laplacian_values, h_inner
-from .separable import separable_inverse
+from .energy import FiberCoefficients, ProblemSpec, _hessian, evaluate, nehari_radius
+from .kernel import GreenKernel
+from .krylov import _h_representer, _minres, preconditioner
+from .lattice import Field, _laplacian_values, h_inner
 
 
 # Newton stops once a step is below a few ulps of the root; bisection alone
@@ -61,9 +60,6 @@ _DESCENT_RTOL = 0.1
 # relative residual and iteration budget of each Newton step's minres solve
 _NEWTON_RTOL = 1.0e-4
 _NEWTON_MAXITER = 400
-# relative residual of the inner CG solve that applies minres's preconditioner
-# where it does not separate by axis (see ``separable.separable_inverse``)
-_PRECONDITIONER_RTOL = 1.0e-6
 # bound on the ray root's residual |q(s)|, relative to the largest term of q
 _ROOT_TOLERANCE = 1.0e-12
 # Armijo constant, backtrack factor and backtrack budget of the descent
@@ -186,156 +182,6 @@ def sphere_inverse(u: Field, a: float, potential_table: np.ndarray) -> Field:
     return Field(u.box, u.values / math.sqrt(norm2))
 
 
-def _cg(matvec, b: np.ndarray, diag: np.ndarray, rtol: float, maxiter: int):
-    """Jacobi-preconditioned conjugate gradients from x = 0 on flat arrays.
-
-    A port of scipy.sparse.linalg.cg with atol = 0 and M = diag^-1: the same
-    iteration and stopping test ||r|| < rtol ||b||, and info = maxiter when
-    the budget runs out.
-    """
-    bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0:
-        return b, 0
-    atol = rtol * bnrm2
-    x = np.zeros_like(b)
-    r = b.copy()
-    rho_prev = p = None
-    for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, 0
-        z = r / diag
-        rho_cur = np.dot(r, z)
-        if iteration > 0:
-            p *= rho_cur / rho_prev
-            p += z
-        else:
-            p = z.copy()
-        q = matvec(p)
-        alpha = rho_cur / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
-        rho_prev = rho_cur
-    return x, maxiter
-
-
-def _minres(matvec, b: np.ndarray, psolve, rtol: float, maxiter: int):
-    """Preconditioned MINRES from x = 0 on flat arrays, for symmetric indefinite operators.
-
-    A port of scipy.sparse.linalg.minres with M = psolve and no shift: the
-    same Lanczos recurrences in the M^-1 inner product, the same stopping
-    tests (istop), and info = maxiter when the budget runs out.  psolve
-    must be symmetric positive definite; r.M^-1 r < 0 raises RuntimeError
-    (scipy raises ValueError).  matvec must return a new array, which is
-    updated in place: fewer vectors alive at once lower a solve's peak memory.
-    """
-    eps = np.finfo(float).eps
-    r1 = b  # never written in place, like every vector here but x and y
-    y = psolve(r1)
-    beta1 = np.dot(r1, y)
-    if beta1 < 0:
-        raise RuntimeError(f"minres preconditioner is indefinite (r.M^-1 r = {beta1:.3e})")
-    if beta1 == 0:
-        return np.zeros_like(b), 0
-    beta1 = math.sqrt(beta1)
-    x = np.zeros_like(b)
-    istop = itn = 0
-    oldb = dbar = epsln = 0.0
-    beta = phibar = rhs1 = beta1
-    rhs2 = tnorm2 = gmax = 0.0
-    gmin = np.finfo(float).max
-    cs, sn = -1.0, 0.0
-    w = np.zeros_like(b)
-    w2 = np.zeros_like(b)  # the w before w; the one before that is dropped once used
-    r2 = r1
-    while itn < maxiter:
-        itn += 1
-        v = (1.0 / beta) * y
-        y = matvec(v)
-        if itn >= 2:
-            y -= (beta / oldb) * r1
-        alfa = np.dot(v, y)
-        y -= (alfa / beta) * r2
-        r1 = r2
-        r2 = y
-        y = psolve(r2)
-        oldb = beta
-        beta = np.dot(r2, y)
-        if beta < 0:
-            raise RuntimeError(f"minres preconditioner is indefinite (r.M^-1 r = {beta:.3e})")
-        beta = math.sqrt(beta)
-        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
-        if itn == 1 and beta / beta1 <= 10 * eps:
-            istop = -1  # b is an eigenvector; terminate below
-        # apply the previous rotation, then compute the next one
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        root = math.sqrt(gbar ** 2 + dbar ** 2)
-        gamma = max(math.sqrt(gbar ** 2 + beta ** 2), eps)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-        denom = 1.0 / gamma
-        w2, w = w, (v - oldeps * w2 - delta * w) * denom
-        x += phi * w
-        gmax = max(gmax, gamma)
-        gmin = min(gmin, gamma)
-        z = rhs1 / gamma
-        rhs1 = rhs2 - delta * z
-        rhs2 = -epsln * z
-        # norm estimates and the stopping tests
-        anorm = math.sqrt(tnorm2)
-        ynorm = np.linalg.norm(x)
-        epsx = anorm * ynorm * eps
-        rnorm = phibar
-        test1 = math.inf if ynorm == 0 or anorm == 0 else rnorm / (anorm * ynorm)
-        test2 = math.inf if anorm == 0 else root / anorm
-        acond = gmax / gmin
-        if istop == 0:
-            if 1 + test2 <= 1:
-                istop = 2
-            if 1 + test1 <= 1:
-                istop = 1
-            if itn >= maxiter:
-                istop = 6
-            if acond >= 0.1 / eps:
-                istop = 4
-            if epsx >= beta1:
-                istop = 3
-            if test2 <= rtol:
-                istop = 2
-            if test1 <= rtol:
-                istop = 1
-        if istop != 0:
-            break
-    return x, maxiter if istop == 6 else 0
-
-
-def _h_representer(spec: ProblemSpec, g: np.ndarray, rtol: float = 1.0e-12,
-                   weight: float = None) -> np.ndarray:
-    """Solve (-c lap + V) r = g, so that c (grad r, grad z) + sum V r z = sum g z.
-
-    The weight c defaults to a, which makes r the representer of g in the
-    energy inner product (r, z)_H; the descent and the Newton preconditioner
-    pass c = a + bA.  g is box-shaped or flat, and r takes its shape.
-    """
-    box = spec.box
-    table_shape = spec.potential_table.shape
-    table = spec.potential_table.ravel()
-    c = spec.a if weight is None else weight
-
-    def matvec(x):
-        return -c * _laplacian_values(x.reshape(table_shape), box.mode).ravel() + table * x
-
-    sol, info = _cg(matvec, g.ravel(), 6.0 * c + table, rtol, 40 * box.side)
-    if info != 0:
-        raise RuntimeError(f"energy-norm representer solve did not converge (cg info={info})")
-    return sol.reshape(g.shape)
-
-
 @dataclass
 class SolveReport:
     """Everything the solver learned, including failure diagnostics."""
@@ -385,39 +231,6 @@ def random_start_field(box, rng, center=(0, 0, 0)) -> Field:
     return Field(box, v * np.exp(-d2 / (2.0 * width * width)))
 
 
-def _hessian(kernel: GreenKernel, point: Evaluation):
-    """The second-derivative action x -> J''(u)[x] at the evaluated point u, on flat arrays.
-
-    Differentiating g(u) = -(a + bA)lap u + V u - (R*F(u)) f(u) gives a
-    Kirchhoff rank-one term 2b Gamma(u,v) lap u alongside the local and
-    convolution linearizations; the operator is symmetric but in general
-    indefinite away from the constraint set, hence minres downstream, whose
-    preconditioner inverts the principal part -(a + bA) lap + V.  f(u),
-    lap u and (R*F(u)) f'(u) depend on u alone, so they are computed once
-    per Newton step, here; each action then makes one convolution.
-    """
-    spec, box, u = point.spec, point.u.box, point.u.values
-    fu = spec.nonlinearity.f(u)
-    lap_u = _laplacian_values(u, box.mode)
-    conv_fp = point.conv * spec.nonlinearity.f_prime(u)
-    weight = -(spec.a + spec.b * point.grad2)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        v = x.reshape(u.shape)
-        cross = _edge_sum(u, v, box.mode)
-        conv_fv = convolve(kernel, Field(box, fu * v)).values
-        # term by term in place, in the order and rounding of one sum expression
-        out = _laplacian_values(v, box.mode)
-        out *= weight
-        out -= 2.0 * spec.b * cross * lap_u
-        out += spec.potential_table * v
-        out -= conv_fv * fu
-        out -= conv_fp * v
-        return out.ravel()
-
-    return apply
-
-
 # numpy's overflow warnings are off in the solver: an overflowed step is a
 # RuntimeError, and a report is converged only at a finite residual and energy
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -440,18 +253,15 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     Phase two: below a residual of _SWITCH_RESIDUAL * min(1, scale) the
     energy is flat to roundoff, so Newton steps polish the Euler-Lagrange
     residual itself, by minres on the exact second-derivative action
-    preconditioned with P^-1, P = -(a + bA) lap + V, and a merit rule of
-    residual decrease.  P^-1 is built once per step: exact, by
-    ``separable.separable_inverse``, on a Dirichlet box with an additive
-    potential table, and else CG to _PRECONDITIONER_RTOL at every
-    application.  Both phases stop at
-    ||g|| <= _TOLERANCE * scale.
+    preconditioned with P^-1, P = -(a + bA) lap + V, built once per step by
+    ``krylov.preconditioner``, and a merit rule of residual decrease.  Both
+    phases stop at ||g|| <= _TOLERANCE * scale.
 
     Failures are reported in the returned SolveReport (converged flag and
     message), not raised: a stalled line search or exhausted iteration
     budget still produces a usable field and diagnostics.  A RuntimeError
     from the start field's normalization, the ray root, the D = pB check,
-    an exhausted CG budget, an overflowing separable preconditioner or an
+    an exhausted CG budget, an overflowing exact preconditioner or an
     indefinite minres preconditioner ends the iteration with its message
     and converged=False, reporting the last evaluated point (the start
     field as given if none was).
@@ -487,8 +297,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             if gnorm <= max(_TOLERANCE * scale, _SWITCH_RESIDUAL * min(1.0, scale)):
                 break
 
-            weight = spec.a + spec.b * point.grad2
-            gp = _h_representer(spec, g, _DESCENT_RTOL, weight=weight)
+            gp = _h_representer(spec, g, _DESCENT_RTOL, spec.a + spec.b * point.grad2)
             direction = -gp
             if prev_w is not None:
                 dw = w - prev_w
@@ -525,9 +334,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         for _ in range(_NEWTON_MAX_ITERATIONS):
             if gnorm <= _TOLERANCE * scale:
                 break
-            weight = spec.a + spec.b * point.grad2
-            psolve = (separable_inverse(spec, weight)
-                      or (lambda r: _h_representer(spec, r, _PRECONDITIONER_RTOL, weight)))
+            psolve = preconditioner(spec, spec.a + spec.b * point.grad2)
             delta, _ = _minres(_hessian(kernel, point), -g.ravel(), psolve,
                                _NEWTON_RTOL, _NEWTON_MAXITER)
             delta = delta.reshape(g.shape)
@@ -553,7 +360,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     if point is None:  # the start itself could not be evaluated or scaled
         return SolveReport(w0, *[math.nan] * 5, eta, 0, 0, False, message, *np.empty((3, 0)))
     try:
-        rep = _h_representer(spec, g)
+        rep = _h_representer(spec, g, 1.0e-12, spec.a)
         h_residual = float(math.sqrt(max(np.sum(rep * g), 0.0)))
     except RuntimeError as exc:
         h_residual, message = math.nan, f"{message}; {exc}"

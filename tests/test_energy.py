@@ -89,17 +89,17 @@ def test_minimum_site_prefers_center():
 
 
 def test_potential_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^v0 \(the potential floor\) must be positive"):
         PotentialSpec.constant(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rate of a coercive potential must be positive"):
         PotentialSpec.coercive(1.0, -1.0, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^power of a coercive potential must be positive"):
         PotentialSpec.coercive(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^table needs tau\^3 = 8 values, got 7$"):
         PotentialSpec.periodic(2, [1.0] * 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau \(the period\) must be a positive integer, got 0$"):
         PotentialSpec.periodic(0, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^table values must not drop below the floor v0$"):
         # stated floor above an actual table entry
         PotentialSpec(kc.PERIODIC_POTENTIAL, 1.0, tau=1, table=(0.5,))
 
@@ -107,9 +107,10 @@ def test_potential_validation():
 @pytest.mark.parametrize("make, message", [
     (lambda: PotentialSpec.coercive(1.0, 1.0, 2.0, center=(0, 0)),
      "center of the potential must have three coordinates"),
-    # periodic() takes its floor from the table, so an empty one never reaches tau's check
     (lambda: PotentialSpec(kc.PERIODIC_POTENTIAL, 1.0, tau=0),
      "tau (the period) must be a positive integer, got 0"),
+    # periodic() takes its floor from the table, which is read only after tau and its length
+    (lambda: PotentialSpec.periodic(2, []), "table needs tau^3 = 8 values, got 0"),
     (lambda: PotentialSpec("spiky", 1.0), "kind 'spiky' is not a known potential kind"),
 ])
 def test_potential_refusals_name_their_parameter(make, message):

@@ -8,6 +8,7 @@ import pytest
 
 import conftest
 import kclattice as kc
+import kclattice.krylov as krylov_module
 import kclattice.nehari as nehari_module
 from kclattice import (
     Field,
@@ -16,6 +17,7 @@ from kclattice import (
     PowerNonlinearity,
     ProblemSpec,
 )
+from kclattice.energy import _hessian
 from referees import pairing
 
 
@@ -239,22 +241,25 @@ def _krylov_problem():
 def test_cg_and_minres_match_scipy(maxiter):
     from scipy.sparse.linalg import LinearOperator, cg, minres
 
-    _, spd, indefinite, b = _krylov_problem()
+    basis, spd, indefinite, b = _krylov_problem()
     diag = np.diag(spd).copy()
-    precond = LinearOperator(spd.shape, matvec=lambda x: x / diag, dtype=float)
-    want, want_info = cg(spd, b, rtol=1e-10, atol=0.0, maxiter=maxiter, M=precond)
-    got, info = nehari_module._cg(lambda x: spd @ x, b, diag, 1e-10, maxiter)
-    assert info == want_info == (maxiter if maxiter == 5 else 0)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # Jacobi, as the representer solves use, and a non-diagonal SPD M
+    m_inv = basis @ np.diag(np.logspace(0, -2, 60)) @ basis.T + 1e-3 * np.eye(60)
+    for psolve in (lambda x: x / diag, lambda x: m_inv @ x):
+        precond = LinearOperator(spd.shape, matvec=psolve, dtype=float)
+        want, want_info = cg(spd, b, rtol=1e-10, atol=0.0, maxiter=maxiter, M=precond)
+        got, info = krylov_module._cg(lambda x: spd @ x, b, psolve, 1e-10, maxiter)
+        assert info == want_info == (maxiter if maxiter == 5 else 0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     want, want_info = minres(indefinite, b, rtol=1e-10, maxiter=maxiter)
-    got, info = nehari_module._minres(lambda x: indefinite @ x, b, lambda r: r, 1e-10, maxiter)
+    got, info = krylov_module._minres(lambda x: indefinite @ x, b, lambda r: r, 1e-10, maxiter)
     assert info == want_info == (maxiter if maxiter == 5 else 0)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the preconditioned branch, with M = spd^-1
     spd_inv = np.linalg.inv(spd)
     precond = LinearOperator(spd.shape, matvec=lambda x: spd_inv @ x, dtype=float)
     want, want_info = minres(indefinite, b, rtol=1e-10, maxiter=maxiter, M=precond)
-    got, info = nehari_module._minres(lambda x: indefinite @ x, b, lambda r: spd_inv @ r,
+    got, info = krylov_module._minres(lambda x: indefinite @ x, b, lambda r: spd_inv @ r,
                                       1e-10, maxiter)
     assert info == want_info == (maxiter if maxiter == 5 else 0)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -274,7 +279,7 @@ def test_minres_rejects_an_indefinite_preconditioner(flipped):
     with pytest.raises(ValueError):  # scipy's choice; the solver needs RuntimeError
         minres(indefinite, b, rtol=1e-10, maxiter=500, M=precond)
     with pytest.raises(RuntimeError, match="preconditioner is indefinite"):
-        nehari_module._minres(lambda x: indefinite @ x, b, lambda r: m_inv @ r, 1e-10, 500)
+        krylov_module._minres(lambda x: indefinite @ x, b, lambda r: m_inv @ r, 1e-10, 500)
 
 
 def test_unit_scale_fixed_point(spec5, kernel10, rng):
@@ -571,7 +576,7 @@ def test_reference_solve_validates_fields_only_at_the_core_boundary(
     # building the Newton operator wraps nothing; an action wraps only around convolve
     point = kc.evaluate(reference_spec, kernel_m16, rep.solution)
     field_count[0] = convolution_count[0] = 0
-    hessian = nehari_module._hessian(kernel_m16, point)
+    hessian = _hessian(kernel_m16, point)
     assert field_count[0] == 0
     hessian(np.ones(reference_spec.box.site_count))
     assert (convolution_count[0], field_count[0]) == (1, 2)
@@ -605,11 +610,11 @@ def _weighted_pairing(spec, c, r, z):
 
 @pytest.mark.parametrize("weight", [None, 0.4, 7.5])
 def test_weighted_representer_solves_the_weighted_problem(spec5, rng, weight):
-    # no weight keeps the energy-norm representer: c = a
+    # None stands for c = a, the energy-norm representer
     for spec in _descent_boxes(spec5):
         g = random_field(spec.box, rng)
-        r = Field(spec.box, nehari_module._h_representer(spec, g.values, 1e-12, weight=weight))
         c = spec.a if weight is None else weight
+        r = Field(spec.box, krylov_module._h_representer(spec, g.values, 1e-12, c))
         for _ in range(4):
             z = random_field(spec.box, rng)
             want = float(np.sum(g.values * z.values))
@@ -627,18 +632,18 @@ def test_rough_descent_direction_is_a_descent_direction(spec5, kernel10, rng):
             point = start.at_scale(kc.nehari_scale(start, spec.b))
             g = point.gradient()
             weight = spec.a + spec.b * point.grad2
-            d = nehari_module._h_representer(spec, g, nehari_module._DESCENT_RTOL, weight=weight)
+            d = krylov_module._h_representer(spec, g, nehari_module._DESCENT_RTOL, weight)
             assert float(np.sum(g * d)) > 0.0
 
 
 def test_descent_cg_budget_exhaustion_is_reported(spec5, kernel10, monkeypatch):
-    cg = nehari_module._cg
+    cg = krylov_module._cg
 
-    def exhausted(matvec, b, diag, rtol, maxiter):
-        x, info = cg(matvec, b, diag, rtol, maxiter)
+    def exhausted(matvec, b, psolve, rtol, maxiter):
+        x, info = cg(matvec, b, psolve, rtol, maxiter)
         return x, maxiter if rtol == nehari_module._DESCENT_RTOL else info
 
-    monkeypatch.setattr(nehari_module, "_cg", exhausted)
+    monkeypatch.setattr(krylov_module, "_cg", exhausted)
     rep = kc.solve_ground_state(spec5, kernel10)
     assert not rep.converged
     assert rep.message.startswith("energy-norm representer solve did not converge")
@@ -662,7 +667,7 @@ def test_newton_operator_is_the_symmetric_derivative_of_the_gradient(kernel_m8, 
     shape = (spec.box.side,) * 3
     # a positive point keeps f'' = 2 sign(u) continuous along the difference stencil
     u = Field(spec.box, 0.2 + 0.5 * rng.random(shape))
-    hessian = nehari_module._hessian(kernel_m8, kc.evaluate(spec, kernel_m8, u))
+    hessian = _hessian(kernel_m8, kc.evaluate(spec, kernel_m8, u))
     x, y = rng.standard_normal((2, spec.box.site_count))
     xhy, yhx = float(np.dot(x, hessian(y))), float(np.dot(y, hessian(x)))
     assert abs(xhy - yhx) <= 1e-12 * abs(xhy)

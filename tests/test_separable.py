@@ -1,5 +1,6 @@
-"""The Newton preconditioner's exact inverse of -c lap + V where it separates
-by axis, and the tridiagonal eigensolver it rests on."""
+"""The Newton preconditioner: the exact inverse of -c lap + V where it
+separates by axis, the tridiagonal eigensolver it rests on, and the CG
+route elsewhere."""
 
 import random
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 import kclattice as kc
+import kclattice.krylov as krylov_module
 import kclattice.nehari as nehari_module
 from kclattice import LatticeBox, PotentialSpec, PowerNonlinearity, ProblemSpec
 from kclattice.lattice import _laplacian_values
-from kclattice.separable import _axis_eigen, separable_inverse, tridiagonal_eigen
+from kclattice.krylov import _axis_eigen, preconditioner, separable_inverse, tridiagonal_eigen
 
 _SEPARABLE = {
     "constant": PotentialSpec.constant(1.0),
@@ -36,6 +38,11 @@ def _assert_eigenpairs(t, mu, qt):
     assert np.abs(qt @ t - mu[:, None] * qt).max() <= 1e-14 * top
 
 
+def _apply_p(spec, c, x):
+    x = x.reshape(spec.potential_table.shape)
+    return (-c * _laplacian_values(x, spec.box.mode) + spec.potential_table * x).ravel()
+
+
 @pytest.mark.parametrize("kind", sorted(_SEPARABLE))
 @pytest.mark.parametrize("radius", range(11))
 def test_separable_inverse_is_exact(radius, kind):
@@ -43,9 +50,8 @@ def test_separable_inverse_is_exact(radius, kind):
     rng = np.random.default_rng(radius)
     for c in (1e-3, 1.0, 1e3):
         g = rng.standard_normal(spec.box.site_count)
-        x = separable_inverse(spec, c)(g).reshape(spec.potential_table.shape)
-        px = -c * _laplacian_values(x, spec.box.mode) + spec.potential_table * x
-        assert np.linalg.norm(px.ravel() - g) <= 1e-13 * np.linalg.norm(g)
+        x = separable_inverse(spec, c)(g)
+        assert np.linalg.norm(_apply_p(spec, c, x) - g) <= 1e-13 * np.linalg.norm(g)
 
 
 @pytest.mark.parametrize("radius", [8, 10])
@@ -82,6 +88,26 @@ def test_what_does_not_separate_keeps_the_cg_preconditioner(box, potential):
     assert separable_inverse(_spec(box, potential), 1.0) is None
 
 
+@pytest.mark.parametrize("c", [0.5, 20.0])
+@pytest.mark.parametrize("box, potential, exact", [
+    (LatticeBox(4), PotentialSpec.coercive(1.0, 1.0, 2.0), True),
+    (LatticeBox(4, kc.PERIODIC), PotentialSpec.coercive(1.0, 1.0, 2.0), False),
+    (LatticeBox(4), PotentialSpec.coercive(1.0, 1.0, 3.0), False),
+], ids=["additive", "periodic-box", "power-3"])
+def test_preconditioner_inverts_p_by_one_route(box, potential, exact, c):
+    # the exact inverse where P separates, and CG to _PRECONDITIONER_RTOL elsewhere
+    spec = _spec(box, potential)
+    r = np.random.default_rng(5).standard_normal(box.site_count)
+    x = preconditioner(spec, c)(r)
+    if exact:
+        want, rtol = separable_inverse(spec, c)(r), 1e-13
+    else:
+        rtol = krylov_module._PRECONDITIONER_RTOL
+        want = krylov_module._h_representer(spec, r, rtol, c)
+    assert np.array_equal(x, want)
+    assert np.linalg.norm(_apply_p(spec, c, x) - r) <= rtol * np.linalg.norm(r)
+
+
 def test_an_additive_periodic_table_separates():
     # the table decides: a one-value periodic potential is a constant one
     assert separable_inverse(_spec(LatticeBox(3), _random_table(1)), 1.0) is not None
@@ -96,13 +122,15 @@ def test_an_overflowing_factorization_is_a_runtime_error(c):
 
 
 def _preconditioner_solves(monkeypatch):
+    # the descent and the h_residual call it from nehari, the preconditioner from krylov
     rtols = []
-    representer = nehari_module._h_representer
+    representer = krylov_module._h_representer
 
-    def counted(spec, g, rtol=1.0e-12, weight=None):
+    def counted(spec, g, rtol, weight):
         rtols.append(rtol)
         return representer(spec, g, rtol, weight)
 
+    monkeypatch.setattr(krylov_module, "_h_representer", counted)
     monkeypatch.setattr(nehari_module, "_h_representer", counted)
     return rtols
 
@@ -113,7 +141,7 @@ def test_reference_polish_runs_no_inner_cg(reference_spec, kernel_m16, monkeypat
     rtols = _preconditioner_solves(monkeypatch)
     rep = kc.solve_ground_state(reference_spec, kernel_m16)
     assert rep.converged and rep.newton_iterations == 1
-    assert nehari_module._PRECONDITIONER_RTOL not in rtols
+    assert krylov_module._PRECONDITIONER_RTOL not in rtols
     assert rtols == [nehari_module._DESCENT_RTOL] * rep.iterations + [1.0e-12]
 
 
@@ -123,4 +151,4 @@ def test_periodic_polish_keeps_the_inner_cg(kernel_m8, monkeypatch):
     rtols = _preconditioner_solves(monkeypatch)
     rep = kc.solve_ground_state(spec, kernel_m8)
     assert rep.converged and rep.newton_iterations >= 1
-    assert nehari_module._PRECONDITIONER_RTOL in rtols
+    assert krylov_module._PRECONDITIONER_RTOL in rtols
