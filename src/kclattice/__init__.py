@@ -40,7 +40,6 @@ from .energy import (
     PotentialSpec,
     PowerNonlinearity,
     ProblemSpec,
-    energy,
     evaluate,
 )
 from .nehari import (
@@ -107,7 +106,6 @@ __all__ = [
     "build_kernel",
     "cache_key",
     "convolve",
-    "energy",
     "evaluate",
     "fit_decay_exponent",
     "fractional_degree",

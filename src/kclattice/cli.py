@@ -4,7 +4,9 @@ Commands: ``green`` (kernel tables), ``solve`` (one ground state),
 ``verify`` (the property suite), ``sweep`` (one parameter, many solves);
 options may come before or after the command.
 Every run writes its artifacts under ``<output>/<timestamp>/`` next to a
-snapshot of the exact configuration that produced them.
+snapshot of the exact configuration that produced them.  Each command
+makes its config checks before that directory exists, so a rejected run
+leaves none.
 
 Exit codes: 0 success; 1 configuration problem; 2 kernel quadrature
 failure; 3 solver non-convergence (artifacts are still written); 4
@@ -25,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FILE_START, ConfigError, RunConfig
+from .config import ConfigError, RunConfig
 from .kernel import QuadratureError, build_kernel, fit_decay_exponent
-from .lattice import load_field_text, save_field_text
+from .lattice import save_field_text
 from .nehari import solve_ground_state
 
 EXIT_OK = 0
@@ -79,21 +81,30 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
-def _make_run_dir(base: Path) -> Path:
-    """A new directory <stamp>, <stamp>-1, ... under base; mkdir itself arbitrates races."""
+def _open_run(config: RunConfig) -> Path:
+    """A new run directory holding the config snapshot, announced on stdout.
+
+    The directory is <stamp>, <stamp>-1, ... under the output directory;
+    mkdir itself arbitrates races.
+    """
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+    base = Path(config.output_directory)
     base.mkdir(parents=True, exist_ok=True)
     for counter in itertools.count():
-        candidate = base / (f"{stamp}-{counter}" if counter else stamp)
+        run_dir = base / (f"{stamp}-{counter}" if counter else stamp)
         try:
-            candidate.mkdir()
+            run_dir.mkdir()
         except FileExistsError:
             continue
-        return candidate
+        (run_dir / "config.snapshot").write_text(config.to_text(), encoding="ascii")
+        print(f"run directory: {run_dir}")
+        return run_dir
 
 
-def _kernel_for(config: RunConfig, table_radius: int, base: Path):
-    cache_dir = config.cache_dir if config.cache_dir is not None else str(base / "kernel_cache")
+def _kernel_for(config: RunConfig, table_radius: int):
+    cache_dir = config.cache_dir
+    if cache_dir is None:
+        cache_dir = str(Path(config.output_directory) / "kernel_cache")
     return build_kernel(config.alpha, table_radius, cache_dir=cache_dir)
 
 
@@ -107,10 +118,11 @@ def _report_kernel(kernel, out) -> None:
               f"(alpha - 3 = {kernel.alpha - 3.0:.4f})", file=out)
 
 
-def cmd_green(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int:
+def cmd_green(config: RunConfig) -> int:
     # green tabulates the radius it is given, whether or not it covers the box
     radius = config.solve_table_radius() if config.table_radius is None else config.table_radius
-    kernel = _kernel_for(config, radius, base)
+    run_dir = _open_run(config)
+    kernel = _kernel_for(config, radius)
     report = io.StringIO()
     _report_kernel(kernel, report)
     sys.stdout.write(report.getvalue())
@@ -122,30 +134,6 @@ def cmd_green(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int
     (run_dir / "report.txt").write_text(report.getvalue(), encoding="ascii")
     print(f"octant table: {octant}")
     return EXIT_OK
-
-
-def _load_initial_field(config: RunConfig, box):
-    """The configured start field; a bad file is a ConfigError naming it."""
-    path, solver = config.initial_file, config.sections["solver"]
-    try:
-        initial = load_field_text(path)
-    except (OSError, ValueError) as exc:
-        raise solver.error("initial_file", f"cannot read {path}: {exc}") from None
-    if initial.box != box:
-        raise solver.error("initial_file", f"{path} holds a field on a radius-"
-                           f"{initial.box.radius} {initial.box.mode} box, not on the "
-                           f"problem's radius-{box.radius} {box.mode} box")
-    if not initial.values.any():
-        raise solver.error("initial_file", f"{path} holds the zero field, which no solve can "
-                           "start from")
-    return initial
-
-
-def _configured_solve(config: RunConfig):
-    """The problem and its start field, with a file start loaded for the problem's box."""
-    spec = config.problem_spec()
-    loaded = _load_initial_field(config, spec.box) if config.initial_guess == FILE_START else None
-    return spec, config.start_field(spec, loaded)
 
 
 def _solve_report_text(config: RunConfig, spec, report) -> str:
@@ -180,10 +168,12 @@ def _write_history(report, path: Path) -> None:
             handle.write(f"{i},{e:.17g},{r:.17g},{s:.17g}\n")
 
 
-def cmd_solve(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
-    kernel = _kernel_for(config, config.solve_table_radius(), base)
-    spec, start = problem
-    report = solve_ground_state(spec, kernel, start)
+def cmd_solve(config: RunConfig) -> int:
+    table_radius = config.solve_table_radius()
+    spec = config.problem_spec()
+    start = config.start_field(spec)
+    run_dir = _open_run(config)
+    report = solve_ground_state(spec, _kernel_for(config, table_radius), start)
     save_field_text(report.solution, run_dir / "solution.field")
     (run_dir / "report.txt").write_text(_solve_report_text(config, spec, report), encoding="ascii")
     _write_history(report, run_dir / "history.csv")
@@ -197,11 +187,18 @@ def cmd_solve(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
-    from .verify import run_suite, suite_csv, suite_passed, suite_summary
+def cmd_verify(config: RunConfig) -> int:
+    from .verify import require_origin_center, run_suite, suite_csv, suite_passed, suite_summary
 
-    kernel = _kernel_for(config, config.verify_table_radius(), base)
-    spec, start = problem
+    table_radius = config.verify_table_radius()
+    spec = config.problem_spec()
+    try:
+        require_origin_center(spec.potential)
+    except ValueError as exc:
+        raise config.sections["potential"].error("center", str(exc)) from None
+    start = config.start_field(spec)
+    run_dir = _open_run(config)
+    kernel = _kernel_for(config, table_radius)
     reports = run_suite(
         spec,
         kernel,
@@ -224,8 +221,11 @@ def cmd_verify(config: RunConfig, run_dir: Path, base: Path, problem) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int:
+def cmd_sweep(config: RunConfig) -> int:
     param = config.sweep_parameter
+    if param is None:
+        raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
+    run_dir = _open_run(config)
     rows = []
     observations = []
     energies = []
@@ -233,9 +233,9 @@ def cmd_sweep(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int
     for value in config.sweep_values:
         point = config.sweep_point(value)
         try:
-            kernel = _kernel_for(point, point.solve_table_radius(), base)
-            spec, start = _configured_solve(point)
-            report = solve_ground_state(spec, kernel, start)
+            kernel = _kernel_for(point, point.solve_table_radius())
+            spec = point.problem_spec()
+            report = solve_ground_state(spec, kernel, point.start_field(spec))
         except (ValueError, QuadratureError) as exc:
             all_converged = False
             observations.append(f"# observation: point {param}={value!r} failed: {exc}")
@@ -268,29 +268,6 @@ def cmd_sweep(config: RunConfig, run_dir: Path, base: Path, problem=None) -> int
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
-def _check_command(command: str, config: RunConfig):
-    """A command's config-only checks, run before its run directory is made.
-
-    Returns the problem a ``solve`` or ``verify`` runs, (spec, start field)
-    with any initial_file read once, here; None for the other commands.
-    """
-    if command == "solve":
-        config.solve_table_radius()
-    elif command == "verify":
-        from .verify import require_origin_center
-
-        config.verify_table_radius()
-        try:
-            require_origin_center(config.potential_spec())
-        except ValueError as exc:
-            raise config.sections["potential"].error("center", str(exc)) from None
-    elif command == "sweep" and config.sweep_parameter is None:
-        raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
-    if command in ("solve", "verify"):
-        return _configured_solve(config)  # an unreadable or wrong-box initial_file fails here
-    return None
-
-
 _COMMANDS = {
     "green": cmd_green,
     "solve": cmd_solve,
@@ -311,25 +288,10 @@ def main(argv=None) -> int:
     """
     if not gc.get_freeze_count():
         gc.freeze()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = _load_run_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    base = Path(config.output_directory)
-    try:
-        problem = _check_command(args.command, config)  # a rejected run leaves no directory
-        run_dir = _make_run_dir(base)
-        (run_dir / "config.snapshot").write_text(config.to_text(), encoding="ascii")
-        print(f"run directory: {run_dir}")
-        return _COMMANDS[args.command](config, run_dir, base, problem)
-    except (ConfigError, OSError) as exc:
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](_load_run_config(args))
+    except (_UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuadratureError as exc:

@@ -36,7 +36,7 @@ from .energy import (
     ProblemSpec,
 )
 from .kernel import block_radius
-from .lattice import DIRICHLET, PERIODIC, Field, LatticeBox
+from .lattice import DIRICHLET, PERIODIC, Field, LatticeBox, load_field_text
 from .nehari import random_start_field
 
 # [solver] initial_guess: the solver's default bump, a seeded random field, a field file
@@ -265,11 +265,13 @@ class RunConfig:
         return ProblemSpec(self.box(), self.potential_spec(), self.nonlinearity(),
                            self.alpha, self.a, self.b)
 
-    def start_field(self, spec: ProblemSpec, initial_field: Field = None) -> Field:
+    def start_field(self, spec: ProblemSpec) -> Field:
         """The solve's start on spec's box; None starts the solver from its default bump.
 
         A random start is keyed by the seed and centered at the potential's
-        minimum site; a file start needs its field loaded and passed in.
+        minimum site.  A file start reads initial_file; a file that cannot be
+        read, holds a field on another box or holds the zero field is a
+        ConfigError at that key.
         """
         if self.initial_guess == GAUSSIAN_BUMP:
             return None
@@ -278,9 +280,19 @@ class RunConfig:
 
             return random_start_field(spec.box, stream(self.seed),
                                       spec.potential.minimum_site(spec.box))
-        if initial_field is None:
-            raise ValueError("file initial guess needs initial_field set")
-        return initial_field
+        path, solver, box = self.initial_file, self.sections["solver"], spec.box
+        try:
+            initial = load_field_text(path)
+        except (OSError, ValueError) as exc:
+            raise solver.error("initial_file", f"cannot read {path}: {exc}") from None
+        if initial.box != box:
+            raise solver.error("initial_file", f"{path} holds a field on a radius-"
+                               f"{initial.box.radius} {initial.box.mode} box, not on the "
+                               f"problem's radius-{box.radius} {box.mode} box")
+        if not initial.values.any():
+            raise solver.error("initial_file", f"{path} holds the zero field, which no solve "
+                               "can start from")
+        return initial
 
     def sweep_point(self, value: float) -> "RunConfig":
         """This run with the sweep parameter set to one of the sweep values."""

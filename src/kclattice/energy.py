@@ -23,9 +23,9 @@ whose pointwise representer is the gradient field
 
 ``evaluate`` is the one evaluation core: a single convolution R * F(u)
 gives ||u||^2, A, B and D, J(su) in closed form along the ray, and the
-gradient at su (R * F(su) = s^p R * F(u)) with its norm and scale;
-``energy`` is a view of it, and ``_hessian`` builds the second
-derivative's action at an evaluated point.
+gradient at su (R * F(su) = s^p R * F(u)) with its norm and scale
+(``evaluate(...).ray_energy()`` is J(u), ``residual()[0]`` is g), and
+``_hessian`` builds the second derivative's action at an evaluated point.
 
 Admissibility of the power: p > 2 makes the interaction superquadratic
 along rays (the mechanism behind uniqueness of the projection scale), and
@@ -75,7 +75,7 @@ class PotentialSpec:
         if not all(math.isfinite(t) for t in self.table):
             raise ValueError("table values of a periodic potential must be finite")
         if self.kind == PERIODIC_POTENTIAL:
-            if self.tau < 1:
+            if self.tau < 1 or self.tau % 1:  # nan and inf fail the second test
                 raise ValueError(f"tau (the period) must be a positive integer, got {self.tau}")
             if len(self.table) != self.tau ** 3:
                 raise ValueError(
@@ -107,9 +107,13 @@ class PotentialSpec:
 
     @classmethod
     def periodic(cls, tau: int, table) -> "PotentialSpec":
-        """The tau-periodic tiling of ``table``; its floor v0 is the smallest entry."""
+        """The tau-periodic tiling of ``table``; its floor v0 is the smallest entry.
+
+        An integral tau of any type is stored as an int; a fractional one is refused.
+        """
         table = tuple(float(t) for t in np.asarray(table, dtype=float).reshape(-1))
-        return cls(PERIODIC_POTENTIAL, min(table, default=math.nan), tau=int(tau), table=table)
+        return cls(PERIODIC_POTENTIAL, min(table, default=math.nan),
+                   tau=int(tau) if tau % 1 == 0 else tau, table=table)
 
     def value(self, x) -> float:
         """Evaluate V at a single site."""
@@ -277,10 +281,6 @@ class Evaluation(FiberCoefficients):
                           sp * (sp * self.interaction), self.exponent, self.spec,
                           Field(self.u.box, s * self.u.values), sp * self.conv)
 
-    def gradient(self) -> np.ndarray:
-        """Representer g with <J'(u), phi> = sum g phi for every phi, as a box-shaped array."""
-        return self.residual()[0]
-
     def residual(self) -> tuple:
         """(g, ||g||, scale), the scale ||(a + bA) lap u|| + ||V u|| + ||(R * F(u)) f(u)||
         summing the l2 norms of g's three terms: ||g|| if none cancelled another."""
@@ -352,11 +352,6 @@ def _hessian(kernel: GreenKernel, point: Evaluation):
         return out.ravel()
 
     return apply
-
-
-def energy(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> float:
-    """Total energy J(u)."""
-    return evaluate(spec, kernel, u).ray_energy()
 
 
 def log_interaction_constant(spec: ProblemSpec, kernel: GreenKernel) -> float:

@@ -33,7 +33,6 @@ from .energy import (
     PERIODIC_POTENTIAL,
     Evaluation,
     ProblemSpec,
-    energy,
     evaluate,
     nehari_radius,
 )
@@ -370,13 +369,13 @@ def _segment_max_deviation(spec: ProblemSpec, kernel: GreenKernel,
     scale = 2.0
     for _ in range(61):
         endpoint = Field(ground.box, scale * direction)
-        if energy(spec, kernel, endpoint) < 0.0:
+        if evaluate(spec, kernel, endpoint).ray_energy() < 0.0:
             break
         scale *= 2.0
     else:
         return math.inf
     lowest = _bounded_minimum(
-        lambda t: -energy(spec, kernel, Field(ground.box, t * scale * direction)),
+        lambda t: -evaluate(spec, kernel, Field(ground.box, t * scale * direction)).ray_energy(),
         0.0, 1.0, xatol=1.0e-12, maxfun=500,
     )
     return abs(-lowest - c) / abs(c)
@@ -558,12 +557,12 @@ def check_symmetry_and_translation(spec: ProblemSpec, kernel: GreenKernel,
     samples = 0
     if spec.potential.kind == PERIODIC_POTENTIAL:
         tau = spec.potential.tau
-        base = energy(spec, kernel, u)
+        base = evaluate(spec, kernel, u).ray_energy()
         tol = 1.0e-10 * max(1.0, abs(base))
         worst = 0.0
         for axis in range(3):
             shift = tuple(tau if ax == axis else 0 for ax in range(3))
-            shifted = energy(spec, kernel, translate(u, shift))
+            shifted = evaluate(spec, kernel, translate(u, shift)).ray_energy()
             worst = max(worst, abs(shifted - base))
             samples += 1
         details["max_translation_energy_change"] = worst

@@ -116,7 +116,8 @@ def test_criterion_05_gradient_correctness(reference_spec, kernel_m12):
         phi = Field(spec.box, rng.standard_normal((11, 11, 11)))
         up = Field(spec.box, u.values + h * phi.values)
         dn = Field(spec.box, u.values - h * phi.values)
-        fd = (kc.energy(spec, kernel_m12, up) - kc.energy(spec, kernel_m12, dn)) / (2.0 * h)
+        fd = (kc.evaluate(spec, kernel_m12, up).ray_energy()
+              - kc.evaluate(spec, kernel_m12, dn).ray_energy()) / (2.0 * h)
         pair = pairing(spec, kernel_m12, u, phi)
         worst = max(worst, abs(pair - fd) / max(abs(pair), abs(fd)))
     ok = worst < 1e-6
@@ -162,7 +163,7 @@ def test_criterion_07_fiber_lemma_suite(reference_spec, kernel_m16):
 def test_criterion_08_ground_state_solve(reference_spec, kernel_m16, ground):
     report, elapsed, repeats = ground
     u = report.solution
-    el_res = float(np.max(np.abs(kc.evaluate(reference_spec, kernel_m16, u).gradient())))
+    el_res = float(np.max(np.abs(kc.evaluate(reference_spec, kernel_m16, u).residual()[0])))
     el_bound = 1e-6 * float(np.max(np.abs(u.values)))
     seed_dev = max(abs(r.energy / report.energy - 1.0) for r in repeats)
     ok = (
@@ -230,9 +231,10 @@ def test_criterion_11_periodic_mode(kernel_m16):
     )
     report = kc.solve_ground_state(spec, kernel_m16)
     u = report.solution
-    base = kc.energy(spec, kernel_m16, u)
+    base = kc.evaluate(spec, kernel_m16, u).ray_energy()
     shift_dev = max(
-        abs(kc.energy(spec, kernel_m16, kc.translate(u, tuple(2 * int(ax == j) for ax in range(3)))) - base)
+        abs(kc.evaluate(spec, kernel_m16, kc.translate(u, tuple(2 * int(ax == j) for ax in range(3))))
+            .ray_energy() - base)
         for j in range(3)
     )
     ok = (

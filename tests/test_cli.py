@@ -14,6 +14,7 @@ import pytest
 
 import kclattice as kc
 import kclattice.cli as cli_module
+import kclattice.config as config_module
 import kclattice.nehari as nehari_module
 from kclattice.cli import main
 
@@ -590,7 +591,7 @@ def test_initial_file_is_read_once_per_run(tmp_path, cache_dir, capsys, monkeypa
         reads.append(path)
         return kc.load_field_text(path)
 
-    monkeypatch.setattr(cli_module, "load_field_text", counted)
+    monkeypatch.setattr(config_module, "load_field_text", counted)
     text = base_config(cache_dir, f"[solver]\ninitial_guess = file\ninitial_file = {start}\n\n"
                        "[verify]\ntrials = 4\nmp_trials = 4\nfiber_fields = 1\n"
                        "level_samples = 2\nradii = 2 3\n")
@@ -598,6 +599,24 @@ def test_initial_file_is_read_once_per_run(tmp_path, cache_dir, capsys, monkeypa
     assert main(["--config", cfg, "--output", str(tmp_path / "out"), command]) in (0, 4)
     capsys.readouterr()
     assert reads == [str(start)]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_table_radius_is_worked_out_once_per_run(tmp_path, cache_dir, capsys, monkeypatch,
+                                                 command):
+    calls = []
+    for name in ("solve_table_radius", "verify_table_radius"):
+        def counted(self, original=getattr(kc.RunConfig, name), name=name):
+            calls.append(name)
+            return original(self)
+
+        monkeypatch.setattr(kc.RunConfig, name, counted)
+    text = base_config(cache_dir, "[verify]\ntrials = 4\nmp_trials = 4\nfiber_fields = 1\n"
+                       "level_samples = 2\nradii = 2 3\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["--config", cfg, "--output", str(tmp_path / "out"), command]) in (0, 4)
+    capsys.readouterr()
+    assert calls == [f"{command}_table_radius"]
 
 
 def test_negative_seed_flag_exits_one(tmp_path, capsys):

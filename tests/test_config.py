@@ -210,13 +210,14 @@ def test_verify_radii_validation():
         RunConfig.from_text("[verify]\nradii = 5\n")
 
 
-def test_file_start_requires_path():
+def test_file_start_requires_path(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.from_text("[solver]\ninitial_guess = file\n")
-    cfg = RunConfig.from_text("[solver]\ninitial_guess = file\ninitial_file = u.field\n")
+    missing = tmp_path / "u.field"
+    cfg = RunConfig.from_text(f"[solver]\ninitial_guess = file\ninitial_file = {missing}\n")
     assert cfg.initial_guess == kc.FILE_START
     with pytest.raises(ValueError):
-        cfg.start_field(cfg.problem_spec())  # the field itself was never loaded
+        cfg.start_field(cfg.problem_spec())  # the file is read here, and it does not exist
 
 
 def test_problem_spec_accessors():
@@ -231,7 +232,7 @@ def test_problem_spec_accessors():
     assert spec.nonlinearity.coefficient == 2.0
 
 
-def test_start_field_accessor():
+def test_start_field_accessor(tmp_path):
     cfg = RunConfig.from_text(GOOD)
     spec = cfg.problem_spec()
     assert cfg.seed == 7
@@ -239,15 +240,18 @@ def test_start_field_accessor():
     random = replace(cfg, initial_guess=kc.RANDOM_START)
     expected = kc.random_start_field(spec.box, stream(7), spec.potential.minimum_site(spec.box))
     assert np.array_equal(random.start_field(spec).values, expected.values)
-    loaded = kc.gaussian_bump_field(spec.box)
-    assert replace(cfg, initial_guess=kc.FILE_START).start_field(spec, loaded) is loaded
+    saved, path = kc.gaussian_bump_field(spec.box), tmp_path / "start.field"
+    kc.save_field_text(saved, path)
+    loaded = replace(cfg, initial_guess=kc.FILE_START, initial_file=str(path)).start_field(spec)
+    assert loaded.box == spec.box and np.array_equal(loaded.values, saved.values)
 
 
-def test_solver_keys_validation():
+def test_solver_keys_validation(tmp_path):
     with pytest.raises(ConfigError, match="initial_guess"):
         RunConfig.from_text("[solver]\ninitial_guess = nope\n")
-    cfg = RunConfig.from_text("[solver]\ninitial_guess = file\ninitial_file = u.field\n")
-    with pytest.raises(ValueError, match="initial_field"):
+    missing = tmp_path / "u.field"
+    cfg = RunConfig.from_text(f"[solver]\ninitial_guess = file\ninitial_file = {missing}\n")
+    with pytest.raises(ConfigError, match=r"^<config>:3: \[solver\] initial_file: cannot read "):
         cfg.start_field(cfg.problem_spec())
     with pytest.raises(ConfigError, match=r"^<config>:2: \[solver\] seed must be nonnegative, "
                                           r"got -1$"):

@@ -80,6 +80,10 @@ def test_periodic_potential_tiles():
     assert grid[4, 4, 4] == 6.0
     assert grid[5, 4, 4] == 10.0
     assert pot.minimum_site(LatticeBox(4)) == (0, 0, 0)
+    # any integral period is taken, and stored as an int
+    for tau in (np.int64(2), 2.0):
+        same = PotentialSpec.periodic(tau, table)
+        assert same == pot and type(same.tau) is int
 
 
 def test_minimum_site_prefers_center():
@@ -111,6 +115,11 @@ def test_potential_validation():
      "tau (the period) must be a positive integer, got 0"),
     # periodic() takes its floor from the table, which is read only after tau and its length
     (lambda: PotentialSpec.periodic(2, []), "table needs tau^3 = 8 values, got 0"),
+    # a fractional period is refused, not truncated
+    (lambda: PotentialSpec.periodic(1.9, [2.0]), "tau (the period) must be a positive integer, "
+     "got 1.9"),
+    (lambda: PotentialSpec(kc.PERIODIC_POTENTIAL, 2.0, tau=1.5, table=(2.0,)),
+     "tau (the period) must be a positive integer, got 1.5"),
     (lambda: PotentialSpec("spiky", 1.0), "kind 'spiky' is not a known potential kind"),
 ])
 def test_potential_refusals_name_their_parameter(make, message):
@@ -266,13 +275,13 @@ def test_energy_matches_brute_force(small_kernel, rng, mode):
         b=0.7,
     )
     u = random_field(spec.box, rng)
-    assert kc.energy(spec, small_kernel, u) == pytest.approx(
+    assert kc.evaluate(spec, small_kernel, u).ray_energy() == pytest.approx(
         brute_force_energy(spec, small_kernel, u), rel=1e-12
     )
 
 
 def test_energy_of_zero_field(small_spec, small_kernel):
-    assert kc.energy(small_spec, small_kernel, Field.zeros(small_spec.box)) == 0.0
+    assert kc.evaluate(small_spec, small_kernel, Field.zeros(small_spec.box)).ray_energy() == 0.0
 
 
 def test_evaluate_refuses_a_field_whose_F_overflows(small_spec, small_kernel):
@@ -292,7 +301,8 @@ def test_energy_along_ray_is_polynomial(small_spec, small_kernel, rng):
     for s in (0.5, 1.0, 2.0):
         su = Field(small_spec.box, s * u.values)
         poly = 0.5 * s**2 * nh + 0.25 * small_spec.b * s**4 * aa**2 - s ** (2 * p) * ii
-        assert kc.energy(small_spec, small_kernel, su) == pytest.approx(poly, rel=1e-10)
+        assert (kc.evaluate(small_spec, small_kernel, su).ray_energy()
+                == pytest.approx(poly, rel=1e-10))
 
 
 def test_interaction_homogeneity(small_spec, small_kernel, rng):
@@ -339,7 +349,7 @@ def test_nehari_radius_stays_finite_past_the_double_range(small_kernel):
 
 def test_pairing_matches_gradient_representer(small_spec, small_kernel, rng):
     u = random_field(small_spec.box, rng)
-    rep = evaluate(small_spec, small_kernel, u).gradient()
+    rep = evaluate(small_spec, small_kernel, u).residual()[0]
     for _ in range(5):
         phi = random_field(small_spec.box, rng, scale=1.0)
         direct = pairing(small_spec, small_kernel, u, phi)
@@ -354,9 +364,8 @@ def test_pairing_matches_central_difference(small_spec, small_kernel, rng):
         phi = random_field(small_spec.box, rng, scale=1.0)
         up = Field(small_spec.box, u.values + h * phi.values)
         dn = Field(small_spec.box, u.values - h * phi.values)
-        fd = (kc.energy(small_spec, small_kernel, up) - kc.energy(small_spec, small_kernel, dn)) / (
-            2.0 * h
-        )
+        fd = (kc.evaluate(small_spec, small_kernel, up).ray_energy()
+              - kc.evaluate(small_spec, small_kernel, dn).ray_energy()) / (2.0 * h)
         assert pairing(small_spec, small_kernel, u, phi) == pytest.approx(fd, rel=1e-6)
 
 
@@ -401,8 +410,8 @@ def test_kirchhoff_term_enters_gradient(small_kernel, rng):
         box=base.box, potential=base.potential, nonlinearity=base.nonlinearity, alpha=1.0, b=2.0
     )
     u = random_field(base.box, rng)
-    g0 = evaluate(base, small_kernel, u).gradient()
-    g2 = evaluate(kirch, small_kernel, u).gradient()
+    g0 = evaluate(base, small_kernel, u).residual()[0]
+    g2 = evaluate(kirch, small_kernel, u).residual()[0]
     aa = kc.gradient_inner(u, u)
     expect = -2.0 * aa * kc.laplacian(u).values
     assert np.allclose(g2 - g0, expect, rtol=1e-12, atol=1e-12)
@@ -418,12 +427,12 @@ def test_core_ray_energy_and_scaled_gradient_match_fresh_evaluations(small_spec,
     point = evaluate(small_spec, small_kernel, u)
     for s in (0.1, 0.5, 1.0, 1.7, 4.0):
         su = Field(small_spec.box, s * u.values)
-        fresh = kc.energy(small_spec, small_kernel, su)
+        fresh = kc.evaluate(small_spec, small_kernel, su).ray_energy()
         assert point.ray_energy(s) == pytest.approx(fresh, rel=1e-12)
         scaled = point.at_scale(s)
         assert scaled.ray_energy() == pytest.approx(fresh, rel=1e-12)
-        g = evaluate(small_spec, small_kernel, su).gradient()
-        err = np.linalg.norm(scaled.gradient() - g)
+        g = evaluate(small_spec, small_kernel, su).residual()[0]
+        err = np.linalg.norm(scaled.residual()[0] - g)
         assert err <= 1e-12 * np.linalg.norm(g)
 
 
@@ -431,7 +440,7 @@ def test_residual_scale_sums_the_norms_of_the_gradient_terms(small_spec, small_k
     u = random_field(small_spec.box, rng)
     point = evaluate(small_spec, small_kernel, u)
     g, gnorm, scale = point.residual()
-    assert np.array_equal(g, point.gradient())
+    assert np.array_equal(g, point.residual()[0])
     assert gnorm == pytest.approx(np.linalg.norm(g), rel=1e-12)
     weight = small_spec.a + small_spec.b * point.grad2
     terms = (weight * kc.laplacian(u).values, small_spec.potential_table * u.values,
@@ -444,8 +453,8 @@ def test_core_convolves_once_per_evaluation(small_spec, small_kernel, rng, convo
     u = random_field(small_spec.box, rng)
     point = evaluate(small_spec, small_kernel, u)
     assert convolution_count[0] == 1
-    point.at_scale(2.0).gradient()
+    point.at_scale(2.0).residual()[0]
     point.ray_energy(3.0)
     assert convolution_count[0] == 1
-    kc.energy(small_spec, small_kernel, u)
+    kc.evaluate(small_spec, small_kernel, u).ray_energy()
     assert convolution_count[0] == 2

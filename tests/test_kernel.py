@@ -671,4 +671,4 @@ def test_mismatched_alpha_is_rejected(kernel_m8, reference_spec):
     wrong = kc.build_kernel(1.5, 2 * reference_spec.box.radius)
     u = kc.Field.delta(reference_spec.box, (0, 0, 0), 1.0)
     with pytest.raises(ValueError):
-        kc.energy(reference_spec, wrong, u)
+        kc.evaluate(reference_spec, wrong, u).ray_energy()

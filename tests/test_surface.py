@@ -1,7 +1,10 @@
 """The public surface: a new export, solver knob or config key needs a deliberate edit here."""
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
+import sys
 from pathlib import Path
 
 import kclattice as kc
@@ -9,17 +12,16 @@ from kclattice import config as config_module
 
 PUBLIC = [
     "COERCIVE", "CONSTANT", "ConfigError", "DIRICHLET", "FILE_START", "FiberCoefficients",
-    "Field", "GAUSSIAN_BUMP", "GreenKernel", "LatticeBox", "PERIODIC",
-    "PERIODIC_POTENTIAL", "PotentialSpec", "PowerNonlinearity", "ProblemSpec",
-    "PropertyReport", "QuadratureError", "RANDOM_START", "RunConfig",
-    "SolveReport", "build_kernel", "cache_key", "check_box_convergence",
-    "check_fiber_monotonicity", "check_hls", "check_kernel_integrity", "check_level_identity",
-    "check_mountain_pass_geometry", "check_symmetry_and_translation", "convolve", "energy",
-    "evaluate", "fit_decay_exponent", "fractional_degree", "fractional_degree_refined",
-    "gaussian_bump_field", "gradient_inner", "green_values", "h_inner", "laplacian",
-    "load_field_text", "lp_norm", "nehari_scale",
-    "random_start_field", "run_suite", "save_field_text", "solve_ground_state", "sphere_inverse", "suite_csv", "suite_passed",
-    "suite_summary", "translate",
+    "Field", "GAUSSIAN_BUMP", "GreenKernel", "LatticeBox", "PERIODIC", "PERIODIC_POTENTIAL",
+    "PotentialSpec", "PowerNonlinearity", "ProblemSpec", "PropertyReport", "QuadratureError",
+    "RANDOM_START", "RunConfig", "SolveReport", "build_kernel", "cache_key",
+    "check_box_convergence", "check_fiber_monotonicity", "check_hls", "check_kernel_integrity",
+    "check_level_identity", "check_mountain_pass_geometry", "check_symmetry_and_translation",
+    "convolve", "evaluate", "fit_decay_exponent", "fractional_degree",
+    "fractional_degree_refined", "gaussian_bump_field", "gradient_inner", "green_values",
+    "h_inner", "laplacian", "load_field_text", "lp_norm", "nehari_scale", "random_start_field",
+    "run_suite", "save_field_text", "solve_ground_state", "sphere_inverse", "suite_csv",
+    "suite_passed", "suite_summary", "translate",
 ]
 
 # the solver takes a start field; choosing one is the job of the [solver] keys
@@ -71,7 +73,7 @@ def declared_keys():
 
 
 def test_all_is_the_pinned_public_surface():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 52
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 51
     assert len(set(kc.__all__)) == len(kc.__all__)
     assert sorted(kc.__all__) == PUBLIC
 
@@ -84,6 +86,15 @@ def test_every_exported_name_resolves():
     exec("from kclattice import *", namespace)
     assert set(kc.__all__) <= set(namespace)
     assert set(kc.__all__) <= set(dir(kc))
+
+
+def test_no_export_shadows_a_submodule():
+    import kclattice.energy as m
+
+    assert m is sys.modules["kclattice.energy"]
+    for info in pkgutil.iter_modules(kc.__path__):
+        module = importlib.import_module(f"kclattice.{info.name}")
+        assert getattr(kc, info.name) is module, info.name
 
 
 def test_solver_has_the_pinned_parameters():

@@ -136,8 +136,8 @@ def test_mountain_pass_geometry_convolves_once_per_direction(spec4, kernel_m16,
     # referee: J on the radius-eta sphere by a fresh convolution per direction
     rng = verify_module._check_rng(42, "mountain-pass-geometry")
     directions = list(verify_module._unit_directions(spec, rng, 12))
-    floor = min(kc.energy(spec, kernel_m16, kc.Field(spec.box, rep.details["rho"] * w.values))
-                for w in directions)
+    floor = min(kc.evaluate(spec, kernel_m16, kc.Field(spec.box, rep.details["rho"] * w.values))
+                .ray_energy() for w in directions)
     assert floor >= sigma
     assert rep.details["sampled_floor"] == pytest.approx(floor, rel=1e-12, abs=0.0)
     assert (rep.measured, rep.tolerance) == (rep.details["sampled_floor"], rep.details["sigma"])
