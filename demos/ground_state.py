@@ -51,11 +51,11 @@ print()
 print(f"min/max over the box: {u.values.min():.3e} / {u.values.max():.3e}")
 
 # descent history: the reduced energy is monotone until the Newton phase
-rows = list(report.history_rows())
+rows = list(enumerate(report.history))
 print()
 print("first and last history rows (iteration, energy, residual, fiber scale):")
-for row in rows[:3] + rows[-2:]:
-    print(f"  {row[0]:4d}  {row[1]:.9e}  {row[2]:.3e}  {row[3]:.6f}")
+for i, (energy, residual, s) in rows[:3] + rows[-2:]:
+    print(f"  {i:4d}  {energy:.9e}  {residual:.3e}  {s:.6f}")
 
 # round-trip the artifact formats
 kc.save_field_text(u, "ground_state.field")

@@ -14,7 +14,6 @@ from .lattice import (
     Field,
     LatticeBox,
     gradient_inner,
-    h_inner,
     laplacian,
     load_field_text,
     lp_norm,
@@ -113,7 +112,6 @@ __all__ = [
     "gaussian_bump_field",
     "gradient_inner",
     "green_values",
-    "h_inner",
     "laplacian",
     "load_field_text",
     "lp_norm",

@@ -96,7 +96,7 @@ def _open_run(config: RunConfig) -> Path:
             run_dir.mkdir()
         except FileExistsError:
             continue
-        (run_dir / "config.snapshot").write_text(config.to_text(), encoding="ascii")
+        (run_dir / "config.snapshot").write_text(config.to_text(), encoding="utf-8")
         print(f"run directory: {run_dir}")
         return run_dir
 
@@ -127,11 +127,11 @@ def cmd_green(config: RunConfig) -> int:
     _report_kernel(kernel, report)
     sys.stdout.write(report.getvalue())
     octant = run_dir / "octant.csv"
-    with open(octant, "w", encoding="ascii") as handle:
+    with open(octant, "w", encoding="utf-8") as handle:
         handle.write("z1,z2,z3,R_alpha\n")
         for z1, z2, z3 in kernel.octant_triples():
             handle.write(f"{z1},{z2},{z3},{kernel.value((z1, z2, z3)):.17g}\n")
-    (run_dir / "report.txt").write_text(report.getvalue(), encoding="ascii")
+    (run_dir / "report.txt").write_text(report.getvalue(), encoding="utf-8")
     print(f"octant table: {octant}")
     return EXIT_OK
 
@@ -162,9 +162,9 @@ def _solve_report_text(config: RunConfig, spec, report) -> str:
 
 
 def _write_history(report, path: Path) -> None:
-    with open(path, "w", encoding="ascii") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("iteration,energy,residual,s_u\n")
-        for i, e, r, s in report.history_rows():
+        for i, (e, r, s) in enumerate(report.history):
             handle.write(f"{i},{e:.17g},{r:.17g},{s:.17g}\n")
 
 
@@ -175,7 +175,7 @@ def cmd_solve(config: RunConfig) -> int:
     run_dir = _open_run(config)
     report = solve_ground_state(spec, _kernel_for(config, table_radius), start)
     save_field_text(report.solution, run_dir / "solution.field")
-    (run_dir / "report.txt").write_text(_solve_report_text(config, spec, report), encoding="ascii")
+    (run_dir / "report.txt").write_text(_solve_report_text(config, spec, report), encoding="utf-8")
     _write_history(report, run_dir / "history.csv")
     print(f"energy = {report.energy!r}")
     print(f"residual = {report.residual:.3e}  nehari defect = {report.nehari_defect:.3e}")
@@ -211,8 +211,8 @@ def cmd_verify(config: RunConfig) -> int:
         radii=config.verify_radii,
     )
     summary = suite_summary(reports)
-    (run_dir / "suite.csv").write_text(suite_csv(reports), encoding="ascii")
-    (run_dir / "report.txt").write_text(summary, encoding="ascii")
+    (run_dir / "suite.csv").write_text(suite_csv(reports), encoding="utf-8")
+    (run_dir / "report.txt").write_text(summary, encoding="utf-8")
     print(summary, end="")
     if not suite_passed(reports):
         failing = ", ".join(r.name for r in reports if not r.passed)
@@ -242,10 +242,9 @@ def cmd_sweep(config: RunConfig) -> int:
             rows.append(f"{param},{value:.17g},nan,nan,nan,0")
             energies.append(math.nan)
             continue
-        norm = math.sqrt(spec.h_inner(report.solution, report.solution))
         rows.append(
             f"{param},{value:.17g},{report.energy:.17g},{report.residual:.17g},"
-            f"{norm:.17g},{report.iterations + report.newton_iterations}"
+            f"{spec.h_norm(report.solution):.17g},{report.iterations + report.newton_iterations}"
         )
         energies.append(report.energy)
         if not report.converged:
@@ -262,8 +261,8 @@ def cmd_sweep(config: RunConfig) -> int:
     content = "param,value,energy,residual,norm,iterations\n"
     content += "".join(row + "\n" for row in rows)
     content += "".join(line + "\n" for line in observations)
-    (run_dir / "sweep.csv").write_text(content, encoding="ascii")
-    (run_dir / "report.txt").write_text(content, encoding="ascii")
+    (run_dir / "sweep.csv").write_text(content, encoding="utf-8")
+    (run_dir / "report.txt").write_text(content, encoding="utf-8")
     print(content, end="")
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 

@@ -186,8 +186,16 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="ascii") as handle:
-            return cls.from_text(handle.read(), str(path))
+        """The config in a UTF-8 file; a byte that is not UTF-8 is a ConfigError at its line."""
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # the line of the bad byte, as _parse_sections counts
+            line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+            raise ConfigError(str(path), line, f"not valid UTF-8 at byte "
+                              f"{data[exc.start]:#04x}") from None
+        return cls.from_text(text, str(path))
 
     @classmethod
     def defaults(cls) -> "RunConfig":

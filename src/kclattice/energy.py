@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import GreenKernel, convolve, kernel_block
-from .lattice import Field, LatticeBox, _edge_sum, _laplacian_values, h_inner
+from .lattice import Field, LatticeBox, _edge_sum, _laplacian_values
 
 CONSTANT = "constant"
 COERCIVE = "coercive"
@@ -211,7 +211,11 @@ class ProblemSpec:
         return ProblemSpec(box, self.potential, self.nonlinearity, self.alpha, self.a, self.b)
 
     def h_inner(self, u: Field, v: Field) -> float:
-        return h_inner(u, v, self.a, self.potential_table)
+        """Energy inner product a sum grad u.grad v + sum V u v; another box is a ValueError."""
+        _check_field(self, u)
+        _check_field(self, v)
+        return (self.a * _edge_sum(u.values, v.values, self.box.mode)
+                + float(np.sum(self.potential_table * u.values * v.values)))
 
     def h_norm(self, u: Field) -> float:
         return float(np.sqrt(self.h_inner(u, u)))
@@ -224,9 +228,15 @@ def _check_kernel(spec: ProblemSpec, kernel: GreenKernel) -> None:
         )
 
 
+def _check_field(spec: ProblemSpec, u: Field) -> None:
+    if u.box != spec.box:
+        raise ValueError(f"field lives on a radius-{u.box.radius} {u.box.mode} box, not on "
+                         f"the problem's radius-{spec.box.radius} {spec.box.mode} box")
+
+
 @dataclass(frozen=True)
 class FiberCoefficients:
-    """The four ray invariants of a field, plus the power they scale with.
+    """The four ray invariants of a field, the power they scale with and the Kirchhoff weight.
 
     A coefficient that is not finite is a RuntimeError: it comes from an
     evaluation that overflowed, which the solver reports as non-convergence.
@@ -237,21 +247,34 @@ class FiberCoefficients:
     drive: float
     interaction: float
     exponent: float
+    b: float
 
     def __post_init__(self):
         for name in ("norm_h2", "grad2", "drive", "interaction"):
             if not math.isfinite(getattr(self, name)):
                 raise RuntimeError(f"fiber coefficient {name} is not finite")
 
-    def nehari_defect(self, b: float, s: float = 1.0) -> float:
+    def nehari_defect(self, s: float = 1.0) -> float:
         """|q(s)| relative to the largest of its three terms, q(s) = ||u||^2 + b A^2 s^2 - D s^(2p-2).
 
         Relative to ||u||^2 alone, a root where the Kirchhoff term or the
         drive dominates would measure the cancellation of huge terms.
         """
-        terms = (self.norm_h2, b * self.grad2 * self.grad2 * s * s,
+        terms = (self.norm_h2, self.b * self.grad2 * self.grad2 * s * s,
                  self.drive * s ** (2.0 * self.exponent - 2.0))
         return abs(terms[0] + terms[1] - terms[2]) / max(terms)
+
+    def ray_energy(self, s: float = 1.0) -> float:
+        """J(su) = s^2/2 ||u||^2 + b s^4/4 A^2 - s^(2p) B/2, with no convolution.
+
+        A power that leaves the double range is a RuntimeError, which the
+        solver and the property suite report as a failure.
+        """
+        try:
+            return (0.5 * s * s * self.norm_h2 + 0.25 * self.b * s ** 4 * self.grad2 ** 2
+                    - 0.5 * s ** (2.0 * self.exponent) * self.interaction)
+        except OverflowError:
+            raise RuntimeError(f"ray energy at scale {s!r} overflows") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,23 +285,11 @@ class Evaluation(FiberCoefficients):
     u: Field
     conv: np.ndarray
 
-    def ray_energy(self, s: float = 1.0) -> float:
-        """J(su) = s^2/2 ||u||^2 + b s^4/4 A^2 - s^(2p) B/2, with no convolution.
-
-        A power that leaves the double range is a RuntimeError, which the
-        solver and the property suite report as a failure.
-        """
-        try:
-            return (0.5 * s * s * self.norm_h2 + 0.25 * self.spec.b * s ** 4 * self.grad2 ** 2
-                    - 0.5 * s ** (2.0 * self.exponent) * self.interaction)
-        except OverflowError:
-            raise RuntimeError(f"ray energy at scale {s!r} overflows") from None
-
     def at_scale(self, s: float) -> "Evaluation":
         """The evaluation at su, using R * F(su) = s^p R * F(u)."""
         sp = s ** self.exponent
         return Evaluation(s * s * self.norm_h2, s * s * self.grad2, sp * (sp * self.drive),
-                          sp * (sp * self.interaction), self.exponent, self.spec,
+                          sp * (sp * self.interaction), self.exponent, self.b, self.spec,
                           Field(self.u.box, s * self.u.values), sp * self.conv)
 
     def residual(self) -> tuple:
@@ -294,7 +305,7 @@ class Evaluation(FiberCoefficients):
 
 
 def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
-    """Evaluate the functional at u with exactly one convolution.
+    """Evaluate the functional at u, on the problem's box, with exactly one convolution.
 
     D = sum (R * F(u)) f(u) u and B = sum (R * F(u)) F(u) are accumulated
     through separate pointwise products; for the power nonlinearity
@@ -302,6 +313,7 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
     check rather than assumed.
     """
     _check_kernel(spec, kernel)
+    _check_field(spec, u)
     nl = spec.nonlinearity
     with np.errstate(over="ignore"):
         big_f = nl.F(u.values)
@@ -318,7 +330,7 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
         )
     grad2 = _edge_sum(u.values, u.values, u.box.mode)  # and ||u||^2 = a A + sum V u u
     norm_h2 = spec.a * grad2 + float(np.sum(spec.potential_table * u.values * u.values))
-    return Evaluation(norm_h2, grad2, drive, interaction, nl.exponent, spec, u, conv)
+    return Evaluation(norm_h2, grad2, drive, interaction, nl.exponent, spec.b, spec, u, conv)
 
 
 def _hessian(kernel: GreenKernel, point: Evaluation):

@@ -239,17 +239,6 @@ def lp_norm(u: Field, p: float) -> float:
     return _lp_norm_values(u.values, p)
 
 
-def h_inner(u: Field, v: Field, a: float, potential) -> float:
-    """Energy-space inner product  a * sum grad u . grad v + sum V u v.
-
-    ``potential`` is a scalar or an array of potential values on the box.
-    Positive ``a`` and positive potential make this an inner product; that
-    is the caller's contract and is not re-checked here.
-    """
-    pot = np.asarray(potential, dtype=float)
-    return a * gradient_inner(u, v) + float(np.sum(pot * u.values * v.values))
-
-
 def translate(u: Field, shift) -> Field:
     """Translate a field by an integer vector: out(x) = u(x - shift).
 
@@ -290,7 +279,7 @@ _FIELD_CHUNK_LINES = 1024
 
 def save_field_text(u: Field, path) -> None:
     flat = u.flat
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# lattice-field v1 radius={u.box.radius} mode={u.box.mode}\n")
         for start in range(0, flat.size, _FIELD_CHUNK_LINES):
             chunk = flat[start:start + _FIELD_CHUNK_LINES].tolist()
@@ -298,7 +287,7 @@ def save_field_text(u: Field, path) -> None:
 
 
 def load_field_text(path) -> Field:
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _TEXT_HEADER.match(header)
         if not m:

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FiberCoefficients, ProblemSpec, _hessian, evaluate, nehari_radius
+from .energy import FiberCoefficients, ProblemSpec, _check_field, _hessian, evaluate, nehari_radius
 from .kernel import GreenKernel
 from .krylov import _h_representer, _minres, preconditioner
-from .lattice import Field, _laplacian_values, h_inner
+from .lattice import Field, _laplacian_values
 
 
 # Newton stops once a step is below a few ulps of the root; bisection alone
@@ -76,7 +76,7 @@ _SWITCH_RESIDUAL = 1.0e-3
 _TOLERANCE = 1.0e-13
 
 
-def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
+def nehari_scale(coeffs: FiberCoefficients) -> float:
     """The unique s > 0 placing s*u on the Nehari set.
 
     Roots q(s) = norm_h2 + b A^2 s^2 - D s^(2p-2).  q(0) > 0 and q has one
@@ -92,7 +92,7 @@ def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
         raise ValueError(f"squared norm must be positive, got {nh}")
     if dd <= 0.0:
         raise RuntimeError(f"ray drive of a nonzero field must be positive, got {dd}")
-    baa = b * aa * aa
+    baa = coeffs.b * aa * aa
     ex = 2.0 * p - 2.0
 
     def q(s: float) -> float:
@@ -146,7 +146,7 @@ def nehari_scale(coeffs: FiberCoefficients, b: float) -> float:
         if abs(qt) >= abs(qs):
             break
         s, qs = trial, qt
-    defect = coeffs.nehari_defect(b, s)
+    defect = coeffs.nehari_defect(s)
     if defect > _ROOT_TOLERANCE:
         raise RuntimeError(f"fiber root residual {defect:.3e} exceeds "
                            f"tolerance {_ROOT_TOLERANCE:.3e}")
@@ -167,15 +167,15 @@ def _stepped(values: np.ndarray, length: float, direction: np.ndarray) -> np.nda
 
 
 @np.errstate(over="ignore")
-def sphere_inverse(u: Field, a: float, potential_table: np.ndarray) -> Field:
-    """Map a nonzero field to the unit sphere of the energy norm: u / ||u||.
+def sphere_inverse(spec: ProblemSpec, u: Field) -> Field:
+    """Map a nonzero field to the unit sphere of the problem's energy norm: u / ||u||.
 
-    The zero field is a ValueError; a nonzero field whose squared norm
-    leaves the double range, to 0 or inf, is a RuntimeError.
+    A field on another box or the zero field is a ValueError; a nonzero field
+    whose squared norm leaves the double range, to 0 or inf, is a RuntimeError.
     """
+    norm2 = spec.h_inner(u, u)
     if not u.values.any():
         raise ValueError("cannot normalize the zero field")
-    norm2 = h_inner(u, u, a, potential_table)
     if not 0.0 < norm2 < math.inf:
         raise RuntimeError(f"squared energy norm {norm2!r} of a nonzero field leaves the "
                            f"double range")
@@ -197,14 +197,7 @@ class SolveReport:
     newton_iterations: int
     converged: bool
     message: str
-    s_history: np.ndarray
-    energy_history: np.ndarray
-    residual_history: np.ndarray
-
-    def history_rows(self):
-        """(iteration, energy, residual, s) rows for the run log."""
-        for i in range(len(self.energy_history)):
-            yield i, self.energy_history[i], self.residual_history[i], self.s_history[i]
+    history: np.ndarray  # one row per iteration, descent then Newton: energy, residual, s_u
 
 
 def gaussian_bump_field(box, center=(0, 0, 0)) -> Field:
@@ -269,10 +262,8 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     box = spec.box
     if start is None:
         w0 = gaussian_bump_field(box, spec.potential.minimum_site(box))
-    elif start.box != box:
-        raise ValueError(f"start field lives on a radius-{start.box.radius} {start.box.mode} "
-                         f"box, not on the problem's radius-{box.radius} {box.mode} box")
     else:
+        _check_field(spec, start)
         w0 = start.copy()
     history = []
     message = "ok"
@@ -280,10 +271,10 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     iterations = newton_iterations = 0
     point = None  # the evaluation at the current iterate
     try:
-        w0 = sphere_inverse(w0, spec.a, spec.potential_table)
+        w0 = sphere_inverse(spec, w0)
         w = w0.values  # the iterate on the unit sphere
         first = evaluate(spec, kernel, w0)
-        s = nehari_scale(first, spec.b)
+        s = nehari_scale(first)
         current = first.ray_energy(s)
         point = first.at_scale(s)
         g, gnorm, scale = point.residual()
@@ -311,7 +302,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
             slope = float(np.sum(g * direction))
             for _ in range(_MAX_BACKTRACKS):
                 trial = evaluate(spec, kernel, Field(box, _stepped(w, step, direction)))
-                s_trial = nehari_scale(trial, spec.b)
+                s_trial = nehari_scale(trial)
                 e_trial = trial.ray_energy(s_trial)
                 if e_trial <= current + _ARMIJO * step * s * slope:
                     break
@@ -350,7 +341,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                 break
             point, (g, gnorm, scale) = trial, trial_residual
             newton_iterations += 1
-            history.append((point.ray_energy(), gnorm, nehari_scale(point, spec.b)))
+            history.append((point.ray_energy(), gnorm, nehari_scale(point)))
         else:
             message = "Newton iteration budget exhausted"
     except RuntimeError as exc:
@@ -358,7 +349,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
 
     eta = nehari_radius(spec, kernel)
     if point is None:  # the start itself could not be evaluated or scaled
-        return SolveReport(w0, *[math.nan] * 5, eta, 0, 0, False, message, *np.empty((3, 0)))
+        return SolveReport(w0, *[math.nan] * 5, eta, 0, 0, False, message, np.empty((0, 3)))
     try:
         rep = _h_representer(spec, g, 1.0e-12, spec.a)
         h_residual = float(math.sqrt(max(np.sum(rep * g), 0.0)))
@@ -373,20 +364,17 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     if converged and message not in ("ok",):
         message = "ok after Newton polish"
 
-    hist = np.asarray(history, dtype=float).reshape(-1, 3)
     return SolveReport(
         solution=point.u,
         energy=energy,
         residual=gnorm,
         residual_scale=scale,
         h_residual=h_residual,
-        nehari_defect=point.nehari_defect(spec.b),
+        nehari_defect=point.nehari_defect(),
         eta_estimate=eta,
         iterations=iterations,
         newton_iterations=newton_iterations,
         converged=converged,
         message=message,
-        s_history=hist[:, 2].copy(),
-        energy_history=hist[:, 0].copy(),
-        residual_history=hist[:, 1].copy(),
+        history=np.asarray(history, dtype=float).reshape(-1, 3),
     )

@@ -33,6 +33,7 @@ from .energy import (
     PERIODIC_POTENTIAL,
     Evaluation,
     ProblemSpec,
+    _check_field,
     evaluate,
     nehari_radius,
 )
@@ -111,7 +112,7 @@ def _unit_directions(spec: ProblemSpec, rng, count: int):
             raw = random_start_field(box, rng, center)
         else:
             raw = Field(box, rng.standard_normal((box.side,) * 3))
-        yield sphere_inverse(raw, spec.a, spec.potential_table)
+        yield sphere_inverse(spec, raw)
 
 
 def check_kernel_integrity(kernel: GreenKernel) -> PropertyReport:
@@ -338,13 +339,13 @@ def check_level_identity(spec: ProblemSpec, kernel: GreenKernel,
     min_ray_max = math.inf
     for k, u in enumerate(_unit_directions(spec, rng, samples)):
         point = evaluate(spec, kernel, u)
-        ray_max = point.ray_energy(nehari_scale(point, spec.b))
+        ray_max = point.ray_energy(nehari_scale(point))
         min_ray_max = min(min_ray_max, ray_max)
         if not ray_max >= c - tol:  # a nan ray maximum fails too
             passed = False
             witness = f"ray maximum {ray_max!r} below level {c!r} on sample {k}"
     point = evaluate(spec, kernel, solve_report.solution)
-    ground_ray = point.ray_energy(nehari_scale(point, spec.b))
+    ground_ray = point.ray_energy(nehari_scale(point))
     if not abs(ground_ray - c) <= tol:
         passed = False
         witness = witness or f"ground ray maximum {ground_ray!r} misses level {c!r}"
@@ -595,10 +596,12 @@ def run_suite(spec: ProblemSpec, kernel: GreenKernel, solve_report: SolveReport,
     certifies, shared by the checks that need one.  Callers wanting exact
     periodic-translation invariance should pass a periodic-mode spec whose
     box side is a multiple of the potential period.  An off-center coercive
-    potential is rejected before any check runs.  A check that raises a
-    RuntimeError is reported as failed, with the error as its witness.
+    potential and a solve on another box are ValueErrors before any check
+    runs.  A check that raises a RuntimeError is reported as failed, with
+    the error as its witness.
     """
     require_origin_center(spec.potential)
+    _check_field(spec, solve_report.solution)
     checks = {
         "kernel-integrity": lambda: check_kernel_integrity(kernel),
         "mountain-pass-geometry": lambda: check_mountain_pass_geometry(

@@ -142,7 +142,7 @@ def test_criterion_06_nehari_scale_oracles():
             p, b = 3.0, rng.uniform(0.01, 10.0)
             kk = b * aa**2
             exact = np.sqrt((kk + np.sqrt(kk * kk + 4.0 * dd * nh)) / (2.0 * dd))
-        root = kc.nehari_scale(kc.FiberCoefficients(nh, aa, dd, dd / p, p), b)
+        root = kc.nehari_scale(kc.FiberCoefficients(nh, aa, dd, dd / p, p, b))
         worst = max(worst, abs(root / exact - 1.0))
     ok = worst < 1e-12
     announce(6, "fiber root closed forms", ok, f"worst rel dev={worst:.2e} over 100 sets")

@@ -445,6 +445,21 @@ def test_seed_flag_lands_in_snapshot(tmp_path, cache_dir, capsys):
     assert "seed = 99" in snapshot
 
 
+def test_non_ascii_text_runs_and_undecodable_config_exits_one(tmp_path, cache_dir, capsys):
+    cfg = write_config(tmp_path, "# température du réseau\n" + base_config(cache_dir))
+    out = tmp_path / "out-é"
+    assert main(["--config", cfg, "--output", str(out), "solve"]) == 0
+    assert f"run directory: {out}" in capsys.readouterr().out
+    snapshot = (latest_run(out) / "config.snapshot").read_text(encoding="utf-8")
+    assert kc.RunConfig.from_text(snapshot).output_directory == str(out)
+    # a config that is not UTF-8 is a config error at the line of its first bad byte
+    Path(cfg).write_bytes(b"[problem]\nradius = 3\n# temp\xe9rature\n")
+    other = tmp_path / "other"
+    assert main(["--config", cfg, "--output", str(other), "solve"]) == 1
+    assert "run.cfg:3: not valid UTF-8" in capsys.readouterr().err
+    assert not other.exists()
+
+
 def test_defaults_without_config_green(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--output", "out", "green"]) == 0

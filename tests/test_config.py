@@ -74,6 +74,17 @@ def test_from_file(tmp_path):
         RunConfig.from_file(tmp_path / "missing.cfg")
 
 
+def test_from_file_reads_utf8_and_anchors_a_bad_byte_at_its_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("# température du réseau\n".encode("utf-8") + GOOD.encode("ascii"))
+    assert RunConfig.from_file(path) == RunConfig.from_text(GOOD)
+    # one Latin-1 byte in a comment on line 3: not UTF-8, so an error at that line
+    path.write_bytes(b"[problem]\nradius = 6\n# temp\xe9rature\n")
+    with pytest.raises(ConfigError, match="not valid UTF-8") as err:
+        RunConfig.from_file(path)
+    assert (err.value.path, err.value.line) == (str(path), 3)
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# leading comment\n\n[problem]\n; semicolon comment\nradius = 5\n"
     cfg = RunConfig.from_text(text)

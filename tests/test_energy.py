@@ -222,6 +222,35 @@ def test_with_box_keeps_parameters(small_spec):
     )
 
 
+_OTHER_BOX_CASES = {
+    # the field's box, then the problem's
+    "dirichlet-field-periodic-problem": (LatticeBox(3), LatticeBox(3, kc.PERIODIC)),
+    "radius-2-field-radius-3-problem": (LatticeBox(2), LatticeBox(3)),
+}
+_BOX_ENTRIES = {
+    "evaluate": lambda spec, kernel, u: kc.evaluate(spec, kernel, u),
+    "h_inner": lambda spec, kernel, u: spec.h_inner(u, u),
+    "h_inner-second": lambda spec, kernel, u: spec.h_inner(Field.zeros(spec.box), u),
+    "sphere_inverse": lambda spec, kernel, u: kc.sphere_inverse(spec, u),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BOX_ENTRIES))
+@pytest.mark.parametrize("case", sorted(_OTHER_BOX_CASES))
+def test_a_field_on_another_box_is_refused_by_name(kernel_m8, convolution_count, case, entry):
+    # a field of ones on a Dirichlet box read as a periodic one would mix the two
+    # boundary conventions; one of another radius would fail in a numpy broadcast
+    field_box, problem_box = _OTHER_BOX_CASES[case]
+    spec = ProblemSpec(problem_box, PotentialSpec.constant(1.0), PowerNonlinearity(1.0, 3.0),
+                       alpha=1.0, b=1.0)
+    u = Field(field_box, np.ones((field_box.side,) * 3))
+    with pytest.raises(ValueError, match=(
+            f"field lives on a radius-{field_box.radius} {field_box.mode} box, not on the "
+            f"problem's radius-{problem_box.radius} {problem_box.mode} box")):
+        _BOX_ENTRIES[entry](spec, kernel_m8, u)
+    assert convolution_count[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # energy and variations
 
@@ -378,7 +407,7 @@ def test_pairing_with_u_closes_the_fiber_identity(small_spec, small_kernel, rng)
     assert lhs == pytest.approx(rhs, rel=1e-12)
     # the Nehari defect is that pairing relative to the largest of its three terms
     largest = max(coeffs.norm_h2, small_spec.b * coeffs.grad2**2, coeffs.drive)
-    assert coeffs.nehari_defect(small_spec.b) == pytest.approx(abs(rhs) / largest, rel=1e-12)
+    assert coeffs.nehari_defect() == pytest.approx(abs(rhs) / largest, rel=1e-12)
 
 
 def test_interaction_pairing_is_directional_derivative(small_spec, small_kernel, rng):

@@ -170,17 +170,14 @@ def test_h_inner_and_norm(rng):
     box = LatticeBox(3)
     u = Field(box, rng.standard_normal((7, 7, 7)))
     v = Field(box, rng.standard_normal((7, 7, 7)))
-    table = 1.0 + rng.random((7, 7, 7))
-    assert kc.h_inner(u, v, 2.0, table) == pytest.approx(
-        kc.h_inner(v, u, 2.0, table), rel=1e-13
-    )
+    # a 7-periodic potential tiles the side-7 box with its table, once
+    potential = kc.PotentialSpec.periodic(7, 1.0 + rng.random((7, 7, 7)))
+    spec = kc.ProblemSpec(box, potential, kc.PowerNonlinearity(1.0, 3.0), alpha=1.0, a=2.0)
+    table = spec.potential_table
+    assert spec.h_inner(u, v) == pytest.approx(spec.h_inner(v, u), rel=1e-13)
     expected = 2.0 * kc.gradient_inner(u, v) + float(np.sum(table * u.values * v.values))
-    assert kc.h_inner(u, v, 2.0, table) == pytest.approx(expected, rel=1e-13)
-    assert kc.h_inner(u, u, 2.0, table) > 0.0
-    # scalar potential shortcut agrees with the filled table
-    assert kc.h_inner(u, v, 2.0, 1.5) == pytest.approx(
-        kc.h_inner(u, v, 2.0, np.full((7, 7, 7), 1.5)), rel=1e-13
-    )
+    assert spec.h_inner(u, v) == pytest.approx(expected, rel=1e-13)
+    assert spec.h_inner(u, u) > 0.0
 
 
 def test_translate_periodic_exact(rng):

@@ -30,6 +30,11 @@ def test_the_import_reader_sees_function_level_imports():
     assert "krylov" in _relative_imports("nehari", top_level_only=True)
 
 
+def test_the_lattice_imports_no_other_module():
+    # geometry and the discrete operators only; the energy norm belongs to ProblemSpec
+    assert _relative_imports("lattice") == set()
+
+
 def test_krylov_imports_only_the_lattice_and_the_energy():
     assert _relative_imports("krylov") <= {"lattice", "energy"}
 

@@ -1,5 +1,6 @@
 """Fiber algebra, the ray root, the envelope identity, and the solver."""
 
+import dataclasses
 import math
 import random
 
@@ -88,7 +89,7 @@ def test_coefficients_scale_homogeneously(spec5, kernel10, rng):
 
 def test_zero_field_rejected(spec5, kernel10):
     with pytest.raises(ValueError):
-        kc.nehari_scale(kc.evaluate(spec5, kernel10, Field.zeros(spec5.box)), spec5.b)
+        kc.nehari_scale(kc.evaluate(spec5, kernel10, Field.zeros(spec5.box)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +112,7 @@ def test_nehari_scale_matches_closed_forms(spec5, kernel10, rng):
         u = random_field(spec5.box, rng, scale=rng.uniform(0.05, 2.0))
         c = kc.evaluate(spec5, kernel10, u)
         for b in (0.0, 0.3, 1.0, 10.0):
-            s = kc.nehari_scale(c, b)
+            s = kc.nehari_scale(dataclasses.replace(c, b=b))
             assert s == pytest.approx(closed_form_scale(c, b), rel=1e-12)
 
 
@@ -120,11 +121,11 @@ def test_nehari_scale_closed_form_other_exponent(rng):
     for _ in range(20):
         nh, aa, dd = rng.uniform(0.5, 50.0, size=3)
         p = rng.uniform(2.2, 4.0)
-        c = kc.FiberCoefficients(nh, aa, dd, dd / p, p)
-        s = kc.nehari_scale(c, 0.0)
+        c = kc.FiberCoefficients(nh, aa, dd, dd / p, p, 0.0)
+        s = kc.nehari_scale(c)
         assert s == pytest.approx((nh / dd) ** (1.0 / (2.0 * p - 2.0)), rel=1e-12)
         # root property: q(s) = 0 where q(s) = nh + b A^2 s^2 - D s^(2p-2)
-        sb = kc.nehari_scale(c, 2.0)
+        sb = kc.nehari_scale(dataclasses.replace(c, b=2.0))
         q = nh + 2.0 * aa**2 * sb**2 - dd * sb ** (2.0 * p - 2.0)
         assert abs(q) <= 1e-10 * max(nh, 2.0 * aa**2 * sb**2)
 
@@ -182,15 +183,15 @@ def test_nehari_scale_matches_brentq(regime):
     rng = np.random.default_rng(4242)
     raised = 0
     for nh, aa, dd, p, b in _coefficient_sets(rng, regime, 1000):
-        coeffs = kc.FiberCoefficients(nh, aa, dd, dd / p, p)
+        coeffs = kc.FiberCoefficients(nh, aa, dd, dd / p, p, b)
         try:
             want = _brentq_scale(nh, aa, dd, p, b)
         except (RuntimeError, OverflowError):
             with pytest.raises(RuntimeError):
-                kc.nehari_scale(coeffs, b)
+                kc.nehari_scale(coeffs)
             raised += 1
             continue
-        got = kc.nehari_scale(coeffs, b)
+        got = kc.nehari_scale(coeffs)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0), (nh, aa, dd, p, b)
     assert raised >= 1
 
@@ -203,9 +204,9 @@ def test_nehari_scale_matches_brentq(regime):
     pytest.param(0.0, "ray drive of a nonzero field", id="drive-underflow"),
 ])
 def test_nehari_scale_overflow_is_a_runtime_error(drive, message):
-    coeffs = kc.FiberCoefficients(1.0, 1.0, drive, drive / 2.05, 2.05)
+    coeffs = kc.FiberCoefficients(1.0, 1.0, drive, drive / 2.05, 2.05, 1.0)
     with pytest.raises(RuntimeError, match=message):
-        kc.nehari_scale(coeffs, 1.0)
+        kc.nehari_scale(coeffs)
 
 
 def test_nehari_scale_root_far_below_one_is_found_fast(monkeypatch):
@@ -223,8 +224,8 @@ def test_nehari_scale_root_far_below_one_is_found_fast(monkeypatch):
 
     monkeypatch.setattr(math, "nextafter", bounded)
     coeffs = kc.FiberCoefficients(1.0, 0.3472228694310446, 7.236047018724706e295,
-                                  2.4120156729082345e295, 3.0)
-    s = kc.nehari_scale(coeffs, 1.0)
+                                  2.4120156729082345e295, 3.0, 1.0)
+    s = kc.nehari_scale(coeffs)
     assert s == pytest.approx(1.0842380767471474e-74, rel=1e-14)
     assert calls[0] <= nehari_module._ROOT_ITERATIONS
 
@@ -288,13 +289,13 @@ def test_unit_scale_fixed_point(spec5, kernel10, rng):
     c = kc.evaluate(spec5, kernel10, u)
     t = (c.norm_h2 / c.drive) ** (1.0 / (2.0 * c.exponent - 2.0))
     ct = kc.evaluate(spec5, kernel10, Field(spec5.box, t * u.values))
-    assert kc.nehari_scale(ct, 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert kc.nehari_scale(dataclasses.replace(ct, b=0.0)) == pytest.approx(1.0, rel=1e-12)
 
 
 def project(spec, kernel, u):
     """s_u u: the field scaled onto the Nehari set along its ray."""
     point = kc.evaluate(spec, kernel, u)
-    return point.at_scale(kc.nehari_scale(point, spec.b)).u
+    return point.at_scale(kc.nehari_scale(point)).u
 
 
 def test_projection_is_ray_invariant(spec5, kernel10, rng):
@@ -321,10 +322,10 @@ def test_projection_maximizes_along_ray(spec5, kernel10, rng):
 
 def test_sphere_inverse_normalizes(spec5, rng):
     u = random_field(spec5.box, rng)
-    w = kc.sphere_inverse(u, spec5.a, spec5.potential_table)
+    w = kc.sphere_inverse(spec5, u)
     assert spec5.h_norm(w) == pytest.approx(1.0, rel=1e-13)
     with pytest.raises(ValueError):
-        kc.sphere_inverse(Field.zeros(spec5.box), spec5.a, spec5.potential_table)
+        kc.sphere_inverse(spec5, Field.zeros(spec5.box))
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +335,17 @@ def test_sphere_inverse_normalizes(spec5, rng):
 def test_envelope_identity_gives_the_reduced_derivative(spec5, kernel10, rng):
     # the s derivative of J(s w) vanishes at s_w, so d Psi(w)[z] = s_w <J'(s_w w), z>,
     # read from one evaluation of w scaled onto its ray
-    w = kc.sphere_inverse(random_field(spec5.box, rng), spec5.a, spec5.potential_table)
+    w = kc.sphere_inverse(spec5, random_field(spec5.box, rng))
     z = random_field(spec5.box, rng)
     z = Field(w.box, z.values - spec5.h_inner(z, w) * w.values)
     z = Field(w.box, z.values / spec5.h_norm(z))
     point = kc.evaluate(spec5, kernel10, w)
-    s = kc.nehari_scale(point, spec5.b)
+    s = kc.nehari_scale(point)
     derivative = s * float(np.sum(point.at_scale(s).residual()[0] * z.values))
 
     def reduced(v):
         ray = kc.evaluate(spec5, kernel10, v)
-        return ray.ray_energy(kc.nehari_scale(ray, spec5.b))
+        return ray.ray_energy(kc.nehari_scale(ray))
 
     h = 1e-5
     up = Field(w.box, w.values + h * z.values)
@@ -375,13 +376,12 @@ def test_solver_reaches_stationarity(spec5, kernel10, solved5):
 
 def test_solver_history_shape(solved5):
     rep = solved5
-    assert len(rep.s_history) == len(rep.energy_history) == len(rep.residual_history)
-    rows = list(rep.history_rows())
-    assert rows[0][0] == 0
-    assert rows[-1][2] <= 1e-9
+    assert rep.history.shape == (len(rep.history), 3)
+    assert len(rep.history) == rep.iterations + rep.newton_iterations + 1
+    assert rep.history[-1, 1] <= 1e-9
     # descent phase decreases the reduced energy monotonically
-    k = max(1, len(rep.energy_history) - rep.newton_iterations - 1)
-    descent = rep.energy_history[:k]
+    k = max(1, len(rep.history) - rep.newton_iterations - 1)
+    descent = rep.history[:k, 0]
     assert all(b <= a + 1e-12 for a, b in zip(descent, descent[1:]))
 
 
@@ -551,10 +551,10 @@ def test_solver_reports_ray_root_failure(spec5, kernel10, monkeypatch, which):
     assert rep.eta_estimate == pytest.approx(eta, rel=1e-12, abs=0.0)
     if which == "start":
         assert np.isnan(rep.energy) and np.isnan(rep.residual)
-        assert len(rep.energy_history) == 0
+        assert rep.history.shape == (0, 3)
     else:
         assert np.isfinite(rep.energy) and np.isfinite(rep.residual)
-        assert rep.energy_history.shape == rep.s_history.shape
+        assert rep.history.shape[1] == 3
 
 
 def test_reference_solve_convolution_budget(reference_spec, kernel_m16, convolution_count):
@@ -627,9 +627,9 @@ def test_rough_descent_direction_is_a_descent_direction(spec5, kernel10, rng):
     for spec in _descent_boxes(spec5):
         kern = kernel10 if spec.box.mode == kc.DIRICHLET else kc.build_kernel(1.0, 4)
         for _ in range(3):
-            w = kc.sphere_inverse(random_field(spec.box, rng), spec.a, spec.potential_table)
+            w = kc.sphere_inverse(spec, random_field(spec.box, rng))
             start = kc.evaluate(spec, kern, w)
-            point = start.at_scale(kc.nehari_scale(start, spec.b))
+            point = start.at_scale(kc.nehari_scale(start))
             g = point.residual()[0]
             weight = spec.a + spec.b * point.grad2
             d = krylov_module._h_representer(spec, g, nehari_module._DESCENT_RTOL, weight)

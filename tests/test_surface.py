@@ -19,9 +19,9 @@ PUBLIC = [
     "check_level_identity", "check_mountain_pass_geometry", "check_symmetry_and_translation",
     "convolve", "evaluate", "fit_decay_exponent", "fractional_degree",
     "fractional_degree_refined", "gaussian_bump_field", "gradient_inner", "green_values",
-    "h_inner", "laplacian", "load_field_text", "lp_norm", "nehari_scale", "random_start_field",
-    "run_suite", "save_field_text", "solve_ground_state", "sphere_inverse", "suite_csv",
-    "suite_passed", "suite_summary", "translate",
+    "laplacian", "load_field_text", "lp_norm", "nehari_scale", "random_start_field", "run_suite",
+    "save_field_text", "solve_ground_state", "sphere_inverse", "suite_csv", "suite_passed",
+    "suite_summary", "translate",
 ]
 
 # the solver takes a start field; choosing one is the job of the [solver] keys
@@ -64,7 +64,16 @@ FIXED_PARAMETERS = {
     "gaussian_bump_field": ("box", "center"),
     "random_start_field": ("box", "rng", "center"),
     "fractional_degree_refined": ("alpha",),
+    # the ray record carries its Kirchhoff weight, and the problem its box and energy norm
+    "nehari_scale": ("coeffs",),
+    "sphere_inverse": ("spec", "u"),
 }
+
+# a solve's history is one table, whose columns the SolveReport documents
+SOLVE_REPORT_FIELDS = (
+    "solution", "energy", "residual", "residual_scale", "h_residual", "nehari_defect",
+    "eta_estimate", "iterations", "newton_iterations", "converged", "message", "history",
+)
 
 
 def declared_keys():
@@ -73,7 +82,7 @@ def declared_keys():
 
 
 def test_all_is_the_pinned_public_surface():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 51
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 50
     assert len(set(kc.__all__)) == len(kc.__all__)
     assert sorted(kc.__all__) == PUBLIC
 
@@ -102,6 +111,13 @@ def test_solver_has_the_pinned_parameters():
     # the superlinearity index is 2p, not a field
     assert tuple(f.name for f in dataclasses.fields(kc.PowerNonlinearity)) == (
         "coefficient", "exponent")
+
+
+def test_solve_report_has_the_pinned_fields():
+    assert tuple(f.name for f in dataclasses.fields(kc.SolveReport)) == SOLVE_REPORT_FIELDS
+    # the ray record's fields: the four invariants, the power and the Kirchhoff weight
+    assert tuple(f.name for f in dataclasses.fields(kc.FiberCoefficients)) == (
+        "norm_h2", "grad2", "drive", "interaction", "exponent", "b")
 
 
 def test_kernel_entry_points_have_the_pinned_parameters():

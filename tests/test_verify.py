@@ -479,6 +479,23 @@ def test_run_suite_rejects_off_center_potential_before_any_work(kernel_m16, solv
     assert convolution_count[0] == 0
 
 
+@pytest.mark.parametrize("box", [LatticeBox(3), LatticeBox(4, kc.PERIODIC)],
+                         ids=["radius-3", "periodic"])
+def test_run_suite_rejects_the_solve_of_another_box_before_any_work(spec4, kernel_m16, solved4,
+                                                                    monkeypatch,
+                                                                    convolution_count, box):
+    solves = []
+    monkeypatch.setattr(verify_module, "solve_ground_state",
+                        lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(ValueError, match=(
+            "field lives on a radius-4 dirichlet box, not on the problem's "
+            f"radius-{box.radius} {box.mode} box")):
+        kc.run_suite(spec4.with_box(box), kernel_m16, solved4, trials=2, mp_trials=2,
+                     fiber_fields=1, level_samples=1, radii=(2, 4))
+    assert solves == []
+    assert convolution_count[0] == 0
+
+
 def test_run_suite_all_pass(spec4, kernel_m20, solved4):
     reports = kc.run_suite(
         spec4,
