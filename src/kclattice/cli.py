@@ -284,9 +284,15 @@ def main(argv=None) -> int:
     never reclaims those objects. Later calls freeze nothing: by then the
     heap also holds earlier runs' uncollected cycles, which would never be
     reclaimed either.
+
+    A stdout that cannot encode a character, such as one of a run
+    directory's name, escapes it as Python's own stderr does.
     """
     if not gc.get_freeze_count():
         gc.freeze()
+    reconfigure = getattr(sys.stdout, "reconfigure", None)  # an io.StringIO has none
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](_load_run_config(args))

@@ -57,6 +57,8 @@ class ConfigError(ValueError):
 
 _SECTION_RE = re.compile(r"^\[([a-z_]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
+# only these end a line; str.splitlines would also break at U+0085, U+2028, \f and the like
+_NEWLINE_RE = re.compile(r"\r\n|\r|\n")
 
 
 def _finite(text: str) -> float:
@@ -192,7 +194,7 @@ class RunConfig:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:  # the line of the bad byte, as _parse_sections counts
-            line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+            line = len(_NEWLINE_RE.split(data[:exc.start].decode("utf-8")))
             raise ConfigError(str(path), line, f"not valid UTF-8 at byte "
                               f"{data[exc.start]:#04x}") from None
         return cls.from_text(text, str(path))
@@ -286,8 +288,7 @@ class RunConfig:
         if self.initial_guess == RANDOM_START:
             from .splitmix import stream  # only a random start loads the stream
 
-            return random_start_field(spec.box, stream(self.seed),
-                                      spec.potential.minimum_site(spec.box))
+            return random_start_field(spec.box, stream(self.seed), spec.minimum_site)
         path, solver, box = self.initial_file, self.sections["solver"], spec.box
         try:
             initial = load_field_text(path)
@@ -352,7 +353,7 @@ def _parse_sections(text: str, path: str) -> dict:
     """{section: _Section} for every declared section, each entry with its line."""
     entries, header_lines = {}, {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_NEWLINE_RE.split(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue

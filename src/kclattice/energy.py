@@ -115,16 +115,6 @@ class PotentialSpec:
         return cls(PERIODIC_POTENTIAL, min(table, default=math.nan),
                    tau=int(tau) if tau % 1 == 0 else tau, table=table)
 
-    def value(self, x) -> float:
-        """Evaluate V at a single site."""
-        if self.kind == CONSTANT:
-            return self.v0
-        if self.kind == COERCIVE:
-            d2 = sum((float(c) - float(c0)) ** 2 for c, c0 in zip(x, self.center))
-            return self.v0 + self.rate * d2 ** (self.power / 2.0)
-        cube = np.asarray(self.table).reshape(self.tau, self.tau, self.tau)
-        return float(cube[x[0] % self.tau, x[1] % self.tau, x[2] % self.tau])
-
     def table_on(self, box: LatticeBox) -> np.ndarray:
         """Potential values at every site of a box, shaped like a field."""
         if self.kind == CONSTANT:
@@ -135,22 +125,6 @@ class PotentialSpec:
         cube = np.asarray(self.table).reshape(self.tau, self.tau, self.tau)
         x1, x2, x3 = box.coordinate_grids()
         return cube[x1 % self.tau, x2 % self.tau, x3 % self.tau]
-
-    def minimum_site(self, box: LatticeBox):
-        """A site where V is smallest over the box.
-
-        Ties go to the site nearest the box center (then lexicographic):
-        for periodic potentials every low cell is a minimum and starting
-        a localized guess at the boundary of a truncated box biases the
-        solve toward boundary artifacts.
-        """
-        table = self.table_on(box)
-        n = box.radius
-        sites = np.argwhere(table == table.min()) - n
-        d2 = np.sum(sites * sites, axis=1)
-        best = sites[d2 == d2.min()]
-        i, j, k = min(map(tuple, best))
-        return (int(i), int(j), int(k))
 
 
 @dataclass(frozen=True)
@@ -206,6 +180,21 @@ class ProblemSpec:
         table = self.potential.table_on(self.box)
         table.setflags(write=False)
         return table
+
+    @cached_property
+    def minimum_site(self) -> tuple:
+        """A site where V is smallest over the box.
+
+        Ties go to the site nearest the box center (then lexicographic):
+        for periodic potentials every low cell is a minimum and starting
+        a localized guess at the boundary of a truncated box biases the
+        solve toward boundary artifacts.
+        """
+        table = self.potential_table
+        sites = np.argwhere(table == table.min()) - self.box.radius
+        d2 = np.sum(sites * sites, axis=1)
+        i, j, k = min(map(tuple, sites[d2 == d2.min()]))
+        return (int(i), int(j), int(k))
 
     def with_box(self, box: LatticeBox) -> "ProblemSpec":
         return ProblemSpec(box, self.potential, self.nonlinearity, self.alpha, self.a, self.b)

@@ -261,7 +261,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     """
     box = spec.box
     if start is None:
-        w0 = gaussian_bump_field(box, spec.potential.minimum_site(box))
+        w0 = gaussian_bump_field(box, spec.minimum_site)
     else:
         _check_field(spec, start)
         w0 = start.copy()

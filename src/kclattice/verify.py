@@ -106,7 +106,7 @@ def _unit_directions(spec: ProblemSpec, rng, count: int):
     smoothed positive noise around the potential's minimum, then plain
     Gaussian noise, alternately."""
     box = spec.box
-    center = spec.potential.minimum_site(box)
+    center = spec.minimum_site
     for k in range(count):
         if k % 2 == 0:
             raw = random_start_field(box, rng, center)

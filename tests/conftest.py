@@ -42,7 +42,7 @@ def proven_floor(spec, kernel):
 
 def random_start(spec, seed):
     """The seeded random start a run with initial_guess = random solves from."""
-    return kc.random_start_field(spec.box, stream(seed), spec.potential.minimum_site(spec.box))
+    return kc.random_start_field(spec.box, stream(seed), spec.minimum_site)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
-"""Second routes for the kernel and the first variation, kept as test referees.
+"""Second routes for the kernel, the potential and the first variation, kept as test referees.
 
-The package computes each kernel quantity by one route; these are the
+The package computes each of these quantities by one route; these are the
 independent ones it is checked against, and no run reaches them:
 
 ``torus_green_values``
@@ -16,6 +16,9 @@ independent ones it is checked against, and no run reaches them:
 ``direct_convolve``
     sum_y R(x - y) w(y) over the displacement matrix, a block of rows at a
     time: the quadratic-cost reference for the FFT convolution.
+``potential_value``
+    V at a single site, straight from the potential's parameters: the
+    pointwise referee of ``PotentialSpec.table_on``.
 ``pairing``
     The first variation <J'(u), phi> through the bilinear-form expansion,
     with its own convolution.
@@ -24,7 +27,7 @@ independent ones it is checked against, and no run reaches them:
 import numpy as np
 
 from kclattice import Field, QuadratureError, convolve, fractional_degree_refined, gradient_inner
-from kclattice.energy import _check_kernel
+from kclattice.energy import COERCIVE, CONSTANT, _check_kernel
 from kclattice.kernel import _check_alpha, kernel_block
 
 
@@ -131,6 +134,18 @@ def direct_convolve(kernel, w) -> Field:
             d = (d + box.radius) % side - box.radius
         out[start:stop] = kernel.table[d[..., 0] + m, d[..., 1] + m, d[..., 2] + m] @ flat
     return Field.from_flat(box, out)
+
+
+def potential_value(potential, site) -> float:
+    """V at one site of Z^3, evaluated from the potential's parameters alone."""
+    if potential.kind == CONSTANT:
+        return potential.v0
+    if potential.kind == COERCIVE:
+        d2 = sum((float(c) - float(c0)) ** 2 for c, c0 in zip(site, potential.center))
+        return potential.v0 + potential.rate * d2 ** (potential.power / 2.0)
+    tau = potential.tau
+    cube = np.asarray(potential.table).reshape(tau, tau, tau)
+    return float(cube[site[0] % tau, site[1] % tau, site[2] % tau])
 
 
 def pairing(spec, kernel, u: Field, phi: Field) -> float:

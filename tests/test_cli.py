@@ -460,6 +460,23 @@ def test_non_ascii_text_runs_and_undecodable_config_exits_one(tmp_path, cache_di
     assert not other.exists()
 
 
+@pytest.mark.parametrize("encoding, shown", [("ascii", b"out-\\xe9"),
+                                             ("utf-8", "out-é".encode("utf-8"))])
+def test_a_stdout_that_cannot_encode_the_run_directory_escapes_it(tmp_path, cache_dir, encoding,
+                                                                  shown):
+    # escaped as Python's own stderr does, so the run still writes its artifacts and exits 0
+    cfg = write_config(tmp_path, base_config(cache_dir))
+    src = str(Path(kc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "kclattice.cli", "--config", cfg,
+                             "--output", "out-é", "green"], cwd=tmp_path, env=env,
+                            capture_output=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    assert b"run directory: " + shown in result.stdout
+    assert (latest_run(tmp_path / "out-é") / "report.txt").exists()
+
+
 def test_defaults_without_config_green(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--output", "out", "green"]) == 0
@@ -632,6 +649,26 @@ def test_table_radius_is_worked_out_once_per_run(tmp_path, cache_dir, capsys, mo
     assert main(["--config", cfg, "--output", str(tmp_path / "out"), command]) in (0, 4)
     capsys.readouterr()
     assert calls == [f"{command}_table_radius"]
+
+
+@pytest.mark.parametrize("command, built", [("solve", [8]), ("verify", [4, 6, 8, 10])])
+def test_a_run_builds_one_potential_table_per_box(tmp_path, cache_dir, capsys, monkeypatch,
+                                                  command, built):
+    # the reference problem; the solver's start and the suite's directions read its minimum
+    # site off the table the problem already holds
+    radii = []
+    table_on = kc.PotentialSpec.table_on
+    monkeypatch.setattr(kc.PotentialSpec, "table_on",
+                        lambda self, box: radii.append(box.radius) or table_on(self, box))
+    text = ("[problem]\nb = 1.0\nradius = 8\n\n"
+            "[potential]\nkind = coercive\nv0 = 1.0\nrate = 1.0\npower = 2.0\n\n"
+            f"[kernel]\ncache_dir = {cache_dir}\n\n"
+            "[verify]\ntrials = 4\nmp_trials = 4\nfiber_fields = 1\nlevel_samples = 2\n"
+            "radii = 4 6 8 10\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["--config", cfg, "--output", str(tmp_path / "out"), command]) == 0
+    capsys.readouterr()
+    assert sorted(radii) == built
 
 
 def test_negative_seed_flag_exits_one(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 import kclattice as kc
 from kclattice import ConfigError, RunConfig
 from kclattice.splitmix import stream
+from referees import potential_value
 
 
 GOOD = """\
@@ -89,6 +90,36 @@ def test_comments_and_blank_lines_ignored():
     text = "# leading comment\n\n[problem]\n; semicolon comment\nradius = 5\n"
     cfg = RunConfig.from_text(text)
     assert cfg.radius == 5
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d",
+                                       "\x1e"])
+def test_only_a_newline_ends_a_config_line(separator):
+    # str.splitlines would also break here, mid-comment, and shift every later line number
+    text = f"# a{separator}b\n[problem]\nradius = 3\n"
+    assert RunConfig.from_text(text, "x.cfg").radius == 3
+    with pytest.raises(ConfigError, match=r"^x\.cfg:3: \[problem\] radius"):
+        RunConfig.from_text(text.replace("3", "three"), "x.cfg")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_configs_parse(newline):
+    assert RunConfig.from_text(GOOD.replace("\n", newline)) == RunConfig.from_text(GOOD)
+    with pytest.raises(ConfigError, match=r"^<config>:3: "):
+        RunConfig.from_text(newline.join(["[problem]", "radius = 4", "mode = sideways", ""]))
+
+
+@pytest.mark.parametrize("prefix, line", [
+    ("# a\u2028b\n[problem]\nradius = 6\n", 4),
+    ("# a\x85b\r\n[problem]\r\nradius = 6\r\n", 4),
+    ("[problem]\rradius = 6\r", 3),
+])
+def test_a_bad_byte_is_anchored_at_the_line_an_editor_shows(tmp_path, prefix, line):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(prefix.encode("utf-8") + b"# temp\xe9rature\n")
+    with pytest.raises(ConfigError, match="not valid UTF-8") as err:
+        RunConfig.from_file(path)
+    assert (err.value.path, err.value.line) == (str(path), line)
 
 
 def test_unknown_section_is_anchored():
@@ -249,7 +280,7 @@ def test_start_field_accessor(tmp_path):
     assert cfg.seed == 7
     assert cfg.start_field(spec) is None  # the solver's default bump
     random = replace(cfg, initial_guess=kc.RANDOM_START)
-    expected = kc.random_start_field(spec.box, stream(7), spec.potential.minimum_site(spec.box))
+    expected = kc.random_start_field(spec.box, stream(7), spec.minimum_site)
     assert np.array_equal(random.start_field(spec).values, expected.values)
     saved, path = kc.gaussian_bump_field(spec.box), tmp_path / "start.field"
     kc.save_field_text(saved, path)
@@ -295,7 +326,7 @@ def test_constant_and_coercive_potentials():
     pot = coer.potential_spec()
     assert pot.kind == kc.COERCIVE
     assert pot.center == (1, 0, -1)
-    assert pot.value((1, 0, -1)) == 1.5
+    assert potential_value(pot, (1, 0, -1)) == 1.5
 
 
 @pytest.mark.parametrize("kind, keys, stray", [

@@ -1,8 +1,9 @@
-"""Which kclattice module may import which.
+"""Which kclattice module may import which, and who may call what.
 
 ``krylov`` sits below the solver and above the energy, so linear algebra
 added there cannot close an import cycle; the property suite sits above
 the solve path, which loads it only inside the functions that need it.
+The potential's table is built in one place, the problem that caches it.
 """
 
 import ast
@@ -21,6 +22,23 @@ def _relative_imports(module, top_level_only=False):
     for node in tree.body if top_level_only else ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def _referrers(module, attribute):
+    """Qualified names of the functions in ``module`` that name ``.attribute``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attribute:
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), (module,))
     return found
 
 
@@ -53,3 +71,9 @@ def test_the_solve_path_imports_the_suite_only_on_use():
     for module in MODULES:
         if module != "verify":
             assert "verify" not in _relative_imports(module, top_level_only=True), module
+
+
+def test_only_the_problem_builds_its_potential_table():
+    # a second build of one problem's table, say to locate its minimum, reads the cache instead
+    callers = set().union(*(_referrers(module, "table_on") for module in MODULES))
+    assert callers == {"energy.ProblemSpec.potential_table"}

@@ -19,7 +19,7 @@ from kclattice import (
     ProblemSpec,
 )
 from kclattice.energy import _hessian
-from referees import pairing
+from referees import pairing, potential_value
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def random_field(box, rng, scale=0.5):
 def test_delta_field_coefficients(spec5, kernel10):
     u = Field.delta(spec5.box, (0, 0, 0), 1.0)
     c = kc.evaluate(spec5, kernel10, u)
-    v0 = spec5.potential.value((0, 0, 0))
+    v0 = potential_value(spec5.potential, (0, 0, 0))
     assert c.norm_h2 == pytest.approx(6.0 + v0, rel=1e-14)
     assert c.grad2 == pytest.approx(6.0, rel=1e-14)
     r0 = kernel10.value((0, 0, 0))

@@ -1,6 +1,7 @@
 """The public surface: a new export, solver knob or config key needs a deliberate edit here."""
 
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -134,6 +135,15 @@ def test_fixed_numerics_have_no_parameter():
         assert solve_report.default is inspect.Parameter.empty, name
     # a periodic potential's floor is its smallest entry
     assert tuple(inspect.signature(kc.PotentialSpec.periodic).parameters) == ("tau", "table")
+
+
+def test_the_problem_owns_its_potential_on_its_box():
+    # V has one formula, PotentialSpec.table_on; the problem caches its table and reads the
+    # minimum site off it, and the pointwise V is a test referee
+    assert not hasattr(kc.PotentialSpec, "value")
+    assert not hasattr(kc.PotentialSpec, "minimum_site")
+    for name in ("potential_table", "minimum_site"):
+        assert isinstance(inspect.getattr_static(kc.ProblemSpec, name), functools.cached_property)
 
 
 def test_config_has_the_pinned_sections_and_keys():

@@ -111,15 +111,16 @@ def test_mountain_pass_radius_shrinks_with_stronger_nonlinearity(spec4, kernel_m
 
 def test_sampling_checks_locate_the_potential_minimum_once(spec4, kernel_m16, solved4,
                                                           monkeypatch):
-    # the positive directions share one center; locating it rebuilds the potential table
+    # the positive directions share one center, read off the problem's one potential table
+    spec = spec4.with_box(spec4.box)  # a fresh problem: its table is not built yet
     calls = []
-    minimum_site = type(spec4.potential).minimum_site
-    monkeypatch.setattr(type(spec4.potential), "minimum_site",
-                        lambda self, box: calls.append(box) or minimum_site(self, box))
-    kc.check_mountain_pass_geometry(spec4, kernel_m16, trials=6)
-    kc.check_fiber_monotonicity(spec4, kernel_m16, fields=3)
-    kc.check_level_identity(spec4, kernel_m16, solved4, samples=4)
-    assert calls == [spec4.box] * 3
+    table_on = PotentialSpec.table_on
+    monkeypatch.setattr(PotentialSpec, "table_on",
+                        lambda self, box: calls.append(box) or table_on(self, box))
+    kc.check_mountain_pass_geometry(spec, kernel_m16, trials=6)
+    kc.check_fiber_monotonicity(spec, kernel_m16, fields=3)
+    kc.check_level_identity(spec, kernel_m16, solved4, samples=4)
+    assert calls == [spec.box]
 
 
 @pytest.mark.parametrize("coefficient", [1.0, 10.0, 1.0e4])
