@@ -6,119 +6,45 @@ boxes, finds ground states by Nehari-manifold reduction, and ships an
 executable property suite that stress-tests the variational structure
 (mountain-pass geometry, convolution inequalities, fiber monotonicity,
 level identities, symmetry).
+
+Each public name is declared once, in the table below, under the module
+that defines it, and served by the module ``__getattr__`` (PEP 562): its
+first use imports that module and binds the name here, so ``import
+kclattice`` alone loads no submodule.
 """
 
-from .lattice import (
-    DIRICHLET,
-    PERIODIC,
-    Field,
-    LatticeBox,
-    gradient_inner,
-    laplacian,
-    load_field_text,
-    lp_norm,
-    save_field_text,
-    translate,
-)
-from .kernel import (
-    GreenKernel,
-    QuadratureError,
-    build_kernel,
-    cache_key,
-    convolve,
-    fit_decay_exponent,
-    fractional_degree,
-    fractional_degree_refined,
-    green_values,
-)
-from .energy import (
-    COERCIVE,
-    CONSTANT,
-    PERIODIC_POTENTIAL,
-    FiberCoefficients,
-    PotentialSpec,
-    PowerNonlinearity,
-    ProblemSpec,
-    evaluate,
-)
-from .nehari import (
-    SolveReport,
-    gaussian_bump_field,
-    nehari_scale,
-    random_start_field,
-    solve_ground_state,
-    sphere_inverse,
-)
-from .config import FILE_START, GAUSSIAN_BUMP, RANDOM_START, ConfigError, RunConfig
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# the property suite is imported on first use of one of its names (PEP 562),
-# so that a solve does not load it
-_VERIFY_NAMES = frozenset({
-    "PropertyReport",
-    "check_box_convergence",
-    "check_fiber_monotonicity",
-    "check_hls",
-    "check_kernel_integrity",
-    "check_level_identity",
-    "check_mountain_pass_geometry",
-    "check_symmetry_and_translation",
-    "run_suite",
-    "suite_csv",
-    "suite_passed",
-    "suite_summary",
-})
+# defining module -> the public names it exports
+_EXPORTS = {
+    "lattice": ("DIRICHLET", "PERIODIC", "Field", "LatticeBox", "gradient_inner", "laplacian",
+                "load_field_text", "lp_norm", "save_field_text", "translate"),
+    "kernel": ("GreenKernel", "QuadratureError", "build_kernel", "cache_key", "convolve",
+               "fit_decay_exponent", "fractional_degree", "fractional_degree_refined",
+               "green_values"),
+    "energy": ("COERCIVE", "CONSTANT", "PERIODIC_POTENTIAL", "FiberCoefficients",
+               "PotentialSpec", "PowerNonlinearity", "ProblemSpec", "evaluate"),
+    "nehari": ("SolveReport", "gaussian_bump_field", "nehari_scale", "random_start_field",
+               "solve_ground_state", "sphere_inverse"),
+    "config": ("FILE_START", "GAUSSIAN_BUMP", "RANDOM_START", "ConfigError", "RunConfig"),
+    "verify": ("PropertyReport", "check_box_convergence", "check_fiber_monotonicity",
+               "check_hls", "check_kernel_integrity", "check_level_identity",
+               "check_mountain_pass_geometry", "check_symmetry_and_translation", "run_suite",
+               "suite_csv", "suite_passed", "suite_summary"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _VERIFY_NAMES:
-        from . import verify
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later uses read it without calling this function
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | _VERIFY_NAMES)
-
-# the solve path's names, then the property suite's
-__all__ = [
-    "DIRICHLET",
-    "PERIODIC",
-    "GAUSSIAN_BUMP",
-    "RANDOM_START",
-    "FILE_START",
-    "CONSTANT",
-    "COERCIVE",
-    "PERIODIC_POTENTIAL",
-    "ConfigError",
-    "Field",
-    "LatticeBox",
-    "GreenKernel",
-    "QuadratureError",
-    "PotentialSpec",
-    "PowerNonlinearity",
-    "ProblemSpec",
-    "RunConfig",
-    "FiberCoefficients",
-    "SolveReport",
-    "build_kernel",
-    "cache_key",
-    "convolve",
-    "evaluate",
-    "fit_decay_exponent",
-    "fractional_degree",
-    "fractional_degree_refined",
-    "gaussian_bump_field",
-    "gradient_inner",
-    "green_values",
-    "laplacian",
-    "load_field_text",
-    "lp_norm",
-    "nehari_scale",
-    "random_start_field",
-    "save_field_text",
-    "solve_ground_state",
-    "sphere_inverse",
-    "translate",
-] + sorted(_VERIFY_NAMES)
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -35,7 +35,7 @@ from .energy import (
     PowerNonlinearity,
     ProblemSpec,
 )
-from .kernel import block_radius
+from .kernel import block_radius, check_table_fits
 from .lattice import DIRICHLET, PERIODIC, Field, LatticeBox, load_field_text
 from .nehari import random_start_field
 
@@ -221,8 +221,10 @@ class RunConfig:
             sec = secs["solver"]
             raise ConfigError(sec.path, sec.line("seed"),
                               f"[solver] seed must be nonnegative, got {self.seed}")
-        if self.table_radius is not None and self.table_radius < 0:
-            raise secs["kernel"].error("table_radius", "must be nonnegative")
+        if self.table_radius is not None:
+            if self.table_radius < 0:
+                raise secs["kernel"].error("table_radius", "must be nonnegative")
+            self._within_memory(self.table_radius, "kernel", "table_radius")
         ver = secs["verify"]
         for key in ("trials", "mp_trials", "fiber_fields", "level_samples"):
             if getattr(self, f"verify_{key}") < 1:
@@ -240,6 +242,10 @@ class RunConfig:
             if swept.kind is _INT and any(v != int(v) for v in self.sweep_values):
                 raise secs["sweep"].error(
                     "values", f"{self.sweep_parameter} values must be integers")
+            if self.sweep_parameter == "radius" and max(self.sweep_values) > 0:
+                # the largest radius needs the largest table; one no box takes fails its point
+                top = LatticeBox(int(max(self.sweep_values)), self.mode)
+                self._within_memory(block_radius(top), "sweep", "values")
 
     def _anchored(self, build, *names) -> None:
         """Run build(); its ValueError names a key first and is anchored at that key."""
@@ -249,6 +255,14 @@ class RunConfig:
             key = str(exc).split()[0]
             sec = self.sections[next((n for n in names if key in _SECTIONS[n]), names[0])]
             raise ConfigError(sec.path, sec.line(key), f"[{sec.name}] {exc}") from None
+
+    def _within_memory(self, table_radius: int, section: str, key: str) -> int:
+        """table_radius, if the machine can hold its kernel table; else a ConfigError at key."""
+        try:
+            check_table_fits(table_radius)
+        except ValueError as exc:
+            raise self.sections[section].error(key, str(exc)) from None
+        return table_radius
 
     def _reads(self, section: str, key: str) -> bool:
         """Whether this run reads the key: a potential reads only its kind's keys."""
@@ -309,8 +323,9 @@ class RunConfig:
         return replace(self, **{name: int(value) if _KEYS[name].kind is _INT else value})
 
     def solve_table_radius(self) -> int:
-        """Kernel radius for a solve on the box; a smaller set table_radius is a ConfigError."""
-        return self._table_radius(self.box())
+        """Kernel radius for a solve on the box; a smaller set table_radius, or a table
+        the machine cannot hold, is a ConfigError."""
+        return self._table_radius(("problem", "radius"), self.box())
 
     def verify_table_radius(self) -> int:
         """Kernel radius covering every box the verify suite convolves on, checked the same way.
@@ -321,16 +336,21 @@ class RunConfig:
         from .verify import HLS_RADII
 
         top = max((self.radius,) + tuple(self.verify_radii))
-        return self._table_radius(LatticeBox(top, self.mode), LatticeBox(max(HLS_RADII)))
+        key = ("problem", "radius") if top == self.radius else ("verify", "radii")
+        return self._table_radius(key, LatticeBox(top, self.mode), LatticeBox(max(HLS_RADII)))
 
-    def _table_radius(self, *boxes) -> int:
+    def _table_radius(self, key, *boxes) -> int:
+        """The set table_radius, else the one the largest box needs; key = (section, key)
+        sets that box's radius, and is where a table too big for the machine is refused."""
         box = max(boxes, key=block_radius)
         needed = block_radius(box)
-        if self.table_radius is not None and self.table_radius < needed:
+        if self.table_radius is None:
+            return self._within_memory(needed, *key)
+        if self.table_radius < needed:
             raise self.sections["kernel"].error("table_radius", (
                 f"{self.table_radius} cannot cover a {box.mode} box of radius {box.radius} "
                 f"(needs >= {needed})"))
-        return needed if self.table_radius is None else self.table_radius
+        return self.table_radius
 
     def to_text(self) -> str:
         """Canonical serialization of the keys the run reads; parses back to an equal RunConfig."""

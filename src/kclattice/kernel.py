@@ -340,6 +340,15 @@ def _load_cached(path, alpha: float, table_radius: int):
     return kernel
 
 
+def check_table_fits(table_radius: int) -> None:
+    """A ValueError if the table, 8 (2m + 1)^3 bytes, exceeds the machine's physical memory."""
+    size = 8 * (2 * table_radius + 1) ** 3
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if size > memory:
+        raise ValueError(f"a radius-{table_radius} kernel table takes {size >> 20} MiB, "
+                         f"more than the machine's {memory >> 20} MiB of memory")
+
+
 def build_kernel(alpha: float, table_radius: int, *, cache_dir=None) -> GreenKernel:
     """Tabulate R_alpha over |z_i| <= table_radius by the heat-kernel route.
 
@@ -349,11 +358,13 @@ def build_kernel(alpha: float, table_radius: int, *, cache_dir=None) -> GreenKer
     the build is rejected.  When ``cache_dir`` is given, the table is stored
     under a name derived from (alpha, table_radius) and later builds reload
     it bit for bit; a cached file that fails the load checks is rebuilt and
-    overwritten.
+    overwritten.  A table the machine cannot hold is refused before anything
+    is allocated.
     """
     alpha = _check_alpha(alpha)
     if table_radius < 0:
         raise ValueError("table_radius must be nonnegative")
+    check_table_fits(table_radius)
     path = None
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)

@@ -339,6 +339,8 @@ def test_verify_fails_honestly_on_unresolved_radii(tmp_path, cache_dir, capsys):
                  "[sweep] values: radius values must be integers", id="fractional-radius"),
     pytest.param("[sweep]\nvalues = 0.5\n", "[sweep]",
                  "[sweep] parameter: must be set for the sweep command", id="no-parameter"),
+    pytest.param("[sweep]\nparameter = radius\nvalues = 2 1000000\n", "values = 2 1000000",
+                 "[sweep] values: a radius-2000000 kernel table takes", id="radius-beyond-memory"),
 ])
 def test_sweep_config_errors_exit_one_at_their_line(tmp_path, cache_dir, capsys, extra, anchor,
                                                     message):
@@ -362,6 +364,9 @@ def test_sweep_config_errors_exit_one_at_their_line(tmp_path, cache_dir, capsys,
     pytest.param("solve", "[output]\nsolution_format = binary\n",
                  "run.cfg:2: unknown key 'solution_format' in section [output]",
                  id="solve-removed-solution-format"),
+    pytest.param("solve", "[problem]\nradius = 1000000\n",
+                 "run.cfg:2: [problem] radius: a radius-2000000 kernel table takes",
+                 id="solve-radius-beyond-memory"),
 ])
 def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, text, message):
     out = tmp_path / "out"
@@ -524,6 +529,16 @@ _BAD_INPUTS = {
                      "[kernel] table_radius: 2 cannot cover a dirichlet box of radius 3"),
     "verify-trials": ("verify", "[verify]\ntrials = 0\n", "trials = 0",
                       "[verify] trials: must be at least 1"),
+    # a kernel table the machine cannot hold, 8 (2m + 1)^3 bytes, is refused at the key
+    # that sets its radius m
+    "verify-radii-beyond-memory": ("verify", "[verify]\nradii = 4 1000000\n",
+                                   "radii = 4 1000000",
+                                   "[verify] radii: a radius-2000000 kernel table takes"),
+    "table-radius-beyond-memory": ("solve", None, "table_radius = 1000000",
+                                   "[kernel] table_radius: a radius-1000000 kernel table takes"),
+    "green-table-radius-beyond-memory": (
+        "green", None, "table_radius = 1000000",
+        "[kernel] table_radius: a radius-1000000 kernel table takes"),
 }
 
 
@@ -911,6 +926,47 @@ def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
     assert _under(modules, "scipy") == []
     _assert_no_openssl_or_numpy_random(modules)
     _assert_no_blas3_or_lapack_ran(fresh)
+
+
+# a warm run loads the package modules its command imports, and no others
+_SOLVE_PATH = ["kclattice", "kclattice.cli", "kclattice.config", "kclattice.energy",
+               "kclattice.kernel", "kclattice.krylov", "kclattice.lattice", "kclattice.nehari"]
+
+
+def test_warm_solve_loads_exactly_the_solve_path(warm_solve_modules):
+    code, modules, _ = warm_solve_modules
+    assert code == 0
+    assert _under(modules, "kclattice") == _SOLVE_PATH
+
+
+def test_warm_verify_loads_exactly_the_solve_path_and_the_suite(tmp_path, warm_cache):
+    code, modules, _ = _modules_after(tmp_path, _warm_verify_config(warm_cache), "verify")
+    assert code == 0
+    assert _under(modules, "kclattice") == sorted(
+        _SOLVE_PATH + ["kclattice.splitmix", "kclattice.verify"])
+
+
+def test_a_public_name_loads_its_module_on_first_use():
+    # the package's __getattr__ serves each exported name, binds it for later uses,
+    # and serves nothing else
+    steps = _in_fresh_interpreter(
+        "import json, sys\n"
+        "import kclattice\n"
+        "def step():\n"
+        "    return [sorted(m for m in sys.modules if m.startswith('kclattice.')),\n"
+        "            sorted(set(vars(kclattice)) & set(kclattice.__all__))]\n"
+        "steps = [hasattr(kclattice, 'nehari_radius'), step()]\n"
+        "kclattice.LatticeBox\n"
+        "steps.append(step())\n"
+        "kclattice.run_suite\n"
+        "steps.append(step())\n"
+        "print(json.dumps(steps))\n")
+    unexported, imported, lattice_name, suite_name = steps
+    assert unexported is False
+    assert imported == [[], []]
+    assert lattice_name == [["kclattice.lattice"], ["LatticeBox"]]
+    assert "kclattice.verify" in suite_name[0]
+    assert suite_name[1] == ["LatticeBox", "run_suite"]
 
 
 def test_library_import_leaves_the_collector_alone():

@@ -333,6 +333,20 @@ def test_a_header_claiming_a_huge_radius_is_refused_before_allocating(tmp_path):
     assert peak < 1_000_000
 
 
+def test_a_table_beyond_the_machine_is_refused_before_anything_is_allocated(tmp_path):
+    # the quadrature's index list alone would hold about m^3 / 6 tuples
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^a radius-1000000 kernel table takes .* MiB, more "
+                           "than the machine's .* MiB of memory$"):
+            kc.build_kernel(1.0, 10 ** 6, cache_dir=tmp_path / "cache")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert not (tmp_path / "cache").exists()
+
+
 def test_loaded_table_is_a_writeable_float64_copy_of_the_saved_one(tmp_path, kernel_m20):
     path = tmp_path / "k.lck"
     kernel_m20.save(path)

@@ -3,7 +3,9 @@
 ``krylov`` sits below the solver and above the energy, so linear algebra
 added there cannot close an import cycle; the property suite sits above
 the solve path, which loads it only inside the functions that need it.
-The potential's table is built in one place, the problem that caches it.
+The package itself imports none of them: its export table names the module
+of each public name.  The potential's table is built in one place, the
+problem that caches it.
 """
 
 import ast
@@ -15,14 +17,40 @@ PACKAGE = Path(kc.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
+def _tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def _relative_imports(module, top_level_only=False):
     """The sibling modules ``module`` imports, anywhere in it or only at module level."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = _tree(module)
     found = set()
     for node in tree.body if top_level_only else ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             found |= {node.module} if node.module else {alias.name for alias in node.names}
     return found
+
+
+def _top_level_names(module):
+    """The names ``module`` binds by a top-level def, class, import or assignment."""
+    found = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return found
+
+
+def _export_table():
+    """The package's {module: names} table, read from its source."""
+    for node in _tree("__init__").body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_EXPORTS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("__init__.py binds no _EXPORTS table")
 
 
 def _referrers(module, attribute):
@@ -38,7 +66,7 @@ def _referrers(module, attribute):
                 found.add(".".join(scope))
             visit(child, scope)
 
-    visit(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), (module,))
+    visit(_tree(module), (module,))
     return found
 
 
@@ -77,3 +105,17 @@ def test_only_the_problem_builds_its_potential_table():
     # a second build of one problem's table, say to locate its minimum, reads the cache instead
     callers = set().union(*(_referrers(module, "table_on") for module in MODULES))
     assert callers == {"energy.ProblemSpec.potential_table"}
+
+
+def test_the_package_imports_no_module_at_its_top_level():
+    # every public name is served on first use, so `import kclattice` loads no submodule
+    assert _relative_imports("__init__", top_level_only=True) == set()
+
+
+def test_every_exported_name_is_bound_where_the_table_says():
+    # a moved or renamed name fails here, not at a user's first use of it
+    table = _export_table()
+    assert set(table) <= set(MODULES)
+    for module, names in table.items():
+        missing = set(names) - _top_level_names(module)
+        assert not missing, f"{module} binds no {sorted(missing)}"
