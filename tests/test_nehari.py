@@ -19,6 +19,7 @@ from kclattice import (
     ProblemSpec,
 )
 from kclattice.energy import _hessian
+from kclattice.lattice import _edge_sum
 from referees import pairing, potential_value
 
 
@@ -520,15 +521,48 @@ def test_solver_newton_budget_exhaustion_reported(kernel_m8, monkeypatch):
     assert rep.message == "Newton iteration budget exhausted"
 
 
+# The descent's own stop messages never reach the report: the polish always
+# runs after the descent and either overwrites them or, if it converges, the
+# report reads "ok after Newton polish". The iteration counts show which
+# phase stopped where; an exhausted budget of n steps reports n - 1.
+@pytest.mark.parametrize("constants, message, converged, steps, rows", [
+    pytest.param({"_MAX_ITERATIONS": 2}, "ok after Newton polish", True, (1, 7), 9,
+                 id="descent-iteration-budget-exhausted"),
+    pytest.param({"_MAX_BACKTRACKS": 0}, "Newton iteration budget exhausted", False, (0, 30), 31,
+                 id="descent-line-search-stalled"),
+    pytest.param({"_NEWTON_MAX_ITERATIONS": 1, "_TOLERANCE": 1e-16},
+                 "Newton iteration budget exhausted", False, (14, 1), 16,
+                 id="newton-iteration-budget-exhausted"),
+    pytest.param({"_NEWTON_MAX_BACKTRACKS": 0},
+                 "Newton polish stalled before reaching the residual tolerance", False, (14, 0),
+                 15, id="newton-polish-stalled"),
+    pytest.param({}, "ok", True, (14, 1), 16, id="ok"),
+    # the descent runs on until its line search stalls on the flat energy
+    pytest.param({"_SWITCH_RESIDUAL": 1e-20}, "ok after Newton polish", True, (18, 1), 20,
+                 id="ok-after-newton-polish"),
+])
+def test_solver_stop_paths(spec5, kernel10, monkeypatch, constants, message, converged, steps,
+                           rows):
+    for name, value in constants.items():
+        monkeypatch.setattr(nehari_module, name, value)
+    rep = kc.solve_ground_state(spec5, kernel10)
+    assert rep.message == message
+    assert rep.converged is converged
+    assert (rep.iterations, rep.newton_iterations) == steps
+    assert rep.history.shape == (rows, 3)
+
+
 def failing_on_call(k):
     """A nehari_scale that raises RuntimeError on its k-th call."""
     calls = [0]
+    # bound now: a first lookup under the patch would bind kc.nehari_scale to the patch
+    real = kc.nehari_scale
 
     def scale(*args, **kwargs):
         calls[0] += 1
         if calls[0] == k:
             raise RuntimeError(f"injected ray-root failure on call {k}")
-        return kc.nehari_scale(*args, **kwargs)
+        return real(*args, **kwargs)
 
     return scale, calls
 
@@ -550,6 +584,8 @@ def test_solver_reports_ray_root_failure(spec5, kernel10, monkeypatch, which):
     eta, _ = conftest.proven_floor(spec5, kernel10)
     assert rep.eta_estimate == pytest.approx(eta, rel=1e-12, abs=0.0)
     if which == "start":
+        # the start as given: the default bump, not its image on the unit sphere
+        assert rep.solution == kc.gaussian_bump_field(spec5.box, spec5.minimum_site)
         assert np.isnan(rep.energy) and np.isnan(rep.residual)
         assert rep.history.shape == (0, 3)
     else:
@@ -605,7 +641,8 @@ def _descent_boxes(spec5):
 
 def _weighted_pairing(spec, c, r, z):
     table = spec.potential_table
-    return c * kc.gradient_inner(r, z) + float(np.sum(table * r.values * z.values))
+    return (c * _edge_sum(r.values, z.values, r.box.mode)
+            + float(np.sum(table * r.values * z.values)))
 
 
 @pytest.mark.parametrize("weight", [None, 0.4, 7.5])

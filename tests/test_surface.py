@@ -19,8 +19,8 @@ PUBLIC = [
     "check_box_convergence", "check_fiber_monotonicity", "check_hls", "check_kernel_integrity",
     "check_level_identity", "check_mountain_pass_geometry", "check_symmetry_and_translation",
     "convolve", "evaluate", "fit_decay_exponent", "fractional_degree",
-    "fractional_degree_refined", "gaussian_bump_field", "gradient_inner", "green_values",
-    "laplacian", "load_field_text", "lp_norm", "nehari_scale", "random_start_field", "run_suite",
+    "fractional_degree_refined", "gaussian_bump_field", "green_values",
+    "load_field_text", "nehari_scale", "random_start_field", "run_suite",
     "save_field_text", "solve_ground_state", "sphere_inverse", "suite_csv", "suite_passed",
     "suite_summary", "translate",
 ]
@@ -83,7 +83,7 @@ def declared_keys():
 
 
 def test_all_is_the_pinned_public_surface():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 50
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 47
     assert len(set(kc.__all__)) == len(kc.__all__)
     assert sorted(kc.__all__) == PUBLIC
 
