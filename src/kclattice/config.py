@@ -135,7 +135,7 @@ def _key(section: str, key: str, default: str, kind: _Kind, choices=()):
     return field(metadata={"ini": _Key(section, key, default, kind, choices)})
 
 
-# [potential] kind -> the keys it reads besides `kind`; setting any other is an error
+# [potential] kind -> the keys it reads besides `kind`: the parameters of PotentialSpec.<kind>
 _POTENTIAL_KEYS = {CONSTANT: ("v0",), COERCIVE: ("v0", "rate", "power", "center"),
                    PERIODIC_POTENTIAL: ("tau", "table")}
 
@@ -214,7 +214,13 @@ class RunConfig:
         for key, (text, _) in pot.entries.items():
             if text and not self._reads("potential", key):
                 raise pot.error(key, f"a {self.potential_kind} potential does not read it")
-        self._anchored(self.problem_spec, "problem", "potential", "nonlinearity")
+        try:
+            self.problem_spec()
+        except ValueError as exc:  # a model error names its key first; anchor it at that key
+            key = str(exc).split()[0]
+            sec = next((secs[n] for n in ("potential", "nonlinearity") if key in _SECTIONS[n]),
+                       secs["problem"])
+            raise ConfigError(sec.path, sec.line(key), f"[{sec.name}] {exc}") from None
         if self.initial_guess == FILE_START and self.initial_file is None:
             raise secs["solver"].error("initial_file", "required when initial_guess = file")
         if self.seed < 0:
@@ -247,15 +253,6 @@ class RunConfig:
                 top = LatticeBox(int(max(self.sweep_values)), self.mode)
                 self._within_memory(block_radius(top), "sweep", "values")
 
-    def _anchored(self, build, *names) -> None:
-        """Run build(); its ValueError names a key first and is anchored at that key."""
-        try:
-            build()
-        except ValueError as exc:
-            key = str(exc).split()[0]
-            sec = self.sections[next((n for n in names if key in _SECTIONS[n]), names[0])]
-            raise ConfigError(sec.path, sec.line(key), f"[{sec.name}] {exc}") from None
-
     def _within_memory(self, table_radius: int, section: str, key: str) -> int:
         """table_radius, if the machine can hold its kernel table; else a ConfigError at key."""
         try:
@@ -272,22 +269,17 @@ class RunConfig:
         return LatticeBox(self.radius, self.mode)
 
     def potential_spec(self) -> PotentialSpec:
-        if self.potential_kind == CONSTANT:
-            return PotentialSpec.constant(self.v0)
-        if self.potential_kind == COERCIVE:
-            return PotentialSpec.coercive(self.v0, self.rate, self.power, self.center)
-        if self.tau is None:
-            raise ValueError("tau must be set for a periodic potential")
-        if not self.table:
-            raise ValueError("table must be set for a periodic potential")
-        return PotentialSpec.periodic(self.tau, self.table)
-
-    def nonlinearity(self) -> PowerNonlinearity:
-        return PowerNonlinearity(self.coefficient, self.exponent)
+        """The potential from ``PotentialSpec.<kind>`` and the keys the kind reads, all set."""
+        kind = self.potential_kind
+        args = {key: getattr(self, key) for key in _POTENTIAL_KEYS[kind]}
+        for key, value in args.items():
+            if not _KEYS[key].default and value == _KEYS[key].kind.unset:
+                raise ValueError(f"{key} must be set for a {kind} potential")
+        return getattr(PotentialSpec, kind)(**args)
 
     def problem_spec(self) -> ProblemSpec:
-        return ProblemSpec(self.box(), self.potential_spec(), self.nonlinearity(),
-                           self.alpha, self.a, self.b)
+        nl = PowerNonlinearity(self.coefficient, self.exponent)
+        return ProblemSpec(self.box(), self.potential_spec(), nl, self.alpha, self.a, self.b)
 
     def start_field(self, spec: ProblemSpec) -> Field:
         """The solve's start on spec's box; None starts the solver from its default bump.

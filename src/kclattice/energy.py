@@ -26,6 +26,7 @@ gives ||u||^2, A, B and D, J(su) in closed form along the ray, and the
 gradient at su (R * F(su) = s^p R * F(u)) with its norm and scale
 (``evaluate(...).ray_energy()`` is J(u), ``residual()[0]`` is g), and
 ``_hessian`` builds the second derivative's action at an evaluated point.
+The record holds u and R * F(u) as arrays on the box; it alone forms a + bA.
 
 Admissibility of the power: p > 2 makes the interaction superquadratic
 along rays (the mechanism behind uniqueness of the projection scale), and
@@ -268,25 +269,30 @@ class FiberCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class Evaluation(FiberCoefficients):
-    """The functional at u: its fiber coefficients plus ``conv`` = R * F(u)."""
+    """The functional at u: its fiber coefficients, and u and ``conv`` = R * F(u) as arrays."""
 
     spec: ProblemSpec
-    u: Field
+    u: np.ndarray
     conv: np.ndarray
+
+    @property
+    def diffusion(self) -> float:
+        """a + bA, the Kirchhoff-weighted coefficient of -lap in g and in P = -(a + bA) lap + V."""
+        return self.spec.a + self.spec.b * self.grad2
 
     def at_scale(self, s: float) -> "Evaluation":
         """The evaluation at su, using R * F(su) = s^p R * F(u)."""
         sp = s ** self.exponent
         return Evaluation(s * s * self.norm_h2, s * s * self.grad2, sp * (sp * self.drive),
                           sp * (sp * self.interaction), self.exponent, self.b, self.spec,
-                          Field(self.u.box, s * self.u.values), sp * self.conv)
+                          s * self.u, sp * self.conv)
 
     def residual(self) -> tuple:
         """(g, ||g||, scale), the scale ||(a + bA) lap u|| + ||V u|| + ||(R * F(u)) f(u)||
         summing the l2 norms of g's three terms: ||g|| if none cancelled another."""
-        spec, u = self.spec, self.u.values
+        spec, u = self.spec, self.u
         with np.errstate(over="ignore", invalid="ignore"):  # the solver rejects inf and nan
-            terms = (-(spec.a + spec.b * self.grad2) * _laplacian_values(u, self.u.box.mode),
+            terms = (-self.diffusion * _laplacian_values(u, spec.box.mode),
                      spec.potential_table * u, self.conv * spec.nonlinearity.f(u))
             g = terms[0] + terms[1] - terms[2]
             norms = [float(np.sqrt(np.sum(t ** 2))) for t in (g, *terms)]
@@ -303,22 +309,22 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
     """
     _check_kernel(spec, kernel)
     _check_field(spec, u)
-    nl = spec.nonlinearity
+    nl, u = spec.nonlinearity, u.values
     with np.errstate(over="ignore"):
-        big_f = nl.F(u.values)
+        big_f = nl.F(u)
     if not np.isfinite(big_f).all():
         raise RuntimeError("F(u) overflows the double range")
-    conv = convolve(kernel, Field(u.box, big_f)).values
+    conv = convolve(kernel, Field(spec.box, big_f)).values
     with np.errstate(over="ignore", invalid="ignore"):  # FiberCoefficients rejects inf and nan
-        drive = float(np.sum(conv * nl.f(u.values) * u.values))
+        drive = float(np.sum(conv * nl.f(u) * u))
         interaction = float(np.sum(conv * big_f))
     if abs(drive - nl.exponent * interaction) > 1.0e-10 * abs(drive):
         raise RuntimeError(
             "fiber drive and interaction violate the power identity D = pB: "
             f"{drive!r} vs p*B = {nl.exponent * interaction!r}"
         )
-    grad2 = _edge_sum(u.values, u.values, u.box.mode)  # and ||u||^2 = a A + sum V u u
-    norm_h2 = spec.a * grad2 + float(np.sum(spec.potential_table * u.values * u.values))
+    grad2 = _edge_sum(u, u, spec.box.mode)  # and ||u||^2 = a A + sum V u u
+    norm_h2 = spec.a * grad2 + float(np.sum(spec.potential_table * u * u))
     return Evaluation(norm_h2, grad2, drive, interaction, nl.exponent, spec.b, spec, u, conv)
 
 
@@ -333,11 +339,11 @@ def _hessian(kernel: GreenKernel, point: Evaluation):
     lap u and (R*F(u)) f'(u) depend on u alone, so they are computed once
     per Newton step, here; each action then makes one convolution.
     """
-    spec, box, u = point.spec, point.u.box, point.u.values
+    spec, box, u = point.spec, point.spec.box, point.u
     fu = spec.nonlinearity.f(u)
     lap_u = _laplacian_values(u, box.mode)
     conv_fp = point.conv * spec.nonlinearity.f_prime(u)
-    weight = -(spec.a + spec.b * point.grad2)
+    weight = -point.diffusion
 
     def apply(x: np.ndarray) -> np.ndarray:
         v = x.reshape(u.shape)

@@ -255,14 +255,16 @@ def _descend(spec, kernel, w: Field, it: _Iterate):
     current = first.ray_energy(s)
     it.move(first.at_scale(s))
     prev_w = prev_gp = step = None
-    for it.iterations in range(_MAX_ITERATIONS):
+    for it.iterations in range(_MAX_ITERATIONS + 1):  # pass k records the point after k steps
         it.history.append((current, it.gnorm, s))
         if not (math.isfinite(it.gnorm) and math.isfinite(it.scale)):  # inf <= inf holds below
             raise RuntimeError(f"residual {it.gnorm!r} at scale {it.scale!r} is not finite")
         if it.gnorm <= max(_TOLERANCE * it.scale, _SWITCH_RESIDUAL * min(1.0, it.scale)):
             return None
+        if it.iterations == _MAX_ITERATIONS:
+            return "descent iteration budget exhausted"
 
-        gp = _h_representer(spec, it.g, _DESCENT_RTOL, spec.a + spec.b * it.point.grad2)
+        gp = _h_representer(spec, it.g, _DESCENT_RTOL, it.point.diffusion)
         direction = -gp
         if prev_w is not None:
             dw = w - prev_w
@@ -282,11 +284,10 @@ def _descend(spec, kernel, w: Field, it: _Iterate):
         else:
             return "descent line search stalled; switching to Newton polish"
         norm_trial = math.sqrt(trial.norm_h2)
-        w = trial.u.values / norm_trial
+        w = trial.u / norm_trial
         s = s_trial * norm_trial
         current = e_trial
         it.move(trial.at_scale(s_trial))
-    return "descent iteration budget exhausted"
 
 
 def _polish(spec, kernel, it: _Iterate):
@@ -300,10 +301,10 @@ def _polish(spec, kernel, it: _Iterate):
     for _ in range(_NEWTON_MAX_ITERATIONS):
         if it.gnorm <= _TOLERANCE * it.scale:
             return None
-        psolve = preconditioner(spec, spec.a + spec.b * it.point.grad2)
+        psolve = preconditioner(spec, it.point.diffusion)
         delta, _ = _minres(_hessian(kernel, it.point), -it.g.ravel(), psolve,
                            _NEWTON_RTOL, _NEWTON_MAXITER)
-        for _, trial in _backtracking(spec, kernel, it.point.u.values,
+        for _, trial in _backtracking(spec, kernel, it.point.u,
                                       delta.reshape(it.g.shape), 1.0, _NEWTON_MAX_BACKTRACKS):
             residual = trial.residual()
             if residual[1] < it.gnorm:
@@ -365,7 +366,7 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
         message = "ok after Newton polish"
 
     return SolveReport(
-        solution=it.point.u,
+        solution=Field(spec.box, it.point.u),
         energy=energy,
         residual=it.gnorm,
         residual_scale=it.scale,

@@ -1,6 +1,7 @@
 """Config grammar: parsing, line-anchored errors, round-trips, accessors."""
 
 import importlib.util
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import kclattice as kc
+import kclattice.config as config_module
 from kclattice import ConfigError, RunConfig
 from kclattice.splitmix import stream
 from referees import potential_value
@@ -235,6 +237,19 @@ def test_periodic_potential_without_a_table_anchors_at_the_table(text, line):
         RunConfig.from_text(text, path="bad.cfg")
     assert str(err.value) == (f"bad.cfg:{line}: [potential] table must be set for a "
                               "periodic potential")
+
+
+def test_periodic_potential_without_a_period_anchors_at_the_section():
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_text("[potential]\nkind = periodic\ntable = 1\n", path="bad.cfg")
+    assert str(err.value) == "bad.cfg:1: [potential] tau must be set for a periodic potential"
+
+
+@pytest.mark.parametrize("kind", ["constant", "coercive", "periodic"])
+def test_each_kind_reads_the_parameters_of_its_constructor(kind):
+    # RunConfig.potential_spec passes a kind's keys by name to PotentialSpec.<kind>
+    parameters = inspect.signature(getattr(kc.PotentialSpec, kind)).parameters
+    assert config_module._POTENTIAL_KEYS[kind] == tuple(parameters)
 
 
 def test_sweep_validation():

@@ -5,7 +5,8 @@ added there cannot close an import cycle; the property suite sits above
 the solve path, which loads it only inside the functions that need it.
 The package itself imports none of them: its export table names the module
 of each public name.  The potential's table is built in one place, the
-problem that caches it.
+problem that caches it.  Private names cross between modules only along
+the internal interface listed here.
 """
 
 import ast
@@ -70,6 +71,28 @@ def _referrers(module, attribute):
     return found
 
 
+def _private_imports(module):
+    """{sibling: names} of the private names ``module`` imports from its siblings."""
+    found = {}
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            private = {alias.name for alias in node.names if alias.name.startswith("_")}
+            if private:
+                found.setdefault(node.module, set()).update(private)
+    return found
+
+
+# the package's internal interface: the private names one module may take from another
+INTERNAL_IMPORTS = {
+    "energy": {"lattice": {"_edge_sum", "_laplacian_values"}},
+    "krylov": {"lattice": {"_laplacian_values"}},
+    "nehari": {"energy": {"_hessian"}, "krylov": {"_h_representer", "_minres"},
+               "lattice": {"_laplacian_values"}},
+    "verify": {"energy": {"_check_field"}, "kernel": {"_table_defect"},
+               "lattice": {"_lp_norm_values"}},
+}
+
+
 def test_the_import_reader_sees_function_level_imports():
     assert "verify" in _relative_imports("cli")
     assert "verify" not in _relative_imports("cli", top_level_only=True)
@@ -119,3 +142,13 @@ def test_every_exported_name_is_bound_where_the_table_says():
     for module, names in table.items():
         missing = set(names) - _top_level_names(module)
         assert not missing, f"{module} binds no {sorted(missing)}"
+
+
+def test_modules_share_only_the_listed_private_names():
+    for module in MODULES:
+        allowed = INTERNAL_IMPORTS.get(module, {})
+        for sibling, names in _private_imports(module).items():
+            extra = names - allowed.get(sibling, set())
+            assert not extra, f"{module} imports {sorted(extra)} from {sibling}"
+    # and the list names no import that is gone
+    assert {module: _private_imports(module) for module in INTERNAL_IMPORTS} == INTERNAL_IMPORTS

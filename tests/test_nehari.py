@@ -296,7 +296,7 @@ def test_unit_scale_fixed_point(spec5, kernel10, rng):
 def project(spec, kernel, u):
     """s_u u: the field scaled onto the Nehari set along its ray."""
     point = kc.evaluate(spec, kernel, u)
-    return point.at_scale(kc.nehari_scale(point)).u
+    return Field(spec.box, point.at_scale(kc.nehari_scale(point)).u)
 
 
 def test_projection_is_ray_invariant(spec5, kernel10, rng):
@@ -524,9 +524,10 @@ def test_solver_newton_budget_exhaustion_reported(kernel_m8, monkeypatch):
 # The descent's own stop messages never reach the report: the polish always
 # runs after the descent and either overwrites them or, if it converges, the
 # report reads "ok after Newton polish". The iteration counts show which
-# phase stopped where; an exhausted budget of n steps reports n - 1.
+# phase stopped where; an exhausted budget of n steps reports n, and each of
+# the n + 1 points the descent reached has its history row.
 @pytest.mark.parametrize("constants, message, converged, steps, rows", [
-    pytest.param({"_MAX_ITERATIONS": 2}, "ok after Newton polish", True, (1, 7), 9,
+    pytest.param({"_MAX_ITERATIONS": 2}, "ok after Newton polish", True, (2, 7), 10,
                  id="descent-iteration-budget-exhausted"),
     pytest.param({"_MAX_BACKTRACKS": 0}, "Newton iteration budget exhausted", False, (0, 30), 31,
                  id="descent-line-search-stalled"),
@@ -604,11 +605,12 @@ def test_reference_solve_convolution_budget(reference_spec, kernel_m16, convolut
 
 def test_reference_solve_validates_fields_only_at_the_core_boundary(
         reference_spec, kernel_m16, convolution_count, field_count):
-    # two per convolution (convolve's argument and its result) and one per
-    # evaluation or rescale; the iterates, gradients and steps stay arrays
+    # two per convolution (convolve's argument and its result), one per line-search
+    # trial, and the start, its image on the unit sphere and the solution; the
+    # iterates and their rescales, the gradients and the steps stay arrays
     rep = kc.solve_ground_state(reference_spec, kernel_m16)
     assert convolution_count[0] == 26
-    assert field_count[0] <= 100
+    assert field_count[0] <= 75
     # building the Newton operator wraps nothing; an action wraps only around convolve
     point = kc.evaluate(reference_spec, kernel_m16, rep.solution)
     field_count[0] = convolution_count[0] = 0

@@ -314,6 +314,20 @@ def test_box_convergence_honest_failure(spec4, kernel_m16, solved4):
     assert rep.witness
 
 
+def test_box_convergence_fails_a_final_gap_too_wide(spec4, kernel_m16, solved4):
+    rep = kc.check_box_convergence(spec4, kernel_m16, solved4, radii=(2, 4))
+    assert not rep.passed
+    assert rep.witness == "final relative gap 2.639e-01 at radii 2->4"
+
+
+@pytest.mark.parametrize("check", [kc.check_level_identity, kc.check_symmetry_and_translation],
+                         ids=["level-identity", "symmetry-translation"])
+def test_checks_fail_an_unconverged_solve_report(spec4, kernel_m16, solved4, check):
+    rep = check(spec4, kernel_m16, dataclasses.replace(solved4, converged=False))
+    assert not rep.passed
+    assert rep.witness == "solve report not converged"
+
+
 def test_box_convergence_refuses_a_single_radius(spec4, kernel_m16, solved4):
     with pytest.raises(ValueError, match="^box convergence needs at least two increasing radii$"):
         kc.check_box_convergence(spec4, kernel_m16, solved4, radii=(4,))
