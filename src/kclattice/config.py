@@ -235,10 +235,11 @@ class RunConfig:
         for key in ("trials", "mp_trials", "fiber_fields", "level_samples"):
             if getattr(self, f"verify_{key}") < 1:
                 raise ver.error(key, "must be at least 1")
-        if len(self.verify_radii) < 2 or list(self.verify_radii) != sorted(self.verify_radii):
+        radii = self.verify_radii
+        if len(radii) < 2 or any(lo >= hi for lo, hi in zip(radii, radii[1:])):
             raise ver.error("radii", "need at least two increasing radii")
         try:
-            LatticeBox(self.verify_radii[0], self.mode)  # the radii increase
+            LatticeBox(radii[0], self.mode)  # the radii increase
         except ValueError as exc:
             raise ver.error("radii", str(exc)) from None
         if self.sweep_parameter is not None:

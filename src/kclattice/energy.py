@@ -314,7 +314,7 @@ def evaluate(spec: ProblemSpec, kernel: GreenKernel, u: Field) -> Evaluation:
         big_f = nl.F(u)
     if not np.isfinite(big_f).all():
         raise RuntimeError("F(u) overflows the double range")
-    conv = convolve(kernel, Field(spec.box, big_f)).values
+    conv = convolve(kernel, Field(spec.box, big_f))
     with np.errstate(over="ignore", invalid="ignore"):  # FiberCoefficients rejects inf and nan
         drive = float(np.sum(conv * nl.f(u) * u))
         interaction = float(np.sum(conv * big_f))
@@ -348,7 +348,7 @@ def _hessian(kernel: GreenKernel, point: Evaluation):
     def apply(x: np.ndarray) -> np.ndarray:
         v = x.reshape(u.shape)
         cross = _edge_sum(u, v, box.mode)
-        conv_fv = convolve(kernel, Field(box, fu * v)).values
+        conv_fv = convolve(kernel, Field(box, fu * v))
         # term by term in place, in the order and rounding of one sum expression
         out = _laplacian_values(v, box.mode)
         out *= weight

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import PERIODIC, Field
+from .lattice import PERIODIC
 
 # CPython's own SHA-256: hashlib gives the same digest but maps OpenSSL's
 # libcrypto, 3.5 MB resident, into every process that checks a cache file
@@ -523,8 +523,8 @@ def _plan_for(kernel: GreenKernel, box) -> _ConvolutionPlan:
     return held[1]
 
 
-def convolve(kernel: GreenKernel, w):
-    """Convolution (R * w)(x) = sum_y R(x - y) w(y) over the box of ``w``, by FFT.
+def convolve(kernel: GreenKernel, w) -> np.ndarray:
+    """The array of (R * w)(x) = sum_y R(x - y) w(y) over the box of ``w``, by FFT.
 
     A finite ``w`` can still have a convolution past the double range; that
     is a RuntimeError, which the solver and the property suite report as a
@@ -535,7 +535,7 @@ def convolve(kernel: GreenKernel, w):
         values = plan.apply(w.values)
     if not np.isfinite(values).all():
         raise RuntimeError("convolution overflows the double range")
-    return Field(w.box, values)
+    return values
 
 
 def fit_decay_exponent(kernel: GreenKernel, lo: int | None = None, hi: int | None = None) -> float:

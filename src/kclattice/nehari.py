@@ -335,35 +335,37 @@ def solve_ground_state(spec: ProblemSpec, kernel: GreenKernel,
     an exhausted CG budget, an overflowing exact preconditioner or an
     indefinite minres preconditioner ends the iteration with its message
     and converged=False, reporting the last evaluated point (the start
-    field as given if none was).
+    field as given if none was).  A converged message is ``ok``, or ``ok after
+    Newton polish`` if the descent stopped; any other lists every stop in order.
+    An error of the dual-norm residual or of the energy follows either.
     """
     if start is None:
         start = gaussian_bump_field(spec.box, spec.minimum_site)
     it = _Iterate()
-    failed = False
+    stops, notes = [], []  # each phase's return or error, in order; the report stage's errors
     try:
-        message = _descend(spec, kernel, sphere_inverse(spec, start), it) or "ok"
-        message = _polish(spec, kernel, it) or message
+        stops.append(_descend(spec, kernel, sphere_inverse(spec, start), it))
+        stops.append(_polish(spec, kernel, it))
     except RuntimeError as exc:
-        message, failed = str(exc), True
+        stops.append(str(exc))
 
     eta = nehari_radius(spec, kernel)
     if it.point is None:  # the start itself could not be evaluated or scaled
-        return SolveReport(start.copy(), *[math.nan] * 5, eta, 0, 0, False, message,
+        return SolveReport(start.copy(), *[math.nan] * 5, eta, 0, 0, False, stops[-1],
                            np.empty((0, 3)))
+    h_residual = energy = math.nan
     try:
         rep = _h_representer(spec, it.g, 1.0e-12, spec.a)
         h_residual = float(math.sqrt(max(np.sum(rep * it.g), 0.0)))
     except RuntimeError as exc:
-        h_residual, message = math.nan, f"{message}; {exc}"
+        notes.append(str(exc))
     try:
         energy = it.point.ray_energy()
     except RuntimeError as exc:
-        energy, message = math.nan, f"{message}; {exc}"
-    converged = (not failed and all(map(math.isfinite, (it.gnorm, it.scale, energy)))
-                 and it.gnorm <= _TOLERANCE * it.scale)
-    if converged and message != "ok":
-        message = "ok after Newton polish"
+        notes.append(str(exc))
+    converged = stops[-1] is None and all(map(math.isfinite, (it.gnorm, it.scale, energy)))
+    head = ["ok" if stops[0] is None else "ok after Newton polish"] if converged else stops
+    message = "; ".join([stop for stop in head if stop] + notes)
 
     return SolveReport(
         solution=Field(spec.box, it.point.u),

@@ -156,6 +156,6 @@ def pairing(spec, kernel, u: Field, phi: Field) -> float:
     cross = _edge_sum(u.values, phi.values, u.box.mode)
     linear = spec.h_inner(u, phi)
     big_f = spec.nonlinearity.F(u.values)
-    conv = convolve(kernel, Field(u.box, big_f)).values
+    conv = convolve(kernel, Field(u.box, big_f))
     drive = float(np.sum(conv * spec.nonlinearity.f(u.values) * phi.values))
     return linear + spec.b * grad2 * cross - drive

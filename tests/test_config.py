@@ -11,6 +11,7 @@ import pytest
 
 import kclattice as kc
 import kclattice.config as config_module
+import kclattice.verify as verify_module
 from kclattice import ConfigError, RunConfig
 from kclattice.splitmix import stream
 from referees import potential_value
@@ -265,6 +266,31 @@ def test_verify_radii_validation():
         RunConfig.from_text("[verify]\nradii = 6 4\n")
     with pytest.raises(ConfigError):
         RunConfig.from_text("[verify]\nradii = 5\n")
+
+
+def test_verify_refuses_a_repeated_radius():
+    # a repeated radius compares a level with itself: its gap is 0 whatever the box
+    with pytest.raises(ConfigError, match=r"^<config>:2: \[verify\] radii: need at least two "
+                                          r"increasing radii$"):
+        RunConfig.from_text("[verify]\nradii = 4 4\n")
+
+
+def test_the_suite_defaults_are_the_config_defaults():
+    # the [verify] keys and [solver] seed are written again in the suite's signatures
+    cfg = RunConfig.defaults()
+    want = {"seed": cfg.seed, "trials": cfg.verify_trials, "mp_trials": cfg.verify_mp_trials,
+            "fiber_fields": cfg.verify_fiber_fields, "level_samples": cfg.verify_level_samples,
+            "radii": cfg.verify_radii}
+    checks = {verify_module.check_mountain_pass_geometry: {"trials": "mp_trials", "seed": "seed"},
+              verify_module.check_hls: {"trials": "trials"},
+              verify_module.check_fiber_monotonicity: {"fields": "fiber_fields", "seed": "seed"},
+              verify_module.check_level_identity: {"samples": "level_samples", "seed": "seed"},
+              verify_module.check_box_convergence: {"radii": "radii"},
+              verify_module.run_suite: {key: key for key in want}}
+    for function, keys in checks.items():
+        params = inspect.signature(function).parameters
+        found = {key: params[name].default for name, key in keys.items()}
+        assert found == {key: want[key] for key in keys.values()}, function.__name__
 
 
 def test_file_start_requires_path(tmp_path):

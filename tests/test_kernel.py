@@ -445,14 +445,14 @@ def test_convolve_fft_matches_direct(kernel_m8, rng):
         fft = kc.convolve(kernel_m8, w)
         direct = direct_convolve(kernel_m8, w)
         scale = np.max(np.abs(direct.values))
-        assert np.max(np.abs(fft.values - direct.values)) < 1e-12 * scale
+        assert np.max(np.abs(fft - direct.values)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("mode, radius", [(kc.DIRICHLET, 10), (kc.PERIODIC, 7)])
 def test_convolve_fft_matches_direct_on_larger_boxes(kernel_m20, rng, mode, radius):
     box = LatticeBox(radius, mode)
     w = Field(box, rng.standard_normal((box.side,) * 3))
-    fft = kc.convolve(kernel_m20, w).values
+    fft = kc.convolve(kernel_m20, w)
     direct = direct_convolve(kernel_m20, w).values
     assert np.max(np.abs(fft - direct)) < 1e-12 * np.max(np.abs(direct))
     # a held result must not pin the larger transform grid
@@ -497,12 +497,12 @@ def test_convolution_workspace_is_per_thread(kernel_m20, rng):
     # would let one thread's transform overwrite another's
     fields = [Field(box, rng.standard_normal((box.side,) * 3))
               for box in (LatticeBox(8), LatticeBox(10))]
-    serial = [kc.convolve(kernel_m20, w).values.tobytes() for w in fields]
+    serial = [kc.convolve(kernel_m20, w).tobytes() for w in fields]
     mismatches = []
 
     def work(w, want):
         for _ in range(60):
-            if kc.convolve(kernel_m20, w).values.tobytes() != want:
+            if kc.convolve(kernel_m20, w).tobytes() != want:
                 mismatches.append(w.box.radius)
 
     threads = [threading.Thread(target=work, args=pair) for pair in zip(fields, serial)]
@@ -520,13 +520,13 @@ def test_convolution_workspace_is_per_thread_across_evicted_plans(kernel_m20, rn
     pairs = [(LatticeBox(3), LatticeBox(7, kc.PERIODIC)), (LatticeBox(5), LatticeBox(9))]
     fields = [[Field(box, rng.standard_normal((box.side,) * 3)) for box in pair]
               for pair in pairs]
-    serial = [[kc.convolve(kernel, w).values.tobytes() for w in pair] for pair in fields]
+    serial = [[kc.convolve(kernel, w).tobytes() for w in pair] for pair in fields]
     mismatches = []
 
     def work(pair, wants):
         for _ in range(20):
             for w, want in zip(pair, wants):
-                if kc.convolve(kernel, w).values.tobytes() != want:
+                if kc.convolve(kernel, w).tobytes() != want:
                     mismatches.append(w.box)
 
     threads = [threading.Thread(target=work, args=args) for args in zip(fields, serial)]
@@ -544,7 +544,7 @@ def test_a_kernel_keeps_one_plan_and_rebuilds_it_bit_for_bit(kernel_m20, rng):
     held = []
     for box in (first, second, first, LatticeBox(7, kc.PERIODIC), first):
         w = Field(box, rng.standard_normal((box.side,) * 3))
-        out = kc.convolve(kernel, w).values
+        out = kc.convolve(kernel, w)
         fresh = kernel_module._ConvolutionPlan(kernel, box).apply(w.values)
         assert out.tobytes() == fresh.tobytes(), box
         held_box, plan = kernel._plan
@@ -605,8 +605,8 @@ def test_fast_len_matches_scipy():
 def test_convolution_depends_only_on_the_box(kernel_m8, kernel_m16, rng, mode):
     box = LatticeBox(4, mode)
     w = Field(box, rng.standard_normal((9, 9, 9)))
-    small = kc.convolve(kernel_m8, w).values
-    large = kc.convolve(kernel_m16, w).values
+    small = kc.convolve(kernel_m8, w)
+    large = kc.convolve(kernel_m16, w)
     assert np.array_equal(small, large)
     size = box.side if mode == kc.PERIODIC else next_fast_len(max(1, 4 * box.radius), real=True)
     for kernel in (kernel_m8, kernel_m16):
@@ -619,7 +619,7 @@ def test_dirichlet_convolution_on_the_minimal_even_grid(kernel_m20, rng, radius)
     # holds R(2n) either way; radius 7 takes 30 points, since 28 is not 5-smooth
     box = LatticeBox(radius)
     w = Field(box, rng.standard_normal((box.side,) * 3))
-    fft = kc.convolve(kernel_m20, w).values
+    fft = kc.convolve(kernel_m20, w)
     direct = direct_convolve(kernel_m20, w).values
     assert np.max(np.abs(fft - direct)) < 1e-12 * np.max(np.abs(direct))
 
@@ -655,9 +655,9 @@ def test_convolve_delta_reproduces_table(kernel_m8):
     box = LatticeBox(4)
     d = Field.delta(box, (0, 0, 0), 1.0)
     out = kc.convolve(kernel_m8, d)
-    assert out.values[4, 4, 4] == pytest.approx(R1_ORIGIN, rel=1e-12)
-    assert out.values[5, 4, 4] == pytest.approx(R1_AXIS, rel=1e-12)
-    assert out.values[8, 4, 4] == pytest.approx(kernel_m8.value((4, 0, 0)), rel=1e-12)
+    assert out[4, 4, 4] == pytest.approx(R1_ORIGIN, rel=1e-12)
+    assert out[5, 4, 4] == pytest.approx(R1_AXIS, rel=1e-12)
+    assert out[8, 4, 4] == pytest.approx(kernel_m8.value((4, 0, 0)), rel=1e-12)
 
 
 def test_convolve_is_linear_and_symmetric(kernel_m8, rng):
@@ -665,11 +665,11 @@ def test_convolve_is_linear_and_symmetric(kernel_m8, rng):
     u = Field(box, rng.standard_normal((7, 7, 7)))
     v = Field(box, rng.standard_normal((7, 7, 7)))
     combo = kc.convolve(kernel_m8, Field(box, 2.0 * u.values - 3.0 * v.values))
-    parts = 2.0 * kc.convolve(kernel_m8, u).values - 3.0 * kc.convolve(kernel_m8, v).values
-    assert np.allclose(combo.values, parts, rtol=1e-12, atol=1e-12)
+    parts = 2.0 * kc.convolve(kernel_m8, u) - 3.0 * kc.convolve(kernel_m8, v)
+    assert np.allclose(combo, parts, rtol=1e-12, atol=1e-12)
     # self-adjointness of the convolution operator
-    lhs = float(np.sum(v.values * kc.convolve(kernel_m8, u).values))
-    rhs = float(np.sum(u.values * kc.convolve(kernel_m8, v).values))
+    lhs = float(np.sum(v.values * kc.convolve(kernel_m8, u)))
+    rhs = float(np.sum(u.values * kc.convolve(kernel_m8, v)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -112,6 +112,14 @@ def test_the_energy_imports_neither_the_solver_nor_krylov():
     assert not _relative_imports("energy") & {"nehari", "krylov"}
 
 
+def test_the_convolution_layer_takes_only_the_periodic_mode_from_the_lattice():
+    # convolve hands back the array it checked; a Field wrapped around it would import one here
+    names = {alias.name for node in ast.walk(_tree("kernel"))
+             if isinstance(node, ast.ImportFrom) and node.level and node.module == "lattice"
+             for alias in node.names}
+    assert names == {"PERIODIC"}
+
+
 def test_no_module_imports_separable():
     assert "separable" not in MODULES
     for module in MODULES:

@@ -521,15 +521,18 @@ def test_solver_newton_budget_exhaustion_reported(kernel_m8, monkeypatch):
     assert rep.message == "Newton iteration budget exhausted"
 
 
-# The descent's own stop messages never reach the report: the polish always
-# runs after the descent and either overwrites them or, if it converges, the
-# report reads "ok after Newton polish". The iteration counts show which
-# phase stopped where; an exhausted budget of n steps reports n, and each of
-# the n + 1 points the descent reached has its history row.
+# The polish runs after every descent that raises nothing. A converged solve
+# reads "ok", or "ok after Newton polish" when the descent stopped short of
+# the hand-over residual; any other report lists each phase's stop in order.
+# The iteration counts show which phase stopped where; an exhausted budget of
+# n steps reports n, and each of the n + 1 points the descent reached has its
+# history row.
 @pytest.mark.parametrize("constants, message, converged, steps, rows", [
     pytest.param({"_MAX_ITERATIONS": 2}, "ok after Newton polish", True, (2, 7), 10,
                  id="descent-iteration-budget-exhausted"),
-    pytest.param({"_MAX_BACKTRACKS": 0}, "Newton iteration budget exhausted", False, (0, 30), 31,
+    pytest.param({"_MAX_BACKTRACKS": 0},
+                 "descent line search stalled; switching to Newton polish; "
+                 "Newton iteration budget exhausted", False, (0, 30), 31,
                  id="descent-line-search-stalled"),
     pytest.param({"_NEWTON_MAX_ITERATIONS": 1, "_TOLERANCE": 1e-16},
                  "Newton iteration budget exhausted", False, (14, 1), 16,
@@ -551,6 +554,26 @@ def test_solver_stop_paths(spec5, kernel10, monkeypatch, constants, message, con
     assert rep.converged is converged
     assert (rep.iterations, rep.newton_iterations) == steps
     assert rep.history.shape == (rows, 3)
+
+
+def test_a_report_stage_error_follows_the_converged_message(reference_spec, kernel_m8,
+                                                             monkeypatch):
+    # the dual-norm residual's solve fails after a converged solve; the report says so
+    # and keeps the message the solve earned
+    spec = reference_spec.with_box(LatticeBox(4))
+    real = nehari_module._h_representer
+
+    def failing_at_report(spec, g, rtol, weight):
+        if rtol == 1.0e-12:
+            raise RuntimeError("energy-norm representer solve did not converge (cg info=9)")
+        return real(spec, g, rtol, weight)
+
+    assert kc.solve_ground_state(spec, kernel_m8).message == "ok"
+    monkeypatch.setattr(nehari_module, "_h_representer", failing_at_report)
+    rep = kc.solve_ground_state(spec, kernel_m8)
+    assert rep.converged
+    assert math.isnan(rep.h_residual)
+    assert rep.message == "ok; energy-norm representer solve did not converge (cg info=9)"
 
 
 def failing_on_call(k):
@@ -605,19 +628,19 @@ def test_reference_solve_convolution_budget(reference_spec, kernel_m16, convolut
 
 def test_reference_solve_validates_fields_only_at_the_core_boundary(
         reference_spec, kernel_m16, convolution_count, field_count):
-    # two per convolution (convolve's argument and its result), one per line-search
-    # trial, and the start, its image on the unit sphere and the solution; the
-    # iterates and their rescales, the gradients and the steps stay arrays
+    # one per convolution (its argument; convolve returns an array), one per
+    # line-search trial, and the start, its image on the unit sphere and the
+    # solution; the iterates and their rescales, the gradients and the steps stay arrays
     rep = kc.solve_ground_state(reference_spec, kernel_m16)
     assert convolution_count[0] == 26
-    assert field_count[0] <= 75
-    # building the Newton operator wraps nothing; an action wraps only around convolve
+    assert field_count[0] <= 49
+    # building the Newton operator wraps nothing; an action wraps only convolve's argument
     point = kc.evaluate(reference_spec, kernel_m16, rep.solution)
     field_count[0] = convolution_count[0] = 0
     hessian = _hessian(kernel_m16, point)
     assert field_count[0] == 0
     hessian(np.ones(reference_spec.box.site_count))
-    assert (convolution_count[0], field_count[0]) == (1, 2)
+    assert (convolution_count[0], field_count[0]) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ def test_hls_stability(kernel_m16):
 
 
 def test_hls_convolves_each_trial_once(kernel_m16, convolution_count):
-    # one delta anchor and one convolution per power step on each radius; the
-    # homogeneity probe reuses R * u, and each radius settles in 14 steps
+    # one delta anchor and one convolution per power step on each radius, and
+    # each radius settles in 14 steps
     rep = kc.check_hls(kernel_m16)
     assert convolution_count[0] == 3 * (1 + 14) and rep.samples == 3 * 14
     assert rep.passed and rep.measured == 4.632775149853742e-05
@@ -189,7 +189,7 @@ def test_hls_fails_a_falling_ratio(kernel_m16, monkeypatch):
     def shrunk(kernel, w):
         calls[0] += 1
         out = kc.convolve(kernel, w)
-        return kc.Field(w.box, 0.9 * out.values) if calls[0] == 3 else out
+        return 0.9 * out if calls[0] == 3 else out
 
     monkeypatch.setattr(verify_module, "convolve", shrunk)
     rep = verify_module.check_hls(kernel_m16)
@@ -331,6 +331,12 @@ def test_checks_fail_an_unconverged_solve_report(spec4, kernel_m16, solved4, che
 def test_box_convergence_refuses_a_single_radius(spec4, kernel_m16, solved4):
     with pytest.raises(ValueError, match="^box convergence needs at least two increasing radii$"):
         kc.check_box_convergence(spec4, kernel_m16, solved4, radii=(4,))
+
+
+def test_box_convergence_refuses_a_repeated_radius(spec4, kernel_m16, solved4):
+    # repeated, the last radius would pass with a final gap of 0 between two equal levels
+    with pytest.raises(ValueError, match="^box convergence needs at least two increasing radii$"):
+        kc.check_box_convergence(spec4, kernel_m16, solved4, radii=(3, 4, 4))
 
 
 def test_box_convergence_fails_a_rising_dirichlet_level(spec4, kernel_m16, solved4):
