@@ -234,7 +234,6 @@ def cmd_sweep(config: RunConfig) -> int:
     rows = []
     observations = []
     energies = []
-    all_converged = True
     for value in config.sweep_values:
         point = config.sweep_point(value)
         try:
@@ -242,7 +241,6 @@ def cmd_sweep(config: RunConfig) -> int:
             spec = point.problem_spec()
             report = solve_ground_state(spec, kernel, point.start_field(spec))
         except (ValueError, QuadratureError) as exc:
-            all_converged = False
             observations.append(f"# observation: point {param}={value!r} failed: {exc}")
             rows.append(f"{param},{value:.17g},nan,nan,nan,0")
             energies.append(math.nan)
@@ -253,9 +251,9 @@ def cmd_sweep(config: RunConfig) -> int:
         )
         energies.append(report.energy)
         if not report.converged:
-            all_converged = False
             observations.append(
                 f"# observation: point {param}={value!r} did not converge: {report.message}")
+    all_converged = not observations
     if param == "b" and len(energies) > 1 and all(math.isfinite(e) for e in energies):
         ordered = all(
             e2 >= e1 - 1.0e-6 * max(1.0, abs(e1))

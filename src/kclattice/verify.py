@@ -69,16 +69,20 @@ _NORMAL_MIN = np.finfo(float).tiny  # smallest g(t) check_fiber_monotonicity com
 
 @dataclass
 class PropertyReport:
-    """Outcome of one property check."""
+    """Outcome of one property check: it passed iff it met no failure, and
+    its witness names the first failure it met."""
 
     name: str
     anchor: str
     samples: int
-    passed: bool
     measured: float
     tolerance: float
     details: dict = field(default_factory=dict)
     witness: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return not self.witness
 
     def csv_row(self) -> str:
         flag = "pass" if self.passed else "fail"
@@ -130,10 +134,11 @@ def check_kernel_integrity(kernel: GreenKernel) -> PropertyReport:
                "min_table_value": float(table.min())}
     if kernel.table_radius >= 8:
         details["fitted_decay_exponent"] = fit_decay_exponent(kernel)
-    passed = bad is None and k_dev <= 1.0e-8
     witness = "" if bad is None else f"entry at z={bad} breaks positivity or cubic symmetry"
+    if not k_dev <= 1.0e-8:
+        witness = witness or f"K_alpha deviates from its recomputation by relative {k_dev:.3e}"
     return PropertyReport("kernel-integrity", "kernel-positivity-and-cubic-symmetry",
-                          table.size, passed, worst, _SYMMETRY_TOLERANCE, details, witness)
+                          table.size, worst, _SYMMETRY_TOLERANCE, details, witness)
 
 
 def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
@@ -158,16 +163,15 @@ def check_mountain_pass_geometry(spec: ProblemSpec, kernel: GreenKernel,
         on_sphere.append(point.ray_energy(rho))
     floor = min(on_sphere)
     e_norm = next((2.0 ** k for k in range(61) if first.ray_energy(2.0 ** k) < 0.0), math.nan)
-    passed = floor >= sigma > 0.0 and e_norm > rho  # False on a nan e_norm
     witness = ""
     if not floor >= sigma > 0.0:
         witness = f"sphere floor at rho={rho!r}: sampled {floor!r}, proven {sigma!r}"
-    elif not passed:
+    elif not e_norm > rho:  # a nan e_norm fails too
         witness = "no negative-energy point found beyond rho up to scale 2^60"
     details = {"rho": rho, "sigma": sigma, "sampled_floor": floor, "e_norm": e_norm,
                "e_energy": first.ray_energy(e_norm)}
     return PropertyReport(name, "positive-sphere-floor-and-negative-far-point",
-                          trials, passed, floor, sigma, details, witness)
+                          trials, floor, sigma, details, witness)
 
 
 def check_hls(kernel: GreenKernel, trials: int = 200) -> PropertyReport:
@@ -189,7 +193,7 @@ def check_hls(kernel: GreenKernel, trials: int = 200) -> PropertyReport:
     sups, steps, last_rise, delta_anchor = {}, 0, 0.0, None
 
     def failed(measured, tolerance, witness):
-        return PropertyReport(name, anchor, steps, False, measured, tolerance, {}, witness)
+        return PropertyReport(name, anchor, steps, measured, tolerance, {}, witness)
 
     for radius in HLS_RADII:
         box = LatticeBox(radius)
@@ -214,13 +218,12 @@ def check_hls(kernel: GreenKernel, trials: int = 200) -> PropertyReport:
         sups[radius], last_rise = rho, max(last_rise, rise)
     values = list(sups.values())
     spread = (max(values) - min(values)) / max(values)
-    passed = spread <= _HLS_SPREAD
     details = {f"sup_radius_{r}": sups[r] for r in HLS_RADII}
     details["delta_pair_ratio"] = delta_anchor
     details["empirical_constant"] = max(values)  # rho climbs from the delta anchor
     details["last_relative_increase"] = last_rise
-    witness = "" if passed else f"sup spread {spread:.3e} across radii {HLS_RADII}"
-    return PropertyReport(name, anchor, steps, passed, spread, _HLS_SPREAD, details, witness)
+    witness = "" if spread <= _HLS_SPREAD else f"sup spread {spread:.3e} across radii {HLS_RADII}"
+    return PropertyReport(name, anchor, steps, spread, _HLS_SPREAD, details, witness)
 
 
 def _hls_ratio(u: np.ndarray, conv: np.ndarray, exponent: float) -> float:
@@ -268,7 +271,6 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
     min_increase = math.inf
     min_strict_gap = math.inf
     witness = ""
-    passed = True
     strict_theta = 4.5 if 4.5 < 2.0 * p else 0.5 * (4.0 + 2.0 * p)
     for k, u in enumerate(_unit_directions(spec, rng, fields)):
         base = evaluate(spec, kernel, u)
@@ -277,9 +279,10 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
         predicted = [t ** (2.0 * p) * g1 for t in ends]
         if not all(_NORMAL_MIN <= value < math.inf for value in predicted):
             # a deviation relative to 0 or inf reads nan, which max() would drop
-            passed, worst_identity = False, math.inf
-            witness = (f"interaction t^(2p) g(1) leaves the normal doubles on field {k}: "
-                       f"{predicted[0]:.3e} at t={ends[0]:g}, {predicted[1]:.3e} at t={ends[1]:g}")
+            worst_identity = math.inf
+            witness = witness or (
+                f"interaction t^(2p) g(1) leaves the normal doubles on field {k}: "
+                f"{predicted[0]:.3e} at t={ends[0]:g}, {predicted[1]:.3e} at t={ends[1]:g}")
             continue
         for t, value in zip(ends, predicted):
             probe = 0.5 * evaluate(spec, kernel, Field(spec.box, t * u.values)).interaction
@@ -292,23 +295,19 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
         increments = np.diff(quotient)
         min_increase = min(min_increase, float(increments.min()))
         if quotient.min() <= 0.0:
-            passed = False
-            witness = f"quotient combination nonpositive on field {k}"
+            witness = witness or f"quotient combination nonpositive on field {k}"
         if increments.min() <= 0.0:
-            passed = False
-            witness = f"quotient combination not increasing on field {k}"
+            witness = witness or f"quotient combination not increasing on field {k}"
     if worst_identity > 1.0e-10:
-        passed = False
         witness = witness or f"power homogeneity deviation {worst_identity:.3e}"
     if min_strict_gap <= 0.0:
-        passed = False
         witness = witness or "strict inequality failed for theta below 2p"
     details = {"max_homogeneity_deviation": worst_identity,
                "min_quotient_value": min_quotient,
                "min_quotient_increment": min_increase,
                "min_strict_theta_gap": min_strict_gap}
     return PropertyReport(name, "ray-interaction-quotient-increasing",
-                          fields * len(grid), passed, worst_identity, 1.0e-10,
+                          fields * len(grid), worst_identity, 1.0e-10,
                           details, witness)
 
 
@@ -328,31 +327,25 @@ def check_level_identity(spec: ProblemSpec, kernel: GreenKernel,
     rng = _check_rng(seed, name)
     c = solve_report.energy
     tol = 1.0e-8 * max(1.0, abs(c))
-    witness = ""
-    passed = solve_report.converged
-    if not passed:
-        witness = "solve report not converged"
+    witness = "" if solve_report.converged else "solve report not converged"
     min_ray_max = math.inf
     for k, u in enumerate(_unit_directions(spec, rng, samples)):
         point = evaluate(spec, kernel, u)
         ray_max = point.ray_energy(nehari_scale(point))
         min_ray_max = min(min_ray_max, ray_max)
         if not ray_max >= c - tol:  # a nan ray maximum fails too
-            passed = False
-            witness = f"ray maximum {ray_max!r} below level {c!r} on sample {k}"
+            witness = witness or f"ray maximum {ray_max!r} below level {c!r} on sample {k}"
     point = evaluate(spec, kernel, solve_report.solution)
     ground_ray = point.ray_energy(nehari_scale(point))
     if not abs(ground_ray - c) <= tol:
-        passed = False
         witness = witness or f"ground ray maximum {ground_ray!r} misses level {c!r}"
     path_dev = _segment_max_deviation(spec, kernel, solve_report.solution, c)
     if path_dev > 1.0e-6:
-        passed = False
         witness = witness or f"segment maximum misses level by relative {path_dev:.3e}"
     details = {"level": c, "min_ray_max": min_ray_max,
                "ground_ray_max": ground_ray, "segment_relative_deviation": path_dev}
     return PropertyReport(name, "ray-max-equals-path-min-level", samples,
-                          passed, path_dev, 1.0e-6, details, witness)
+                          path_dev, 1.0e-6, details, witness)
 
 
 def _segment_max_deviation(spec: ProblemSpec, kernel: GreenKernel,
@@ -487,7 +480,6 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel, solve_report: 
     previous = solve_report.solution
     levels = []
     witness = ""
-    passed = True
     for radius in radii:
         box = LatticeBox(radius, spec.box.mode)
         if radius == spec.box.radius:
@@ -496,24 +488,21 @@ def check_box_convergence(spec: ProblemSpec, kernel: GreenKernel, solve_report: 
             report = solve_ground_state(spec.with_box(box), kernel, _on_box(previous, box))
         previous = report.solution
         if not report.converged:
-            passed = False
             witness = witness or f"solve did not converge at radius {radius}: {report.message}"
         levels.append(report.energy)
     rises = [(levels[i + 1] - levels[i]) / abs(levels[i + 1]) for i in range(len(levels) - 1)]
     final_gap = abs(rises[-1])
     if spec.box.mode == DIRICHLET and max(rises) > _BOX_RISE:
-        passed = False
         i = rises.index(max(rises))
         witness = witness or f"level rose by {rises[i]:.3e} at radii {radii[i]}->{radii[i + 1]}"
     if final_gap > _BOX_GAP:
-        passed = False
         witness = witness or f"final relative gap {final_gap:.3e} at radii {radii[-2]}->{radii[-1]}"
     details = {f"level_radius_{r}": levels[i] for i, r in enumerate(radii)}
     details.update({f"gap_{radii[i]}_{radii[i + 1]}": abs(rises[i]) for i in range(len(rises))})
     if spec.box.mode == DIRICHLET:
         details["z3_level_upper_bound"] = levels[-1]
-    return PropertyReport(name, "truncation-energy-cauchy", len(radii), passed,
-                          final_gap, _BOX_GAP, details, witness)
+    return PropertyReport(name, "truncation-energy-cauchy", len(radii), final_gap,
+                          _BOX_GAP, details, witness)
 
 
 def _octahedral_symmetrize(values: np.ndarray) -> np.ndarray:
@@ -548,8 +537,7 @@ def check_symmetry_and_translation(spec: ProblemSpec, kernel: GreenKernel,
     """
     name = "symmetry-translation"
     u = solve_report.solution
-    passed = solve_report.converged
-    witness = "" if passed else "solve report not converged"
+    witness = "" if solve_report.converged else "solve report not converged"
     details = {}
     samples = 0
     if spec.potential.kind == PERIODIC_POTENTIAL:
@@ -565,8 +553,7 @@ def check_symmetry_and_translation(spec: ProblemSpec, kernel: GreenKernel,
         details["max_translation_energy_change"] = worst
         measured, tolerance = worst, tol
         if worst > tol:
-            passed = False
-            witness = f"translation by one period moved the energy by {worst:.3e}"
+            witness = witness or f"translation by one period moved the energy by {worst:.3e}"
     else:
         require_origin_center(spec.potential)
         sym = _octahedral_symmetrize(u.values)
@@ -577,10 +564,9 @@ def check_symmetry_and_translation(spec: ProblemSpec, kernel: GreenKernel,
         samples = 48
         details["octahedral_residual"] = measured
         if measured > tolerance:
-            passed = False
-            witness = f"octahedral residual {measured:.3e}"
-    return PropertyReport(name, "lattice-symmetry-invariance", samples, passed,
-                          measured, tolerance, details, witness)
+            witness = witness or f"octahedral residual {measured:.3e}"
+    return PropertyReport(name, "lattice-symmetry-invariance", samples, measured,
+                          tolerance, details, witness)
 
 
 def run_suite(spec: ProblemSpec, kernel: GreenKernel, solve_report: SolveReport,
@@ -619,7 +605,7 @@ def _run_check(name: str, check) -> PropertyReport:
     try:
         return check()
     except RuntimeError as exc:
-        return PropertyReport(name, "raised", 0, False, math.nan, math.nan,
+        return PropertyReport(name, "raised", 0, math.nan, math.nan,
                               witness=f"RuntimeError: {exc}")
 
 

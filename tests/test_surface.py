@@ -121,6 +121,15 @@ def test_solve_report_has_the_pinned_fields():
         "norm_h2", "grad2", "drive", "interaction", "exponent", "b")
 
 
+def test_a_property_report_passes_iff_it_has_no_witness():
+    assert tuple(f.name for f in dataclasses.fields(kc.PropertyReport)) == (
+        "name", "anchor", "samples", "measured", "tolerance", "details", "witness")
+    passed = inspect.getattr_static(kc.PropertyReport, "passed")
+    assert isinstance(passed, property) and passed.fset is None
+    assert kc.PropertyReport("x", "y", 1, 0.0, 0.0).passed
+    assert not kc.PropertyReport("x", "y", 1, 0.0, 0.0, witness="first failure").passed
+
+
 def test_kernel_entry_points_have_the_pinned_parameters():
     for name, parameters in KERNEL_PARAMETERS.items():
         assert tuple(inspect.signature(getattr(kc, name)).parameters) == parameters, name

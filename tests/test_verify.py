@@ -85,6 +85,13 @@ def test_kernel_integrity_catches_negative_entry(kernel_m16):
     assert not rep.passed
 
 
+def test_kernel_integrity_catches_a_wrong_k_alpha(kernel_m8):
+    wrong = dataclasses.replace(kernel_m8, k_alpha=kernel_m8.k_alpha * 1.001)
+    rep = kc.check_kernel_integrity(wrong)
+    assert not rep.passed
+    assert rep.witness.startswith("K_alpha deviates from its recomputation by relative 9.99")
+
+
 def test_mountain_pass_geometry(spec4, kernel_m16):
     rep = kc.check_mountain_pass_geometry(spec4, kernel_m16, trials=40)
     assert rep.passed
@@ -250,7 +257,7 @@ def test_fiber_monotonicity_fails_naming_an_underflowed_interaction(kernel_m8):
     rep = kc.check_fiber_monotonicity(spec, kernel_m8, fields=2)
     assert not rep.passed
     assert rep.measured == math.inf
-    assert "interaction t^(2p) g(1) leaves the normal doubles on field 1: 0.000e+00" in rep.witness
+    assert "interaction t^(2p) g(1) leaves the normal doubles on field 0: 0.000e+00" in rep.witness
 
 
 @pytest.mark.parametrize("kind", ["positive", "normal"])
@@ -287,6 +294,21 @@ def test_level_identity_fails_a_wrong_level(spec4, kernel_m16, solved4, factor, 
     assert not rep.passed
     assert witness in rep.witness
     assert rep.details["ground_ray_max"] == pytest.approx(solved4.energy, rel=1e-8)
+
+
+def test_level_identity_names_the_first_sample_below_the_level(spec4, kernel_m16, solved4):
+    # every sample's ray maximum lies below so high a level, and the first is named
+    wrong = dataclasses.replace(solved4, energy=1e6 * solved4.energy)
+    rep = kc.check_level_identity(spec4, kernel_m16, wrong, samples=4)
+    assert rep.witness.endswith("on sample 0")
+
+
+def test_level_identity_names_an_unconverged_report_before_its_samples(spec4, kernel_m16,
+                                                                        solved4):
+    wrong = dataclasses.replace(solved4, converged=False, energy=1e6 * solved4.energy)
+    rep = kc.check_level_identity(spec4, kernel_m16, wrong, samples=4)
+    assert rep.details["min_ray_max"] < wrong.energy
+    assert rep.witness == "solve report not converged"
 
 
 def test_box_convergence_passes_on_resolved_radii(spec4, kernel_m16):
@@ -457,6 +479,15 @@ def test_symmetry_check_fails_an_asymmetric_state(spec4, kernel_m16, solved4):
     assert not rep.passed
     assert rep.measured > 1e-4
     assert rep.witness.startswith("octahedral residual")
+
+
+def test_symmetry_check_names_an_unconverged_report_before_its_residual(spec4, kernel_m16,
+                                                                         solved4):
+    shifted = dataclasses.replace(solved4, converged=False,
+                                  solution=kc.translate(solved4.solution, (1, 0, 0)))
+    rep = kc.check_symmetry_and_translation(spec4, kernel_m16, shifted)
+    assert rep.measured > 1e-4
+    assert rep.witness == "solve report not converged"
 
 
 def test_symmetry_check_fails_a_state_that_is_not_translation_invariant(kernel_m16, solved4,
