@@ -18,11 +18,19 @@ All randomness is derived from a master seed, one independent SplitMix64
 stream per check (``splitmix.stream(seed, crc32(check name))``), so a
 full-suite run is reproducible, reordering checks does not change any of
 them, and a witness's field is the check's draw from that stream.
+
+Where a second CPU and no other thread are there, ``run_suite`` runs the four
+checks that read only the spec and the kernel in a forked worker and the three
+that read the solve in the caller; otherwise it runs all seven in the caller.
+The reports and their bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -580,23 +588,94 @@ def run_suite(spec: ProblemSpec, kernel: GreenKernel, solve_report: SolveReport,
     box side is a multiple of the potential period.  An off-center coercive
     potential and a solve on another box are ValueErrors before any check
     runs.  A check that raises a RuntimeError is reported as failed, with
-    the error as its witness.
+    the error as its witness; any other exception propagates, from the worker
+    too, and a worker that dies before it reports fails each of its checks.
     """
     require_origin_center(spec.potential)
     _check_field(spec, solve_report.solution)
-    checks = {
+    functional = {  # these read only spec and kernel: a forked worker runs them
         "kernel-integrity": lambda: check_kernel_integrity(kernel),
         "mountain-pass-geometry": lambda: check_mountain_pass_geometry(
             spec, kernel, trials=mp_trials, seed=seed),
         "hls-ratio": lambda: check_hls(kernel, trials=trials),
         "fiber-monotonicity": lambda: check_fiber_monotonicity(
             spec, kernel, fields=fiber_fields, seed=seed),
+    }
+    of_solve = {
         "level-identity": lambda: check_level_identity(
             spec, kernel, solve_report, samples=level_samples, seed=seed),
         "box-convergence": lambda: check_box_convergence(
             spec, kernel, solve_report, radii=radii),
         "symmetry-translation": lambda: check_symmetry_and_translation(spec, kernel, solve_report),
     }
+    worker = _fork(functional) if _may_fork() else None
+    if worker is None:
+        return _run_checks(functional) + _run_checks(of_solve)
+    pid, pipe = worker
+    with pipe:
+        try:
+            reports = _run_checks(of_solve)
+            payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:  # no worker outlives the call
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    if not payload:
+        return _lost_reports(functional, status) + reports
+    worker_reports, error = pickle.loads(payload)
+    if error is not None:
+        raise error
+    return worker_reports + reports
+
+
+def _may_fork() -> bool:
+    """A second CPU for the worker, and no thread that a fork would leave behind."""
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1)
+
+
+def _fork(checks):
+    """(pid, pipe) of a forked worker that runs ``checks`` and sends one pickle of
+    their reports, or of the exception one raised, down the pipe; None where no
+    process can be forked.  The worker never returns into the caller's stack, so
+    it runs no atexit handler and flushes no output buffer it inherited."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: the caller runs the checks itself
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        return pid, open(read_end, "rb")
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            result = (_run_checks(checks), None)
+        except Exception as exc:
+            result = (None, exc)
+        payload = memoryview(pickle.dumps(result))
+        while payload:
+            payload = payload[os.write(write_end, payload):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _lost_reports(checks, status: int):
+    """A failed report per check of a worker that ended without reporting."""
+    code = os.waitstatus_to_exitcode(status)
+    cause = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+    return [PropertyReport(name, "raised", 0, math.nan, math.nan,
+                           witness=f"check worker {cause} before it reported") for name in checks]
+
+
+def _run_checks(checks):
     return [_run_check(name, check) for name, check in checks.items()]
 
 

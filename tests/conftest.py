@@ -1,5 +1,7 @@
 """Shared fixtures: kernels and solves are expensive, so build them once."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -87,29 +89,56 @@ def rng():
     return np.random.default_rng(1234)
 
 
+class ForkCount:
+    """A count that sees every process forked after it is made, read and reset as
+    ``count[0]``: each increment appends one byte to an O_APPEND file, which no
+    concurrent append overwrites, and the count is the file's size."""
+
+    def __init__(self, path):
+        self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND | os.O_TRUNC)
+
+    def increment(self):
+        os.write(self._fd, b".")
+
+    def __getitem__(self, index):
+        assert index == 0
+        return os.fstat(self._fd).st_size
+
+    def __setitem__(self, index, value):
+        assert index == 0
+        os.ftruncate(self._fd, value)
+
+    def close(self):
+        os.close(self._fd)
+
+
 @pytest.fixture()
-def convolution_count(monkeypatch):
-    """A one-element list counting convolution-plan applications from now on."""
-    count = [0]
+def convolution_count(monkeypatch, tmp_path):
+    """A count of convolution-plan applications from now on, in this process
+    and in every process it forks."""
+    count = ForkCount(tmp_path / "convolutions")
     apply = kernel_module._ConvolutionPlan.apply
 
     def counted(plan, values):
-        count[0] += 1
+        count.increment()
         return apply(plan, values)
 
     monkeypatch.setattr(kernel_module._ConvolutionPlan, "apply", counted)
-    return count
+    yield count
+    count.close()
 
 
 @pytest.fixture()
-def field_count(monkeypatch):
-    """A one-element list counting validated Field constructions from now on."""
-    count = [0]
+def field_count(monkeypatch, tmp_path):
+    """A count of validated Field constructions from now on, in this process
+    and in every process it forks."""
+    count = ForkCount(tmp_path / "fields")
     check = lattice_module.Field.__post_init__
 
     def counted(field):
-        count[0] += 1
+        count.increment()
         check(field)
 
     monkeypatch.setattr(lattice_module.Field, "__post_init__", counted)
-    return count
+    yield count
+    count.close()

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import kclattice as kc
 import kclattice.cli as cli_module
 import kclattice.config as config_module
 import kclattice.nehari as nehari_module
+import kclattice.verify as verify_module
 from kclattice.cli import main
 
 
@@ -806,14 +808,20 @@ def _fresh_blas_kb():
 """
 
 
+def _fresh_process(args, environ=os.environ):
+    """Run the interpreter with ``args`` in a fresh process that imports this
+    kclattice, in ``environ``; the completed process, its output captured as text."""
+    src = str(Path(kc.__file__).resolve().parents[1])
+    env = dict(environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=600)
+
+
 def _in_fresh_interpreter(script):
     """Run ``script`` in a fresh interpreter that imports this kclattice;
     the JSON value its last line of output prints."""
-    src = str(Path(kc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                            text=True, timeout=600)
+    result = _fresh_process(["-c", script])
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
 
@@ -824,15 +832,15 @@ def _main_call(cfg, out, command):
             f"'--seed', '1', {command!r}])")
 
 
-def _modules_after(tmp_path, config_text, command):
+def _modules_after(tmp_path, config_text, command, prelude=""):
     """Run ``command`` in a fresh interpreter with LAPACK's decompositions
-    disabled; its exit code, the modules it loaded and the kB of BLAS/LAPACK
-    pages that a 2-D product and an eigh map after it (None without a
-    /proc/self/smaps that names such a library)."""
+    disabled, after the source ``prelude``; its exit code, the modules it
+    loaded and the kB of BLAS/LAPACK pages that a 2-D product and an eigh map
+    after it (None without a /proc/self/smaps that names such a library)."""
     cfg = write_config(tmp_path, config_text)
     return _in_fresh_interpreter(
         "import json, os, sys\n"
-        + _NO_LAPACK_OR_BLAS3 +
+        + _NO_LAPACK_OR_BLAS3 + prelude +
         "from kclattice.cli import main\n"
         f"code = main(['--config', {cfg!r}, '--output', {str(tmp_path / 'out')!r}, {command!r}])\n"
         "fresh = _fresh_blas_kb() if os.path.exists('/proc/self/smaps') else None\n"
@@ -926,13 +934,93 @@ def _warm_verify_config(warm_cache):
 
 
 def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
-    # the whole property suite, the segment referee included, runs on numpy
+    # the property suite, the segment referee included, runs on numpy; where
+    # run_suite forks, this sees the caller's half of the checks only
     code, modules, fresh = _modules_after(tmp_path, _warm_verify_config(warm_cache), "verify")
     assert code == 0
     assert "kclattice.verify" in modules
     assert _under(modules, "scipy") == []
     _assert_no_openssl_or_numpy_random(modules)
     _assert_no_blas3_or_lapack_ran(fresh)
+
+
+# pins the fresh interpreter to one CPU, where run_suite runs every check in
+# process; a fork raises
+_ONE_CPU = """
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+def _no_fork():
+    raise AssertionError("os.fork called")
+os.fork = _no_fork
+"""
+
+
+def _requires_affinity():
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity to pin a process to one CPU")
+
+
+def test_warm_verify_on_one_cpu_runs_every_check_without_scipy_or_lapack(tmp_path, warm_cache):
+    # the checks a forked worker runs elsewhere run here in the guarded process
+    _requires_affinity()
+    code, modules, fresh = _modules_after(tmp_path, _warm_verify_config(warm_cache), "verify",
+                                          prelude=_ONE_CPU)
+    assert code == 0
+    assert _under(modules, "scipy") == []
+    _assert_no_openssl_or_numpy_random(modules)
+    _assert_no_blas3_or_lapack_ran(fresh)
+
+
+def test_warm_verify_on_one_cpu_writes_the_bytes_of_a_free_run(tmp_path, warm_cache):
+    _requires_affinity()
+    cfg = write_config(tmp_path, _warm_verify_config(warm_cache))
+    count_forks = "_fork = os.fork\nos.fork = lambda: forks.append(1) or _fork()\n"
+    runs = {}
+    for route, prelude in (("one_cpu", _ONE_CPU), ("free", count_forks)):
+        runs[route] = _in_fresh_interpreter(
+            "import json, os\n"
+            "forks = []\n"
+            + prelude +
+            "from kclattice.cli import main\n"
+            f"code = {_main_call(cfg, tmp_path / route, 'verify')}\n"
+            "print(json.dumps([code, len(forks)]))\n")
+    assert runs == {"one_cpu": [0, 0], "free": [0, int(verify_module._may_fork())]}
+    for name in ("suite.csv", "report.txt"):
+        assert ((latest_run(tmp_path / "one_cpu") / name).read_bytes()
+                == (latest_run(tmp_path / "free") / name).read_bytes()), name
+
+
+def test_verify_exits_4_without_a_traceback_when_its_worker_is_killed(tmp_path, warm_cache):
+    if not verify_module._may_fork():
+        pytest.skip("run_suite runs in process here: one CPU, or other threads")
+    cfg = write_config(tmp_path, _warm_verify_config(warm_cache))
+    result = _fresh_process(["-c", (
+        "import json, os, signal\n"
+        "import kclattice.verify\n"
+        "from kclattice.cli import main\n"
+        "caller = os.getpid()\n"
+        "def killed(*args, **kwargs):\n"
+        "    assert os.getpid() != caller, 'the check ran in the caller'\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "kclattice.verify.check_hls = killed\n"
+        f"print(json.dumps({_main_call(cfg, tmp_path / 'out', 'verify')}))\n")])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == cli_module.EXIT_VERIFY_FAILED == 4
+    assert "Traceback" not in result.stderr
+    assert result.stderr.endswith("failing checks: kernel-integrity, mountain-pass-geometry, "
+                                  "hls-ratio, fiber-monotonicity\n")
+    witness = f"witness: check worker was killed by signal {int(signal.SIGKILL)} before it reported"
+    assert result.stdout.count(witness) == 4
+
+
+def test_verify_on_a_pipe_announces_its_run_directory_once(tmp_path, warm_cache):
+    # the worker ends without flushing the output buffer it inherited, which
+    # holds the announcement where stdout is a buffered pipe
+    cfg = write_config(tmp_path, _warm_verify_config(warm_cache))
+    buffered = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    result = _fresh_process(["-m", "kclattice.cli", "--config", cfg,
+                             "--output", str(tmp_path / "out"), "verify"], buffered)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("run directory:") == 1
 
 
 # a warm run loads the package modules its command imports, and no others

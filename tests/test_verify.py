@@ -3,6 +3,9 @@ loudly when its hypothesis is broken."""
 
 import dataclasses
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -621,21 +624,143 @@ def test_run_suite_convolution_budget(spec4, kernel_m16, convolution_count):
     assert convolution_count[0] == 138
 
 
-def test_run_suite_leaves_one_plan_per_kernel(spec4, kernel_m16, monkeypatch):
+def test_run_suite_leaves_one_plan_per_kernel(spec4, kernel_m16, monkeypatch, tmp_path):
     kernel = dataclasses.replace(kernel_m16)  # a new kernel, which holds no plan yet
-    boxes = []
+    caller = os.getpid()
+    log = os.open(tmp_path / "boxes", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     plan_for = kernel_module._plan_for
 
     def recorded(kernel, box):
-        boxes.append(box)
+        # one append per box, from the caller and from the suite's worker alike
+        os.write(log, f"{os.getpid()} {box.radius} {box.mode}\n".encode())
         return plan_for(kernel, box)
 
     monkeypatch.setattr(kernel_module, "_plan_for", recorded)
     kc.run_suite(spec4, kernel, kc.solve_ground_state(spec4, kernel), trials=4, mp_trials=6,
                  fiber_fields=2, level_samples=2, radii=(2, 3, 4, 5))
+    os.close(log)
+    boxes = [line.split() for line in (tmp_path / "boxes").read_text().splitlines()]
     # the suite visits every radius and more boxes besides, but keeps only the last plan
-    assert {2, 3, 4, 5} < {box.radius for box in boxes}
-    assert kernel._plan[0] == boxes[-1]
+    assert {2, 3, 4, 5} < {int(radius) for _, radius, _ in boxes}
+    _, radius, mode = [box for box in boxes if int(box[0]) == caller][-1]
+    assert kernel._plan[0] == LatticeBox(int(radius), mode)
+
+
+_SMALL_SUITE = {"trials": 4, "mp_trials": 6, "fiber_fields": 2, "level_samples": 2,
+                "radii": (2, 3, 4)}
+
+
+def _suite_text(reports):
+    return kc.suite_csv(reports) + kc.suite_summary(reports)
+
+
+def _forking_suite(spec4, kernel_m16, solved4):
+    """A small run_suite on the radius-4 problem, through the worker."""
+    if not verify_module._may_fork():
+        pytest.skip("run_suite runs in process here: one CPU, or other threads")
+    return kc.run_suite(spec4, kernel_m16, solved4, **_SMALL_SUITE)
+
+
+def _serial_suite(spec4, kernel_m16, solved4, monkeypatch):
+    """The same run_suite, with both halves in this process."""
+    with monkeypatch.context() as serial:
+        serial.setattr(verify_module, "_may_fork", lambda: False)
+        return kc.run_suite(spec4, kernel_m16, solved4, **_SMALL_SUITE)
+
+
+def test_run_suite_worker_reports_the_bytes_of_the_serial_suite(spec4, kernel_m16, solved4,
+                                                                 monkeypatch):
+    forked = _forking_suite(spec4, kernel_m16, solved4)
+    assert _suite_text(forked) == _suite_text(_serial_suite(spec4, kernel_m16, solved4,
+                                                            monkeypatch))
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_suite_worker_reports_a_runtime_error_as_serial(spec4, kernel_m16, solved4,
+                                                            monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("hls iteration diverged")
+
+    monkeypatch.setattr(verify_module, "check_hls", broken)
+    forked = _forking_suite(spec4, kernel_m16, solved4)
+    assert _suite_text(forked) == _suite_text(_serial_suite(spec4, kernel_m16, solved4,
+                                                            monkeypatch))
+    hls = forked[2]
+    assert (hls.name, hls.anchor, hls.witness) == (
+        "hls-ratio", "raised", "RuntimeError: hls iteration diverged")
+
+
+def test_run_suite_runs_every_check_itself_when_it_cannot_fork(spec4, kernel_m16, solved4,
+                                                              monkeypatch):
+    serial = _suite_text(_serial_suite(spec4, kernel_m16, solved4, monkeypatch))
+    pipes, real_pipe = [], os.pipe
+
+    def pipe():
+        pipes.extend(real_pipe())
+        return pipes[-2:]
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(verify_module.os, "pipe", pipe)
+    monkeypatch.setattr(verify_module.os, "fork", fork)
+    monkeypatch.setattr(verify_module, "_may_fork", lambda: True)
+    assert _suite_text(kc.run_suite(spec4, kernel_m16, solved4, **_SMALL_SUITE)) == serial
+    assert len(pipes) == 2
+    for end in pipes:  # both ends were closed
+        with pytest.raises(OSError):
+            os.fstat(end)
+
+
+def test_run_suite_reraises_another_worker_exception(spec4, kernel_m16, solved4, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("fiber grid is empty")
+
+    monkeypatch.setattr(verify_module, "check_fiber_monotonicity", broken)
+    with pytest.raises(ValueError, match="^fiber grid is empty$"):
+        _forking_suite(spec4, kernel_m16, solved4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_suite_fails_the_checks_of_a_killed_worker(spec4, kernel_m16, solved4,
+                                                       monkeypatch):
+    caller = os.getpid()
+
+    def killed(*args, **kwargs):
+        assert os.getpid() != caller, "the check ran in the caller"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(verify_module, "check_mountain_pass_geometry", killed)
+    reports = _forking_suite(spec4, kernel_m16, solved4)
+    witness = f"check worker was killed by signal {int(signal.SIGKILL)} before it reported"
+    assert [(r.name, r.anchor, r.passed, r.witness) for r in reports[:4]] == [
+        (name, "raised", False, witness) for name in
+        ("kernel-integrity", "mountain-pass-geometry", "hls-ratio", "fiber-monotonicity")]
+    # the caller's half ran as ever
+    assert [(r.name, r.anchor != "raised") for r in reports[4:]] == [
+        ("level-identity", True), ("box-convergence", True), ("symmetry-translation", True)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_suite_kills_the_worker_when_the_caller_half_raises(spec4, kernel_m16, solved4,
+                                                                monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def endless(*args, **kwargs):  # ends by itself should the kill be missing
+        time.sleep(120.0)
+
+    monkeypatch.setattr(verify_module, "check_level_identity", broken)
+    monkeypatch.setattr(verify_module, "check_kernel_integrity", endless)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _forking_suite(spec4, kernel_m16, solved4)
+    assert time.monotonic() - start < 60.0  # killed, not waited out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_suite_csv_and_summary_format(spec4, kernel_m16, solved4):
