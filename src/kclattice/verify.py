@@ -315,21 +315,19 @@ def check_fiber_monotonicity(spec: ProblemSpec, kernel: GreenKernel,
                "min_quotient_increment": min_increase,
                "min_strict_theta_gap": min_strict_gap}
     return PropertyReport(name, "ray-interaction-quotient-increasing",
-                          fields * len(grid), worst_identity, 1.0e-10,
-                          details, witness)
+                          fields, worst_identity, 1.0e-10, details, witness)
 
 
 def check_level_identity(spec: ProblemSpec, kernel: GreenKernel,
                          solve_report: SolveReport, samples: int = 20,
                          seed: int = 42) -> PropertyReport:
-    """The solver level is the bottom of the ray maxima and path maxima.
+    """The solver level is the bottom of the ray maxima.
 
-    Every ray maximum max_s J(su) = J(s_u u), read in closed form off one
-    evaluation at the ray's Nehari scale, dominates the ground level c =
-    inf_u max_s J(su); the ray through the ground state attains it; and the
-    maximum of J along the straight segment to a negative-energy endpoint
-    reproduces it for the ground direction (and dominates it for every
-    other direction).
+    A ray maximum max_s J(su) = J(s_u u) is read in closed form off one
+    evaluation at the ray's Nehari scale.  The ``samples`` sampled rays'
+    maxima dominate the ground level c = inf_u max_s J(su), and the ray
+    through the ground state attains it; ``measured`` is that ray's
+    relative gap to c.
     """
     name = "level-identity"
     rng = _check_rng(seed, name)
@@ -345,111 +343,13 @@ def check_level_identity(spec: ProblemSpec, kernel: GreenKernel,
             witness = witness or f"ray maximum {ray_max!r} below level {c!r} on sample {k}"
     point = evaluate(spec, kernel, solve_report.solution)
     ground_ray = point.ray_energy(nehari_scale(point))
-    if not abs(ground_ray - c) <= tol:
+    gap = abs(ground_ray - c)
+    if not gap <= tol:
         witness = witness or f"ground ray maximum {ground_ray!r} misses level {c!r}"
-    path_dev = _segment_max_deviation(spec, kernel, solve_report.solution, c)
-    if path_dev > 1.0e-6:
-        witness = witness or f"segment maximum misses level by relative {path_dev:.3e}"
-    details = {"level": c, "min_ray_max": min_ray_max,
-               "ground_ray_max": ground_ray, "segment_relative_deviation": path_dev}
-    return PropertyReport(name, "ray-max-equals-path-min-level", samples,
-                          path_dev, 1.0e-6, details, witness)
-
-
-def _segment_max_deviation(spec: ProblemSpec, kernel: GreenKernel,
-                           ground: Field, c: float) -> float:
-    """Relative gap between c and max J on the segment through the ground ray.
-
-    Brent's bounded scalar search (``_bounded_minimum``) is the referee
-    here, independent of the closed-form ray algebra the solver uses.
-    """
-    direction = ground.values
-    scale = 2.0
-    for _ in range(61):
-        endpoint = Field(ground.box, scale * direction)
-        if evaluate(spec, kernel, endpoint).ray_energy() < 0.0:
-            break
-        scale *= 2.0
-    else:
-        return math.inf
-    lowest = _bounded_minimum(
-        lambda t: -evaluate(spec, kernel, Field(ground.box, t * scale * direction)).ray_energy(),
-        0.0, 1.0, xatol=1.0e-12, maxfun=500,
-    )
-    return abs(-lowest - c) / abs(c)
-
-
-def _bounded_minimum(func, lo: float, hi: float, xatol: float, maxfun: int) -> float:
-    """Minimum value of a scalar function on [lo, hi] by Brent's bounded method.
-
-    A port of scipy.optimize.minimize_scalar's "bounded" method: golden
-    sections with parabolic steps (Brent 1973, ch. 5), the same stopping
-    test |x - mid| <= 2 tol - (b - a) / 2 with tol = sqrt(eps) |x| +
-    xatol / 3, and the same budget of ``maxfun`` evaluations.  It returns
-    that result's ``fun``; a NaN value is returned as is.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (max(abs(rat), tol1) if rat >= 0.0 else -max(abs(rat), tol1))
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return fx
+    details = {"level": c, "min_ray_max": min_ray_max, "ground_ray_max": ground_ray,
+               "nehari_defect": solve_report.nehari_defect}
+    return PropertyReport(name, "ray-max-bounds-and-attains-level", samples,
+                          gap / abs(c), tol / abs(c), details, witness)
 
 
 def _on_box(u: Field, box: LatticeBox) -> Field:
@@ -625,10 +525,14 @@ def run_suite(spec: ProblemSpec, kernel: GreenKernel, solve_report: SolveReport,
             raise
     if not payload:
         return _lost_reports(functional, status) + reports
-    worker_reports, error = pickle.loads(payload)
+    worker_reports, error, trace = pickle.loads(payload)
     if error is not None:
-        raise error
+        raise error from _WorkerTraceback(trace)
     return worker_reports + reports
+
+
+class _WorkerTraceback(Exception):
+    """A worker's traceback text, raised in the caller as the cause of its exception."""
 
 
 def _may_fork() -> bool:
@@ -639,9 +543,10 @@ def _may_fork() -> bool:
 
 def _fork(checks):
     """(pid, pipe) of a forked worker that runs ``checks`` and sends one pickle of
-    their reports, or of the exception one raised, down the pipe; None where no
-    process can be forked.  The worker never returns into the caller's stack, so
-    it runs no atexit handler and flushes no output buffer it inherited."""
+    their reports, or of the exception one raised with its traceback's text, down
+    the pipe; None where no process can be forked.  The worker never returns into
+    the caller's stack, so it runs no atexit handler and flushes no output buffer
+    it inherited."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -656,9 +561,11 @@ def _fork(checks):
     try:
         os.close(read_end)
         try:
-            result = (_run_checks(checks), None)
+            result = (_run_checks(checks), None, None)
         except Exception as exc:
-            result = (None, exc)
+            import traceback  # loaded only where a check raised
+
+            result = (None, exc, traceback.format_exc())
         payload = memoryview(pickle.dumps(result))
         while payload:
             payload = payload[os.write(write_end, payload):]

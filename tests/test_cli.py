@@ -138,8 +138,8 @@ _WARM_DIGESTS = {
         "history.csv": "462631c1694aec72e4f71e092b71f482df38937654f88955f480e1d1091fb1c0",
     },
     "verify": {
-        "suite.csv": "d2d5ea57c4f7fc2bc0ccb8db0050ec4f73ad543735b882b3734009f05d1e4ee7",
-        "report.txt": "67c6a85488b9e57779829717fecd29741d2aa6d1f18e033dec3ccfd1dd71c3a6",
+        "suite.csv": "bb9f0cbddc6b90a45595bfd89785aa9ddfefb6b67a8ad62630bb7f148f376ac7",
+        "report.txt": "231845d8f4535b3dff18c57e6dfa1ff357fe2ae6a5f3f3adbdb18e2daadf422b",
     },
 }
 
@@ -934,8 +934,8 @@ def _warm_verify_config(warm_cache):
 
 
 def test_warm_verify_imports_no_scipy(tmp_path, warm_cache):
-    # the property suite, the segment referee included, runs on numpy; where
-    # run_suite forks, this sees the caller's half of the checks only
+    # the property suite runs on numpy; where run_suite forks, this sees the
+    # caller's half of the checks only
     code, modules, fresh = _modules_after(tmp_path, _warm_verify_config(warm_cache), "verify")
     assert code == 0
     assert "kclattice.verify" in modules
